@@ -2,9 +2,16 @@
 
 The transform-side checkers enumerate base-field transforms (upper
 triangular nonsingular per block) and test full-size minors of the
-transformed generator; the systematic-side checkers enumerate
-(B, A~, C) tuples and test full superregularity of B P A~ + C.  A
-Gabidulin constructor supplies positive MRD instances for the oracles.
+transformed generator.  The systematic side runs one engine,
+check_transform_family: it enumerates (B, A~, C) tuples and tests a
+superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i).  For
+block codes the predicate is full superregularity; each level i of the
+convolutional m-MSR check (conv_codes) is the same engine on the sliding
+parity P_i^c, with row blocks (k)^(i+1), column blocks (n-k)^(i+1) and
+the block-grid predicate.  Its base-field filter tests exactly the minors
+the predicate checks.  Witness rechecks first confirm that the witnessed
+tuple belongs to the enumerated family.  A Gabidulin constructor supplies
+positive MRD instances for the oracles.
 """
 
 from __future__ import annotations
@@ -13,22 +20,28 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
-from .field import Field
+from .field import Field, base_field
 from .matrix import (
     Matrix,
+    block_diag,
     count_ut_nonsingular,
     det,
+    enum_base_matrices,
     enum_ut_nonsingular,
+    is_upper_triangular,
     minor,
 )
 from .metrics import LengthPartition
 from .report import INFEASIBLE, VerificationReport
 from .superregular import (
     DEFAULT_SELECTION_BUDGET,
+    BlockGrid,
     count_square_selections,
     is_full_superregular,
+    is_superregular_constrained,
+    iter_square_selections,
 )
 
 DEFAULT_TRANSFORM_BUDGET = 10**8
@@ -68,12 +81,17 @@ class SystematicBlockCode:
     def field(self) -> Field:
         return self.parity.field
 
+    @property
+    def parity_widths(self) -> list[int]:
+        """Column counts n_i - k_i of the parity blocks P_i."""
+        return [n_i - k_i for n_i, k_i in
+                zip(self.length_partition.parts, self.dim_partition)]
+
     def parity_blocks(self) -> list[Matrix]:
         """P split column-wise into P_i of width n_i - k_i."""
         out = []
         pos = 0
-        for n_i, k_i in zip(self.length_partition.parts, self.dim_partition):
-            w = n_i - k_i
+        for w in self.parity_widths:
             out.append(self.parity.submatrix(range(self.k), range(pos, pos + w)))
             pos += w
         return out
@@ -93,25 +111,15 @@ class SystematicBlockCode:
 
 
 def assemble_generator(code: SystematicBlockCode) -> Matrix:
-    """G = [J_1 P_1 ... J_l P_l], with the k_i x k_i identity of J_i sitting
-    in the i-th row block."""
-    k, n = code.k, code.n
-    f = code.field
-    g = Matrix(k, n, f)
-    pblocks = code.parity_blocks()
-    col = 0
-    row_off = 0
-    for i, (n_i, k_i) in enumerate(
-        zip(code.length_partition.parts, code.dim_partition)
-    ):
-        for t in range(k_i):
-            g[row_off + t, col + t] = 1
-        pb = pblocks[i]
-        for r in range(k):
-            for c in range(pb.cols):
-                g[r, col + k_i + c] = pb[r, c]
-        col += n_i
-        row_off += k_i
+    """G = [J_1 P_1 ... J_l P_l], where J_i holds the columns of I_k that
+    belong to the i-th row block."""
+    k = code.k
+    eye = Matrix.identity(k, code.field)
+    g = Matrix(k, 0, code.field)
+    pos = 0
+    for k_i, p_i in zip(code.dim_partition, code.parity_blocks()):
+        g = g.hstack(eye.submatrix(range(k), range(pos, pos + k_i))).hstack(p_i)
+        pos += k_i
     return g
 
 
@@ -180,8 +188,7 @@ def check_msrd_transforms(
     checked = 0
     for blocks in product(*[list(enum_ut_nonsingular(n_i, q))
                             for n_i in partition.parts]):
-        a = _block_diag(blocks, q, n)
-        ga = g @ a
+        ga = g @ block_diag(blocks)
         checked += 1
         bad = _full_minors_nonzero(ga)
         if bad is not None:
@@ -204,18 +211,150 @@ def check_msrd_transforms(
     )
 
 
-def _block_diag(blocks, q: int, n: int) -> Matrix:
-    from .field import base_field
+# -- the (B, A~, C) transform family --------------------------------------------
 
+
+def family_counts(ks, nks, q: int) -> tuple[int, int, int]:
+    """Numbers of B, A~ and C choices for row blocks ks and column blocks nks."""
+    return (
+        prod(count_ut_nonsingular(k_i, q) for k_i in ks),
+        prod(count_ut_nonsingular(w, q) for w in nks),
+        q ** sum(k_i * w for k_i, w in zip(ks, nks)),
+    )
+
+
+def check_transform_family(
+    p: Matrix,
+    ks,
+    nks,
+    grid: BlockGrid | None,
+    q: int,
+    mode: str,
+    budget: int,
+    resamples: int,
+    rng: random.Random,
+) -> VerificationReport:
+    """True iff diag(B_i) P diag(A~_i) + diag(C_i) satisfies the predicate
+    for every tuple over F_q: B_i (A~_i) nonsingular upper triangular of
+    size ks[i] (nks[i]), C_i any ks[i] x nks[i] matrix.  The predicate is
+    full superregularity when grid is None, else superregularity
+    constrained to the grid (diagonals in blocks (s, t) with s <= t).
+
+    mode "exact" enumerates every C.  mode "filter" first tests that every
+    minor the predicate checks of B P A~ lies outside F_q; pairs that pass
+    try `resamples` random C instead (every C, when there are no more),
+    pairs that fail enumerate every C.  A False witness holds the B and A~
+    blocks, the assembled C and the vanishing minor, as JSON rows.
+    """
+    if mode not in ("exact", "filter"):
+        raise ValueError(f"unknown mode {mode!r}")
+    start = time.perf_counter()
+    b_count, a_count, c_count = family_counts(ks, nks, q)
+    counts = {"b_count": b_count, "a_count": a_count, "c_count": c_count}
+    # budget unit: one minor evaluation
+    per_pair = c_count if mode == "exact" else resamples + 1
+    if b_count * a_count * per_pair * count_square_selections(p.rows, p.cols) > budget:
+        return VerificationReport(
+            INFEASIBLE,
+            detail=counts | {"budget": budget},
+            elapsed=time.perf_counter() - start,
+        )
+    b_sets = [list(enum_ut_nonsingular(k_i, q)) for k_i in ks]
+    a_sets = [list(enum_ut_nonsingular(w, q)) for w in nks]
+    c_sets = [list(enum_base_matrices(k_i, w, q)) for k_i, w in zip(ks, nks)]
+    checked = 0
+    filtered = 0
+    for b_blocks in product(*b_sets):
+        bp = block_diag(b_blocks) @ p
+        for a_blocks in product(*a_sets):
+            bpa = bp @ block_diag(a_blocks)
+            if mode == "filter" and _minors_outside_base(bpa, grid):
+                filtered += 1
+                c_iter = _sample_c(c_sets, ks, nks, q, resamples, rng)
+            else:
+                c_iter = map(block_diag, product(*c_sets))
+            for c in c_iter:
+                checked += 1
+                t = bpa.add(c)
+                rep = (is_full_superregular(t) if grid is None
+                       else is_superregular_constrained(t, grid))
+                if rep.verdict is False:
+                    return VerificationReport(
+                        False,
+                        witness={
+                            "B": [m.to_rows() for m in b_blocks],
+                            "A": [m.to_rows() for m in a_blocks],
+                            "C": c.to_rows(),
+                            "rows": rep.witness["rows"],
+                            "cols": rep.witness["cols"],
+                        },
+                        checked_count=checked,
+                        elapsed=time.perf_counter() - start,
+                        detail=counts,
+                    )
+    return VerificationReport(
+        True,
+        checked_count=checked,
+        elapsed=time.perf_counter() - start,
+        detail=counts | {"mode": mode, "filtered_pairs": filtered},
+    )
+
+
+def _minors_outside_base(m: Matrix, grid: BlockGrid | None) -> bool:
+    """Base-field filter: every minor the predicate checks (grid-qualifying
+    ones, or all when grid is None) lies outside F_q, so is nonzero."""
+    for ri, ci in iter_square_selections(m.rows, m.cols):
+        if grid is not None and not grid.diagonal_allowed(ri, ci):
+            continue
+        if m.field.is_in_base_field(det(m.submatrix(ri, ci))):
+            return False
+    return True
+
+
+def _sample_c(c_sets, ks, nks, q: int, count: int, rng: random.Random):
+    """count random C with diagonal blocks of sizes ks[i] x nks[i], drawn
+    in (block, row, col) order; every C, when there are no more."""
+    if prod(len(c_set) for c_set in c_sets) <= count:
+        yield from map(block_diag, product(*c_sets))
+        return
     f = base_field(q)
-    a = Matrix(n, n, f)
-    pos = 0
-    for b in blocks:
-        for r in range(b.rows):
-            for c in range(b.cols):
-                a[pos + r, pos + c] = b[r, c]
-        pos += b.rows
-    return a
+    for _ in range(count):
+        yield block_diag([Matrix(k_i, w, f, [rng.randrange(q) for _ in range(k_i * w)])
+                          for k_i, w in zip(ks, nks)])
+
+
+def in_transform_family(b_blocks, a_blocks, c: Matrix, ks, nks) -> bool:
+    """True iff (B, A~, C) is a tuple check_transform_family enumerates:
+    each B_i (A~_i) nonsingular upper triangular of size ks[i] (nks[i]),
+    and C of shape sum(ks) x sum(nks), zero outside its diagonal blocks."""
+    grid = BlockGrid(ks, nks)
+    return (
+        _nonsingular_upper(b_blocks, ks)
+        and _nonsingular_upper(a_blocks, nks)
+        and (c.rows, c.cols) == (sum(ks), sum(nks))
+        and all(c[r, col] == 0 for r in range(c.rows) for col in range(c.cols)
+                if grid.row_block(r) != grid.col_block(col))
+    )
+
+
+def _nonsingular_upper(blocks, sizes) -> bool:
+    return len(blocks) == len(sizes) and all(
+        (b.rows, b.cols) == (s, s)
+        and is_upper_triangular(b)
+        and all(b[i, i] for i in range(s))
+        for b, s in zip(blocks, sizes)
+    )
+
+
+def witness_minor_vanishes(t: Matrix, witness: dict, grid: BlockGrid | None = None) -> bool:
+    """The witnessed minor of t is zero and is one the predicate checks:
+    rows and cols strictly increasing and, with a grid, grid-qualifying."""
+    rows, cols = list(witness["rows"]), list(witness["cols"])
+    return (
+        minor(t, rows, cols) == 0
+        and all(a < b for idx in (rows, cols) for a, b in zip(idx, idx[1:]))
+        and (grid is None or grid.diagonal_allowed(rows, cols))
+    )
 
 
 # -- systematic-side checkers ---------------------------------------------------
@@ -249,145 +388,15 @@ def check_msrd_systematic(
     q: int | None = None,
 ) -> VerificationReport:
     """MSRD iff diag(B_i) P diag(A~_i) + diag(C_i) is full superregular for
-    every block tuple over F_q.
-
-    mode "exact" enumerates every C tuple.  mode "filter" first checks
-    that all minors of B P A~ avoid the base field; pairs that pass skip
-    C enumeration (plus a randomized C re-sample), pairs that fail fall
-    back to exact C enumeration for that pair.
-    """
-    if mode not in ("exact", "filter"):
-        raise ValueError(f"unknown mode {mode!r}")
-    start = time.perf_counter()
+    every block tuple over F_q: check_transform_family with row blocks
+    (k_i), column blocks (n_i - k_i) and no grid.  The witness C is the
+    whole k x (n-k) matrix."""
     field = code.field
-    q = q if q is not None else field.q
-    p = code.parity.lift(field)
-    k = code.k
-    ks = code.dim_partition
-    nks = [n_i - k_i for n_i, k_i in zip(code.length_partition.parts, ks)]
-    rng = rng or random.Random(0)
-
-    b_count = 1
-    for k_i in ks:
-        b_count *= count_ut_nonsingular(k_i, q)
-    a_count = 1
-    for w in nks:
-        a_count *= count_ut_nonsingular(w, q)
-    c_count = q ** sum(k_i * w for k_i, w in zip(ks, nks))
-    pair_count = b_count * a_count
-    # budget unit: one minor evaluation
-    sels = count_square_selections(k, sum(nks))
-    total = pair_count * (c_count if mode == "exact" else resamples + 1) * sels
-    if total > budget:
-        return VerificationReport(
-            INFEASIBLE,
-            detail={"b_count": b_count, "a_count": a_count, "c_count": c_count,
-                    "budget": budget},
-            elapsed=time.perf_counter() - start,
-        )
-
-    checked = 0
-    filtered_pairs = 0
-    for b_blocks in product(*[list(enum_ut_nonsingular(k_i, q)) for k_i in ks]):
-        b = _block_diag(b_blocks, q, k)
-        bp = b @ p
-        for a_blocks in product(*[list(enum_ut_nonsingular(w, q)) for w in nks]):
-            a = _block_diag(a_blocks, q, sum(nks))
-            bpa = bp @ a
-            if mode == "filter":
-                if _all_minors_outside_base(bpa, field, q):
-                    filtered_pairs += 1
-                    c_iter = _sample_c_tuples(ks, nks, q, resamples, rng)
-                else:
-                    c_iter = _enum_c_matrices(ks, nks, q)
-            else:
-                c_iter = _enum_c_matrices(ks, nks, q)
-            for c in c_iter:
-                checked += 1
-                t = bpa.add(c)
-                rep = is_full_superregular(t)
-                if rep.verdict is False:
-                    return VerificationReport(
-                        False,
-                        witness={
-                            "B": [m.to_rows() for m in b_blocks],
-                            "A": [m.to_rows() for m in a_blocks],
-                            "C": c.to_rows(),
-                            "rows": rep.witness["rows"],
-                            "cols": rep.witness["cols"],
-                        },
-                        checked_count=checked,
-                        elapsed=time.perf_counter() - start,
-                        detail={"b_count": b_count, "a_count": a_count,
-                                "c_count": c_count},
-                    )
-    return VerificationReport(
-        True,
-        checked_count=checked,
-        elapsed=time.perf_counter() - start,
-        detail={
-            "b_count": b_count,
-            "a_count": a_count,
-            "c_count": c_count,
-            "mode": mode,
-            "filtered_pairs": filtered_pairs,
-        },
+    return check_transform_family(
+        code.parity.lift(field), code.dim_partition, code.parity_widths, None,
+        q if q is not None else field.q, mode, budget, resamples,
+        rng or random.Random(0),
     )
-
-
-def _all_minors_outside_base(m: Matrix, field: Field, q: int) -> bool:
-    """Base-field filter: every minor of every size lies outside F_q
-    (in particular is nonzero)."""
-    from .superregular import iter_square_selections
-
-    for ri, ci in iter_square_selections(m.rows, m.cols):
-        if field.is_in_base_field(det(m.submatrix(ri, ci))):
-            return False
-    return True
-
-
-def _c_layout(ks, nks):
-    """Row/col offsets of the diagonal C_i blocks inside the k x (n-k) frame."""
-    out = []
-    r = c = 0
-    for k_i, w in zip(ks, nks):
-        out.append((r, c, k_i, w))
-        r += k_i
-        c += w
-    return out
-
-
-def _enum_c_matrices(ks, nks, q: int):
-    from .field import base_field
-
-    f = base_field(q)
-    layout = _c_layout(ks, nks)
-    cells = [(r0 + r, c0 + c) for r0, c0, k_i, w in layout
-             for r in range(k_i) for c in range(w)]
-    k, nk = sum(ks), sum(nks)
-    for vals in product(range(q), repeat=len(cells)):
-        m = Matrix(k, nk, f)
-        for (r, c), v in zip(cells, vals):
-            m[r, c] = v
-        yield m
-
-
-def _sample_c_tuples(ks, nks, q: int, count: int, rng: random.Random):
-    from .field import base_field
-
-    f = base_field(q)
-    layout = _c_layout(ks, nks)
-    cells = [(r0 + r, c0 + c) for r0, c0, k_i, w in layout
-             for r in range(k_i) for c in range(w)]
-    k, nk = sum(ks), sum(nks)
-    if q ** len(cells) <= count:
-        yield from _enum_c_matrices(ks, nks, q)
-        return
-    for _ in range(count):
-        m = Matrix(k, nk, f)
-        for r, c in cells:
-            m[r, c] = rng.randrange(q)
-        yield m
 
 
 # -- constructors -----------------------------------------------------------
@@ -409,39 +418,33 @@ def construct_gabidulin(n: int, k: int, field: Field) -> Matrix:
 
 
 def recheck_witness(code: SystematicBlockCode, witness: dict) -> bool:
-    """Re-evaluate a systematic-side witness: rebuild B P A~ + C and confirm
-    the witnessed minor is zero."""
+    """Re-evaluate a systematic-side witness: the tuple must belong to the
+    transform family, and the witnessed minor of B P A~ + C must vanish."""
     field = code.field
     base = field.base()
-    b = _stack_diag(witness["B"], base)
-    a = _stack_diag(witness["A"], base)
+    b = _blocks_from_rows(witness["B"], base)
+    a = _blocks_from_rows(witness["A"], base)
     c = Matrix.from_rows(witness["C"], base)
-    t = (b @ code.parity.lift(field) @ a).add(c)
-    return minor(t, witness["rows"], witness["cols"]) == 0
+    if not in_transform_family(b, a, c, code.dim_partition, code.parity_widths):
+        return False
+    t = (block_diag(b) @ code.parity.lift(field) @ block_diag(a)).add(c)
+    return witness_minor_vanishes(t, witness)
 
 
 def recheck_transform_witness(
     g: Matrix, partition: LengthPartition, witness: dict
 ) -> bool:
-    """Re-evaluate a transform-side witness: rebuild G A and confirm the
-    witnessed full-size minor is zero."""
-    base = g.field.base()
-    a = _stack_diag(witness["transform"], base)
-    ga = g @ a
-    return minor(ga, witness["rows"], witness["cols"]) == 0
+    """Re-evaluate a transform-side witness: every block must be nonsingular
+    upper triangular of its part's size, and the witnessed full-size minor
+    of G A must vanish."""
+    blocks = _blocks_from_rows(witness["transform"], g.field.base())
+    if not _nonsingular_upper(blocks, partition.parts) or len(witness["rows"]) != g.rows:
+        return False
+    return witness_minor_vanishes(g @ block_diag(blocks), witness)
 
 
-def _stack_diag(blocks_rows, f) -> Matrix:
-    blocks = [Matrix.from_rows(b, f) if b else Matrix(0, 0, f) for b in blocks_rows]
-    size = sum(b.rows for b in blocks)
-    m = Matrix(size, size, f)
-    pos = 0
-    for b in blocks:
-        for r in range(b.rows):
-            for c in range(b.cols):
-                m[pos + r, pos + c] = b[r, c]
-        pos += b.rows
-    return m
+def _blocks_from_rows(blocks_rows, f) -> list[Matrix]:
+    return [Matrix.from_rows(b, f) if b else Matrix(0, 0, f) for b in blocks_rows]
 
 
 def load_code(obj_or_path) -> SystematicBlockCode:

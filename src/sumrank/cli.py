@@ -363,11 +363,14 @@ def cmd_recheck(args) -> int:
             ok = recheck_mMSR_witness(enc, witness)
     elif args.code:
         code = load_code(args.code)
+        # the MRD checks treat the whole length as one block
+        mrd = str(prior.get("check", "")).startswith("mrd-")
         if "transform" in witness:
-            ok = recheck_transform_witness(
-                assemble_generator(code), code.length_partition, witness
-            )
+            partition = LengthPartition([code.n]) if mrd else code.length_partition
+            ok = recheck_transform_witness(assemble_generator(code), partition, witness)
         else:
+            if mrd:
+                code = SystematicBlockCode(LengthPartition([code.n]), (code.k,), code.parity)
             ok = recheck_witness(code, witness)
     else:
         raise CliError("recheck needs --code or --encoder", EXIT_PARSE)

@@ -1,6 +1,13 @@
 """Polynomial encoders, sliding matrices, the transformed-parity family of
 the m-MSR criterion, its rank-profile oracle, systematization of general
-encoders, and the Frobenius-power construction."""
+encoders, and the Frobenius-power construction.
+
+Level i of the m-MSR check is the block systematic check on the sliding
+parity P_i^c: block_codes.check_transform_family with row blocks
+(k)^(i+1), column blocks (n-k)^(i+1) and the block-grid predicate in
+place of full superregularity.  Its filter tests the grid-qualifying
+minors, the ones the predicate checks, and witness rechecks confirm that
+the witnessed tuple belongs to the level's transform family."""
 
 from __future__ import annotations
 
@@ -8,30 +15,27 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
-from .field import Field
+from .block_codes import (
+    DEFAULT_TRANSFORM_BUDGET,
+    FILTER_RESAMPLE_COUNT,
+    check_transform_family,
+    family_counts,
+    in_transform_family,
+    witness_minor_vanishes,
+)
+from .field import Field, base_field
 from .matrix import (
     Matrix,
-    count_ut_nonsingular,
+    block_diag,
     det,
     enum_full_rank_column_spaces,
-    enum_ut_nonsingular,
     gaussian_binomial,
     inverse,
-    minor,
 )
 from .report import INFEASIBLE, VerificationReport
-from .superregular import (
-    BlockGrid,
-    ZeroPattern,
-    count_square_selections,
-    is_superregular_constrained,
-    is_trivial_minor,
-    iter_square_selections,
-)
-
-DEFAULT_TRANSFORM_BUDGET = 10**8
-FILTER_RESAMPLE_COUNT = 1000
+from .superregular import BlockGrid
 
 
 class EncoderError(ValueError):
@@ -148,8 +152,6 @@ class TransformTuple:
 
     @classmethod
     def from_json(cls, obj: dict, q: int) -> "TransformTuple":
-        from .field import base_field
-
         f = base_field(q)
         return cls(
             [Matrix.from_rows(r, f) for r in obj["B"]],
@@ -159,8 +161,6 @@ class TransformTuple:
 
     @classmethod
     def identity(cls, enc: PolyEncoder, j: int) -> "TransformTuple":
-        from .field import base_field
-
         f = base_field(enc.field.q)
         k, nk = enc.k, enc.n - enc.k
         return cls(
@@ -205,31 +205,15 @@ def parity_grid(enc: PolyEncoder, j: int) -> BlockGrid:
     return BlockGrid.uniform(enc.k, enc.n - enc.k, j + 1)
 
 
-def _level_diag(blocks: list[Matrix]) -> Matrix:
-    f = blocks[0].field if blocks else None
-    size_r = sum(b.rows for b in blocks)
-    size_c = sum(b.cols for b in blocks)
-    m = Matrix(size_r, size_c, f)
-    pr = pc = 0
-    for b in blocks:
-        for r in range(b.rows):
-            for c in range(b.cols):
-                m[pr + r, pc + c] = b[r, c]
-        pr += b.rows
-        pc += b.cols
-    return m
-
-
 def build_Tj(enc: PolyEncoder, tup: TransformTuple, j: int) -> Matrix:
     """T_j = diag(B) P_j^c diag(A~) + diag(C); block (s, t) is
     B_s P_{t-s} A~_t, plus C_s on the block diagonal."""
     if tup.j != j:
         raise EncoderError(f"transform tuple sized for j={tup.j}, expected {j}")
     pjc = sliding_parity(enc, j)
-    b = _level_diag(tup.b_list)
-    a = _level_diag(tup.a_list)
-    c = _level_diag(tup.c_list)
-    return (b @ pjc @ a).add(c)
+    b = block_diag(tup.b_list)
+    a = block_diag(tup.a_list)
+    return (b @ pjc @ a).add(block_diag(tup.c_list))
 
 
 # -- the m-MSR checker -------------------------------------------------------
@@ -247,12 +231,13 @@ def check_mMSR(
     diagonal-constrained sense) for every transform tuple, at every level
     i <= j.  A true verdict certifies d^i = (i+1)(n-k)+1 for all i <= j.
 
-    mode "filter" skips C enumeration for tuples whose C-free minors all
-    avoid the base field, re-sampling random C tuples instead; tuples
-    failing the filter fall back to exact C enumeration.
+    Level i is block_codes.check_transform_family on P_i^c with row blocks
+    (k)^(i+1), column blocks (n-k)^(i+1) and the block grid; one random
+    stream serves every level.  mode "filter" skips C enumeration for pairs
+    whose grid-qualifying minors all avoid the base field, re-sampling
+    random C tuples instead; pairs failing the filter fall back to exact C
+    enumeration.
     """
-    if mode not in ("exact", "filter"):
-        raise ValueError(f"unknown mode {mode!r}")
     if not enc.systematic:
         raise EncoderError("m-MSR check needs a systematic encoder")
     if j is None:
@@ -261,13 +246,26 @@ def check_mMSR(
         raise EncoderError(f"level j={j} outside [0, m={enc.m}]")
     start = time.perf_counter()
     rng = rng or random.Random(0)
+    k, nk = enc.k, enc.n - enc.k
     per_level = []
     checked = 0
     for i in range(j + 1):
-        rep = _check_level(enc, i, mode, budget, resamples, rng)
+        rep = check_transform_family(
+            sliding_parity(enc, i), [k] * (i + 1), [nk] * (i + 1),
+            parity_grid(enc, i), enc.field.q, mode, budget, resamples, rng,
+        )
+        rep.detail = {"level": i} | rep.detail
         checked += rep.checked_count
         per_level.append(rep.detail | {"verdict": rep.verdict})
         if rep.verdict is not True:
+            if rep.verdict is False:
+                # C goes back into its per-level k x (n-k) diagonal blocks
+                w = rep.witness
+                c = w.pop("C")
+                w["transform"] = {"B": w.pop("B"), "A": w.pop("A"), "C": [
+                    [row[s * nk:(s + 1) * nk] for row in c[s * k:(s + 1) * k]]
+                    for s in range(i + 1)]}
+                w["level"] = i
             rep.detail["levels"] = per_level
             rep.checked_count = checked
             rep.elapsed = time.perf_counter() - start
@@ -281,120 +279,22 @@ def check_mMSR(
 
 
 def transform_counts(enc: PolyEncoder, i: int):
-    q = enc.field.q
     k, nk = enc.k, enc.n - enc.k
-    b_total = count_ut_nonsingular(k, q) ** (i + 1)
-    a_total = count_ut_nonsingular(nk, q) ** (i + 1)
-    c_total = q ** (k * nk * (i + 1))
-    return b_total, a_total, c_total
-
-
-def _check_level(enc, i, mode, budget, resamples, rng) -> VerificationReport:
-    start = time.perf_counter()
-    q = enc.field.q
-    field = enc.field
-    k, nk = enc.k, enc.n - enc.k
-    b_total, a_total, c_total = transform_counts(enc, i)
-    pairs = b_total * a_total
-    # budget unit: one minor evaluation
-    sels = count_square_selections(k * (i + 1), nk * (i + 1))
-    cost = pairs * (c_total if mode == "exact" else resamples + 1) * sels
-    if cost > budget:
-        return VerificationReport(
-            INFEASIBLE,
-            detail={"level": i, "b_count": b_total, "a_count": a_total,
-                    "c_count": c_total, "budget": budget},
-            elapsed=time.perf_counter() - start,
-        )
-    pjc = sliding_parity(enc, i)
-    grid = parity_grid(enc, i)
-    b_choices = list(enum_ut_nonsingular(k, q))
-    a_choices = list(enum_ut_nonsingular(nk, q))
-    checked = 0
-    filtered = 0
-    for b_levels in product(b_choices, repeat=i + 1):
-        b = _level_diag(list(b_levels))
-        bp = b @ pjc
-        for a_levels in product(a_choices, repeat=i + 1):
-            a = _level_diag(list(a_levels))
-            bpa = bp @ a
-            if mode == "filter" and _nontrivial_minors_outside_base(bpa, field):
-                filtered += 1
-                c_iter = _sample_c_levels(k, nk, i, q, resamples, rng)
-            else:
-                c_iter = _enum_c_levels(k, nk, i, q)
-            for c_levels in c_iter:
-                checked += 1
-                t = bpa.add(_level_diag(c_levels))
-                rep = is_superregular_constrained(t, grid)
-                if rep.verdict is False:
-                    tup = TransformTuple(list(b_levels), list(a_levels), c_levels)
-                    return VerificationReport(
-                        False,
-                        witness={
-                            "level": i,
-                            "transform": tup.to_json(),
-                            "rows": rep.witness["rows"],
-                            "cols": rep.witness["cols"],
-                        },
-                        checked_count=checked,
-                        elapsed=time.perf_counter() - start,
-                        detail={"level": i, "b_count": b_total,
-                                "a_count": a_total, "c_count": c_total},
-                    )
-    return VerificationReport(
-        True,
-        checked_count=checked,
-        elapsed=time.perf_counter() - start,
-        detail={"level": i, "b_count": b_total, "a_count": a_total,
-                "c_count": c_total, "filtered_pairs": filtered, "mode": mode},
-    )
-
-
-def _nontrivial_minors_outside_base(m: Matrix, field: Field) -> bool:
-    """Base-field filter: every non-trivial minor avoids F_q."""
-    pattern = ZeroPattern.of(m)
-    for ri, ci in iter_square_selections(m.rows, m.cols):
-        if is_trivial_minor(pattern, ri, ci):
-            continue
-        if field.is_in_base_field(det(m.submatrix(ri, ci))):
-            return False
-    return True
-
-
-def _enum_c_levels(k, nk, i, q):
-    from .field import base_field
-
-    f = base_field(q)
-    cells = k * nk
-    singles = [Matrix(k, nk, f, list(vals))
-               for vals in product(range(q), repeat=cells)]
-    for combo in product(singles, repeat=i + 1):
-        yield list(combo)
-
-
-def _sample_c_levels(k, nk, i, q, count, rng):
-    from .field import base_field
-
-    f = base_field(q)
-    cells = k * nk
-    if q ** (cells * (i + 1)) <= count:
-        yield from _enum_c_levels(k, nk, i, q)
-        return
-    for _ in range(count):
-        yield [
-            Matrix(k, nk, f, [rng.randrange(q) for _ in range(cells)])
-            for _ in range(i + 1)
-        ]
+    return family_counts([k] * (i + 1), [nk] * (i + 1), enc.field.q)
 
 
 def recheck_mMSR_witness(enc: PolyEncoder, witness: dict) -> bool:
-    """Rebuild T_j from the witnessed transform tuple and confirm the
-    witnessed minor vanishes."""
+    """Confirm that the witnessed tuple belongs to the level's transform
+    family, rebuild T_j from it and confirm the witnessed grid-qualifying
+    minor vanishes."""
     i = witness["level"]
     tup = TransformTuple.from_json(witness["transform"], enc.field.q)
-    t = build_Tj(enc, tup, i)
-    return minor(t, witness["rows"], witness["cols"]) == 0
+    ks, nks = [enc.k] * (i + 1), [enc.n - enc.k] * (i + 1)
+    return (
+        len(tup.c_list) == i + 1 > 0
+        and in_transform_family(tup.b_list, tup.a_list, block_diag(tup.c_list), ks, nks)
+        and witness_minor_vanishes(build_Tj(enc, tup, i), witness, parity_grid(enc, i))
+    )
 
 
 # -- rank-profile oracle ------------------------------------------------------
@@ -433,7 +333,7 @@ def check_mMSR_oracle(
     n, k = enc.n, enc.k
     profiles = list(iter_rank_profiles(n, k, j))
     total = sum(
-        _prod(gaussian_binomial(n, rho, q) for rho in prof) for prof in profiles
+        prod(gaussian_binomial(n, rho, q) for rho in prof) for prof in profiles
     )
     if total > budget:
         return VerificationReport(
@@ -447,7 +347,7 @@ def check_mMSR_oracle(
     for prof in profiles:
         reps = [list(enum_full_rank_column_spaces(n, rho, q)) for rho in prof]
         for blocks in product(*reps):
-            a_star = _block_diag_rect(list(blocks), q, n)
+            a_star = block_diag(blocks)
             checked += 1
             if det(gjc @ a_star) == 0:
                 return VerificationReport(
@@ -468,41 +368,13 @@ def check_mMSR_oracle(
 
 
 def recheck_oracle_witness(enc: PolyEncoder, witness: dict) -> bool:
-    from .field import base_field
-
-    q = enc.field.q
-    f = base_field(q)
+    f = base_field(enc.field.q)
     blocks = [
         Matrix.from_rows(b, f) if b else Matrix(enc.n, 0, f)
         for b in witness["blocks"]
     ]
     j = len(blocks) - 1
-    a_star = _block_diag_rect(blocks, q, enc.n)
-    return det(sliding_generator(enc, j) @ a_star) == 0
-
-
-def _prod(it):
-    out = 1
-    for v in it:
-        out *= v
-    return out
-
-
-def _block_diag_rect(blocks: list[Matrix], q: int, n: int) -> Matrix:
-    from .field import base_field
-
-    f = base_field(q)
-    rows = n * len(blocks)
-    cols = sum(b.cols for b in blocks)
-    m = Matrix(rows, cols, f)
-    pr = pc = 0
-    for b in blocks:
-        for r in range(b.rows):
-            for c in range(b.cols):
-                m[pr + r, pc + c] = b[r, c]
-        pr += n
-        pc += b.cols
-    return m
+    return det(sliding_generator(enc, j) @ block_diag(blocks)) == 0
 
 
 # -- systematization ----------------------------------------------------------

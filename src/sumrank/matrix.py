@@ -194,6 +194,23 @@ class Matrix:
         return m
 
 
+def block_diag(blocks) -> Matrix:
+    """Block-diagonal matrix of one or more blocks over the first block's
+    field.  Each block starts after the rows and the columns of those
+    before it, so blocks may be rectangular and 0-size blocks take no room."""
+    blocks = list(blocks)
+    out = Matrix(sum(b.rows for b in blocks), sum(b.cols for b in blocks),
+                 blocks[0].field)
+    r0 = c0 = 0
+    for b in blocks:
+        for r in range(b.rows):
+            start = (r0 + r) * out.cols + c0
+            out.data[start : start + b.cols] = b.row(r)
+        r0 += b.rows
+        c0 += b.cols
+    return out
+
+
 def _align(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
     """Lift whichever operand lives in the prime subfield of the other."""
     if a.field == b.field:

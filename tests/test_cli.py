@@ -94,6 +94,37 @@ def test_verify_block_false_and_recheck(tmp_path, capsys):
     assert rep["reverifies"] is True
 
 
+@pytest.mark.parametrize(
+    "check", ["mrd-systematic", "mrd-transforms", "msrd-systematic", "msrd-transforms"]
+)
+def test_recheck_two_block_code_witnesses(tmp_path, capsys, check):
+    # the MRD checks see one block of length 4, the MSRD checks two blocks;
+    # recheck must test each witness against the family its check enumerated
+    code = SystematicBlockCode(
+        LengthPartition([2, 2]), (1, 1), Matrix.from_rows([[1, 1], [1, 1]], F4)
+    )
+    code_path = _write(tmp_path, "two.json", code.to_json())
+    report_path = str(tmp_path / "report.json")
+    rc = main(["verify-block", "--code", code_path, "--check", check, "--no-oracle",
+               "--out", report_path])
+    capsys.readouterr()
+    assert rc == EXIT_FALSE
+    rc, rep = _run(capsys, ["recheck", "--report", report_path, "--code", code_path])
+    assert rc == EXIT_TRUE
+    assert rep["reverifies"] is True
+
+
+def test_recheck_forged_witness_exits_false(tmp_path, capsys):
+    # an all-zero B makes every minor vanish, but it is not a transform
+    code_path = _write(tmp_path, "gab.json", _gabidulin_code_json(3, 2, F8))
+    forged = {"witness": {"B": [[[0, 0], [0, 0]]], "A": [[[1]]],
+                          "C": [[0], [0]], "rows": [0], "cols": [0]}}
+    report_path = _write(tmp_path, "forged.json", forged)
+    rc, rep = _run(capsys, ["recheck", "--report", report_path, "--code", code_path])
+    assert rc == EXIT_FALSE
+    assert rep["reverifies"] is False
+
+
 def test_verify_block_msrd_all_unit_blocks_matches_mds(tmp_path, capsys):
     code = SystematicBlockCode(
         LengthPartition([1, 1, 1]), (1, 1, 0), Matrix.from_rows([[1], [1]], F4)

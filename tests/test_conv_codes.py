@@ -173,6 +173,25 @@ def test_check_mMSR_negative_with_witness():
     )
 
 
+def test_recheck_mMSR_witness_rejects_tuples_outside_the_family():
+    enc = construct_frobenius(3, 1, 2, field(2, 9))
+    ident = TransformTuple.identity(enc, 1).to_json()
+    # B_0 = 0 zeroes the whole first row block of T_0
+    forged = {"level": 0, "transform": {"B": [[[0]]], "A": ident["A"][:1],
+                                        "C": ident["C"][:1]},
+              "rows": [0], "cols": [0]}
+    assert recheck_mMSR_witness(enc, forged) is False
+    # a level-1 witness needs two entries per list
+    assert recheck_mMSR_witness(enc, dict(forged, level=1)) is False
+    # entry (1, 0) sits in block (1, 0), below the grid's diagonal blocks
+    below = {"level": 1, "transform": ident, "rows": [1], "cols": [0]}
+    assert recheck_mMSR_witness(enc, below) is False
+    # the genuine witness of a negative still rechecks
+    bad = _parity_encoder([1, 1], F2)
+    rep = check_mMSR(bad)
+    assert recheck_mMSR_witness(bad, rep.witness) is True
+
+
 def test_check_mMSR_filter_agrees_with_exact():
     good = construct_frobenius(2, 1, 1, F4)
     assert check_mMSR(good, mode="filter").verdict is True

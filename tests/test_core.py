@@ -4,8 +4,10 @@ selectable via the environment switch."""
 
 import os
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,3 +133,24 @@ def test_pure_python_env_forces_fallback():
         check=True,
     )
     assert out.stdout.strip() == "python"
+
+
+def test_generated_c_echoes_current_pyx():
+    # Cython echoes the source line behind each block of generated C, under
+    # a '/* "sumrank/_core_c.pyx":N' header; a stale _core_c.c shows up as
+    # an echoed line that no longer matches line N of the .pyx.
+    src = Path(_core_py.__file__).resolve().parent
+    pyx = (src / "_core_c.pyx").read_text().splitlines()
+    header = re.compile(r'/\* "sumrank/_core_c\.pyx":(\d+)$')
+    mark = "             # <<<<<<<<<<<<<<"
+    lineno = None
+    echoed = 0
+    for line in (src / "_core_c.c").read_text().splitlines():
+        found = header.search(line)
+        if found:
+            lineno = int(found.group(1))
+        elif line.endswith(mark):
+            assert line.startswith(" * ") and lineno is not None
+            assert line[3 : -len(mark)] == pyx[lineno - 1], f"_core_c.pyx:{lineno}"
+            echoed += 1
+    assert echoed > 0

@@ -11,6 +11,7 @@ from sumrank.field import base_field, field
 from sumrank.matrix import (
     Matrix,
     MatrixError,
+    block_diag,
     bruhat_decompose,
     count_ut_nonsingular,
     det,
@@ -227,3 +228,16 @@ def test_mixed_field_product_lifts_base_entries():
     out = b @ p
     assert out.field is F4
     assert out.to_rows() == [[F4.add(2, 1), F4.add(3, 2)], [1, 2]]
+
+
+def test_block_diag_places_rectangular_and_empty_blocks():
+    f = base_field(3)
+    a = Matrix.from_rows([[1, 2]], f)  # 1 x 2
+    empty_row = Matrix(0, 1, f)  # takes one column, no row
+    b = Matrix.from_rows([[2], [1]], f)  # 2 x 1
+    assert block_diag([a, empty_row, b]).to_rows() == [
+        [1, 2, 0, 0],
+        [0, 0, 0, 2],
+        [0, 0, 0, 1],
+    ]
+    assert block_diag([Matrix(0, 0, f)]).to_rows() == []
