@@ -1,5 +1,6 @@
 """Benchmark the compiled extension kernels against the pure-Python
-fallback on the three hot loops.
+fallback on the three hot loops, then time the superregularity predicate
+layer (pure Python only; it has no compiled kernel yet).
 
 Run from the repository root after an editable install:
 
@@ -13,8 +14,10 @@ import random
 import time
 
 from sumrank import _core_py
-from sumrank.conv_codes import construct_frobenius
+from sumrank.conv_codes import construct_frobenius, parity_grid, sliding_parity
 from sumrank.field import field
+from sumrank.matrix import Matrix
+from sumrank.superregular import is_full_superregular, is_superregular_constrained
 
 try:
     from sumrank import _core_c
@@ -58,6 +61,26 @@ def bench_column_distance(mod, f, coeff_rows, k, n, j):
     return run
 
 
+def predicate_cases():
+    """(name, call) pairs for the predicate layer; each call returns the
+    report, whose checked_count is the number of minors evaluated."""
+    f2048 = field(2, 11)
+    enc = construct_frobenius(4, 2, 2, f2048, f2048.alpha)
+    p2, grid = sliding_parity(enc, 2), parity_grid(enc, 2)
+    # Cauchy matrix 1/(x_i + y_j), x_i = a^i, y_j = a^(6+j): full superregular,
+    # so the predicate evaluates every minor
+    f64 = field(2, 6)
+    cauchy = Matrix.from_rows(
+        [[f64.inv(f64.alpha_pow(i) ^ f64.alpha_pow(6 + j)) for j in range(6)]
+         for i in range(6)], f64)
+    return [
+        ("is_superregular_constrained [4,2,2]/F_2048 P_2^c",
+         lambda: is_superregular_constrained(p2, grid)),
+        ("is_full_superregular 6x6 Cauchy over F_64",
+         lambda: is_full_superregular(cauchy)),
+    ]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeat", type=int, default=3,
@@ -98,6 +121,16 @@ def main() -> int:
             print(f"{name:<50} {py:>9.3f}s {cc:>9.3f}s {py / cc:>7.1f}x")
         else:
             print(f"{name:<50} {py:>9.3f}s {'-':>10} {'-':>8}")
+
+    print()
+    header = (f"{'predicate layer (pure Python)':<50} {'time':>10} {'minors':>8} "
+              f"{'verdict':>8}")
+    print(header)
+    print("-" * len(header))
+    for name, call in predicate_cases():
+        rep = call()  # fills the shape's cached selection list, untimed
+        t = _time(call, args.repeat)
+        print(f"{name:<50} {t * 1e3:>8.2f}ms {rep.checked_count:>8} {rep.verdict!s:>8}")
     return 0
 
 

@@ -9,9 +9,13 @@ block codes the predicate is full superregularity; each level i of the
 convolutional m-MSR check (conv_codes) is the same engine on the sliding
 parity P_i^c, with row blocks (k)^(i+1), column blocks (n-k)^(i+1) and
 the block-grid predicate.  Its base-field filter tests exactly the minors
-the predicate checks.  Witness rechecks first confirm that the witnessed
-tuple belongs to the enumerated family.  A Gabidulin constructor supplies
-positive MRD instances for the oracles.
+the predicate checks.  The predicates, the filter and the transform-side
+full-size minor test all evaluate minors through superregular.minor_sweep,
+one memoized Laplace sweep per matrix.  Witness rechecks first confirm
+that the witnessed tuple belongs to the enumerated family, then evaluate
+the witnessed minor by Gaussian elimination (matrix.minor), independently
+of the sweep.  A Gabidulin constructor supplies positive MRD instances for
+the oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import comb, prod
 
 from .field import Field, base_field
@@ -27,7 +31,6 @@ from .matrix import (
     Matrix,
     block_diag,
     count_ut_nonsingular,
-    det,
     enum_base_matrices,
     enum_ut_nonsingular,
     is_upper_triangular,
@@ -39,9 +42,11 @@ from .superregular import (
     DEFAULT_SELECTION_BUDGET,
     BlockGrid,
     count_square_selections,
+    full_size_selections,
     is_full_superregular,
     is_superregular_constrained,
-    iter_square_selections,
+    minor_sweep,
+    square_selections,
 )
 
 DEFAULT_TRANSFORM_BUDGET = 10**8
@@ -145,10 +150,8 @@ def check_mds(p: Matrix, budget: int = DEFAULT_SELECTION_BUDGET) -> Verification
 def _full_minors_nonzero(g: Matrix) -> tuple:
     """First vanishing full-size minor of a k x n matrix, or None."""
     k = g.rows
-    for ci in combinations(range(g.cols), k):
-        if det(g.submatrix(range(k), ci)) == 0:
-            return ci
-    return None
+    vanishing = minor_sweep(g, full_size_selections(k, g.cols), 1)
+    return next((ci for _, ri, ci, _ in vanishing if len(ri) == k), None)
 
 
 def check_mrd_transforms(
@@ -303,12 +306,8 @@ def check_transform_family(
 def _minors_outside_base(m: Matrix, grid: BlockGrid | None) -> bool:
     """Base-field filter: every minor the predicate checks (grid-qualifying
     ones, or all when grid is None) lies outside F_q, so is nonzero."""
-    for ri, ci in iter_square_selections(m.rows, m.cols):
-        if grid is not None and not grid.diagonal_allowed(ri, ci):
-            continue
-        if m.field.is_in_base_field(det(m.submatrix(ri, ci))):
-            return False
-    return True
+    sweep = minor_sweep(m, square_selections(m.rows, m.cols, grid), m.field.q)
+    return next(sweep, None) is None
 
 
 def _sample_c(c_sets, ks, nks, q: int, count: int, rng: random.Random):

@@ -28,11 +28,13 @@ from .block_codes import (
 from .field import Field, base_field
 from .matrix import (
     Matrix,
+    MatrixError,
     block_diag,
     det,
     enum_full_rank_column_spaces,
     gaussian_binomial,
     inverse,
+    rank,
 )
 from .report import INFEASIBLE, VerificationReport
 from .superregular import BlockGrid
@@ -368,12 +370,28 @@ def check_mMSR_oracle(
 
 
 def recheck_oracle_witness(enc: PolyEncoder, witness: dict) -> bool:
-    f = base_field(enc.field.q)
-    blocks = [
-        Matrix.from_rows(b, f) if b else Matrix(enc.n, 0, f)
-        for b in witness["blocks"]
-    ]
-    j = len(blocks) - 1
+    """Re-evaluate a rank-profile witness: the profile must be one
+    iter_rank_profiles(n, k, j) yields, each block an n x rho_i matrix over
+    F_q of rank rho_i, and det(G_j^c A*) must vanish.  Without the first two
+    checks a zero column or a rank-deficient block would make any
+    encoder's determinant vanish."""
+    n, q = enc.n, enc.field.q
+    profile, rows = tuple(witness["profile"]), witness["blocks"]
+    j = len(rows) - 1
+    if j < 0 or profile not in iter_rank_profiles(n, enc.k, j):
+        return False
+    f = base_field(q)
+    blocks = []
+    for rho, b in zip(profile, rows):
+        if len(b) != n or any(len(r) != rho for r in b):
+            return False
+        try:
+            block = Matrix(n, rho, f, [v for r in b for v in r])
+        except MatrixError:
+            return False
+        if rank(block) != rho:
+            return False
+        blocks.append(block)
     return det(sliding_generator(enc, j) @ block_diag(blocks)) == 0
 
 

@@ -13,7 +13,7 @@ from sumrank.cli import (
     main,
 )
 from sumrank.block_codes import SystematicBlockCode, construct_gabidulin, systematic_form
-from sumrank.conv_codes import PolyEncoder
+from sumrank.conv_codes import PolyEncoder, construct_frobenius
 from sumrank.field import base_field, field
 from sumrank.matrix import Matrix
 from sumrank.metrics import LengthPartition
@@ -121,6 +121,17 @@ def test_recheck_forged_witness_exits_false(tmp_path, capsys):
                           "C": [[0], [0]], "rows": [0], "cols": [0]}}
     report_path = _write(tmp_path, "forged.json", forged)
     rc, rep = _run(capsys, ["recheck", "--report", report_path, "--code", code_path])
+    assert rc == EXIT_FALSE
+    assert rep["reverifies"] is False
+
+
+def test_recheck_forged_oracle_witness_exits_false(tmp_path, capsys):
+    # a zero column makes det(G_1^c A*) vanish on the m-MSR [2,1,1]/F_4 code
+    enc_path = _write(tmp_path, "enc.json", construct_frobenius(2, 1, 1, F4).to_json())
+    forged = {"oracle": {"witness": {"profile": [1, 1],
+                                     "blocks": [[[0], [0]], [[1], [0]]]}}}
+    report_path = _write(tmp_path, "forged.json", forged)
+    rc, rep = _run(capsys, ["recheck", "--report", report_path, "--encoder", enc_path])
     assert rc == EXIT_FALSE
     assert rep["reverifies"] is False
 

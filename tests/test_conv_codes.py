@@ -192,6 +192,29 @@ def test_recheck_mMSR_witness_rejects_tuples_outside_the_family():
     assert recheck_mMSR_witness(bad, rep.witness) is True
 
 
+def test_recheck_oracle_witness_rejects_forged_profiles():
+    good = construct_frobenius(2, 1, 1, F4)
+    assert check_mMSR_oracle(good, 1).verdict is True
+    # a zero column, a rank-1 block of a rank-2 profile, a profile the
+    # oracle never enumerates, a block of the wrong shape and an entry
+    # outside F_2 all make det(G_1^c A*) vanish or undefined on an m-MSR code
+    forged = [
+        {"profile": [1, 1], "blocks": [[[0], [0]], [[1], [0]]]},
+        {"profile": [0, 2], "blocks": [[[], []], [[1, 1], [0, 0]]]},
+        {"profile": [2, 0], "blocks": [[[1, 0], [0, 1]], [[], []]]},
+        {"profile": [1, 1], "blocks": [[[1]], [[1], [0]]]},
+        {"profile": [1, 1], "blocks": [[[2], [0]], [[1], [0]]]},
+    ]
+    for witness in forged:
+        assert recheck_oracle_witness(good, witness) is False, witness
+    # a genuine witness of a negative still rechecks
+    f128 = field(2, 7)
+    bad = construct_frobenius(3, 1, 2, f128, f128.alpha_pow(11))
+    rep = check_mMSR_oracle(bad, 2)
+    assert rep.verdict is False
+    assert recheck_oracle_witness(bad, rep.witness) is True
+
+
 def test_check_mMSR_filter_agrees_with_exact():
     good = construct_frobenius(2, 1, 1, F4)
     assert check_mMSR(good, mode="filter").verdict is True

@@ -1,0 +1,182 @@
+"""The memoized minor sweep against Gaussian elimination, and every
+predicate built on it against the per-selection determinant loop it
+replaced, kept here as the reference."""
+
+import random
+
+import pytest
+
+from sumrank.block_codes import _full_minors_nonzero, _minors_outside_base
+from sumrank.field import Field, base_field, field
+from sumrank.matrix import Matrix, det
+from sumrank.superregular import (
+    BlockGrid,
+    ZeroPattern,
+    full_size_selections,
+    is_full_superregular,
+    is_superregular,
+    is_superregular_constrained,
+    is_trivial_minor,
+    iter_square_selections,
+    minor_sweep,
+    square_selections,
+)
+
+F8 = field(2, 3)
+F32 = field(2, 5)
+F256 = field(2, 8)
+F5 = base_field(5)
+F9 = field(3, 2)
+F27 = field(3, 3)
+
+
+def _untabled_f8():
+    """F_8 without log/antilog tables, as fields above the table limit run."""
+    f = Field(2, 3)
+    f.exp = f.log = None
+    return f
+
+
+def _random_matrix(rng, rows, cols, f, zero_share):
+    return Matrix(rows, cols, f, [
+        0 if rng.random() < zero_share else rng.randrange(1, f.order)
+        for _ in range(rows * cols)
+    ])
+
+
+def _every_minor(m, entries):
+    return [(pos, ri, ci, v) for pos, ri, ci, v in minor_sweep(m, entries, m.field.order)]
+
+
+# -- the sweep against matrix.det ---------------------------------------------
+
+
+@pytest.mark.parametrize("f", [F8, F32, F5, F9, F27, _untabled_f8()],
+                         ids=["F8", "F32", "F5", "F9", "F27", "F8-untabled"])
+@pytest.mark.parametrize("shape", [(2, 5), (5, 2), (4, 6), (6, 6)])
+def test_sweep_equals_det_on_every_square_selection(f, shape):
+    rng = random.Random(f"{f.descriptor()}/{shape}")
+    rows, cols = shape
+    entries = square_selections(rows, cols)
+    for zero_share in (0.0, 0.3, 0.7):
+        m = _random_matrix(rng, rows, cols, f, zero_share)
+        got = _every_minor(m, entries)
+        assert [pos for pos, _, _, _ in got] == list(range(len(entries)))
+        listed = [(ri, ci) for _, ri, ci, _ in got]
+        assert listed == list(iter_square_selections(rows, cols))
+        for _, ri, ci, v in got:
+            assert v == det(m.submatrix(ri, ci)), (ri, ci)
+
+
+@pytest.mark.parametrize("f", [F32, F27], ids=["F32", "F27"])
+def test_sweep_on_grid_and_full_size_lists_equals_det(f):
+    rng = random.Random(f.descriptor())
+    grids = [BlockGrid.uniform(2, 1, 3), BlockGrid([1, 2], [3, 1])]
+    for grid in grids:
+        m = _random_matrix(rng, grid.rows, grid.cols, f, 0.2)
+        got = _every_minor(m, square_selections(grid.rows, grid.cols, grid))
+        assert [(ri, ci) for _, ri, ci, _ in got] == [
+            s for s in iter_square_selections(grid.rows, grid.cols)
+            if grid.diagonal_allowed(*s)
+        ]
+        for _, ri, ci, v in got:
+            assert v == det(m.submatrix(ri, ci))
+    g = _random_matrix(rng, 3, 6, f, 0.2)
+    for _, ri, ci, v in _every_minor(g, full_size_selections(3, 6)):
+        assert ri == tuple(range(len(ri)))
+        assert v == det(g.submatrix(ri, ci))
+
+
+def test_sweep_yields_only_codes_below_the_bound():
+    rng = random.Random(5)
+    m = _random_matrix(rng, 4, 4, F9, 0.4)
+    entries = square_selections(4, 4)
+    every = _every_minor(m, entries)
+    for below in (1, F9.q):
+        got = list(minor_sweep(m, entries, below))
+        assert got == [t for t in every if t[3] < below]
+
+
+# -- the predicates against the per-selection det loop ------------------------
+
+
+def _reference_check(m, *, skip_trivial, grid=None):
+    """The loop the sweep replaced: one elimination per selection."""
+    pattern = ZeroPattern.of(m)
+    checked = 0
+    for ri, ci in iter_square_selections(m.rows, m.cols):
+        if grid is not None and not grid.diagonal_allowed(ri, ci):
+            continue
+        if skip_trivial and is_trivial_minor(pattern, ri, ci):
+            continue
+        checked += 1
+        if det(m.submatrix(ri, ci)) == 0:
+            return False, {"rows": list(ri), "cols": list(ci)}, checked
+    return True, None, checked
+
+
+def _reference_outside_base(m, grid):
+    for ri, ci in iter_square_selections(m.rows, m.cols):
+        if grid is not None and not grid.diagonal_allowed(ri, ci):
+            continue
+        if m.field.is_in_base_field(det(m.submatrix(ri, ci))):
+            return False
+    return True
+
+
+def _reference_full_minors(g):
+    from itertools import combinations
+
+    for ci in combinations(range(g.cols), g.rows):
+        if det(g.submatrix(range(g.rows), ci)) == 0:
+            return ci
+    return None
+
+
+def _same(rep, ref):
+    assert (rep.verdict, rep.witness, rep.checked_count) == ref
+
+
+def _grid_matrix(rng, grid, f, zero_share):
+    """Random entries on and above the block diagonal, zeros below it."""
+    m = _random_matrix(rng, grid.rows, grid.cols, f, zero_share)
+    for r in range(grid.rows):
+        for c in range(grid.cols):
+            if grid.row_block(r) > grid.col_block(c):
+                m[r, c] = 0
+    return m
+
+
+GRIDS = [BlockGrid.uniform(1, 1, 3), BlockGrid.uniform(2, 1, 2),
+         BlockGrid.uniform(2, 2, 2), BlockGrid([1, 2], [2, 1]),
+         BlockGrid([2, 1, 1], [1, 1, 2]), BlockGrid([1], [2])]
+
+
+@pytest.mark.parametrize("f", [F8, F256, F9, F27], ids=["F8", "F256", "F9", "F27"])
+def test_predicates_match_the_reference_loop(f):
+    rng = random.Random(f.descriptor())
+    seen = set()
+    for shape in [(1, 1), (2, 3), (3, 2), (3, 3), (2, 5), (4, 4)]:
+        for zero_share in (0.0, 0.1, 0.5):
+            for _ in range(3):
+                m = _random_matrix(rng, *shape, f, zero_share)
+                full = is_full_superregular(m)
+                _same(full, _reference_check(m, skip_trivial=False))
+                _same(is_superregular(m), _reference_check(m, skip_trivial=True))
+                outside = _minors_outside_base(m, None)
+                assert outside == _reference_outside_base(m, None)
+                first = _full_minors_nonzero(m)
+                assert first == _reference_full_minors(m)
+                seen |= {("full", full.verdict), ("filter", outside),
+                         ("full-size", first is None)}
+    for grid in GRIDS:
+        for zero_share in (0.0, 0.2, 0.5):
+            for _ in range(3):
+                m = _grid_matrix(rng, grid, f, zero_share)
+                rep = is_superregular_constrained(m, grid)
+                _same(rep, _reference_check(m, skip_trivial=False, grid=grid))
+                outside = _minors_outside_base(m, grid)
+                assert outside == _reference_outside_base(m, grid)
+                seen |= {("grid", rep.verdict), ("grid filter", outside)}
+    # both outcomes of every check occur
+    assert len(seen) == 10, sorted(seen)
