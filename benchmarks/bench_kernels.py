@@ -1,6 +1,7 @@
 """Benchmark the compiled extension kernels against the pure-Python
-fallback on the three hot loops, then time the superregularity predicate
-layer (pure Python only; it has no compiled kernel yet).
+fallback on the three hot loops, with the pure oracle kernels' nodes or
+messages per second, then time the superregularity predicate layer (pure
+Python only; it has no compiled kernel yet).
 
 Run from the repository root after an editable install:
 
@@ -25,14 +26,15 @@ except ImportError:
     _core_c = None
 
 
-def _time(fn, repeat: int) -> float:
+def _time(fn, repeat: int):
+    """(best time, last return value) over repeat calls."""
     best = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        fn()
+        out = fn()
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
-    return best
+    return best, out
 
 
 def bench_expand_rank(mod, f, vectors):
@@ -47,16 +49,16 @@ def bench_min_distance(mod, f, gen_rows, parts):
     args = (gen_rows, parts, f.q, f.M, f.order, f.exp, f.log, 10**9)
 
     def run():
-        mod.block_min_sum_rank(*args)
+        return mod.block_min_sum_rank(*args)[1]
 
     return run
 
 
 def bench_column_distance(mod, f, coeff_rows, k, n, j):
     def run():
-        mod.conv_column_distance(
+        return mod.conv_column_distance(
             coeff_rows, k, n, j, f.q, f.M, f.order, f.exp, f.log, 10**9, True
-        )
+        )[1]
 
     return run
 
@@ -97,30 +99,42 @@ def main() -> int:
     f8 = field(2, 3)
     vectors = [[rng.randrange(8) for _ in range(6)] for _ in range(20000)]
     cases.append(("expand_rank 20000x len-6 over F_8",
-                  lambda mod: bench_expand_rank(mod, f8, vectors)))
+                  lambda mod: bench_expand_rank(mod, f8, vectors), None))
 
     f16 = field(2, 4)
     gen_rows = [[rng.randrange(16) for _ in range(6)] for _ in range(3)]
     cases.append(("block_min_sum_rank [6,3] over F_16, blocks (3,3)",
-                  lambda mod: bench_min_distance(mod, f16, gen_rows, [3, 3])))
+                  lambda mod: bench_min_distance(mod, f16, gen_rows, [3, 3]),
+                  "messages"))
 
     f128 = field(2, 7)
     enc = construct_frobenius(3, 2, 2, f128, f128.alpha_pow(3))
     coeff_rows = [g.to_rows() for g in enc.coeffs]
     cases.append(("conv_column_distance [3,2,2] over F_128, j=2",
                   lambda mod: bench_column_distance(
-                      mod, f128, coeff_rows, 2, 3, 2)))
+                      mod, f128, coeff_rows, 2, 3, 2),
+                  "nodes"))
 
     header = f"{'case':<50} {'python':>10} {'compiled':>10} {'speedup':>8}"
     print(header)
     print("-" * len(header))
-    for name, make in cases:
-        py = _time(make(_core_py), args.repeat)
+    rates = []
+    for name, make, unit in cases:
+        py, count = _time(make(_core_py), args.repeat)
+        if unit:
+            rates.append((name, unit, count, py))
         if _core_c is not None:
-            cc = _time(make(_core_c), args.repeat)
+            cc, _ = _time(make(_core_c), args.repeat)
             print(f"{name:<50} {py:>9.3f}s {cc:>9.3f}s {py / cc:>7.1f}x")
         else:
             print(f"{name:<50} {py:>9.3f}s {'-':>10} {'-':>8}")
+
+    print()
+    header = f"{'oracle throughput (pure Python)':<50} {'count':>10} {'per second':>12}"
+    print(header)
+    print("-" * len(header))
+    for name, unit, count, t in rates:
+        print(f"{name:<50} {count:>10} {count / t:>12,.0f} {unit}/s")
 
     print()
     header = (f"{'predicate layer (pure Python)':<50} {'time':>10} {'minors':>8} "
@@ -129,7 +143,7 @@ def main() -> int:
     print("-" * len(header))
     for name, call in predicate_cases():
         rep = call()  # fills the shape's cached selection list, untimed
-        t = _time(call, args.repeat)
+        t, _ = _time(call, args.repeat)
         print(f"{name:<50} {t * 1e3:>8.2f}ms {rep.checked_count:>8} {rep.verdict!s:>8}")
     return 0
 

@@ -13,12 +13,13 @@ ext_modules = []
 if os.environ.get("SUMRANK_SKIP_EXT", "") in ("", "0"):
     try:
         from Cython.Build import cythonize
-
+    except ImportError:
+        # no Cython: compile the committed C that Cython generated from the .pyx
+        ext_modules = [Extension("sumrank._core_c", ["src/sumrank/_core_c.c"])]
+    else:
         ext_modules = cythonize(
             [Extension("sumrank._core_c", ["src/sumrank/_core_c.pyx"])],
             compiler_directives={"language_level": "3"},
         )
-    except ImportError:
-        pass
 
 setup(ext_modules=ext_modules)

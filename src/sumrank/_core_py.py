@@ -3,9 +3,33 @@
 Same API as the compiled twin in ``_core_c``; ``core`` picks one at
 import time.  Everything here works for any prime q; the compiled
 version additionally requires the field's log/antilog tables.
+
+The column-distance search runs on packed vectors:
+
+- **Packed vectors.**  A vector of n element codes is one int whose
+  base-``order`` digit c is code c, so over q = 2 code c sits at bits
+  c*M and a vector add is a single XOR.  Odd q adds digitwise (``_add``).
+- **Row tables.**  Each coefficient row gets the table of its multiples
+  d*g for every d in F_{q^M}, packed.
+- **Streamed images.**  Children are visited in message-index order,
+  lowest digit fastest: the image of the high digits is formed once per
+  high index and each low digit's table entry is added to it inside the
+  loop.  No table with q^(Mk) entries is built.
+- **Leaf batching.**  At the last depth every child is enumerated and
+  only the least rank matters, so the children are counted at once and
+  their minimum rank taken in one loop.
+- **Rank.**  Over q = 2 the rank of a packed vector comes from an
+  elimination that pivots on its top bit; odd q unpacks the codes for
+  ``expand_rank``.
+
+The minimum-distance kernel still decodes and multiplies out each
+message.  Values and ``enumerated`` counts equal the compiled twin's,
+and budget refusals carry the same exception arguments.
 """
 
 from __future__ import annotations
+
+from operator import xor
 
 
 class BudgetExceeded(Exception):
@@ -149,6 +173,81 @@ def block_min_sum_rank(
     return best, enumerated
 
 
+def _packed_ops(q: int, M: int, order: int, n: int):
+    """(add, rank_below) on packed vectors of at most n codes, where
+    rank_below(v, cap) is min(rank of v's expansion over F_q, cap)."""
+    if q == 2:
+        mask = order - 1
+        ones = sum(1 << (c * M) for c in range(n))
+        # by bit length: (b, c*M) locating the top bit as bit b of code c
+        pivot = [None] + [(t % M, t - t % M) for t in range(n * M)]
+
+        def rank_below(v: int, cap: int) -> int:
+            r = 0
+            while v and r < cap:
+                # the top bit pivots: XOR code c into every code with bit b
+                # set, which clears code c and bit b everywhere else
+                b, shift = pivot[v.bit_length()]
+                v ^= ((v >> b) & ones) * ((v >> shift) & mask)
+                r += 1
+            return r
+
+        return xor, rank_below
+
+    digits = n * M
+
+    def add(a: int, b: int) -> int:
+        return _add(a, b, q, digits)
+
+    def rank_below(v: int, cap: int) -> int:
+        codes = []
+        while v:
+            v, c = divmod(v, order)
+            codes.append(c)
+        return min(expand_rank(codes, q, M), cap)
+
+    return add, rank_below
+
+
+def _row_tables(rows, order: int, exp, log):
+    """For each row of codes, the packed multiples d*row for d in F_{q^M}."""
+    period = order - 1
+    tables = []
+    for row in rows:
+        places = [(order**c, log[g]) for c, g in enumerate(row) if g]
+        table = [0]
+        for d in range(1, order):
+            ld = log[d]
+            table.append(sum(exp[(ld + lg) % period] * place for place, lg in places))
+        tables.append(table)
+    return tables
+
+
+def _image(tables, u, add) -> int:
+    """Packed image of the message with digits u under the row tables."""
+    acc = 0
+    for table, d in zip(tables, u):
+        if d:
+            acc = add(acc, table[d])
+    return acc
+
+
+def _high_images(tables, add, base: int, order: int):
+    """Yield (h, digits, base + image of digits) for every high index h,
+    in order, where message digit r >= 1 is digit r - 1 of h."""
+    high_tables = tables[1:]
+    for h in range(order ** len(high_tables)):
+        acc = base
+        digits = []
+        x = h
+        for table in high_tables:
+            x, d = divmod(x, order)
+            digits.append(d)
+            if d:
+                acc = add(acc, table[d])
+        yield h, digits, acc
+
+
 def conv_column_distance(
     coeff_rows,
     k: int,
@@ -171,58 +270,75 @@ def conv_column_distance(
     a branch one unit under the best is settled by checking the unique
     all-zero-rank extension instead of enumerating it.
 
+    Every child of a visited node counts as one enumerated node, so a
+    node at depth t adds q^(Mk) - [t == 0] at once.
+
     Returns (distance, enumerated_nodes).
     """
     m = len(coeff_rows) - 1
     qmk = order**k
-    best = [n * (j + 1) + 1]  # strictly above any achievable weight
-    enumerated = [0]
+    add, rank_below = _packed_ops(q, M, order, n)
+    tables = [_row_tables(rows, order, exp, log) for rows in coeff_rows]
+    low = tables[0][0]
+    zero = [0] * k
+    best = n * (j + 1) + 1  # strictly above any achievable weight
+    enumerated = 0
 
     def carry_for(history, t):
         """sum over i >= 1 of u_{t-i} G_i, from fixed history blocks."""
-        acc = [0] * n
+        acc = 0
         for i in range(1, min(t, m) + 1):
-            u = history[t - i]
-            if any(u):
-                term = _vec_matmul(u, coeff_rows[i], q, order, exp, log, M)
-                acc = [_add(a, b, q, M) for a, b in zip(acc, term)]
+            acc = add(acc, _image(tables[i], history[t - i], add))
         return acc
 
     def zero_extension_weightless(history, t):
         """True iff u_t..u_j = 0 makes every remaining block vanish."""
         hist = list(history)
         for i in range(t, j + 1):
-            hist.append([0] * k)
-            if any(carry_for(hist, i)):
+            hist.append(zero)
+            if carry_for(hist, i):
                 return False
         return True
 
     def rec(t, s, history):
-        if s >= best[0]:
+        nonlocal best, enumerated
+        if s >= best:
             return
         if t > j:
-            best[0] = s
+            best = s
             return
-        if systematic and t > 0 and s == best[0] - 1:
+        if systematic and t > 0 and s == best - 1:
             if zero_extension_weightless(history, t):
-                best[0] = s
+                best = s
             return
-        carry = carry_for(history, t)
-        for idx in range(qmk):
-            if t == 0 and idx == 0:
-                continue
-            enumerated[0] += 1
-            if enumerated[0] > budget:
-                raise BudgetExceeded(enumerated[0], budget)
-            u = _decode_message(idx, k, order)
-            if idx == 0:
-                v = carry
-            else:
-                v = _vec_matmul(u, coeff_rows[0], q, order, exp, log, M)
-                v = [_add(a, b, q, M) for a, b in zip(v, carry)]
-            r = expand_rank(v, q, M)
-            if s + r < best[0]:
-                rec(t + 1, s + r, history + [u])
+        # the loop below visits every child; pruning only skips recursion
+        enumerated += qmk - (t == 0)
+        if enumerated > budget:
+            raise BudgetExceeded(budget + 1, budget)
+        images = _high_images(tables[0], add, carry_for(history, t), order)
+        if t == j:  # every child is a leaf: only the least rank matters
+            cap = best - s
+            for h, _, head in images:
+                for x in low[1:] if t == 0 and h == 0 else low:
+                    r = rank_below(add(head, x), cap)
+                    if r < cap:
+                        cap = r
+                        if not cap:
+                            break
+                if not cap:
+                    break
+            best = s + cap
+            return
+        for h, digits, head in images:
+            for d in range(1 if t == 0 and h == 0 else 0, order):
+                r = rank_below(add(head, low[d]), best - s)
+                if s + r < best:
+                    rec(t + 1, s + r, history + [[d] + digits])
 
-    rec(0, 0, [])
-    return best[0], enumerated[0]
+    try:
+        rec(0, 0, [])
+    finally:
+        # rec refers to itself: unbind it so the tables go now, not at the
+        # next cyclic garbage collection
+        rec = None
+    return best, enumerated

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import product
 from math import comb, prod
 
@@ -53,16 +52,14 @@ DEFAULT_TRANSFORM_BUDGET = 10**8
 FILTER_RESAMPLE_COUNT = 1000
 
 
-@dataclass
 class SystematicBlockCode:
     """Partitions (n_i), (k_i) and parity part P = [P_1 ... P_l]."""
 
-    length_partition: LengthPartition
-    dim_partition: tuple
-    parity: Matrix
-
-    def __post_init__(self):
-        self.dim_partition = tuple(int(k) for k in self.dim_partition)
+    def __init__(self, length_partition: LengthPartition, dim_partition: tuple,
+                 parity: Matrix):
+        self.length_partition = length_partition
+        self.dim_partition = tuple(int(k) for k in dim_partition)
+        self.parity = parity
         lp = self.length_partition.parts
         if len(self.dim_partition) != len(lp):
             raise ValueError("length and dimension partitions differ in block count")
@@ -73,6 +70,12 @@ class SystematicBlockCode:
                 f"parity must be {self.k}x{self.n - self.k}, "
                 f"got {self.parity.rows}x{self.parity.cols}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.length_partition, self.dim_partition, self.parity) == (
+            other.length_partition, other.dim_partition, other.parity)
 
     @property
     def n(self) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 
@@ -44,15 +43,13 @@ class EncoderError(ValueError):
     pass
 
 
-@dataclass
 class PolyEncoder:
     """Convolutional encoder G(D) = G_0 + G_1 D + ... + G_m D^m (k x n)."""
 
-    n: int
-    k: int
-    coeffs: list  # Matrix, k x n, index = coefficient degree
-
-    def __post_init__(self):
+    def __init__(self, n: int, k: int, coeffs: list):
+        self.n = n
+        self.k = k
+        self.coeffs = coeffs  # Matrix, k x n, index = coefficient degree
         if not self.coeffs:
             raise EncoderError("an encoder needs at least G_0")
         for g in self.coeffs:
@@ -64,6 +61,11 @@ class PolyEncoder:
                 raise EncoderError("coefficients live in different fields")
         if all(v == 0 for v in self.coeffs[-1].data) and len(self.coeffs) > 1:
             raise EncoderError("top coefficient G_m is zero")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.k, self.coeffs) == (other.n, other.k, other.coeffs)
 
     @property
     def field(self) -> Field:
@@ -133,13 +135,19 @@ class PolyEncoder:
         return enc
 
 
-@dataclass
 class TransformTuple:
     """Per-level base-field transforms (B_0..B_j, A~_0..A~_j, C_0..C_j)."""
 
-    b_list: list  # Matrix k x k, upper triangular nonsingular
-    a_list: list  # Matrix (n-k) x (n-k), upper triangular nonsingular
-    c_list: list  # Matrix k x (n-k)
+    def __init__(self, b_list: list, a_list: list, c_list: list):
+        self.b_list = b_list  # Matrix k x k, upper triangular nonsingular
+        self.a_list = a_list  # Matrix (n-k) x (n-k), upper triangular nonsingular
+        self.c_list = c_list  # Matrix k x (n-k)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.b_list, self.a_list, self.c_list) == (
+            other.b_list, other.a_list, other.c_list)
 
     @property
     def j(self) -> int:

@@ -3,8 +3,6 @@ and the Singleton-type bounds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import core
 from .core import BudgetExceeded  # noqa: F401  (re-exported for callers)
 from .field import Field
@@ -17,9 +15,35 @@ class PartitionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LengthPartition:
-    parts: tuple
+class _Frozen:
+    """Immutable value, equal and hashed by the attributes named in FIELDS."""
+
+    FIELDS: tuple = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(self.FIELDS, self._fields()))
+        return f"{type(self).__name__}({args})"
+
+
+class LengthPartition(_Frozen):
+    FIELDS = ("parts",)
 
     def __init__(self, parts):
         parts = tuple(int(p) for p in parts)
@@ -42,10 +66,12 @@ class LengthPartition:
             pos += p
 
 
-@dataclass(frozen=True)
-class SumRankProfile:
-    per_block_ranks: tuple
-    total: int
+class SumRankProfile(_Frozen):
+    FIELDS = ("per_block_ranks", "total")
+
+    def __init__(self, per_block_ranks: tuple, total: int):
+        object.__setattr__(self, "per_block_ranks", per_block_ranks)
+        object.__setattr__(self, "total", total)
 
 
 def expand(v, field: Field) -> Matrix:

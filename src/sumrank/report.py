@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Any, Optional
 
 INFEASIBLE = "infeasible"
 
 
-@dataclass
 class VerificationReport:
     """Outcome of an exhaustive check.
 
@@ -17,11 +15,24 @@ class VerificationReport:
     False verdict always carries a witness that re-verifies on its own.
     """
 
-    verdict: Any
-    witness: Optional[dict] = None
-    checked_count: int = 0
-    elapsed: float = 0.0
-    detail: dict = dc_field(default_factory=dict)
+    def __init__(
+        self,
+        verdict: Any,
+        witness: Optional[dict] = None,
+        checked_count: int = 0,
+        elapsed: float = 0.0,
+        detail: Optional[dict] = None,
+    ):
+        self.verdict = verdict
+        self.witness = witness
+        self.checked_count = checked_count
+        self.elapsed = elapsed
+        self.detail = {} if detail is None else detail
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_json() == other.to_json()
 
     def __bool__(self) -> bool:
         return self.verdict is True

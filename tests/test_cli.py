@@ -2,6 +2,8 @@
 exit codes, and the search-table reproduction."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +19,7 @@ from sumrank.conv_codes import PolyEncoder, construct_frobenius
 from sumrank.field import base_field, field
 from sumrank.matrix import Matrix
 from sumrank.metrics import LengthPartition
+from sumrank.report import VerificationReport
 
 F4 = field(2, 2)
 F8 = field(2, 3)
@@ -260,3 +263,29 @@ def test_table1_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("n,k,m,field,verdict")
     assert lines[1].startswith("2,1,1,2^2/111,True")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # together about 1 MB of resident memory in every CLI process
+    code = ("import sys, sumrank.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_plain_value_classes_compare_by_fields():
+    parity = systematic_form(construct_gabidulin(5, 3, field(2, 5)))
+    code = SystematicBlockCode(LengthPartition([5]), (3,), parity)
+    same = SystematicBlockCode(LengthPartition([5]), [3], parity)
+    assert code == same and same.dim_partition == (3,)
+    assert code != SystematicBlockCode(LengthPartition([3, 2]), (2, 1), parity)
+    enc = construct_frobenius(3, 1, 2, field(2, 4))
+    assert enc == PolyEncoder(enc.n, enc.k, list(enc.coeffs))
+    assert enc != PolyEncoder(enc.n, enc.k, enc.coeffs[:1])
+    rep = VerificationReport(True, checked_count=3)
+    assert rep == VerificationReport(True, None, 3, 0.0, {})
+    assert rep != VerificationReport(True, checked_count=4)
+    assert VerificationReport(False).detail is not VerificationReport(False).detail
+    with pytest.raises(TypeError):
+        hash(rep)

@@ -65,23 +65,31 @@ def test_block_min_sum_rank_agreement():
                 b = _core_py.block_min_sum_rank(
                     gen, parts, q, M, order, exp, log, 10**6
                 )
-                assert a[0] == b[0]
+                assert a == b
 
 
-@needs_compiled
-def test_block_min_sum_rank_chunks_agree():
+def _chunks_agree(mod):
     f = F8
     q, M, order, exp, log = _field_args(f)
     rng = random.Random(52)
     gen = [[rng.randrange(order) for _ in range(3)] for _ in range(2)]
-    whole, _ = _core_c.block_min_sum_rank(gen, [3], q, M, order, exp, log, 10**6)
-    half1, _ = _core_c.block_min_sum_rank(
+    whole, _ = mod.block_min_sum_rank(gen, [3], q, M, order, exp, log, 10**6)
+    half1, _ = mod.block_min_sum_rank(
         gen, [3], q, M, order, exp, log, 10**6, 1, 30
     )
-    half2, _ = _core_c.block_min_sum_rank(
+    half2, _ = mod.block_min_sum_rank(
         gen, [3], q, M, order, exp, log, 10**6, 30, order**2
     )
     assert whole == min(half1, half2)
+
+
+def test_block_min_sum_rank_chunks_agree_pure():
+    _chunks_agree(_core_py)
+
+
+@needs_compiled
+def test_block_min_sum_rank_chunks_agree():
+    _chunks_agree(_core_c)
 
 
 @needs_compiled
@@ -100,7 +108,7 @@ def test_conv_column_distance_agreement():
             b = _core_py.conv_column_distance(
                 coeff_rows, k, n, j, q, M, order, exp, log, 10**7, True
             )
-            assert a[0] == b[0]
+            assert a == b
 
 
 def _budget_raises(mod):

@@ -13,6 +13,7 @@ from sumrank.metrics import (
     BudgetExceeded,
     LengthPartition,
     PartitionError,
+    SumRankProfile,
     column_distance_bound,
     column_sum_rank_distance,
     expand,
@@ -74,6 +75,22 @@ def test_sum_rank_weight_per_block():
         LengthPartition(())
     with pytest.raises(PartitionError):
         LengthPartition((2, 0))
+
+
+def test_partition_and_profile_are_frozen_values():
+    part = LengthPartition([2, 1])
+    assert part == LengthPartition((2, 1)) and part != LengthPartition((1, 2))
+    assert len({part, LengthPartition((2, 1))}) == 1
+    assert repr(part) == "LengthPartition(parts=(2, 1))"
+    prof = SumRankProfile((2, 0), 2)
+    assert prof == sum_rank_weight([1, F8.alpha, 0], part, F8)
+    assert prof != SumRankProfile((2, 0), 3) and prof != ((2, 0), 2)
+    assert hash(prof) == hash(SumRankProfile((2, 0), 2))
+    for obj, name in ((part, "parts"), (prof, "total")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
 
 
 def test_sum_rank_distance_is_a_metric():
