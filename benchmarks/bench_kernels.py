@@ -1,7 +1,9 @@
 """Benchmark the compiled extension kernels against the pure-Python
 fallback on the three hot loops, with the pure oracle kernels' nodes or
-messages per second, then time the superregularity predicate layer (pure
-Python only; it has no compiled kernel yet).
+messages per second, then time the superregularity predicate layer and
+the transform-enumeration layer (pure Python only; neither has a compiled
+kernel yet).  The transform rows also give the tracemalloc peak of one
+call, taken in a separate untimed call.
 
 Run from the repository root after an editable install:
 
@@ -13,11 +15,18 @@ from __future__ import annotations
 import argparse
 import random
 import time
+import tracemalloc
 
 from sumrank import _core_py
+from sumrank.block_codes import (
+    check_mrd_systematic,
+    check_msrd_transforms,
+    construct_gabidulin,
+)
 from sumrank.conv_codes import construct_frobenius, parity_grid, sliding_parity
 from sumrank.field import field
 from sumrank.matrix import Matrix
+from sumrank.metrics import LengthPartition
 from sumrank.superregular import is_full_superregular, is_superregular_constrained
 
 try:
@@ -83,6 +92,34 @@ def predicate_cases():
     ]
 
 
+def transform_cases():
+    """(name, call) pairs for the transform-enumeration layer; each call
+    returns the report, whose checked_count is the number of transforms
+    (or T matrices) tested.  The two F_4 negatives fail on the first
+    transform of a family of 2^15 upper-triangular 6 x 6 matrices."""
+    f64, f4 = field(2, 6), field(2, 2)
+    gab = construct_gabidulin(6, 3, f64)
+    g = Matrix.from_rows([[0, 1, 1, 1, 1, 1]], f4)
+    p = Matrix.from_rows([[0], [1], [1], [1], [1], [1]], f4)
+    return [
+        ("check_msrd_transforms Gabidulin [6,3]/F_64 (5,1)",
+         lambda: check_msrd_transforms(gab, LengthPartition((5, 1)))),
+        ("check_msrd_transforms [[0,1,1,1,1,1]]/F_4 (6)",
+         lambda: check_msrd_transforms(g, LengthPartition((6,)))),
+        ("check_mrd_systematic 6x1 parity (0,1,...,1)/F_4",
+         lambda: check_mrd_systematic(p)),
+    ]
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeat", type=int, default=3,
@@ -145,6 +182,18 @@ def main() -> int:
         rep = call()  # fills the shape's cached selection list, untimed
         t, _ = _time(call, args.repeat)
         print(f"{name:<50} {t * 1e3:>8.2f}ms {rep.checked_count:>8} {rep.verdict!s:>8}")
+
+    print()
+    header = (f"{'transform enumeration (pure Python)':<50} {'time':>10} {'peak':>10} "
+              f"{'checked':>8} {'verdict':>8}")
+    print(header)
+    print("-" * len(header))
+    for name, call in transform_cases():
+        rep = call()  # fills the shapes' cached selection lists, untimed
+        t, _ = _time(call, args.repeat)
+        peak = _peak_bytes(call)
+        print(f"{name:<50} {t * 1e3:>8.2f}ms {peak / 1024:>8.1f}KB "
+              f"{rep.checked_count:>8} {rep.verdict!s:>8}")
     return 0
 
 

@@ -42,8 +42,6 @@ from .block_codes import (
 )
 from .conv_codes import (
     PolyEncoder,
-    TransformTuple,
-    build_Tj,
     check_mMSR,
     check_mMSR_oracle,
     compute_L,

@@ -1,37 +1,42 @@
 """Systematic block codes and the MDS / MRD / MSRD verifier ladder.
 
-The transform-side checkers enumerate base-field transforms (upper
-triangular nonsingular per block) and test full-size minors of the
-transformed generator.  The systematic side runs one engine,
-check_transform_family: it enumerates (B, A~, C) tuples and tests a
-superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i).  For
+Every checker here enumerates one base-field transform family, one
+matrix at a time, through matrix.enum_block_diag: block-diagonal
+matrices with nonsingular upper-triangular blocks (B, A~ and the
+transform-side A) or with arbitrary blocks (C).  The transform-side
+checkers test the full-size minors of G A.  The systematic side runs one
+engine, check_transform_family: it enumerates (B, A~, C) tuples and tests
+a superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i).  For
 block codes the predicate is full superregularity; each level i of the
 convolutional m-MSR check (conv_codes) is the same engine on the sliding
 parity P_i^c, with row blocks (k)^(i+1), column blocks (n-k)^(i+1) and
 the block-grid predicate.  Its base-field filter tests exactly the minors
-the predicate checks.  The predicates, the filter and the transform-side
-full-size minor test all evaluate minors through superregular.minor_sweep,
-one memoized Laplace sweep per matrix.  Witness rechecks first confirm
-that the witnessed tuple belongs to the enumerated family, then evaluate
-the witnessed minor by Gaussian elimination (matrix.minor), independently
-of the sweep.  A Gabidulin constructor supplies positive MRD instances for
-the oracles.
+the predicate checks; a True detail says how many pairs rest on random C
+samples (sampled_pairs).  The predicates, the filter and the
+transform-side full-size minor test all evaluate minors through
+superregular.minor_sweep, one memoized Laplace sweep per matrix.  Witness
+blocks are cut out of the assembled matrices (matrix.diagonal_blocks).
+One recheck, recheck_family_witness, serves both engine callers: it
+confirms that the witnessed tuple belongs to the enumerated family, then
+evaluates the witnessed minor by Gaussian elimination (matrix.minor),
+independently of the sweep.  A Gabidulin constructor supplies positive
+MRD instances for the oracles.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from itertools import product
 from math import comb, prod
 
 from .field import Field, base_field
 from .matrix import (
     Matrix,
     block_diag,
+    block_diag_cells,
     count_ut_nonsingular,
-    enum_base_matrices,
-    enum_ut_nonsingular,
+    diagonal_blocks,
+    enum_block_diag,
     is_upper_triangular,
     minor,
 )
@@ -158,25 +163,23 @@ def _full_minors_nonzero(g: Matrix) -> tuple:
 
 
 def check_mrd_transforms(
-    g: Matrix, q: int | None = None, budget: int = DEFAULT_TRANSFORM_BUDGET
+    g: Matrix, budget: int = DEFAULT_TRANSFORM_BUDGET
 ) -> VerificationReport:
     """MRD check over all nonsingular upper-triangular U over F_q: every
     full-size minor of G U must be nonzero."""
-    q = q if q is not None else g.field.q
-    n = g.cols
-    return check_msrd_transforms(g, LengthPartition([n]), q, budget)
+    return check_msrd_transforms(g, LengthPartition([g.cols]), budget)
 
 
 def check_msrd_transforms(
     g: Matrix,
     partition: LengthPartition,
-    q: int | None = None,
     budget: int = DEFAULT_TRANSFORM_BUDGET,
 ) -> VerificationReport:
     """MSRD check over all nonsingular block-diagonal A with upper-triangular
-    blocks over F_q: every full-size minor of G A must be nonzero."""
+    blocks over F_q: every full-size minor of G A must be nonzero.  The
+    transforms are enumerated one at a time, never held as a list."""
     start = time.perf_counter()
-    q = q if q is not None else g.field.q
+    q = g.field.q
     k, n = g.rows, g.cols
     if partition.n != n:
         raise ValueError("partition does not sum to the code length")
@@ -191,17 +194,16 @@ def check_msrd_transforms(
                     "budget": budget},
             elapsed=time.perf_counter() - start,
         )
+    parts = partition.parts
     checked = 0
-    for blocks in product(*[list(enum_ut_nonsingular(n_i, q))
-                            for n_i in partition.parts]):
-        ga = g @ block_diag(blocks)
+    for a in enum_block_diag(parts, parts, q, True):
         checked += 1
-        bad = _full_minors_nonzero(ga)
+        bad = _full_minors_nonzero(g @ a)
         if bad is not None:
             return VerificationReport(
                 False,
                 witness={
-                    "transform": [b.to_rows() for b in blocks],
+                    "transform": diagonal_blocks(a, parts, parts),
                     "rows": list(range(k)),
                     "cols": list(bad),
                 },
@@ -233,53 +235,57 @@ def check_transform_family(
     p: Matrix,
     ks,
     nks,
-    grid: BlockGrid | None,
-    q: int,
+    constrained: bool,
     mode: str,
     budget: int,
-    resamples: int,
     rng: random.Random,
 ) -> VerificationReport:
     """True iff diag(B_i) P diag(A~_i) + diag(C_i) satisfies the predicate
-    for every tuple over F_q: B_i (A~_i) nonsingular upper triangular of
-    size ks[i] (nks[i]), C_i any ks[i] x nks[i] matrix.  The predicate is
-    full superregularity when grid is None, else superregularity
-    constrained to the grid (diagonals in blocks (s, t) with s <= t).
+    for every tuple over F_q, q = P's base field: B_i (A~_i) nonsingular
+    upper triangular of size ks[i] (nks[i]), C_i any ks[i] x nks[i] matrix.
+    The predicate is full superregularity, or when constrained
+    superregularity on the grid BlockGrid(ks, nks) (diagonals in blocks
+    (s, t) with s <= t).  Every family is enumerated lazily
+    (matrix.enum_block_diag), B slowest, then A~, then C.
 
     mode "exact" enumerates every C.  mode "filter" first tests that every
     minor the predicate checks of B P A~ lies outside F_q; pairs that pass
-    try `resamples` random C instead (every C, when there are no more),
-    pairs that fail enumerate every C.  A False witness holds the B and A~
-    blocks, the assembled C and the vanishing minor, as JSON rows.
+    draw FILTER_RESAMPLE_COUNT random C from rng (every C, when there are
+    no more), pairs that fail enumerate every C.  A True detail counts the
+    pairs that passed the filter (filtered_pairs) and those whose C were
+    drawn at random (sampled_pairs); the verdict is exhaustive only when
+    sampled_pairs is 0.  A False witness holds the B and A~ blocks, the
+    assembled C and the vanishing minor, as JSON rows.
     """
     if mode not in ("exact", "filter"):
         raise ValueError(f"unknown mode {mode!r}")
     start = time.perf_counter()
+    q = p.field.q
+    grid = BlockGrid(ks, nks) if constrained else None
     b_count, a_count, c_count = family_counts(ks, nks, q)
     counts = {"b_count": b_count, "a_count": a_count, "c_count": c_count}
     # budget unit: one minor evaluation
-    per_pair = c_count if mode == "exact" else resamples + 1
+    per_pair = c_count if mode == "exact" else FILTER_RESAMPLE_COUNT + 1
     if b_count * a_count * per_pair * count_square_selections(p.rows, p.cols) > budget:
         return VerificationReport(
             INFEASIBLE,
             detail=counts | {"budget": budget},
             elapsed=time.perf_counter() - start,
         )
-    b_sets = [list(enum_ut_nonsingular(k_i, q)) for k_i in ks]
-    a_sets = [list(enum_ut_nonsingular(w, q)) for w in nks]
-    c_sets = [list(enum_base_matrices(k_i, w, q)) for k_i, w in zip(ks, nks)]
     checked = 0
     filtered = 0
-    for b_blocks in product(*b_sets):
-        bp = block_diag(b_blocks) @ p
-        for a_blocks in product(*a_sets):
-            bpa = bp @ block_diag(a_blocks)
+    sampled = 0
+    for b in enum_block_diag(ks, ks, q, True):
+        bp = b @ p
+        for a in enum_block_diag(nks, nks, q, True):
+            bpa = bp @ a
+            sample = False
             if mode == "filter" and _minors_outside_base(bpa, grid):
                 filtered += 1
-                c_iter = _sample_c(c_sets, ks, nks, q, resamples, rng)
-            else:
-                c_iter = map(block_diag, product(*c_sets))
-            for c in c_iter:
+                sample = c_count > FILTER_RESAMPLE_COUNT
+                sampled += sample
+            for c in (_sample_c(ks, nks, q, rng) if sample
+                      else enum_block_diag(ks, nks, q, False)):
                 checked += 1
                 t = bpa.add(c)
                 rep = (is_full_superregular(t) if grid is None
@@ -288,8 +294,8 @@ def check_transform_family(
                     return VerificationReport(
                         False,
                         witness={
-                            "B": [m.to_rows() for m in b_blocks],
-                            "A": [m.to_rows() for m in a_blocks],
+                            "B": diagonal_blocks(b, ks, ks),
+                            "A": diagonal_blocks(a, nks, nks),
                             "C": c.to_rows(),
                             "rows": rep.witness["rows"],
                             "cols": rep.witness["cols"],
@@ -302,7 +308,8 @@ def check_transform_family(
         True,
         checked_count=checked,
         elapsed=time.perf_counter() - start,
-        detail=counts | {"mode": mode, "filtered_pairs": filtered},
+        detail=counts | {"mode": mode, "filtered_pairs": filtered,
+                         "sampled_pairs": sampled},
     )
 
 
@@ -313,16 +320,16 @@ def _minors_outside_base(m: Matrix, grid: BlockGrid | None) -> bool:
     return next(sweep, None) is None
 
 
-def _sample_c(c_sets, ks, nks, q: int, count: int, rng: random.Random):
-    """count random C with diagonal blocks of sizes ks[i] x nks[i], drawn
-    in (block, row, col) order; every C, when there are no more."""
-    if prod(len(c_set) for c_set in c_sets) <= count:
-        yield from map(block_diag, product(*c_sets))
-        return
+def _sample_c(ks, nks, q: int, rng: random.Random):
+    """FILTER_RESAMPLE_COUNT random C with diagonal blocks ks[i] x nks[i],
+    each drawn cell by cell in enum_block_diag's order."""
     f = base_field(q)
-    for _ in range(count):
-        yield block_diag([Matrix(k_i, w, f, [rng.randrange(q) for _ in range(k_i * w)])
-                          for k_i, w in zip(ks, nks)])
+    cells = [i for i, _ in block_diag_cells(ks, nks, False)]
+    for _ in range(FILTER_RESAMPLE_COUNT):
+        c = Matrix(sum(ks), sum(nks), f)
+        for i in cells:
+            c.data[i] = rng.randrange(q)
+        yield c
 
 
 def in_transform_family(b_blocks, a_blocks, c: Matrix, ks, nks) -> bool:
@@ -364,40 +371,28 @@ def witness_minor_vanishes(t: Matrix, witness: dict, grid: BlockGrid | None = No
 
 def check_mrd_systematic(
     p: Matrix,
-    q: int | None = None,
     mode: str = "exact",
     budget: int = DEFAULT_TRANSFORM_BUDGET,
-    resamples: int = FILTER_RESAMPLE_COUNT,
-    rng: random.Random | None = None,
 ) -> VerificationReport:
     """MRD iff B P A~ + C is full superregular for every nonsingular
     upper-triangular B (k x k), A~ ((n-k) x (n-k)) and every C over F_q."""
-    k, nk = p.rows, p.cols
-    code = SystematicBlockCode(
-        LengthPartition([k + nk]), (k,), p
-    )
-    return check_msrd_systematic(
-        code, mode=mode, budget=budget, resamples=resamples, rng=rng, q=q
-    )
+    code = SystematicBlockCode(LengthPartition([p.rows + p.cols]), (p.rows,), p)
+    return check_msrd_systematic(code, mode=mode, budget=budget)
 
 
 def check_msrd_systematic(
     code: SystematicBlockCode,
     mode: str = "exact",
     budget: int = DEFAULT_TRANSFORM_BUDGET,
-    resamples: int = FILTER_RESAMPLE_COUNT,
-    rng: random.Random | None = None,
-    q: int | None = None,
 ) -> VerificationReport:
     """MSRD iff diag(B_i) P diag(A~_i) + diag(C_i) is full superregular for
     every block tuple over F_q: check_transform_family with row blocks
-    (k_i), column blocks (n_i - k_i) and no grid.  The witness C is the
-    whole k x (n-k) matrix."""
-    field = code.field
+    (k_i), column blocks (n_i - k_i), no grid and a fresh random stream
+    (seed 0) for the filter.  The witness C is the whole k x (n-k)
+    matrix."""
     return check_transform_family(
-        code.parity.lift(field), code.dim_partition, code.parity_widths, None,
-        q if q is not None else field.q, mode, budget, resamples,
-        rng or random.Random(0),
+        code.parity.lift(code.field), code.dim_partition, code.parity_widths,
+        False, mode, budget, random.Random(0),
     )
 
 
@@ -419,18 +414,31 @@ def construct_gabidulin(n: int, k: int, field: Field) -> Matrix:
     return g
 
 
-def recheck_witness(code: SystematicBlockCode, witness: dict) -> bool:
-    """Re-evaluate a systematic-side witness: the tuple must belong to the
-    transform family, and the witnessed minor of B P A~ + C must vanish."""
-    field = code.field
-    base = field.base()
+def recheck_family_witness(p: Matrix, ks, nks, constrained: bool, witness: dict) -> bool:
+    """Re-evaluate a check_transform_family witness (B and A~ blocks, the
+    assembled C, rows and cols): the tuple must belong to the family, and
+    the witnessed minor of T = diag(B_i) P diag(A~_i) + C, one the
+    predicate checks, must vanish under Gaussian elimination."""
+    base = p.field.base()
     b = _blocks_from_rows(witness["B"], base)
     a = _blocks_from_rows(witness["A"], base)
     c = Matrix.from_rows(witness["C"], base)
-    if not in_transform_family(b, a, c, code.dim_partition, code.parity_widths):
+    if not in_transform_family(b, a, c, ks, nks):
         return False
-    t = (block_diag(b) @ code.parity.lift(field) @ block_diag(a)).add(c)
-    return witness_minor_vanishes(t, witness)
+    grid = BlockGrid(ks, nks) if constrained else None
+    return witness_minor_vanishes(transformed_parity(p, b, a, c), witness, grid)
+
+
+def transformed_parity(p: Matrix, b_blocks, a_blocks, c: Matrix) -> Matrix:
+    """T = diag(B_i) P diag(A~_i) + C."""
+    return (block_diag(b_blocks) @ p @ block_diag(a_blocks)).add(c)
+
+
+def recheck_witness(code: SystematicBlockCode, witness: dict) -> bool:
+    """Re-evaluate a systematic-side witness: the tuple must belong to the
+    transform family, and the witnessed minor of B P A~ + C must vanish."""
+    return recheck_family_witness(code.parity.lift(code.field), code.dim_partition,
+                                  code.parity_widths, False, witness)
 
 
 def recheck_transform_witness(

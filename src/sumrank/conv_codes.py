@@ -6,8 +6,10 @@ Level i of the m-MSR check is the block systematic check on the sliding
 parity P_i^c: block_codes.check_transform_family with row blocks
 (k)^(i+1), column blocks (n-k)^(i+1) and the block-grid predicate in
 place of full superregularity.  Its filter tests the grid-qualifying
-minors, the ones the predicate checks, and witness rechecks confirm that
-the witnessed tuple belongs to the level's transform family."""
+minors, the ones the predicate checks, and each level's True detail
+counts the pairs whose C were sampled.  A witness carries the level's
+C cut back into per-level blocks; its recheck is the block one,
+block_codes.recheck_family_witness, on the reassembled C."""
 
 from __future__ import annotations
 
@@ -18,11 +20,9 @@ from math import prod
 
 from .block_codes import (
     DEFAULT_TRANSFORM_BUDGET,
-    FILTER_RESAMPLE_COUNT,
     check_transform_family,
     family_counts,
-    in_transform_family,
-    witness_minor_vanishes,
+    recheck_family_witness,
 )
 from .field import Field, base_field
 from .matrix import (
@@ -30,6 +30,7 @@ from .matrix import (
     MatrixError,
     block_diag,
     det,
+    diagonal_blocks,
     enum_full_rank_column_spaces,
     gaussian_binomial,
     inverse,
@@ -135,51 +136,6 @@ class PolyEncoder:
         return enc
 
 
-class TransformTuple:
-    """Per-level base-field transforms (B_0..B_j, A~_0..A~_j, C_0..C_j)."""
-
-    def __init__(self, b_list: list, a_list: list, c_list: list):
-        self.b_list = b_list  # Matrix k x k, upper triangular nonsingular
-        self.a_list = a_list  # Matrix (n-k) x (n-k), upper triangular nonsingular
-        self.c_list = c_list  # Matrix k x (n-k)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.b_list, self.a_list, self.c_list) == (
-            other.b_list, other.a_list, other.c_list)
-
-    @property
-    def j(self) -> int:
-        return len(self.b_list) - 1
-
-    def to_json(self) -> dict:
-        return {
-            "B": [m.to_rows() for m in self.b_list],
-            "A": [m.to_rows() for m in self.a_list],
-            "C": [m.to_rows() for m in self.c_list],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict, q: int) -> "TransformTuple":
-        f = base_field(q)
-        return cls(
-            [Matrix.from_rows(r, f) for r in obj["B"]],
-            [Matrix.from_rows(r, f) for r in obj["A"]],
-            [Matrix.from_rows(r, f) for r in obj["C"]],
-        )
-
-    @classmethod
-    def identity(cls, enc: PolyEncoder, j: int) -> "TransformTuple":
-        f = base_field(enc.field.q)
-        k, nk = enc.k, enc.n - enc.k
-        return cls(
-            [Matrix.identity(k, f) for _ in range(j + 1)],
-            [Matrix.identity(nk, f) for _ in range(j + 1)],
-            [Matrix(k, nk, f) for _ in range(j + 1)],
-        )
-
-
 # -- sliding matrices -------------------------------------------------------
 
 
@@ -215,17 +171,6 @@ def parity_grid(enc: PolyEncoder, j: int) -> BlockGrid:
     return BlockGrid.uniform(enc.k, enc.n - enc.k, j + 1)
 
 
-def build_Tj(enc: PolyEncoder, tup: TransformTuple, j: int) -> Matrix:
-    """T_j = diag(B) P_j^c diag(A~) + diag(C); block (s, t) is
-    B_s P_{t-s} A~_t, plus C_s on the block diagonal."""
-    if tup.j != j:
-        raise EncoderError(f"transform tuple sized for j={tup.j}, expected {j}")
-    pjc = sliding_parity(enc, j)
-    b = block_diag(tup.b_list)
-    a = block_diag(tup.a_list)
-    return (b @ pjc @ a).add(block_diag(tup.c_list))
-
-
 # -- the m-MSR checker -------------------------------------------------------
 
 
@@ -234,8 +179,6 @@ def check_mMSR(
     j: int | None = None,
     mode: str = "exact",
     budget: int = DEFAULT_TRANSFORM_BUDGET,
-    resamples: int = FILTER_RESAMPLE_COUNT,
-    rng: random.Random | None = None,
 ) -> VerificationReport:
     """True iff the transformed sliding parity stays superregular (in the
     diagonal-constrained sense) for every transform tuple, at every level
@@ -243,10 +186,11 @@ def check_mMSR(
 
     Level i is block_codes.check_transform_family on P_i^c with row blocks
     (k)^(i+1), column blocks (n-k)^(i+1) and the block grid; one random
-    stream serves every level.  mode "filter" skips C enumeration for pairs
-    whose grid-qualifying minors all avoid the base field, re-sampling
-    random C tuples instead; pairs failing the filter fall back to exact C
-    enumeration.
+    stream (seed 0) serves every level.  mode "filter" skips C enumeration
+    for pairs whose grid-qualifying minors all avoid the base field,
+    sampling random C tuples instead; pairs failing the filter fall back to
+    exact C enumeration.  A filter-mode True is exhaustive only when every
+    level's sampled_pairs is 0.
     """
     if not enc.systematic:
         raise EncoderError("m-MSR check needs a systematic encoder")
@@ -255,15 +199,14 @@ def check_mMSR(
     if not 0 <= j <= enc.m:
         raise EncoderError(f"level j={j} outside [0, m={enc.m}]")
     start = time.perf_counter()
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     k, nk = enc.k, enc.n - enc.k
     per_level = []
     checked = 0
     for i in range(j + 1):
+        ks, nks = [k] * (i + 1), [nk] * (i + 1)
         rep = check_transform_family(
-            sliding_parity(enc, i), [k] * (i + 1), [nk] * (i + 1),
-            parity_grid(enc, i), enc.field.q, mode, budget, resamples, rng,
-        )
+            sliding_parity(enc, i), ks, nks, True, mode, budget, rng)
         rep.detail = {"level": i} | rep.detail
         checked += rep.checked_count
         per_level.append(rep.detail | {"verdict": rep.verdict})
@@ -271,10 +214,9 @@ def check_mMSR(
             if rep.verdict is False:
                 # C goes back into its per-level k x (n-k) diagonal blocks
                 w = rep.witness
-                c = w.pop("C")
-                w["transform"] = {"B": w.pop("B"), "A": w.pop("A"), "C": [
-                    [row[s * nk:(s + 1) * nk] for row in c[s * k:(s + 1) * k]]
-                    for s in range(i + 1)]}
+                c = Matrix.from_rows(w.pop("C"), enc.field)
+                w["transform"] = {"B": w.pop("B"), "A": w.pop("A"),
+                                  "C": diagonal_blocks(c, ks, nks)}
                 w["level"] = i
             rep.detail["levels"] = per_level
             rep.checked_count = checked
@@ -294,17 +236,18 @@ def transform_counts(enc: PolyEncoder, i: int):
 
 
 def recheck_mMSR_witness(enc: PolyEncoder, witness: dict) -> bool:
-    """Confirm that the witnessed tuple belongs to the level's transform
-    family, rebuild T_j from it and confirm the witnessed grid-qualifying
-    minor vanishes."""
-    i = witness["level"]
-    tup = TransformTuple.from_json(witness["transform"], enc.field.q)
-    ks, nks = [enc.k] * (i + 1), [enc.n - enc.k] * (i + 1)
-    return (
-        len(tup.c_list) == i + 1 > 0
-        and in_transform_family(tup.b_list, tup.a_list, block_diag(tup.c_list), ks, nks)
-        and witness_minor_vanishes(build_Tj(enc, tup, i), witness, parity_grid(enc, i))
-    )
+    """Reassemble the level's C from its per-level blocks (one per level up
+    to the witnessed one) and recheck the tuple and the grid-qualifying
+    minor with block_codes.recheck_family_witness on P_i^c.  The level must
+    be one check_mMSR tests, 0 <= i <= m: past the memory, P_i^c has zero
+    blocks whose minors vanish for every encoder."""
+    i, tr = witness["level"], witness["transform"]
+    if not 0 <= i <= enc.m or len(tr["C"]) != i + 1:
+        return False
+    c = block_diag([Matrix.from_rows(c_s, base_field(enc.field.q)) for c_s in tr["C"]])
+    return recheck_family_witness(
+        sliding_parity(enc, i), [enc.k] * (i + 1), [enc.n - enc.k] * (i + 1), True,
+        dict(witness, B=tr["B"], A=tr["A"], C=c.to_rows()))
 
 
 # -- rank-profile oracle ------------------------------------------------------

@@ -401,38 +401,56 @@ def is_permutation(m: Matrix) -> bool:
 # -- enumerators ------------------------------------------------------------
 
 
-def enum_ut_nonsingular(s: int, q: int):
-    """All s x s upper-triangular matrices over F_q with nonzero diagonal.
+def block_diag_cells(rows, cols, upper: bool) -> list[tuple[int, bool]]:
+    """Free cells of a block-diagonal matrix with blocks rows[i] x cols[i],
+    as (flat index, on an upper block's diagonal), in enumeration order:
+    blocks left to right; in an upper block its diagonal, then the cells
+    above it row-major; in any other block every cell row-major."""
+    width = sum(cols)
+    cells = []
+    r0 = c0 = 0
+    for br, bc in zip(rows, cols):
+        if upper:
+            cells += [((r0 + i) * width + c0 + i, True) for i in range(br)]
+        cells += [((r0 + r) * width + c0 + c, False) for r in range(br)
+                  for c in range(r + 1 if upper else 0, bc)]
+        r0 += br
+        c0 += bc
+    return cells
 
-    Count is (q-1)^s * q^(s(s-1)/2); s = 0 yields one empty matrix.
-    """
+
+def enum_block_diag(rows, cols, q: int, upper: bool):
+    """Every block-diagonal matrix over F_q with blocks rows[i] x cols[i],
+    one at a time; the first block varies slowest.  upper: each block is
+    upper triangular with nonzero diagonal (count_ut_nonsingular per block;
+    its diagonal varies slowest, then the cells above it row-major);
+    otherwise every block is any matrix, cells row-major.  0-size blocks
+    take no room."""
     f = base_field(q)
-    if s == 0:
-        yield Matrix(0, 0, f)
-        return
-    above = [(r, c) for r in range(s) for c in range(r + 1, s)]
-    for diag in product(range(1, q), repeat=s):
-        for rest in product(range(q), repeat=len(above)):
-            m = Matrix(s, s, f)
-            for i in range(s):
-                m[i, i] = diag[i]
-            for (r, c), v in zip(above, rest):
-                m[r, c] = v
-            yield m
+    shape = (sum(rows), sum(cols))
+    cells = block_diag_cells(rows, cols, upper)
+    for values in product(*[range(1 if diag else 0, q) for _, diag in cells]):
+        m = Matrix(*shape, f)
+        for (i, _), v in zip(cells, values):
+            m.data[i] = v
+        yield m
+
+
+def diagonal_blocks(m: Matrix, rows, cols) -> list[list[list[int]]]:
+    """The diagonal blocks rows[i] x cols[i] of m, each as rows of codes
+    (the JSON form of a witness block)."""
+    out = []
+    r0 = c0 = 0
+    for br, bc in zip(rows, cols):
+        out.append([m.data[(r0 + r) * m.cols + c0:(r0 + r) * m.cols + c0 + bc]
+                    for r in range(br)])
+        r0 += br
+        c0 += bc
+    return out
 
 
 def count_ut_nonsingular(s: int, q: int) -> int:
     return (q - 1) ** s * q ** (s * (s - 1) // 2)
-
-
-def enum_base_matrices(r: int, c: int, q: int):
-    """All q^(r*c) matrices over F_q; empty dimensions yield one empty matrix."""
-    f = base_field(q)
-    if r == 0 or c == 0:
-        yield Matrix(r, c, f)
-        return
-    for entries in product(range(q), repeat=r * c):
-        yield Matrix(r, c, f, list(entries))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -94,7 +94,7 @@ def test_criterion_3_filter_vs_exact(capsys):
     for n, k, m, deg, e in ((3, 2, 1, 4, 7), (3, 1, 1, 5, 3)):
         f = field(2, deg)
         enc = construct_frobenius(n, k, m, f, f.alpha_pow(e))
-        filt = check_mMSR(enc, mode="filter", resamples=1000)
+        filt = check_mMSR(enc, mode="filter")
         exact = check_mMSR(enc, mode="exact")
         ok = ok and filt.verdict is True and exact.verdict is True
         ok = ok and check_mMSR_oracle(enc, m).verdict is True

@@ -3,6 +3,7 @@ each other and against the brute-force distance oracle, witness
 rechecking, and the base-field filter."""
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -214,6 +215,27 @@ def test_recheck_transform_witness_rejects_singular_transforms():
     # blocks must follow the partition
     assert recheck_transform_witness(
         g, LengthPartition((3, 2)), dict(zero, transform=[eye])) is False
+
+
+@pytest.mark.parametrize("check", [
+    # G A for A = I already has a zero 1 x 1 minor (column 0)
+    lambda: check_msrd_transforms(Matrix.from_rows([[0, 1, 1, 1, 1, 1]], F4),
+                                  LengthPartition((6,))),
+    # B P A~ + C for B = I, A~ = I, C = 0 already has a zero entry
+    lambda: check_mrd_systematic(Matrix.from_rows([[0], [1], [1], [1], [1], [1]], F4)),
+], ids=["msrd-transforms", "mrd-systematic"])
+def test_first_transform_negative_builds_one_transform(check):
+    # one length-6 block over F_4 has 2^15 = 32,768 upper-triangular 6 x 6
+    # transforms; a checker that lists them before testing the first one
+    # peaks at about 13.6 MB
+    tracemalloc.start()
+    try:
+        rep = check()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict is False and rep.checked_count == 1
+    assert peak < 1 << 20
 
 
 def test_budget_reports_infeasible():

@@ -8,11 +8,10 @@ from itertools import product
 
 import pytest
 
+from sumrank.block_codes import transformed_parity
 from sumrank.conv_codes import (
     EncoderError,
     PolyEncoder,
-    TransformTuple,
-    build_Tj,
     check_mMSR,
     check_mMSR_oracle,
     compute_L,
@@ -29,7 +28,7 @@ from sumrank.conv_codes import (
     transform_counts,
 )
 from sumrank.field import base_field, field
-from sumrank.matrix import Matrix
+from sumrank.matrix import Matrix, block_diag
 from sumrank.metrics import column_distance_bound, column_sum_rank_distance
 from sumrank.report import INFEASIBLE
 
@@ -109,11 +108,12 @@ def test_sliding_generator_is_truncated_convolution():
 
 
 def test_build_Tj_identity_tuple_example():
+    # T_j, the matrix a level-j recheck rebuilds from its witness
     enc = construct_frobenius(2, 1, 1, F4)
     assert sliding_parity(enc, 1).to_rows() == [[2, 3], [0, 2]]
-    tup = TransformTuple.identity(enc, 1)
-    tup.c_list[0][0, 0] = 1
-    t = build_Tj(enc, tup, 1)
+    eye = Matrix.identity(1, F2)
+    c = Matrix.from_rows([[1, 0], [0, 0]], F2)
+    t = transformed_parity(sliding_parity(enc, 1), [eye, eye], [eye, eye], c)
     assert t.to_rows() == [[3, 3], [0, 2]]
 
 
@@ -122,17 +122,18 @@ def test_build_Tj_block_product_oracle():
     rng = random.Random(41)
     j = 2
     k, nk = enc.k, enc.n - enc.k
-    tup = TransformTuple.identity(enc, j)
+    b_list = [Matrix.identity(k, F2) for _ in range(j + 1)]
+    a_list = [Matrix.identity(nk, F2) for _ in range(j + 1)]
+    c_list = [Matrix(k, nk, F2) for _ in range(j + 1)]
     for lvl in range(j + 1):
         # random upper-triangular nonsingular over F_2 and random C
         for r in range(nk):
-            tup.a_list[lvl][r, r] = 1
             for c in range(r + 1, nk):
-                tup.a_list[lvl][r, c] = rng.randrange(2)
+                a_list[lvl][r, c] = rng.randrange(2)
         for r in range(k):
             for c in range(nk):
-                tup.c_list[lvl][r, c] = rng.randrange(2)
-    t = build_Tj(enc, tup, j)
+                c_list[lvl][r, c] = rng.randrange(2)
+    t = transformed_parity(sliding_parity(enc, j), b_list, a_list, block_diag(c_list))
     parities = enc.parity_coeffs()
     f = enc.field
     for s in range(j + 1):
@@ -143,11 +144,9 @@ def test_build_Tj_block_product_oracle():
             if tt < s or tt - s > enc.m:
                 expect = Matrix(k, nk, f)
             else:
-                expect = (
-                    tup.b_list[s] @ parities[tt - s] @ tup.a_list[tt]
-                ).lift(f)
+                expect = (b_list[s] @ parities[tt - s] @ a_list[tt]).lift(f)
             if s == tt:
-                expect = expect.add(tup.c_list[s])
+                expect = expect.add(c_list[s])
             assert block == expect.lift(f)
 
 
@@ -175,7 +174,9 @@ def test_check_mMSR_negative_with_witness():
 
 def test_recheck_mMSR_witness_rejects_tuples_outside_the_family():
     enc = construct_frobenius(3, 1, 2, field(2, 9))
-    ident = TransformTuple.identity(enc, 1).to_json()
+    # the identity tuple of levels 0 and 1 (k = 1, n - k = 2)
+    ident = {"B": [[[1]], [[1]]], "A": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]],
+             "C": [[[0, 0]], [[0, 0]]]}
     # B_0 = 0 zeroes the whole first row block of T_0
     forged = {"level": 0, "transform": {"B": [[[0]]], "A": ident["A"][:1],
                                         "C": ident["C"][:1]},
@@ -186,6 +187,12 @@ def test_recheck_mMSR_witness_rejects_tuples_outside_the_family():
     # entry (1, 0) sits in block (1, 0), below the grid's diagonal blocks
     below = {"level": 1, "transform": ident, "rows": [1], "cols": [0]}
     assert recheck_mMSR_witness(enc, below) is False
+    # past the memory (m = 1 on the m-MSR [2,1,1]/F_4 code) block (0, 2)
+    # of P_2^c is zero, so its 1 x 1 minor vanishes for any encoder
+    good = construct_frobenius(2, 1, 1, F4)
+    beyond = {"level": 2, "transform": {"B": [[[1]]] * 3, "A": [[[1]]] * 3,
+                                        "C": [[[0]]] * 3}, "rows": [0], "cols": [2]}
+    assert recheck_mMSR_witness(good, beyond) is False
     # the genuine witness of a negative still rechecks
     bad = _parity_encoder([1, 1], F2)
     rep = check_mMSR(bad)

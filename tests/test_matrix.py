@@ -1,6 +1,7 @@
 """Linear algebra over constructed fields: determinants against the
 Leibniz-sum oracle, Bruhat decomposition exhaustively, enumerators
-against their counting formulas."""
+against their counting formulas, and the lazy block-diagonal family
+enumerator against the per-block reference it replaced."""
 
 import random
 from itertools import permutations, product
@@ -15,9 +16,9 @@ from sumrank.matrix import (
     bruhat_decompose,
     count_ut_nonsingular,
     det,
-    enum_base_matrices,
+    diagonal_blocks,
+    enum_block_diag,
     enum_full_rank_column_spaces,
-    enum_ut_nonsingular,
     gaussian_binomial,
     inverse,
     is_permutation,
@@ -158,26 +159,86 @@ def test_bruhat_exhaustive_gl_f3():
     assert seen == 48
 
 
+# -- reference per-block enumerators, kept to pin enum_block_diag's order --
+
+
+def enum_ut_nonsingular(s: int, q: int):
+    """All s x s upper-triangular matrices over F_q with nonzero diagonal;
+    the diagonal varies slowest, then the cells above it row-major."""
+    f = base_field(q)
+    if s == 0:
+        yield Matrix(0, 0, f)
+        return
+    above = [(r, c) for r in range(s) for c in range(r + 1, s)]
+    for diag in product(range(1, q), repeat=s):
+        for rest in product(range(q), repeat=len(above)):
+            m = Matrix(s, s, f)
+            for i in range(s):
+                m[i, i] = diag[i]
+            for (r, c), v in zip(above, rest):
+                m[r, c] = v
+            yield m
+
+
+def enum_base_matrices(r: int, c: int, q: int):
+    """All q^(r*c) matrices over F_q; empty dimensions yield one empty matrix."""
+    f = base_field(q)
+    if r == 0 or c == 0:
+        yield Matrix(r, c, f)
+        return
+    for entries in product(range(q), repeat=r * c):
+        yield Matrix(r, c, f, list(entries))
+
+
+def reference_block_diag_family(rows, cols, q, upper):
+    """Product of the per-block lists, first block slowest, each tuple
+    assembled by block_diag."""
+    sets = [list(enum_ut_nonsingular(r, q)) if upper else list(enum_base_matrices(r, c, q))
+            for r, c in zip(rows, cols)]
+    for blocks in product(*sets):
+        yield block_diag(blocks)
+
+
 def test_enum_ut_nonsingular_counts():
+    # the upper family of enum_block_diag, one block and several
     for q in (2, 3):
         f = base_field(q)
         for s in range(5):
-            mats = list(enum_ut_nonsingular(s, q))
+            mats = list(enum_block_diag([s], [s], q, True))
+            assert mats == list(reference_block_diag_family([s], [s], q, True))
             assert len(mats) == count_ut_nonsingular(s, q)
             assert len(mats) == (q - 1) ** s * q ** (s * (s - 1) // 2)
             assert len({tuple(m.data) for m in mats}) == len(mats)
             for m in mats:
-                assert is_upper_triangular(m) and det(m) != 0
-    assert [m.to_rows() for m in enum_ut_nonsingular(1, 2)] == [[[1]]]
+                assert m.field == f and is_upper_triangular(m) and det(m) != 0
+        for sizes in ([1, 2], [2, 0, 1], [0], [2, 2], [1, 1, 1]):
+            assert list(enum_block_diag(sizes, sizes, q, True)) == list(
+                reference_block_diag_family(sizes, sizes, q, True)), (q, sizes)
+    assert [m.to_rows() for m in enum_block_diag([1], [1], 2, True)] == [[[1]]]
     assert count_ut_nonsingular(2, 2) == 2
     assert count_ut_nonsingular(3, 2) == 8
 
 
 def test_enum_base_matrices():
-    assert sorted(m.data[0] for m in enum_base_matrices(1, 1, 2)) == [0, 1]
-    assert len(list(enum_base_matrices(2, 1, 2))) == 4
-    assert len(list(enum_base_matrices(2, 2, 3))) == 81
-    assert len(list(enum_base_matrices(0, 3, 2))) == 1  # one empty matrix
+    # the C family of enum_block_diag: rectangular and 0-size blocks
+    assert sorted(m.data[0] for m in enum_block_diag([1], [1], 2, False)) == [0, 1]
+    assert len(list(enum_block_diag([2], [1], 2, False))) == 4
+    assert len(list(enum_block_diag([2], [2], 3, False))) == 81
+    assert len(list(enum_block_diag([0], [3], 2, False))) == 1  # one empty matrix
+    for q in (2, 3):
+        for rows, cols in (([2], [1]), ([1, 2], [2, 1]), ([1, 0, 1], [1, 2, 1]),
+                           ([0, 2], [3, 0]), ([1, 1], [1, 1])):
+            mats = list(enum_block_diag(rows, cols, q, False))
+            assert mats == list(reference_block_diag_family(rows, cols, q, False))
+            assert len(mats) == q ** sum(r * c for r, c in zip(rows, cols))
+
+
+def test_diagonal_blocks_inverts_block_diag():
+    f = base_field(3)
+    blocks = [Matrix.from_rows([[1, 2]], f), Matrix(0, 1, f), Matrix(2, 0, f),
+              Matrix.from_rows([[2], [1]], f), Matrix(0, 0, f)]
+    rows, cols = [b.rows for b in blocks], [b.cols for b in blocks]
+    assert diagonal_blocks(block_diag(blocks), rows, cols) == [b.to_rows() for b in blocks]
 
 
 def test_enum_full_rank_column_spaces():

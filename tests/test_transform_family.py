@@ -1,22 +1,38 @@
 """The shared (B, A~, C) engine in odd characteristic and across its entry
 points: block MSRD checks over F_9 and F_27 against the transform side and
 the distance oracle, [2,1,1] encoders against the rank-profile oracle and
-the column distances, and level 0 of the m-MSR check against the block
-check it reduces to.  Draws are derandomized, so every run sees the same
+the column distances, level 0 of the m-MSR check against the block
+check it reduces to, and all three lazily enumerated checkers against the
+per-block-list loops they replaced (kept here as the reference), filter
+sampling included.  Draws are derandomized, so every run sees the same
 codes."""
+
+import random
+from itertools import product
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_matrix import enum_base_matrices, enum_ut_nonsingular
 
+from sumrank import block_codes
 from sumrank.block_codes import (
     SystematicBlockCode,
+    _full_minors_nonzero,
+    _minors_outside_base,
     assemble_generator,
     check_msrd_systematic,
     check_msrd_transforms,
 )
-from sumrank.conv_codes import PolyEncoder, check_mMSR, check_mMSR_oracle
-from sumrank.field import field
-from sumrank.matrix import Matrix
+from sumrank.conv_codes import (
+    PolyEncoder,
+    check_mMSR,
+    check_mMSR_oracle,
+    parity_grid,
+    sliding_parity,
+)
+from sumrank.field import base_field, field
+from sumrank.matrix import Matrix, block_diag
 from sumrank.metrics import (
     LengthPartition,
     column_distance_bound,
@@ -72,6 +88,119 @@ _POSITIVE_F27 = SystematicBlockCode(
 _MRD_LEVEL_ZERO = PolyEncoder.from_parity(
     [Matrix(1, 2, F8, [F8.alpha_pow(1), F8.alpha_pow(2)]), Matrix(1, 2, F8, [1, 1])]
 )
+
+
+# -- the per-block-list loops the lazy enumeration replaced ------------------
+
+
+def reference_family(p, ks, nks, grid, mode, resamples, rng):
+    """(verdict, checked, witness, filtered, sampled) of the (B, A~, C)
+    loop over products of per-block lists, each tuple assembled by
+    block_diag; filter passes draw `resamples` C block by block, row by
+    row (every C when there are no more)."""
+    q = p.field.q
+    b_sets = [list(enum_ut_nonsingular(k, q)) for k in ks]
+    a_sets = [list(enum_ut_nonsingular(w, q)) for w in nks]
+    c_sets = [list(enum_base_matrices(k, w, q)) for k, w in zip(ks, nks)]
+    c_total = len(list(product(*c_sets)))
+    checked = filtered = sampled = 0
+    for b_blocks in product(*b_sets):
+        bp = block_diag(b_blocks) @ p
+        for a_blocks in product(*a_sets):
+            bpa = bp @ block_diag(a_blocks)
+            c_iter = map(block_diag, product(*c_sets))
+            if mode == "filter" and _minors_outside_base(bpa, grid):
+                filtered += 1
+                if c_total > resamples:
+                    sampled += 1
+                    c_iter = (block_diag([
+                        Matrix(k, w, base_field(q), [rng.randrange(q) for _ in range(k * w)])
+                        for k, w in zip(ks, nks)]) for _ in range(resamples))
+            for c in c_iter:
+                checked += 1
+                t = bpa.add(c)
+                rep = (block_codes.is_full_superregular(t) if grid is None
+                       else block_codes.is_superregular_constrained(t, grid))
+                if rep.verdict is False:
+                    witness = {"B": [m.to_rows() for m in b_blocks],
+                               "A": [m.to_rows() for m in a_blocks],
+                               "C": c.to_rows(),
+                               "rows": rep.witness["rows"], "cols": rep.witness["cols"]}
+                    return False, checked, witness, None, None
+    return True, checked, None, filtered, sampled
+
+
+def reference_mMSR(enc, mode, resamples):
+    """Every level on one random stream; a witness C cut into levels."""
+    rng = random.Random(0)
+    k, nk = enc.k, enc.n - enc.k
+    checked, passes = 0, []
+    for i in range(enc.m + 1):
+        verdict, count, w, filtered, sampled = reference_family(
+            sliding_parity(enc, i), [k] * (i + 1), [nk] * (i + 1), parity_grid(enc, i),
+            mode, resamples, rng)
+        checked += count
+        if verdict is False:
+            c = w.pop("C")
+            w["transform"] = {"B": w.pop("B"), "A": w.pop("A"), "C": [
+                [row[s * nk:(s + 1) * nk] for row in c[s * k:(s + 1) * k]]
+                for s in range(i + 1)]}
+            w["level"] = i
+            return False, checked, w, passes
+        passes.append((filtered, sampled))
+    return True, checked, None, passes
+
+
+def reference_transforms(g, parts):
+    checked = 0
+    for blocks in product(*[list(enum_ut_nonsingular(n, g.field.q)) for n in parts]):
+        checked += 1
+        bad = _full_minors_nonzero(g @ block_diag(blocks))
+        if bad is not None:
+            return False, checked, {"transform": [b.to_rows() for b in blocks],
+                                    "rows": list(range(g.rows)), "cols": list(bad)}
+    return True, checked, None
+
+
+def _same_block_report(rep, ref):
+    verdict, checked, witness, filtered, sampled = ref
+    assert (rep.verdict, rep.checked_count, rep.witness) == (verdict, checked, witness)
+    if verdict is True:
+        assert (rep.detail["filtered_pairs"], rep.detail["sampled_pairs"]) == (
+            filtered, sampled)
+
+
+@derandomized
+@given(odd_block_codes())
+@example(_POSITIVE_F27)
+def test_block_checkers_match_the_per_block_reference(code):
+    p, ks, nks = code.parity.lift(code.field), code.dim_partition, code.parity_widths
+    for mode in ("exact", "filter"):
+        _same_block_report(check_msrd_systematic(code, mode=mode),
+                           reference_family(p, ks, nks, None, mode, 1000, random.Random(0)))
+    # a filter that samples from 5 C draws the reference's random stream
+    with mock.patch.object(block_codes, "FILTER_RESAMPLE_COUNT", 5):
+        _same_block_report(check_msrd_systematic(code, mode="filter"),
+                           reference_family(p, ks, nks, None, "filter", 5, random.Random(0)))
+    g = assemble_generator(code)
+    rep = check_msrd_transforms(g, code.length_partition)
+    assert (rep.verdict, rep.checked_count, rep.witness) == reference_transforms(
+        g, code.length_partition.parts)
+
+
+@derandomized
+@given(st.one_of(odd_encoders(), memory_one_encoders()))
+@example(_MRD_LEVEL_ZERO)
+def test_mMSR_matches_the_per_block_reference(enc):
+    runs = [(mode, 1000) for mode in ("exact", "filter")] + [("filter", 3)]
+    for mode, resamples in runs:
+        with mock.patch.object(block_codes, "FILTER_RESAMPLE_COUNT", resamples):
+            rep = check_mMSR(enc, mode=mode)
+        verdict, checked, witness, passes = reference_mMSR(enc, mode, resamples)
+        assert (rep.verdict, rep.checked_count, rep.witness) == (verdict, checked, witness)
+        got = [(lv["filtered_pairs"], lv["sampled_pairs"])
+               for lv in rep.detail["levels"] if lv["verdict"] is True]
+        assert got == passes
 
 
 @derandomized
