@@ -6,7 +6,8 @@ matrices with nonsingular upper-triangular blocks (B, A~ and the
 transform-side A) or with arbitrary blocks (C).  The transform-side
 checkers test the full-size minors of G A.  The systematic side runs one
 engine, check_transform_family: it enumerates (B, A~, C) tuples and tests
-a superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i).  For
+a superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i), one
+T per (B, A~) pair whose C cells it rewrites in place for each C.  For
 block codes the predicate is full superregularity; each level i of the
 convolutional m-MSR check (conv_codes) is the same engine on the sliding
 parity P_i^c, with row blocks (k)^(i+1), column blocks (n-k)^(i+1) and
@@ -27,7 +28,9 @@ from __future__ import annotations
 
 import random
 import time
-from math import comb, prod
+from itertools import product
+from math import prod
+from operator import xor
 
 from .field import Field, base_field
 from .matrix import (
@@ -45,6 +48,7 @@ from .report import INFEASIBLE, VerificationReport
 from .superregular import (
     DEFAULT_SELECTION_BUDGET,
     BlockGrid,
+    count_full_size_selections,
     count_square_selections,
     full_size_selections,
     is_full_superregular,
@@ -186,15 +190,18 @@ def check_msrd_transforms(
     a_count = 1
     for n_i in partition.parts:
         a_count *= count_ut_nonsingular(n_i, q)
-    total = a_count * comb(n, k)
-    if total > budget:
+    # the sweep evaluates every sub-minor its full-size minors expand into
+    per_transform = count_full_size_selections(k, n)
+    if a_count * per_transform > budget:
         return VerificationReport(
             INFEASIBLE,
-            detail={"transform_count": a_count, "minors_per_transform": comb(n, k),
+            detail={"transform_count": a_count, "minors_per_transform": per_transform,
                     "budget": budget},
             elapsed=time.perf_counter() - start,
         )
     parts = partition.parts
+    # held for the loop, so every transform's sweep shares one list
+    selections = full_size_selections(k, n)  # noqa: F841
     checked = 0
     for a in enum_block_diag(parts, parts, q, True):
         checked += 1
@@ -256,6 +263,11 @@ def check_transform_family(
     drawn at random (sampled_pairs); the verdict is exhaustive only when
     sampled_pairs is 0.  A False witness holds the B and A~ blocks, the
     assembled C and the vanishing minor, as JSON rows.
+
+    Each pair fills one T: a copy of B P A~ whose C cells (the free cells
+    of matrix.block_diag_cells, in enum_block_diag's order) are rewritten
+    in place for every C value tuple, and the predicate runs on it once
+    per C.  A C matrix is built only for a witness.
     """
     if mode not in ("exact", "filter"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -272,6 +284,11 @@ def check_transform_family(
             detail=counts | {"budget": budget},
             elapsed=time.perf_counter() - start,
         )
+    # held for the loop, so the filter and every T's predicate share one list
+    selections = square_selections(p.rows, p.cols, grid)  # noqa: F841
+    cells = [i for i, _ in block_diag_cells(ks, nks, False)]
+    # C entries lie in F_q; over F_2^M adding one is XOR
+    add = xor if q == 2 else p.field.add
     checked = 0
     filtered = 0
     sampled = 0
@@ -284,13 +301,22 @@ def check_transform_family(
                 filtered += 1
                 sample = c_count > FILTER_RESAMPLE_COUNT
                 sampled += sample
-            for c in (_sample_c(ks, nks, q, rng) if sample
-                      else enum_block_diag(ks, nks, q, False)):
+            # a sampled C is drawn cell by cell in the order C are listed
+            c_values = (([rng.randrange(q) for _ in cells]
+                         for _ in range(FILTER_RESAMPLE_COUNT)) if sample
+                        else product(range(q), repeat=len(cells)))
+            t = bpa.copy()
+            base, data = bpa.data, t.data
+            for values in c_values:
                 checked += 1
-                t = bpa.add(c)
+                for i, v in zip(cells, values):
+                    data[i] = add(base[i], v)
                 rep = (is_full_superregular(t) if grid is None
                        else is_superregular_constrained(t, grid))
                 if rep.verdict is False:
+                    c = Matrix(p.rows, p.cols, base_field(q))
+                    for i, v in zip(cells, values):
+                        c.data[i] = v
                     return VerificationReport(
                         False,
                         witness={
@@ -318,18 +344,6 @@ def _minors_outside_base(m: Matrix, grid: BlockGrid | None) -> bool:
     ones, or all when grid is None) lies outside F_q, so is nonzero."""
     sweep = minor_sweep(m, square_selections(m.rows, m.cols, grid), m.field.q)
     return next(sweep, None) is None
-
-
-def _sample_c(ks, nks, q: int, rng: random.Random):
-    """FILTER_RESAMPLE_COUNT random C with diagonal blocks ks[i] x nks[i],
-    each drawn cell by cell in enum_block_diag's order."""
-    f = base_field(q)
-    cells = [i for i, _ in block_diag_cells(ks, nks, False)]
-    for _ in range(FILTER_RESAMPLE_COUNT):
-        c = Matrix(sum(ks), sum(nks), f)
-        for i in cells:
-            c.data[i] = rng.randrange(q)
-        yield c
 
 
 def in_transform_family(b_blocks, a_blocks, c: Matrix, ks, nks) -> bool:

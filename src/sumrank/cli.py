@@ -326,6 +326,8 @@ def cmd_table1(args) -> int:
             "nontrivial_minors": count_nontrivial_minors(
                 _table1_pattern(n, k, m), min_size=2
             ),
+            # pairs whose C were drawn at random: a True with any is sampled
+            "sampled_pairs": sum(lv.get("sampled_pairs", 0) for lv in rep.detail["levels"]),
             "elapsed": time.perf_counter() - t0,
         }
         if rep.verdict == INFEASIBLE:

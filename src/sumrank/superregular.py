@@ -10,17 +10,24 @@ of every size is nonzero.
 Every predicate here, and the base-field filter and full-size minor test
 in block_codes, evaluates minors through one sweep: minor_sweep expands
 each selected minor along its last row, reusing the minors of one size
-less that it memoized for the same matrix.  The selections it walks come
-from square_selections (size ascending, then lexicographic, grid-filtered
-when a block grid is given), built once per shape and cached; every
-Laplace sub-selection of a listed selection is listed before it.
-Witness rechecks stay on matrix.det (Gaussian elimination), so each
-False witness is confirmed by a method independent of the sweep.
+less that it memoized for the same matrix.  Over a tabled field of
+characteristic 2 the sweep works in the log domain: it takes the
+discrete log of every entry once and memoizes the logs of the minors,
+so each Leibniz term is one antilog lookup.  The selections it walks
+come from square_selections (size ascending, then lexicographic,
+grid-filtered when a block grid is given); every Laplace sub-selection
+of a listed selection is listed before it.  A shape's list is built
+once and kept while it has at most SELECTION_CACHE_LIMIT entries;
+a longer one is shared only while a caller holds it, so it is freed
+with the call that built it.  Witness rechecks stay on matrix.det
+(Gaussian elimination), so each False witness is confirmed by a method
+independent of the sweep.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -29,6 +36,9 @@ from .matrix import Matrix
 from .report import INFEASIBLE, VerificationReport
 
 DEFAULT_SELECTION_BUDGET = 10**8
+# Longest selection list kept for the process (an entry takes about 160
+# bytes); the engine's shapes list at most a few thousand.
+SELECTION_CACHE_LIMIT = 1 << 14
 
 
 class ZeroPattern:
@@ -133,8 +143,14 @@ def is_trivial_minor(pattern: ZeroPattern, row_indices, col_indices) -> bool:
 # -- selection enumeration ----------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def count_square_selections(rows: int, cols: int) -> int:
     return sum(comb(rows, s) * comb(cols, s) for s in range(1, min(rows, cols) + 1))
+
+
+def count_full_size_selections(rows: int, cols: int) -> int:
+    """Length of full_size_selections(rows, cols): sum over s of C(cols, s)."""
+    return sum(comb(cols, s) for s in range(1, rows + 1))
 
 
 def iter_square_selections(rows: int, cols: int):
@@ -148,28 +164,68 @@ def iter_square_selections(rows: int, cols: int):
 # -- the minor sweep ------------------------------------------------------------
 
 
-def _entries(pairs, ncols: int) -> tuple:
-    """Sweep entries (rows, cols, terms, key, base, offset) for square
-    selections.
+class _Selections(list):
+    """A sweep entry list that the weak share below can refer to."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _entries(pairs, ncols: int) -> _Selections:
+    """Sweep entries (rows, cols, terms, key, base) for square selections.
 
     key is the selection's row mask above its column mask (key 0 is the
-    empty minor, 1); base is key without the last selected row; offset is
-    where that row starts in the matrix data.  terms holds (c, 1 << c) for
-    each selected column c, so deleting the last row and column c leaves
-    the minor keyed base ^ (1 << c).  Entries with equal columns share one
-    cols and one terms tuple, which keeps a cached list small.
+    empty minor, 1); base is key without the last selected row.  terms
+    holds (i, 1 << c) for each selected column c, where i indexes the
+    matrix data at the last selected row and column c, so deleting that
+    row and column leaves the minor keyed base ^ (1 << c).  Entries with
+    the same last row and columns share one terms tuple, and entries with
+    the same columns one cols tuple, which keeps a list small; the masks
+    of each row and column selection are computed once.
     """
-    out = []
-    shared = {}
+    out = _Selections()
+    by_cols = {}
+    by_rows = {}
+    by_last = {}
     for ri, ci in pairs:
-        ci, terms = shared.setdefault(ci, (ci, tuple((c, 1 << c) for c in ci)))
-        base = (sum(1 << r for r in ri[:-1]) << ncols) | sum(1 << c for c in ci)
-        key = base | (1 << (ri[-1] + ncols))
-        out.append((ri, ci, terms, key, base, ri[-1] * ncols))
-    return tuple(out)
+        col = by_cols.get(ci)
+        if col is None:
+            col = by_cols[ci] = (ci, sum(1 << c for c in ci))
+        row = by_rows.get(ri)
+        if row is None:
+            head = sum(1 << r for r in ri[:-1]) << ncols
+            row = by_rows[ri] = (head, head | (1 << (ri[-1] + ncols)))
+        ci, col_mask = col
+        head, key_rows = row
+        terms = by_last.get((ri[-1], ci))
+        if terms is None:
+            off = ri[-1] * ncols
+            terms = by_last[ri[-1], ci] = tuple((off + c, 1 << c) for c in ci)
+        out.append((ri, ci, terms, key_rows | col_mask, head | col_mask))
+    return out
 
 
-def square_selections(rows: int, cols: int, grid: BlockGrid | None = None) -> tuple:
+_held = weakref.WeakValueDictionary()
+
+
+def _selections(count: int, build, *shape) -> _Selections:
+    """build(*shape), which lists `count` entries: kept for the process up
+    to SELECTION_CACHE_LIMIT entries; a longer list is shared only while
+    some caller holds it (a checker running one shape for many matrices),
+    and freed with the last holder."""
+    if count <= SELECTION_CACHE_LIMIT:
+        return _kept(build, *shape)
+    entries = _held.get((build, *shape))
+    if entries is None:
+        entries = _held[(build, *shape)] = build(*shape)
+    return entries
+
+
+@lru_cache(maxsize=64)
+def _kept(build, *shape) -> _Selections:
+    return build(*shape)
+
+
+def square_selections(rows: int, cols: int, grid: BlockGrid | None = None) -> _Selections:
     """Sweep entries for every square selection of a rows x cols matrix,
     size ascending then lexicographic; with a grid, only the grid-qualifying
     ones.  Deleting the last row and any column of a qualifying selection
@@ -177,11 +233,11 @@ def square_selections(rows: int, cols: int, grid: BlockGrid | None = None) -> tu
     blocks are no lower), so each entry's sub-minors are listed before it."""
     blocks = None if grid is None else (
         tuple(grid.row_block_sizes), tuple(grid.col_block_sizes))
-    return _square_selections(rows, cols, blocks)
+    return _selections(count_square_selections(rows, cols), _build_square_selections,
+                       rows, cols, blocks)
 
 
-@lru_cache(maxsize=None)
-def _square_selections(rows: int, cols: int, blocks) -> tuple:
+def _build_square_selections(rows: int, cols: int, blocks) -> _Selections:
     pairs = iter_square_selections(rows, cols)
     if blocks is not None:
         grid = BlockGrid(*blocks)
@@ -189,11 +245,15 @@ def _square_selections(rows: int, cols: int, blocks) -> tuple:
     return _entries(pairs, cols)
 
 
-@lru_cache(maxsize=None)
-def full_size_selections(rows: int, cols: int) -> tuple:
+def full_size_selections(rows: int, cols: int) -> _Selections:
     """Sweep entries for the selections of the first s rows against every
     s columns, s = 1..rows: the full-size minors, size rows, come last, after
     all the sub-minors their expansions use."""
+    return _selections(count_full_size_selections(rows, cols),
+                       _build_full_size_selections, rows, cols)
+
+
+def _build_full_size_selections(rows: int, cols: int) -> _Selections:
     return _entries(
         ((tuple(range(s)), ci)
          for s in range(1, rows + 1) for ci in combinations(range(cols), s)),
@@ -211,35 +271,40 @@ def minor_sweep(m: Matrix, entries, below: int):
     sum over t of (-1)^((s-1)+t) m[r, c_t] times a memoized minor of size
     s-1, so every entry's sub-minors must come earlier in `entries` (the
     listers above guarantee it).  The memo lives as long as the generator.
-    Products go through the field's log/antilog tables when it has them;
-    over characteristic 2 the signs vanish and addition is XOR.
+    Over a tabled field of characteristic 2 the signs vanish, addition is
+    XOR, and the sweep takes each entry's discrete log once and memoizes
+    the minors' logs, so a term is one antilog lookup; otherwise products
+    go through the field.
     """
     f = m.field
     data = m.data
-    memo = {0: 1}
     if f.q == 2 and f.exp is not None:
         exp, log = f.exp, f.log
         n = f.order - 1
-        for pos, (ri, ci, terms, key, base, off) in enumerate(entries):
+        # entries hold log - n, minors their log; None stands for zero
+        logs = [log[a] - n if a else None for a in data]
+        memo = {0: 0}
+        for pos, (ri, ci, terms, key, base) in enumerate(entries):
             acc = 0
-            for c, bit in terms:
-                a = data[off + c]
-                if a:
-                    b = memo[base ^ bit]
-                    if b:
-                        # log a + log b - n lies in [-n, n-2]; a negative
-                        # index wraps by n, which is the reduction mod n
-                        acc ^= exp[log[a] + log[b] - n]
-            memo[key] = acc
+            for i, bit in terms:
+                la = logs[i]
+                if la is not None:
+                    lb = memo[base ^ bit]
+                    if lb is not None:
+                        # la + lb lies in [-n, n-2]; a negative index
+                        # wraps by n, which is the reduction mod n
+                        acc ^= exp[la + lb]
+            memo[key] = log[acc] if acc else None
             if acc < below:
                 yield pos, ri, ci, acc
         return
+    memo = {0: 1}
     add, neg, mul = f.add, f.neg, f.mul
-    for pos, (ri, ci, terms, key, base, off) in enumerate(entries):
+    for pos, (ri, ci, terms, key, base) in enumerate(entries):
         acc = 0
         odd = len(ci) - 1
-        for t, (c, bit) in enumerate(terms):
-            a = data[off + c]
+        for t, (i, bit) in enumerate(terms):
+            a = data[i]
             if a:
                 b = memo[base ^ bit]
                 if b:

@@ -245,6 +245,16 @@ def test_budget_reports_infeasible():
     assert check_mrd_systematic(p, budget=2).verdict == INFEASIBLE
 
 
+def test_transform_budget_charges_every_swept_minor():
+    # [6,3] over (3,3): 64 transforms, each sweeping C(6,1) + C(6,2) +
+    # C(6,3) = 41 minors on the way to its 20 full-size ones
+    g, parts = construct_gabidulin(6, 3, field(2, 6)), LengthPartition((3, 3))
+    short = check_msrd_transforms(g, parts, budget=64 * 41 - 1)
+    assert (short.verdict, short.checked_count) == (INFEASIBLE, 0)
+    assert short.detail["minors_per_transform"] == 41
+    assert check_msrd_transforms(g, parts, budget=64 * 41).checked_count == 64
+
+
 def test_gabidulin_validation():
     with pytest.raises(ValueError):
         construct_gabidulin(4, 2, F8)  # needs M >= n

@@ -4,9 +4,11 @@ exit codes, and the search-table reproduction."""
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
+from sumrank import block_codes
 from sumrank.cli import (
     EXIT_FALSE,
     EXIT_INFEASIBLE,
@@ -254,6 +256,17 @@ def test_table1_subset(capsys):
     assert rows[(2, 1, 1)]["nontrivial_minors"] == 1
     assert rows[(2, 1, 2)]["verdict"] is True
     assert rows[(2, 1, 2)]["nontrivial_minors"] == 7
+
+
+def test_table1_rows_count_sampled_pairs(capsys):
+    # [4,2,1]/F_64 has at most 2^8 C per pair, so by default every C is
+    # enumerated; with two random C per pair, pairs that pass the filter
+    # sample
+    rc, report = _run(capsys, ["table1", "--rows", "4,2,1"])
+    assert rc == EXIT_TRUE and report["rows"][0]["sampled_pairs"] == 0
+    with mock.patch.object(block_codes, "FILTER_RESAMPLE_COUNT", 2):
+        rc, report = _run(capsys, ["table1", "--rows", "4,2,1"])
+    assert rc == EXIT_TRUE and report["rows"][0]["sampled_pairs"] > 0
 
 
 def test_table1_csv(capsys):

@@ -1,14 +1,28 @@
-"""The memoized minor sweep against Gaussian elimination, and every
-predicate built on it against the per-selection determinant loop it
-replaced, kept here as the reference."""
+"""The memoized minor sweep against Gaussian elimination, its log-domain
+path over characteristic 2 included, every predicate built on it against
+the per-selection determinant loop it replaced, kept here as the
+reference, and the lifetime of its selection lists."""
 
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
 
-from sumrank.block_codes import _full_minors_nonzero, _minors_outside_base
+from sumrank import superregular
+from sumrank.block_codes import (
+    SystematicBlockCode,
+    _full_minors_nonzero,
+    _minors_outside_base,
+    check_msrd_systematic,
+    check_msrd_transforms,
+    construct_gabidulin,
+    systematic_form,
+)
+from sumrank.conv_codes import check_mMSR, construct_frobenius
 from sumrank.field import Field, base_field, field
 from sumrank.matrix import Matrix, det
+from sumrank.metrics import LengthPartition
 from sumrank.superregular import (
     BlockGrid,
     ZeroPattern,
@@ -22,9 +36,12 @@ from sumrank.superregular import (
     square_selections,
 )
 
+F2 = base_field(2)
+F4 = field(2, 2)
 F8 = field(2, 3)
 F32 = field(2, 5)
 F256 = field(2, 8)
+F2048 = field(2, 11)
 F5 = base_field(5)
 F9 = field(3, 2)
 F27 = field(3, 3)
@@ -51,14 +68,17 @@ def _every_minor(m, entries):
 # -- the sweep against matrix.det ---------------------------------------------
 
 
-@pytest.mark.parametrize("f", [F8, F32, F5, F9, F27, _untabled_f8()],
-                         ids=["F8", "F32", "F5", "F9", "F27", "F8-untabled"])
+# F2 has a one-element log table (order 2, so the antilog index wraps by
+# n = 1); F4 to F2048 run the log-domain path, the rest the field's
+@pytest.mark.parametrize("f", [F2, F4, F8, F32, F2048, F5, F9, F27, _untabled_f8()],
+                         ids=["F2", "F4", "F8", "F32", "F2048", "F5", "F9", "F27",
+                              "F8-untabled"])
 @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (4, 6), (6, 6)])
 def test_sweep_equals_det_on_every_square_selection(f, shape):
     rng = random.Random(f"{f.descriptor()}/{shape}")
     rows, cols = shape
     entries = square_selections(rows, cols)
-    for zero_share in (0.0, 0.3, 0.7):
+    for zero_share in (0.0, 0.3, 0.7, 0.9):
         m = _random_matrix(rng, rows, cols, f, zero_share)
         got = _every_minor(m, entries)
         assert [pos for pos, _, _, _ in got] == list(range(len(entries)))
@@ -180,3 +200,50 @@ def test_predicates_match_the_reference_loop(f):
                 seen |= {("grid", rep.verdict), ("grid filter", outside)}
     # both outcomes of every check occur
     assert len(seen) == 10, sorted(seen)
+
+
+# -- selection-list lifetime ---------------------------------------------------
+
+
+def test_long_selection_lists_are_freed_with_the_call():
+    # Cauchy matrix 1/(x_i + y_j), x_i = a^i, y_j = a^(10+j): full
+    # superregular, so the check sweeps all 184755 minors of a 10 x 10
+    # matrix, far more than SELECTION_CACHE_LIMIT
+    f = F256
+    cauchy = Matrix.from_rows(
+        [[f.inv(f.alpha_pow(i) ^ f.alpha_pow(10 + j)) for j in range(10)]
+         for i in range(10)], f)
+    assert superregular.count_square_selections(10, 10) > superregular.SELECTION_CACHE_LIMIT
+    tracemalloc.start()
+    try:
+        rep = is_full_superregular(cauchy)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rep.verdict, rep.checked_count) == (True, 184755)
+    assert retained < 1 << 20
+
+
+def test_checkers_build_one_list_per_shape():
+    """With no list kept for the process, every checker still builds each
+    of its shapes' lists once, not once per matrix it sweeps."""
+    square = mock.Mock(wraps=superregular._build_square_selections)
+    full = mock.Mock(wraps=superregular._build_full_size_selections)
+    code = SystematicBlockCode(LengthPartition([3, 2]), (2, 1),
+                               systematic_form(construct_gabidulin(5, 3, F32)))
+    enc = construct_frobenius(3, 1, 1, F8, F8.alpha)
+    with mock.patch.multiple(superregular, SELECTION_CACHE_LIMIT=0,
+                             _build_square_selections=square,
+                             _build_full_size_selections=full):
+        for mode in ("exact", "filter"):
+            systematic = check_msrd_systematic(code, mode=mode)
+            mmsr = check_mMSR(enc, mode=mode)
+        transforms = check_msrd_transforms(construct_gabidulin(5, 2, F32),
+                                           LengthPartition([3, 2]))
+    # every check swept many matrices
+    assert min(systematic.checked_count, mmsr.checked_count,
+               transforms.checked_count) > 1
+    # one square list per check and level: systematic and m-MSR levels 0
+    # and 1, in each mode; one full-size list for the transform side
+    assert square.call_count == 2 * 3
+    assert full.call_count == 1

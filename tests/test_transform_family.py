@@ -4,13 +4,14 @@ the distance oracle, [2,1,1] encoders against the rank-profile oracle and
 the column distances, level 0 of the m-MSR check against the block
 check it reduces to, and all three lazily enumerated checkers against the
 per-block-list loops they replaced (kept here as the reference), filter
-sampling included.  Draws are derandomized, so every run sees the same
-codes."""
+sampling and the search table's [4,2,2] negative included.  Draws are
+derandomized, so every run sees the same codes."""
 
 import random
 from itertools import product
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_matrix import enum_base_matrices, enum_ut_nonsingular
@@ -28,6 +29,7 @@ from sumrank.conv_codes import (
     PolyEncoder,
     check_mMSR,
     check_mMSR_oracle,
+    construct_frobenius,
     parity_grid,
     sliding_parity,
 )
@@ -43,6 +45,7 @@ from sumrank.metrics import (
 F8 = field(2, 3)
 F9 = field(3, 2)
 F27 = field(3, 3)
+F2048 = field(2, 11)
 
 derandomized = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -188,19 +191,40 @@ def test_block_checkers_match_the_per_block_reference(code):
         g, code.length_partition.parts)
 
 
+def _same_mMSR_report(enc, mode, resamples, budget=block_codes.DEFAULT_TRANSFORM_BUDGET):
+    with mock.patch.object(block_codes, "FILTER_RESAMPLE_COUNT", resamples):
+        rep = check_mMSR(enc, mode=mode, budget=budget)
+    verdict, checked, witness, passes = reference_mMSR(enc, mode, resamples)
+    assert (rep.verdict, rep.checked_count, rep.witness) == (verdict, checked, witness)
+    got = [(lv["filtered_pairs"], lv["sampled_pairs"])
+           for lv in rep.detail["levels"] if lv["verdict"] is True]
+    assert got == passes
+    return rep
+
+
 @derandomized
 @given(st.one_of(odd_encoders(), memory_one_encoders()))
 @example(_MRD_LEVEL_ZERO)
 def test_mMSR_matches_the_per_block_reference(enc):
     runs = [(mode, 1000) for mode in ("exact", "filter")] + [("filter", 3)]
     for mode, resamples in runs:
-        with mock.patch.object(block_codes, "FILTER_RESAMPLE_COUNT", resamples):
-            rep = check_mMSR(enc, mode=mode)
-        verdict, checked, witness, passes = reference_mMSR(enc, mode, resamples)
-        assert (rep.verdict, rep.checked_count, rep.witness) == (verdict, checked, witness)
-        got = [(lv["filtered_pairs"], lv["sampled_pairs"])
-               for lv in rep.detail["levels"] if lv["verdict"] is True]
-        assert got == passes
+        _same_mMSR_report(enc, mode, resamples)
+
+
+# the search table's [4,2,2] row at e = 1: not m-MSR, with a vanishing 4x4
+# minor at level 2, whose exact family needs a budget above the default
+_TABLE_NEGATIVE = construct_frobenius(4, 2, 2, F2048, F2048.alpha_pow(1))
+
+
+@pytest.mark.parametrize("mode, resamples, checked, sampled", [
+    ("exact", 1000, 5187, [0, 0]),
+    ("filter", 1000, 4176, [0, 0]),
+    ("filter", 3, 136, [4, 16]),
+])
+def test_table_negative_matches_the_per_block_reference(mode, resamples, checked, sampled):
+    rep = _same_mMSR_report(_TABLE_NEGATIVE, mode, resamples, budget=10**9)
+    assert (rep.verdict, rep.checked_count) == (False, checked)
+    assert [lv["sampled_pairs"] for lv in rep.detail["levels"][:2]] == sampled
 
 
 @derandomized
