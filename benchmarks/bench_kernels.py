@@ -8,14 +8,35 @@ call, taken in a separate untimed call.
 Run from the repository root after an editable install:
 
     python3 benchmarks/bench_kernels.py
+
+The compiled kernel is ``sumrank._core_c`` when it is importable.
+``--compiled LABEL=FILE`` (repeatable) times built module files instead,
+say builds of two source trees side by side; each is loaded by path
+under the module name ``sumrank._core_c``.  Every kernel runs each case
+``--repeat`` times, the kernels taking turns within a round; a kernel
+row gives the median and the best run.  ``--out FILE`` also writes the
+kernel rows (instance, kernel, value, count, times) and the machine as
+JSON:
+
+    python3 benchmarks/bench_kernels.py --repeat 5 \\
+        --compiled generated=OLD/_core_c.so --compiled handwritten=NEW/_core_c.so \\
+        --out BENCH_kernels.json
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
+import json
+import os
+import platform
 import random
+import statistics
+import sysconfig
 import time
 import tracemalloc
+
+from bench_transform_family import _cpu_model
 
 from sumrank import _core_py
 from sumrank.block_codes import (
@@ -29,10 +50,25 @@ from sumrank.matrix import Matrix
 from sumrank.metrics import LengthPartition
 from sumrank.superregular import is_full_superregular, is_superregular_constrained
 
-try:
-    from sumrank import _core_c
-except ImportError:
-    _core_c = None
+
+def _load_compiled(spec_text: str):
+    """(label, module) for LABEL=FILE, the module loaded from FILE."""
+    label, _, path = spec_text.partition("=")
+    spec = importlib.util.spec_from_file_location("sumrank._core_c", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return label, module
+
+
+def _importable_kernels():
+    kernels = [("python", _core_py)]
+    try:
+        from sumrank import _core_c
+    except ImportError:
+        print("compiled extension not available; showing pure Python only")
+    else:
+        kernels.append(("c", _core_c))
+    return kernels
 
 
 def _time(fn, repeat: int):
@@ -47,29 +83,54 @@ def _time(fn, repeat: int):
 
 
 def bench_expand_rank(mod, f, vectors):
+    """Each run returns (sum of the ranks, number of vectors)."""
     def run():
-        for v in vectors:
-            mod.expand_rank(v, f.q, f.M)
+        return sum(mod.expand_rank(v, f.q, f.M) for v in vectors), len(vectors)
 
     return run
 
 
 def bench_min_distance(mod, f, gen_rows, parts):
+    """Each run returns (distance, messages enumerated)."""
     args = (gen_rows, parts, f.q, f.M, f.order, f.exp, f.log, 10**9)
 
     def run():
-        return mod.block_min_sum_rank(*args)[1]
+        return mod.block_min_sum_rank(*args)
 
     return run
 
 
 def bench_column_distance(mod, f, coeff_rows, k, n, j):
+    """Each run returns (distance, nodes enumerated)."""
     def run():
         return mod.conv_column_distance(
             coeff_rows, k, n, j, f.q, f.M, f.order, f.exp, f.log, 10**9, True
-        )[1]
+        )
 
     return run
+
+
+def kernel_rows(cases, kernels, repeat: int):
+    """One row per (case, kernel) with its value, count and run times; the
+    kernels take turns within each of repeat rounds."""
+    runs = {}
+    results = {}
+    for name, make, _ in cases:
+        calls = [(label, make(mod)) for label, mod in kernels]
+        for _ in range(repeat):
+            for label, call in calls:
+                t, results[name, label] = _time(call, 1)
+                runs.setdefault((name, label), []).append(t)
+    rows = []
+    for name, _, unit in cases:
+        for label, _ in kernels:
+            value, count = results[name, label]
+            times = runs[name, label]
+            rows.append({"instance": name, "kernel": label, "value": value,
+                         "count": count, "unit": unit,
+                         "median_s": statistics.median(times), "best_s": min(times),
+                         "runs_s": times})
+    return rows
 
 
 def predicate_cases():
@@ -122,13 +183,20 @@ def _peak_bytes(call) -> int:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--repeat", type=int, default=3,
-                    help="timing repetitions, best of (default 3)")
+    ap.add_argument("--repeat", type=int, default=5,
+                    help="timing repetitions (default 5); kernel rows give the "
+                         "median, the layer rows the best")
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--compiled", action="append", metavar="LABEL=FILE",
+                    help="a built _core_c module file to time in place of the "
+                         "importable one (repeatable)")
+    ap.add_argument("--out", metavar="FILE", help="also write the kernel rows as JSON")
     args = ap.parse_args()
 
-    if _core_c is None:
-        print("compiled extension not available; showing pure Python only")
+    if args.compiled:
+        kernels = [("python", _core_py)] + [_load_compiled(s) for s in args.compiled]
+    else:
+        kernels = _importable_kernels()
     rng = random.Random(args.seed)
 
     cases = []
@@ -136,7 +204,7 @@ def main() -> int:
     f8 = field(2, 3)
     vectors = [[rng.randrange(8) for _ in range(6)] for _ in range(20000)]
     cases.append(("expand_rank 20000x len-6 over F_8",
-                  lambda mod: bench_expand_rank(mod, f8, vectors), None))
+                  lambda mod: bench_expand_rank(mod, f8, vectors), "vectors"))
 
     f16 = field(2, 4)
     gen_rows = [[rng.randrange(16) for _ in range(6)] for _ in range(3)]
@@ -152,26 +220,43 @@ def main() -> int:
                       mod, f128, coeff_rows, 2, 3, 2),
                   "nodes"))
 
-    header = f"{'case':<50} {'python':>10} {'compiled':>10} {'speedup':>8}"
+    rows = kernel_rows(cases, kernels, args.repeat)
+    header = f"{'kernel case (median)':<50}" + "".join(
+        f" {label:>12}" for label, _ in kernels)
     print(header)
     print("-" * len(header))
-    rates = []
-    for name, make, unit in cases:
-        py, count = _time(make(_core_py), args.repeat)
-        if unit:
-            rates.append((name, unit, count, py))
-        if _core_c is not None:
-            cc, _ = _time(make(_core_c), args.repeat)
-            print(f"{name:<50} {py:>9.3f}s {cc:>9.3f}s {py / cc:>7.1f}x")
-        else:
-            print(f"{name:<50} {py:>9.3f}s {'-':>10} {'-':>8}")
+    for name, _, _ in cases:
+        print(f"{name:<50}" + "".join(f" {r['median_s']:>11.3f}s" for r in rows
+                                      if r["instance"] == name))
 
     print()
     header = f"{'oracle throughput (pure Python)':<50} {'count':>10} {'per second':>12}"
     print(header)
     print("-" * len(header))
-    for name, unit, count, t in rates:
-        print(f"{name:<50} {count:>10} {count / t:>12,.0f} {unit}/s")
+    for r in rows:
+        if r["kernel"] == "python" and r["unit"] != "vectors":
+            print(f"{r['instance']:<50} {r['count']:>10} "
+                  f"{r['count'] / r['median_s']:>12,.0f} {r['unit']}/s")
+
+    if args.out:
+        doc = {
+            "benchmark": "benchmarks/bench_kernels.py",
+            "settings": {"repeat": args.repeat, "seed": args.seed,
+                         "kernels": [label for label, _ in kernels],
+                         "seconds": "wall time of one call, unscaled; the kernels "
+                                    "take turns within each round"},
+            "machine": {
+                "cpu_model": _cpu_model(),
+                "nproc": len(os.sched_getaffinity(0)),
+                "python": platform.python_version(),
+                "platform": platform.platform(),
+                "cc": sysconfig.get_config_var("CC"),
+            },
+            "rows": rows,
+        }
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
 
     print()
     header = (f"{'predicate layer (pure Python)':<50} {'time':>10} {'minors':>8} "

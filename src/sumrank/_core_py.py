@@ -1,8 +1,12 @@
 """Pure-Python kernels for the exhaustive-enumeration hot loops.
 
-Same API as the compiled twin in ``_core_c``; ``core`` picks one at
-import time.  Everything here works for any prime q; the compiled
-version additionally requires the field's log/antilog tables.
+Same API as the compiled twin in ``_core_c`` (hand-written C,
+``_core_c.c``); ``core`` picks one at import time.  Everything here works
+for any prime q; the compiled version additionally requires the field's
+log/antilog tables and q^M < 2^63.  The budget rules that refuse a
+search before it starts, ``message_stop`` and ``children_per_node``,
+live here and serve both kernels, so a message space past 2^63 is
+refused with the same arguments by either.
 
 The column-distance search runs on packed vectors:
 
@@ -23,8 +27,9 @@ The column-distance search runs on packed vectors:
   ``expand_rank``.
 
 The minimum-distance kernel still decodes and multiplies out each
-message.  Values and ``enumerated`` counts equal the compiled twin's,
-and budget refusals carry the same exception arguments.
+message, as the compiled twin does in both of its searches.  Values and
+``enumerated`` counts equal the compiled twin's, and budget refusals
+carry the same exception arguments.
 """
 
 from __future__ import annotations
@@ -42,6 +47,28 @@ class BudgetExceeded(Exception):
 
 
 IMPLEMENTATION = "python"
+
+
+def message_stop(k: int, order: int, budget: int, start: int = 1, stop=None) -> int:
+    """The end of the message index range [start, stop), order**k when stop
+    is None, after refusing a range of more nonzero indices than budget."""
+    if start < 0:
+        raise ValueError("start must be non-negative")
+    if stop is None:
+        stop = order**k
+    span = max(0, stop - start) - (1 if start == 0 else 0)
+    if span > budget:
+        raise BudgetExceeded(span, budget)
+    return stop
+
+
+def children_per_node(k: int, order: int, budget: int) -> int:
+    """order**k, the children of one column-distance search node, after
+    refusing a search whose root's order**k - 1 children pass budget."""
+    qmk = order**k
+    if qmk - 1 > budget:
+        raise BudgetExceeded(budget + 1, budget)
+    return qmk
 
 
 def expand_rank(codes, q: int, M: int) -> int:
@@ -144,12 +171,7 @@ def block_min_sum_rank(
     """Minimum sum-rank weight over messages u with index in [start, stop),
     index 0 (the zero message) excluded.  Returns (min, enumerated)."""
     k = len(gen_rows)
-    total = order**k
-    if stop is None:
-        stop = total
-    span = max(0, stop - start) - (1 if start == 0 else 0)
-    if span > budget:
-        raise BudgetExceeded(span, budget)
+    stop = message_stop(k, order, budget, start, stop)
     offsets = []
     pos = 0
     for p in parts:
@@ -276,7 +298,7 @@ def conv_column_distance(
     Returns (distance, enumerated_nodes).
     """
     m = len(coeff_rows) - 1
-    qmk = order**k
+    qmk = children_per_node(k, order, budget)
     add, rank_below = _packed_ops(q, M, order, n)
     tables = [_row_tables(rows, order, exp, log) for rows in coeff_rows]
     low = tables[0][0]

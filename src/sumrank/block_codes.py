@@ -1,9 +1,10 @@
 """Systematic block codes and the MDS / MRD / MSRD verifier ladder.
 
 Every checker here enumerates one base-field transform family, one
-matrix at a time, through matrix.enum_block_diag: block-diagonal
-matrices with nonsingular upper-triangular blocks (B, A~ and the
-transform-side A) or with arbitrary blocks (C).  The transform-side
+matrix at a time: block-diagonal matrices with nonsingular
+upper-triangular blocks (B, A~ and the transform-side A, through
+matrix.enum_block_diag) or with arbitrary blocks (C, whose cells
+matrix.block_diag_cells lists).  The transform-side
 checkers test the full-size minors of G A.  The systematic side runs one
 engine, check_transform_family: it enumerates (B, A~, C) tuples and tests
 a superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i), one
@@ -203,7 +204,7 @@ def check_msrd_transforms(
     # held for the loop, so every transform's sweep shares one list
     selections = full_size_selections(k, n)  # noqa: F841
     checked = 0
-    for a in enum_block_diag(parts, parts, q, True):
+    for a in enum_block_diag(parts, q):
         checked += 1
         bad = _full_minors_nonzero(g @ a)
         if bad is not None:
@@ -252,8 +253,9 @@ def check_transform_family(
     upper triangular of size ks[i] (nks[i]), C_i any ks[i] x nks[i] matrix.
     The predicate is full superregularity, or when constrained
     superregularity on the grid BlockGrid(ks, nks) (diagonals in blocks
-    (s, t) with s <= t).  Every family is enumerated lazily
-    (matrix.enum_block_diag), B slowest, then A~, then C.
+    (s, t) with s <= t).  Every family is enumerated lazily, B slowest
+    (matrix.enum_block_diag), then A~, then C (every value tuple of the
+    cells matrix.block_diag_cells(ks, nks, False) lists, in its order).
 
     mode "exact" enumerates every C.  mode "filter" first tests that every
     minor the predicate checks of B P A~ lies outside F_q; pairs that pass
@@ -264,10 +266,9 @@ def check_transform_family(
     sampled_pairs is 0.  A False witness holds the B and A~ blocks, the
     assembled C and the vanishing minor, as JSON rows.
 
-    Each pair fills one T: a copy of B P A~ whose C cells (the free cells
-    of matrix.block_diag_cells, in enum_block_diag's order) are rewritten
-    in place for every C value tuple, and the predicate runs on it once
-    per C.  A C matrix is built only for a witness.
+    Each pair fills one T: a copy of B P A~ whose C cells are rewritten in
+    place for every C value tuple, and the predicate runs on it once per
+    C.  A C matrix is built only for a witness.
     """
     if mode not in ("exact", "filter"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -276,25 +277,29 @@ def check_transform_family(
     grid = BlockGrid(ks, nks) if constrained else None
     b_count, a_count, c_count = family_counts(ks, nks, q)
     counts = {"b_count": b_count, "a_count": a_count, "c_count": c_count}
-    # budget unit: one minor evaluation
+    # budget unit: one minor evaluation, charged for the minors the predicate
+    # checks; a shape with more square selections than the budget is refused
+    # before its list is built
     per_pair = c_count if mode == "exact" else FILTER_RESAMPLE_COUNT + 1
-    if b_count * a_count * per_pair * count_square_selections(p.rows, p.cols) > budget:
+    selections = None
+    if count_square_selections(p.rows, p.cols) <= budget:
+        # held for the loop, so the filter and every T's predicate share one list
+        selections = square_selections(p.rows, p.cols, grid)
+    if selections is None or b_count * a_count * per_pair * len(selections) > budget:
         return VerificationReport(
             INFEASIBLE,
             detail=counts | {"budget": budget},
             elapsed=time.perf_counter() - start,
         )
-    # held for the loop, so the filter and every T's predicate share one list
-    selections = square_selections(p.rows, p.cols, grid)  # noqa: F841
     cells = [i for i, _ in block_diag_cells(ks, nks, False)]
     # C entries lie in F_q; over F_2^M adding one is XOR
     add = xor if q == 2 else p.field.add
     checked = 0
     filtered = 0
     sampled = 0
-    for b in enum_block_diag(ks, ks, q, True):
+    for b in enum_block_diag(ks, q):
         bp = b @ p
-        for a in enum_block_diag(nks, nks, q, True):
+        for a in enum_block_diag(nks, q):
             bpa = bp @ a
             sample = False
             if mode == "filter" and _minors_outside_base(bpa, grid):

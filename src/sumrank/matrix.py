@@ -419,18 +419,16 @@ def block_diag_cells(rows, cols, upper: bool) -> list[tuple[int, bool]]:
     return cells
 
 
-def enum_block_diag(rows, cols, q: int, upper: bool):
-    """Every block-diagonal matrix over F_q with blocks rows[i] x cols[i],
-    one at a time; the first block varies slowest.  upper: each block is
-    upper triangular with nonzero diagonal (count_ut_nonsingular per block;
-    its diagonal varies slowest, then the cells above it row-major);
-    otherwise every block is any matrix, cells row-major.  0-size blocks
+def enum_block_diag(sizes, q: int):
+    """Every block-diagonal matrix over F_q whose blocks, sizes[i] x sizes[i],
+    are upper triangular with nonzero diagonal, one at a time; the first
+    block varies slowest (count_ut_nonsingular per block; its diagonal
+    varies slowest, then the cells above it row-major).  0-size blocks
     take no room."""
     f = base_field(q)
-    shape = (sum(rows), sum(cols))
-    cells = block_diag_cells(rows, cols, upper)
+    cells = block_diag_cells(sizes, sizes, True)
     for values in product(*[range(1 if diag else 0, q) for _, diag in cells]):
-        m = Matrix(*shape, f)
+        m = Matrix(sum(sizes), sum(sizes), f)
         for (i, _), v in zip(cells, values):
             m.data[i] = v
         yield m

@@ -11,8 +11,10 @@ import pytest
 from sumrank.field import base_field, field
 from sumrank.matrix import (
     Matrix,
+    Matrix,
     MatrixError,
     block_diag,
+    block_diag_cells,
     bruhat_decompose,
     count_ut_nonsingular,
     det,
@@ -204,7 +206,7 @@ def test_enum_ut_nonsingular_counts():
     for q in (2, 3):
         f = base_field(q)
         for s in range(5):
-            mats = list(enum_block_diag([s], [s], q, True))
+            mats = list(enum_block_diag([s], q))
             assert mats == list(reference_block_diag_family([s], [s], q, True))
             assert len(mats) == count_ut_nonsingular(s, q)
             assert len(mats) == (q - 1) ** s * q ** (s * (s - 1) // 2)
@@ -212,23 +214,35 @@ def test_enum_ut_nonsingular_counts():
             for m in mats:
                 assert m.field == f and is_upper_triangular(m) and det(m) != 0
         for sizes in ([1, 2], [2, 0, 1], [0], [2, 2], [1, 1, 1]):
-            assert list(enum_block_diag(sizes, sizes, q, True)) == list(
+            assert list(enum_block_diag(sizes, q)) == list(
                 reference_block_diag_family(sizes, sizes, q, True)), (q, sizes)
-    assert [m.to_rows() for m in enum_block_diag([1], [1], 2, True)] == [[[1]]]
+    assert [m.to_rows() for m in enum_block_diag([1], 2)] == [[[1]]]
     assert count_ut_nonsingular(2, 2) == 2
     assert count_ut_nonsingular(3, 2) == 8
 
 
+def c_family(rows, cols, q):
+    """Every block-diagonal matrix with blocks rows[i] x cols[i] over F_q,
+    each value tuple written to block_diag_cells(rows, cols, False) in
+    order, as the transform-family engine writes its C cells."""
+    cells = [i for i, _ in block_diag_cells(rows, cols, False)]
+    for values in product(range(q), repeat=len(cells)):
+        m = Matrix(sum(rows), sum(cols), base_field(q))
+        for i, v in zip(cells, values):
+            m.data[i] = v
+        yield m
+
+
 def test_enum_base_matrices():
-    # the C family of enum_block_diag: rectangular and 0-size blocks
-    assert sorted(m.data[0] for m in enum_block_diag([1], [1], 2, False)) == [0, 1]
-    assert len(list(enum_block_diag([2], [1], 2, False))) == 4
-    assert len(list(enum_block_diag([2], [2], 3, False))) == 81
-    assert len(list(enum_block_diag([0], [3], 2, False))) == 1  # one empty matrix
+    # the C cell order: rectangular and 0-size blocks
+    assert sorted(m.data[0] for m in c_family([1], [1], 2)) == [0, 1]
+    assert len(list(c_family([2], [1], 2))) == 4
+    assert len(list(c_family([2], [2], 3))) == 81
+    assert len(list(c_family([0], [3], 2))) == 1  # one empty matrix
     for q in (2, 3):
         for rows, cols in (([2], [1]), ([1, 2], [2, 1]), ([1, 0, 1], [1, 2, 1]),
                            ([0, 2], [3, 0]), ([1, 1], [1, 1])):
-            mats = list(enum_block_diag(rows, cols, q, False))
+            mats = list(c_family(rows, cols, q))
             assert mats == list(reference_block_diag_family(rows, cols, q, False))
             assert len(mats) == q ** sum(r * c for r, c in zip(rows, cols))
 

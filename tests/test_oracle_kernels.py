@@ -1,12 +1,15 @@
-"""Differential tests of the packed-vector column-distance kernel in
-``_core_py``.
+"""Differential tests of the column-distance kernels: the packed-vector
+one in ``_core_py`` and the compiled one (the ``core_c`` fixture of
+tests/conftest.py).
 
 The reference kernel below is the column-distance search as it was
-before it moved to packed vectors: it decodes every child message and
-multiplies it out code by code with ``_vec_matmul``.  The packed kernel
-must return the same (distance, enumerated) pair on systematic and
-general encoders over fields of both characteristics, and refuse a
-budget below the count with the same exception arguments.
+before the pure kernel moved to packed vectors: it decodes every child
+message and multiplies it out code by code with ``_vec_matmul``, as the
+compiled kernel does.  Both kernels must return the same (distance,
+enumerated) pair on systematic and general encoders over fields of both
+characteristics, and refuse a budget below the count with the same
+exception arguments; both search kernels refuse a message space past
+2^63 as the pure ones always have, with the exact count.
 """
 
 import random
@@ -119,40 +122,81 @@ def _conv_cases():
                                        id=f"F{f.order}-{kind}{draw}-j{j}")
 
 
-@pytest.mark.parametrize("f, coeffs, k, n, j, systematic", list(_conv_cases()))
-def test_conv_column_distance_matches_reference(f, coeffs, k, n, j, systematic):
+def _matches_reference(kernel, f, coeffs, k, n, j, systematic):
     want = ref_conv_column_distance(coeffs, k, n, j, *_args(f), 10**7, systematic)
-    got = _core_py.conv_column_distance(coeffs, k, n, j, *_args(f), 10**7, systematic)
+    got = kernel.conv_column_distance(coeffs, k, n, j, *_args(f), 10**7, systematic)
     assert got == want
 
 
-def test_conv_column_distance_two_row_encoders():
+@pytest.mark.parametrize("f, coeffs, k, n, j, systematic", list(_conv_cases()))
+def test_conv_column_distance_matches_reference(f, coeffs, k, n, j, systematic):
+    _matches_reference(_core_py, f, coeffs, k, n, j, systematic)
+
+
+@pytest.mark.parametrize("f, coeffs, k, n, j, systematic", list(_conv_cases()))
+def test_compiled_conv_column_distance_matches_reference(core_c, f, coeffs, k, n, j,
+                                                         systematic):
+    _matches_reference(core_c, f, coeffs, k, n, j, systematic)
+
+
+def _two_row_encoders(kernel):
     # k = 2 over F_8 and F_9: the high digit indexes a second row table
     rng = random.Random(41)
     for f in (field(2, 3), field(3, 2)):
         for systematic in (True, False):
             coeffs = _random_encoder(rng, f, 3, 2, 1, systematic)
             for j in range(2):
-                want = ref_conv_column_distance(coeffs, 2, 3, j, *_args(f), 10**7,
-                                                systematic)
-                got = _core_py.conv_column_distance(coeffs, 2, 3, j, *_args(f), 10**7,
-                                                    systematic)
-                assert got == want
+                _matches_reference(kernel, f, coeffs, 2, 3, j, systematic)
 
 
-def test_conv_budget_refusal_at_the_count():
+def test_conv_column_distance_two_row_encoders():
+    _two_row_encoders(_core_py)
+
+
+def test_compiled_conv_column_distance_two_row_encoders(core_c):
+    _two_row_encoders(core_c)
+
+
+def _refusal_at_the_count(kernel):
     rng = random.Random(44)
     for f in (field(2, 3), field(3, 2)):
         coeffs = _random_encoder(rng, f, 3, 1, 2, systematic=False)
-        dist, count = _core_py.conv_column_distance(coeffs, 1, 3, 2, *_args(f),
-                                                    10**7, False)
-        assert _core_py.conv_column_distance(coeffs, 1, 3, 2, *_args(f), count,
-                                             False) == (dist, count)
+        dist, count = kernel.conv_column_distance(coeffs, 1, 3, 2, *_args(f),
+                                                  10**7, False)
+        assert (dist, count) == ref_conv_column_distance(coeffs, 1, 3, 2, *_args(f),
+                                                         10**7, False)
+        assert kernel.conv_column_distance(coeffs, 1, 3, 2, *_args(f), count,
+                                           False) == (dist, count)
         # a batch of children may pass the budget by more than one node;
         # the refusal still names budget + 1, as one-by-one counting did
         for budget in (count - 1, count // 2, 1):
             with pytest.raises(BudgetExceeded) as exc:
-                _core_py.conv_column_distance(coeffs, 1, 3, 2, *_args(f), budget,
-                                              False)
+                kernel.conv_column_distance(coeffs, 1, 3, 2, *_args(f), budget, False)
             assert exc.value.args == BudgetExceeded(budget + 1, budget).args
             assert (exc.value.enumerated, exc.value.budget) == (budget + 1, budget)
+
+
+def test_conv_budget_refusal_at_the_count():
+    _refusal_at_the_count(_core_py)
+
+
+def test_compiled_conv_budget_refusal_at_the_count(core_c):
+    _refusal_at_the_count(core_c)
+
+
+# F_2^16 with k = 4: order^k = 2^64 messages, past any 64-bit count
+F_BIG = field(2, 16)
+WIDE_ROWS = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 1], [2, 3, 4, 5, 6], [7, 8, 9, 1, 2]]
+
+
+@pytest.mark.parametrize("name", ["python", "c"])
+def test_search_kernels_refuse_message_spaces_past_2_63(request, name):
+    kernel = _core_py if name == "python" else request.getfixturevalue("core_c")
+    with pytest.raises(BudgetExceeded) as exc:
+        kernel.block_min_sum_rank(WIDE_ROWS, [2, 3], *_args(F_BIG), 1000)
+    assert (exc.value.enumerated, exc.value.budget) == (2**64 - 1, 1000)
+    assert exc.value.args == BudgetExceeded(2**64 - 1, 1000).args
+    with pytest.raises(BudgetExceeded) as exc:
+        kernel.conv_column_distance([WIDE_ROWS, WIDE_ROWS], 4, 5, 1, *_args(F_BIG),
+                                    1000, False)
+    assert exc.value.args == BudgetExceeded(1001, 1000).args

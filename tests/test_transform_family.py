@@ -35,6 +35,8 @@ from sumrank.conv_codes import (
 )
 from sumrank.field import base_field, field
 from sumrank.matrix import Matrix, block_diag
+from sumrank.report import INFEASIBLE
+from sumrank.superregular import count_square_selections, square_selections
 from sumrank.metrics import (
     LengthPartition,
     column_distance_bound,
@@ -225,6 +227,26 @@ def test_table_negative_matches_the_per_block_reference(mode, resamples, checked
     rep = _same_mMSR_report(_TABLE_NEGATIVE, mode, resamples, budget=10**9)
     assert (rep.verdict, rep.checked_count) == (False, checked)
     assert [lv["sampled_pairs"] for lv in rep.detail["levels"][:2]] == sampled
+
+
+def test_engine_budget_charges_the_minors_the_grid_checks():
+    # the level-2 6 x 6 grid checks 553 of the 923 square minors, so the
+    # exact family (64 pairs x 4096 C x 553 minors = 1.45e8) fits a budget
+    # of 2e8 that the square count (2.42e8) would refuse
+    assert len(square_selections(6, 6, parity_grid(_TABLE_NEGATIVE, 2))) == 553
+    assert count_square_selections(6, 6) == 923
+    rep = check_mMSR(_TABLE_NEGATIVE, mode="exact", budget=2 * 10**8)
+    assert (rep.verdict, rep.checked_count) == (False, 5187)
+    # a shape with more square selections than the budget is refused before
+    # its list is built; from the square count on, the list is built and
+    # the family charged
+    p2 = sliding_parity(_TABLE_NEGATIVE, 2)
+    for budget, built in ((922, 0), (923, 1)):
+        with mock.patch.object(block_codes, "square_selections",
+                               wraps=block_codes.square_selections) as build:
+            rep = block_codes.check_transform_family(
+                p2, [2] * 3, [2] * 3, True, "exact", budget, random.Random(0))
+        assert (rep.verdict, rep.checked_count, build.call_count) == (INFEASIBLE, 0, built)
 
 
 @derandomized
