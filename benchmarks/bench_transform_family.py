@@ -5,7 +5,7 @@ kernels.
     python3 benchmarks/bench_transform_family.py \
         --side parent=PARENT/src --side change=src --out BENCH_transform_family.json
 
-Each row is one ``sumrank table1 --mode filter --rows R`` call, run through
+Each table row is one ``sumrank table1 --mode filter --rows R`` call, run through
 ``sumrank.cli.main`` in a fresh interpreter per (side, kernel, round): one
 untimed warm-up call (field tables, selection lists), ``--calls`` timed
 calls whose median is the round's wall time, then one call under
@@ -17,6 +17,12 @@ pure-Python kernel, before every call, and scales its seconds by
 by 1.5x from minute to minute, and the scaled time follows the program,
 not the neighbours.  Rounds alternate which side runs first; a row
 reports the median and the quartiles of its rounds' scaled times.
+
+The row named ``cauchy10`` times the minor sweep alone on its largest
+common shape: ``is_full_superregular`` on the 10 x 10 Cauchy matrix
+1/(a^i + a^(10+j)) over F_2^8, which sweeps all 184,755 minors.  Its
+layers are the check's ``checked_count`` and the tracemalloc peak of
+one more call, in MiB.
 
 The kernel is the pure one under ``SUMRANK_PURE_PYTHON=1`` and otherwise
 the compiled one, when the side's tree has a built ``_core_c``
@@ -36,10 +42,12 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ROWS = ("4,2,1", "4,2,2", "5,3,1")
+CAUCHY = "cauchy10"
 KERNELS = ("python", "c")
 REF_SAMPLES = 3  # reference samples before each call
 LAYERS = ("conv_codes.check_mMSR.s", "superregular.self_s",
@@ -50,9 +58,8 @@ def child(row: str, calls: int) -> dict:
     """Run in a fresh interpreter whose sys.path holds one side's sources."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import reference
-    from tracer import Tracer
 
-    from sumrank import cli, core
+    from sumrank import core
 
     refs = []
 
@@ -62,6 +69,25 @@ def child(row: str, calls: int) -> dict:
         call()
         return time.perf_counter() - t0
 
+    run = time_cauchy if row == CAUCHY else time_table_row
+    instance, verdict, walls, layers = run(row, calls, timed)
+    speed = reference.REF_S / statistics.mean(refs)
+    return {
+        "instance": instance,
+        "implementation": core.IMPLEMENTATION,
+        "wall_s": statistics.median(walls) * speed,
+        "host_speed": speed,
+        "verdict": verdict,
+        "layers": {name: v * speed if name.endswith(("_s", ".s")) else v
+                   for name, v in layers.items()},
+    }
+
+
+def time_table_row(row: str, calls: int, timed):
+    from tracer import Tracer
+
+    from sumrank import cli
+
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["table1", "--mode", "filter", "--rows", row, "--out", f"{tmp}/r.json"]
         cli.main(argv)
@@ -69,19 +95,30 @@ def child(row: str, calls: int) -> dict:
         report = json.loads(Path(f"{tmp}/r.json").read_text())
         with Tracer() as tr:
             timed(lambda: cli.main(argv))
-    speed = reference.REF_S / statistics.mean(refs)
     m = tr.metrics()
-    layers = {name: m[name] * speed if name.endswith(("_s", ".s")) else m[name]
-              for name in LAYERS}
     out = report["rows"][0]
-    return {
-        "instance": f"[{row}] over F_{out['field']} at alpha^{out['alpha_exponent']}",
-        "implementation": core.IMPLEMENTATION,
-        "wall_s": statistics.median(walls) * speed,
-        "host_speed": speed,
-        "verdict": out["verdict"],
-        "layers": layers,
-    }
+    return (f"[{row}] over F_{out['field']} at alpha^{out['alpha_exponent']}",
+            out["verdict"], walls, {name: m[name] for name in LAYERS})
+
+
+def time_cauchy(row: str, calls: int, timed):
+    from sumrank.field import field
+    from sumrank.matrix import Matrix
+    from sumrank.superregular import is_full_superregular
+
+    f = field(2, 8)
+    cauchy = Matrix.from_rows(
+        [[f.inv(f.alpha_pow(i) ^ f.alpha_pow(10 + j)) for j in range(10)]
+         for i in range(10)], f)
+    report = is_full_superregular(cauchy)
+    walls = [timed(lambda: is_full_superregular(cauchy)) for _ in range(calls)]
+    tracemalloc.start()
+    is_full_superregular(cauchy)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return (f"10x10 Cauchy 1/(a^i + a^(10+j)) over F_{f.descriptor()}", report.verdict,
+            walls, {"checked_count": report.checked_count,
+                    "tracemalloc_peak_mib": peak / 2**20})
 
 
 def run_child(src: str, kernel: str, row: str, calls: int) -> dict:
@@ -116,8 +153,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--side", action="append", default=[], metavar="LABEL=SRC",
                     help="a source tree to time, by label (repeatable)")
-    ap.add_argument("--rows", default=";".join(ROWS),
-                    help="table rows, ';'-separated (default: %(default)s)")
+    ap.add_argument("--rows", default=";".join(ROWS + (CAUCHY,)),
+                    help="table rows and cauchy10, ';'-separated (default: %(default)s)")
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--calls", type=int, default=3, help="timed calls per round")
     ap.add_argument("--out", help="write the JSON here as well as to stdout")
@@ -146,7 +183,8 @@ def main() -> int:
         layers = {name: statistics.median(res["layers"][name] for res in results)
                   for name in results[0]["layers"]}
         out_rows.append({
-            "instance": results[0]["instance"] + ", table1 row, filter mode",
+            "instance": results[0]["instance"] + (
+                ", is_full_superregular" if row == CAUCHY else ", table1 row, filter mode"),
             "side": label,
             "kernel": kernel,
             "loaded": results[0]["implementation"],

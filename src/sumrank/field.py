@@ -52,6 +52,11 @@ PRIMITIVE_POLYS = {
     (3, 6): (2, 1, 0, 0, 0, 0, 1),
     (3, 7): (1, 2, 1, 0, 0, 0, 0, 1),
     (3, 8): (2, 0, 0, 1, 0, 0, 0, 0, 1),
+    (5, 1): (2, 1),
+    (5, 2): (2, 1, 1),
+    (5, 3): (2, 0, 1, 1),
+    (7, 1): (2, 1),
+    (7, 2): (3, 1, 1),
 }
 
 

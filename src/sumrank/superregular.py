@@ -10,24 +10,28 @@ of every size is nonzero.
 Every predicate here, and the base-field filter and full-size minor test
 in block_codes, evaluates minors through one sweep: minor_sweep expands
 each selected minor along its last row, reusing the minors of one size
-less that it memoized for the same matrix.  Over a tabled field of
-characteristic 2 the sweep works in the log domain: it takes the
-discrete log of every entry once and memoizes the logs of the minors,
-so each Leibniz term is one antilog lookup.  The selections it walks
-come from square_selections (size ascending, then lexicographic,
-grid-filtered when a block grid is given); every Laplace sub-selection
-of a listed selection is listed before it.  A shape's list is built
-once and kept while it has at most SELECTION_CACHE_LIMIT entries;
-a longer one is shared only while a caller holds it, so it is freed
-with the call that built it.  Witness rechecks stay on matrix.det
-(Gaussian elimination), so each False witness is confirmed by a method
-independent of the sweep.
+less that it memoized for the same matrix.  The memo is one flat list
+per sweep: each selected row tuple owns a block of slots, one per column
+selection of its size in lexicographic rank, so a minor's slot is its
+row block's base plus its columns' rank, and a sweep entry is just
+(terms, sub-block base, slot).  Over a tabled field of characteristic 2
+the sweep works in the log domain: it takes the discrete log of every
+entry once and memoizes the logs of the minors, so each Leibniz term is
+one antilog lookup.  The selections it walks come from square_selections
+(size ascending, then lexicographic, grid-filtered when a block grid is
+given); every Laplace sub-selection of a listed selection is listed
+before it.  A shape's list is built once and kept while it has at most
+SELECTION_CACHE_LIMIT entries; a longer one is shared only while a
+caller holds it, so it is freed with the call that built it.  Witness
+rechecks stay on matrix.det (Gaussian elimination), so each False
+witness is confirmed by a method independent of the sweep.
 """
 
 from __future__ import annotations
 
 import time
 import weakref
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -36,8 +40,9 @@ from .matrix import Matrix
 from .report import INFEASIBLE, VerificationReport
 
 DEFAULT_SELECTION_BUDGET = 10**8
-# Longest selection list kept for the process (an entry takes about 160
-# bytes); the engine's shapes list at most a few thousand.
+# Longest selection list kept for the process (an entry takes about 120
+# bytes with its share of the terms); the engine's shapes list at most a
+# few thousand.
 SELECTION_CACHE_LIMIT = 1 << 14
 
 
@@ -165,42 +170,60 @@ def iter_square_selections(rows: int, cols: int):
 
 
 class _Selections(list):
-    """A sweep entry list that the weak share below can refer to."""
+    """Sweep entries (terms, sub, slot) and the memo layout they address:
+    slots is the memo's length, and selection(slot) names a slot's minor."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "slots", "_bases", "_rows", "_cols")
+
+    def selection(self, slot: int) -> tuple[tuple, tuple]:
+        """(rows, cols) of the minor memoized at `slot`."""
+        j = bisect_right(self._bases, slot) - 1
+        ri = self._rows[j]
+        return ri, self._cols[len(ri)][slot - self._bases[j]]
 
 
 def _entries(pairs, ncols: int) -> _Selections:
-    """Sweep entries (rows, cols, terms, key, base) for square selections.
+    """Sweep entries (terms, sub, slot) for square selections, and the flat
+    memo layout they address.
 
-    key is the selection's row mask above its column mask (key 0 is the
-    empty minor, 1); base is key without the last selected row.  terms
-    holds (i, 1 << c) for each selected column c, where i indexes the
-    matrix data at the last selected row and column c, so deleting that
-    row and column leaves the minor keyed base ^ (1 << c).  Entries with
-    the same last row and columns share one terms tuple, and entries with
-    the same columns one cols tuple, which keeps a list small; the masks
-    of each row and column selection are computed once.
+    Each selected row tuple owns a block of memo slots, one per column
+    selection of its size in lexicographic rank, allocated on first use;
+    slot 0 is the block of the empty row tuple and holds the empty minor,
+    1.  An entry's slot is its row block's base plus its columns' rank,
+    and sub is the base of its rows without the last one.  terms holds
+    (i, rank) for each selected column c, where i indexes the matrix data
+    at the last selected row and column c, and rank is the rank of the
+    columns without c, so deleting that row and column leaves the minor
+    at slot sub + rank.  Entries with the same last row and columns share
+    one terms tuple.
     """
     out = _Selections()
-    by_cols = {}
-    by_rows = {}
+    out._bases, out._rows, out._cols = [0], [()], [[()]]
+    ranks = [{(): 0}]
+    blocks = {(): (0, None)}  # row tuple -> (its base, its rows' sub base)
     by_last = {}
+    slots = 1
     for ri, ci in pairs:
-        col = by_cols.get(ci)
-        if col is None:
-            col = by_cols[ci] = (ci, sum(1 << c for c in ci))
-        row = by_rows.get(ri)
+        s = len(ci)
+        while len(ranks) <= s:
+            level = list(combinations(range(ncols), len(ranks)))
+            out._cols.append(level)
+            ranks.append({c: rank for rank, c in enumerate(level)})
+        row = blocks.get(ri)
         if row is None:
-            head = sum(1 << r for r in ri[:-1]) << ncols
-            row = by_rows[ri] = (head, head | (1 << (ri[-1] + ncols)))
-        ci, col_mask = col
-        head, key_rows = row
+            row = blocks[ri] = (slots, blocks[ri[:-1]][0])
+            out._bases.append(slots)
+            out._rows.append(ri)
+            slots += len(out._cols[s])
+        base, sub = row
         terms = by_last.get((ri[-1], ci))
         if terms is None:
             off = ri[-1] * ncols
-            terms = by_last[ri[-1], ci] = tuple((off + c, 1 << c) for c in ci)
-        out.append((ri, ci, terms, key_rows | col_mask, head | col_mask))
+            below = ranks[s - 1]
+            terms = by_last[ri[-1], ci] = tuple(
+                (off + c, below[ci[:t] + ci[t + 1:]]) for t, c in enumerate(ci))
+        out.append((terms, sub, base + ranks[s][ci]))
+    out.slots = slots
     return out
 
 
@@ -261,7 +284,7 @@ def _build_full_size_selections(rows: int, cols: int) -> _Selections:
     )
 
 
-def minor_sweep(m: Matrix, entries, below: int):
+def minor_sweep(m: Matrix, entries: _Selections, below: int):
     """Yield (position, rows, cols, minor) for each sweep entry whose minor
     has a code below `below`, in order: below=1 yields the vanishing minors,
     below=q the ones in the base field F_q (codes 0..q-1), and
@@ -270,49 +293,55 @@ def minor_sweep(m: Matrix, entries, below: int):
     Each minor is the Laplace expansion along its last selected row,
     sum over t of (-1)^((s-1)+t) m[r, c_t] times a memoized minor of size
     s-1, so every entry's sub-minors must come earlier in `entries` (the
-    listers above guarantee it).  The memo lives as long as the generator.
-    Over a tabled field of characteristic 2 the signs vanish, addition is
-    XOR, and the sweep takes each entry's discrete log once and memoizes
-    the minors' logs, so a term is one antilog lookup; otherwise products
-    go through the field.
+    listers above guarantee it).  The memo is one flat list of
+    entries.slots slots, addressed as _entries lays it out, and lives as
+    long as the generator; an entry's rows and columns are recovered from
+    its slot only when it is yielded.  Over a tabled field of
+    characteristic 2 the signs vanish, addition is XOR, and the sweep
+    takes each entry's discrete log once and memoizes the minors' logs,
+    so a term is one antilog lookup; otherwise products go through the
+    field.
     """
     f = m.field
     data = m.data
+    selection = entries.selection
     if f.q == 2 and f.exp is not None:
         exp, log = f.exp, f.log
         n = f.order - 1
         # entries hold log - n, minors their log; None stands for zero
         logs = [log[a] - n if a else None for a in data]
-        memo = {0: 0}
-        for pos, (ri, ci, terms, key, base) in enumerate(entries):
+        memo = [None] * entries.slots
+        memo[0] = 0
+        for pos, (terms, sub, slot) in enumerate(entries):
             acc = 0
-            for i, bit in terms:
+            for i, rank in terms:
                 la = logs[i]
                 if la is not None:
-                    lb = memo[base ^ bit]
+                    lb = memo[sub + rank]
                     if lb is not None:
                         # la + lb lies in [-n, n-2]; a negative index
                         # wraps by n, which is the reduction mod n
                         acc ^= exp[la + lb]
-            memo[key] = log[acc] if acc else None
+            memo[slot] = log[acc] if acc else None
             if acc < below:
-                yield pos, ri, ci, acc
+                yield (pos, *selection(slot), acc)
         return
-    memo = {0: 1}
+    memo = [0] * entries.slots
+    memo[0] = 1
     add, neg, mul = f.add, f.neg, f.mul
-    for pos, (ri, ci, terms, key, base) in enumerate(entries):
+    for pos, (terms, sub, slot) in enumerate(entries):
         acc = 0
-        odd = len(ci) - 1
-        for t, (i, bit) in enumerate(terms):
+        odd = len(terms) - 1
+        for t, (i, rank) in enumerate(terms):
             a = data[i]
             if a:
-                b = memo[base ^ bit]
+                b = memo[sub + rank]
                 if b:
                     p = mul(a, b)
                     acc = add(acc, neg(p) if (odd + t) & 1 else p)
-        memo[key] = acc
+        memo[slot] = acc
         if acc < below:
-            yield pos, ri, ci, acc
+            yield (pos, *selection(slot), acc)
 
 
 # -- predicates ---------------------------------------------------------------

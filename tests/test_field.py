@@ -25,6 +25,18 @@ def test_primitive_poly_table_validates():
         assert validate_primitive(q, M, poly), (q, M, poly)
 
 
+@pytest.mark.parametrize("q, M", [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2)])
+def test_odd_prime_tables_build_primitive_fields(q, M):
+    f = field(q, M)
+    assert validate_primitive(q, M, f.poly)
+    # the order of alpha, walked without the tables it seeds
+    power, order = f.alpha, 1
+    while power != 1:
+        power = f._mul_slow(power, f.alpha)
+        order += 1
+    assert order == q**M - 1
+
+
 def test_validate_primitive_rejects():
     # (x+1)^2 is reducible
     assert not validate_primitive(2, 2, (1, 0, 1))

@@ -1,10 +1,12 @@
 """The memoized minor sweep against Gaussian elimination, its log-domain
 path over characteristic 2 included, every predicate built on it against
 the per-selection determinant loop it replaced, kept here as the
-reference, and the lifetime of its selection lists."""
+reference, its memo layout, and the lifetime and peak memory of its
+selection lists."""
 
 import random
 import tracemalloc
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -45,6 +47,8 @@ F2048 = field(2, 11)
 F5 = base_field(5)
 F9 = field(3, 2)
 F27 = field(3, 3)
+F25 = field(5, 2)
+F49 = field(7, 2)
 
 
 def _untabled_f8():
@@ -70,9 +74,10 @@ def _every_minor(m, entries):
 
 # F2 has a one-element log table (order 2, so the antilog index wraps by
 # n = 1); F4 to F2048 run the log-domain path, the rest the field's
-@pytest.mark.parametrize("f", [F2, F4, F8, F32, F2048, F5, F9, F27, _untabled_f8()],
+@pytest.mark.parametrize("f", [F2, F4, F8, F32, F2048, F5, F9, F27, F25, F49,
+                               _untabled_f8()],
                          ids=["F2", "F4", "F8", "F32", "F2048", "F5", "F9", "F27",
-                              "F8-untabled"])
+                              "F25", "F49", "F8-untabled"])
 @pytest.mark.parametrize("shape", [(2, 5), (5, 2), (4, 6), (6, 6)])
 def test_sweep_equals_det_on_every_square_selection(f, shape):
     rng = random.Random(f"{f.descriptor()}/{shape}")
@@ -88,7 +93,7 @@ def test_sweep_equals_det_on_every_square_selection(f, shape):
             assert v == det(m.submatrix(ri, ci)), (ri, ci)
 
 
-@pytest.mark.parametrize("f", [F32, F27], ids=["F32", "F27"])
+@pytest.mark.parametrize("f", [F32, F27, F25, F49], ids=["F32", "F27", "F25", "F49"])
 def test_sweep_on_grid_and_full_size_lists_equals_det(f):
     rng = random.Random(f.descriptor())
     grids = [BlockGrid.uniform(2, 1, 3), BlockGrid([1, 2], [3, 1])]
@@ -115,6 +120,41 @@ def test_sweep_yields_only_codes_below_the_bound():
     for below in (1, F9.q):
         got = list(minor_sweep(m, entries, below))
         assert got == [t for t in every if t[3] < below]
+
+
+# -- the memo layout -------------------------------------------------------------
+
+
+def _layout_cases():
+    for rows in range(1, 6):
+        for cols in range(1, 7):
+            yield (square_selections(rows, cols), rows, cols,
+                   list(iter_square_selections(rows, cols)))
+            if rows <= cols:
+                yield (full_size_selections(rows, cols), rows, cols,
+                       [(tuple(range(s)), ci) for s in range(1, rows + 1)
+                        for ci in combinations(range(cols), s)])
+    for grid in (BlockGrid.uniform(2, 2, 3), BlockGrid([1, 2], [3, 1])):
+        yield (square_selections(grid.rows, grid.cols, grid), grid.rows, grid.cols,
+               [p for p in iter_square_selections(grid.rows, grid.cols)
+                if grid.diagonal_allowed(*p)])
+
+
+def test_sweep_reads_only_slots_it_wrote():
+    """Every memo slot an entry reads was written by an earlier entry or is
+    slot 0, the empty minor; no two entries write one slot; and each slot
+    names the selection listed at its entry's position."""
+    rng = random.Random(11)
+    for entries, rows, cols, listed in _layout_cases():
+        written = {0}
+        for terms, sub, slot in entries:
+            assert all(sub + rank in written for _, rank in terms)
+            assert slot not in written and slot < entries.slots
+            written.add(slot)
+        m = _random_matrix(rng, rows, cols, F4, 0.2)
+        got = _every_minor(m, entries)
+        assert [(pos, ri, ci) for pos, ri, ci, _ in got] == [
+            (pos, *p) for pos, p in enumerate(listed)]
 
 
 # -- the predicates against the per-selection det loop ------------------------
@@ -145,8 +185,6 @@ def _reference_outside_base(m, grid):
 
 
 def _reference_full_minors(g):
-    from itertools import combinations
-
     for ci in combinations(range(g.cols), g.rows):
         if det(g.submatrix(range(g.rows), ci)) == 0:
             return ci
@@ -172,7 +210,8 @@ GRIDS = [BlockGrid.uniform(1, 1, 3), BlockGrid.uniform(2, 1, 2),
          BlockGrid([2, 1, 1], [1, 1, 2]), BlockGrid([1], [2])]
 
 
-@pytest.mark.parametrize("f", [F8, F256, F9, F27], ids=["F8", "F256", "F9", "F27"])
+@pytest.mark.parametrize("f", [F8, F256, F9, F27, F25, F49],
+                         ids=["F8", "F256", "F9", "F27", "F25", "F49"])
 def test_predicates_match_the_reference_loop(f):
     rng = random.Random(f.descriptor())
     seen = set()
@@ -205,14 +244,18 @@ def test_predicates_match_the_reference_loop(f):
 # -- selection-list lifetime ---------------------------------------------------
 
 
-def test_long_selection_lists_are_freed_with_the_call():
-    # Cauchy matrix 1/(x_i + y_j), x_i = a^i, y_j = a^(10+j): full
-    # superregular, so the check sweeps all 184755 minors of a 10 x 10
-    # matrix, far more than SELECTION_CACHE_LIMIT
+def _cauchy_10x10():
+    """Cauchy matrix 1/(x_i + y_j), x_i = a^i, y_j = a^(10+j), over F_256:
+    full superregular, so its check sweeps all 184755 minors of a 10 x 10
+    matrix, far more than SELECTION_CACHE_LIMIT."""
     f = F256
-    cauchy = Matrix.from_rows(
+    return Matrix.from_rows(
         [[f.inv(f.alpha_pow(i) ^ f.alpha_pow(10 + j)) for j in range(10)]
          for i in range(10)], f)
+
+
+def test_long_selection_lists_are_freed_with_the_call():
+    cauchy = _cauchy_10x10()
     assert superregular.count_square_selections(10, 10) > superregular.SELECTION_CACHE_LIMIT
     tracemalloc.start()
     try:
@@ -222,6 +265,20 @@ def test_long_selection_lists_are_freed_with_the_call():
         tracemalloc.stop()
     assert (rep.verdict, rep.checked_count) == (True, 184755)
     assert retained < 1 << 20
+
+
+def test_ten_by_ten_sweep_peaks_under_32_mb():
+    # the 184755 entries, their terms and the flat memo, traced while the
+    # check runs
+    cauchy = _cauchy_10x10()
+    tracemalloc.start()
+    try:
+        rep = is_full_superregular(cauchy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict is True
+    assert peak < 32 << 20
 
 
 def test_checkers_build_one_list_per_shape():
