@@ -24,6 +24,12 @@ common shape: ``is_full_superregular`` on the 10 x 10 Cauchy matrix
 layers are the check's ``checked_count`` and the tracemalloc peak of
 one more call, in MiB.
 
+The row named ``gab4x2-f81`` times the engine on an odd-characteristic
+positive: exact ``check_msrd_systematic`` on the Gabidulin [4,2] code
+over F_3^4 with one block, which must enumerate its whole (B, A~, C)
+family.  Its layers come from one traced call: the check's time,
+predicate self time, T matrices and minors.
+
 The kernel is the pure one under ``SUMRANK_PURE_PYTHON=1`` and otherwise
 the compiled one, when the side's tree has a built ``_core_c``
 (``python3 setup.py build_ext --inplace``); ``loaded`` records the one
@@ -48,10 +54,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ROWS = ("4,2,1", "4,2,2", "5,3,1")
 CAUCHY = "cauchy10"
+GABIDULIN = "gab4x2-f81"
 KERNELS = ("python", "c")
 REF_SAMPLES = 3  # reference samples before each call
 LAYERS = ("conv_codes.check_mMSR.s", "superregular.self_s",
           "conv_codes.t_matrices", "superregular.minors")
+BLOCK_LAYERS = ("block_codes.check_msrd_systematic.s", "superregular.self_s",
+                "block_codes.t_matrices", "superregular.minors")
 
 
 def child(row: str, calls: int) -> dict:
@@ -69,7 +78,7 @@ def child(row: str, calls: int) -> dict:
         call()
         return time.perf_counter() - t0
 
-    run = time_cauchy if row == CAUCHY else time_table_row
+    run = {CAUCHY: time_cauchy, GABIDULIN: time_gabidulin}.get(row, time_table_row)
     instance, verdict, walls, layers = run(row, calls, timed)
     speed = reference.REF_S / statistics.mean(refs)
     return {
@@ -121,6 +130,31 @@ def time_cauchy(row: str, calls: int, timed):
                     "tracemalloc_peak_mib": peak / 2**20})
 
 
+def time_gabidulin(row: str, calls: int, timed):
+    from tracer import Tracer
+
+    import sumrank.cli  # noqa: F401  (the tracer wraps names in every module)
+    from sumrank import block_codes
+    from sumrank.field import field
+    from sumrank.metrics import LengthPartition
+
+    f = field(3, 4)
+    parity = block_codes.systematic_form(block_codes.construct_gabidulin(4, 2, f))
+    code = block_codes.SystematicBlockCode(LengthPartition([4]), (2,), parity)
+
+    def check():
+        # through the module, so the traced call reaches the tracer's wrapper
+        return block_codes.check_msrd_systematic(code)
+
+    report = check()
+    walls = [timed(check) for _ in range(calls)]
+    with Tracer() as tr:
+        timed(check)
+    m = tr.metrics()
+    return (f"Gabidulin [4,2] over F_{f.descriptor()}, one block", report.verdict,
+            walls, {name: m[name] for name in BLOCK_LAYERS})
+
+
 def run_child(src: str, kernel: str, row: str, calls: int) -> dict:
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("SUMRANK_PURE_PYTHON", None)
@@ -153,8 +187,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--side", action="append", default=[], metavar="LABEL=SRC",
                     help="a source tree to time, by label (repeatable)")
-    ap.add_argument("--rows", default=";".join(ROWS + (CAUCHY,)),
-                    help="table rows and cauchy10, ';'-separated (default: %(default)s)")
+    ap.add_argument("--rows", default=";".join(ROWS + (CAUCHY, GABIDULIN)),
+                    help="table rows, cauchy10 and gab4x2-f81, ';'-separated "
+                         "(default: %(default)s)")
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--calls", type=int, default=3, help="timed calls per round")
     ap.add_argument("--out", help="write the JSON here as well as to stdout")
@@ -183,8 +218,10 @@ def main() -> int:
         layers = {name: statistics.median(res["layers"][name] for res in results)
                   for name in results[0]["layers"]}
         out_rows.append({
-            "instance": results[0]["instance"] + (
-                ", is_full_superregular" if row == CAUCHY else ", table1 row, filter mode"),
+            "instance": results[0]["instance"] + {
+                CAUCHY: ", is_full_superregular",
+                GABIDULIN: ", check_msrd_systematic, exact mode",
+            }.get(row, ", table1 row, filter mode"),
             "side": label,
             "kernel": kernel,
             "loaded": results[0]["implementation"],

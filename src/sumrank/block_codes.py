@@ -1,10 +1,14 @@
 """Systematic block codes and the MDS / MRD / MSRD verifier ladder.
 
 Every checker here enumerates one base-field transform family, one
-matrix at a time: block-diagonal matrices with nonsingular
-upper-triangular blocks (B, A~ and the transform-side A, through
-matrix.enum_block_diag) or with arbitrary blocks (C, whose cells
-matrix.block_diag_cells lists).  The transform-side
+matrix at a time, and every family is "each F_q value tuple of a list
+of free cells" (matrix.block_diag_cells): block-diagonal matrices with
+unit upper-triangular blocks (B, A~ and the transform-side A, through
+matrix.enum_block_diag) or with arbitrary blocks (C), so a family with
+c free cells has q^c members.  The unit blocks stand for every
+nonsingular upper-triangular one: the predicates only ask which minors
+vanish, and diagonal scaling over F_q^* changes none
+(matrix.enum_block_diag states the argument).  The transform-side
 checkers test the full-size minors of G A.  The systematic side runs one
 engine, check_transform_family: it enumerates (B, A~, C) tuples and tests
 a superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i), one
@@ -30,7 +34,6 @@ from __future__ import annotations
 import random
 import time
 from itertools import product
-from math import prod
 from operator import xor
 
 from .field import Field, base_field
@@ -38,7 +41,6 @@ from .matrix import (
     Matrix,
     block_diag,
     block_diag_cells,
-    count_ut_nonsingular,
     diagonal_blocks,
     enum_block_diag,
     is_upper_triangular,
@@ -160,10 +162,11 @@ def check_mds(p: Matrix, budget: int = DEFAULT_SELECTION_BUDGET) -> Verification
     return is_full_superregular(p, budget=budget)
 
 
-def _full_minors_nonzero(g: Matrix) -> tuple:
-    """First vanishing full-size minor of a k x n matrix, or None."""
+def _full_minors_nonzero(g: Matrix, entries) -> tuple:
+    """First vanishing full-size minor of a k x n matrix, or None; entries
+    are full_size_selections(k, n)."""
     k = g.rows
-    vanishing = minor_sweep(g, full_size_selections(k, g.cols), 1)
+    vanishing = minor_sweep(g, entries, 1)
     return next((ci for _, ri, ci, _ in vanishing if len(ri) == k), None)
 
 
@@ -182,15 +185,14 @@ def check_msrd_transforms(
 ) -> VerificationReport:
     """MSRD check over all nonsingular block-diagonal A with upper-triangular
     blocks over F_q: every full-size minor of G A must be nonzero.  The
-    transforms are enumerated one at a time, never held as a list."""
+    unit ones, which stand for all, are enumerated one at a time."""
     start = time.perf_counter()
     q = g.field.q
     k, n = g.rows, g.cols
     if partition.n != n:
         raise ValueError("partition does not sum to the code length")
-    a_count = 1
-    for n_i in partition.parts:
-        a_count *= count_ut_nonsingular(n_i, q)
+    parts = partition.parts
+    a_count = q ** len(block_diag_cells(parts, parts, True))
     # the sweep evaluates every sub-minor its full-size minors expand into
     per_transform = count_full_size_selections(k, n)
     if a_count * per_transform > budget:
@@ -200,13 +202,11 @@ def check_msrd_transforms(
                     "budget": budget},
             elapsed=time.perf_counter() - start,
         )
-    parts = partition.parts
-    # held for the loop, so every transform's sweep shares one list
-    selections = full_size_selections(k, n)  # noqa: F841
+    selections = full_size_selections(k, n)
     checked = 0
     for a in enum_block_diag(parts, q):
         checked += 1
-        bad = _full_minors_nonzero(g @ a)
+        bad = _full_minors_nonzero(g @ a, selections)
         if bad is not None:
             return VerificationReport(
                 False,
@@ -231,12 +231,11 @@ def check_msrd_transforms(
 
 
 def family_counts(ks, nks, q: int) -> tuple[int, int, int]:
-    """Numbers of B, A~ and C choices for row blocks ks and column blocks nks."""
-    return (
-        prod(count_ut_nonsingular(k_i, q) for k_i in ks),
-        prod(count_ut_nonsingular(w, q) for w in nks),
-        q ** sum(k_i * w for k_i, w in zip(ks, nks)),
-    )
+    """Numbers of B, A~ and C choices for row blocks ks and column blocks
+    nks: q to the number of each family's free cells."""
+    return tuple(q ** len(block_diag_cells(rows, cols, upper))
+                 for rows, cols, upper in ((ks, ks, True), (nks, nks, True),
+                                           (ks, nks, False)))
 
 
 def check_transform_family(
@@ -253,9 +252,10 @@ def check_transform_family(
     upper triangular of size ks[i] (nks[i]), C_i any ks[i] x nks[i] matrix.
     The predicate is full superregularity, or when constrained
     superregularity on the grid BlockGrid(ks, nks) (diagonals in blocks
-    (s, t) with s <= t).  Every family is enumerated lazily, B slowest
-    (matrix.enum_block_diag), then A~, then C (every value tuple of the
-    cells matrix.block_diag_cells(ks, nks, False) lists, in its order).
+    (s, t) with s <= t).  Every family is enumerated lazily: B slowest,
+    then A~, both unit upper triangular, standing for all
+    (matrix.enum_block_diag), then C (every value tuple of the cells
+    matrix.block_diag_cells(ks, nks, False) lists, in its order).
 
     mode "exact" enumerates every C.  mode "filter" first tests that every
     minor the predicate checks of B P A~ lies outside F_q; pairs that pass
@@ -268,7 +268,8 @@ def check_transform_family(
 
     Each pair fills one T: a copy of B P A~ whose C cells are rewritten in
     place for every C value tuple, and the predicate runs on it once per
-    C.  A C matrix is built only for a witness.
+    C on the selection list built once for the call.  A C matrix is built
+    only for a witness.
     """
     if mode not in ("exact", "filter"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -283,7 +284,6 @@ def check_transform_family(
     per_pair = c_count if mode == "exact" else FILTER_RESAMPLE_COUNT + 1
     selections = None
     if count_square_selections(p.rows, p.cols) <= budget:
-        # held for the loop, so the filter and every T's predicate share one list
         selections = square_selections(p.rows, p.cols, grid)
     if selections is None or b_count * a_count * per_pair * len(selections) > budget:
         return VerificationReport(
@@ -291,7 +291,7 @@ def check_transform_family(
             detail=counts | {"budget": budget},
             elapsed=time.perf_counter() - start,
         )
-    cells = [i for i, _ in block_diag_cells(ks, nks, False)]
+    cells = block_diag_cells(ks, nks, False)
     # C entries lie in F_q; over F_2^M adding one is XOR
     add = xor if q == 2 else p.field.add
     checked = 0
@@ -302,7 +302,7 @@ def check_transform_family(
         for a in enum_block_diag(nks, q):
             bpa = bp @ a
             sample = False
-            if mode == "filter" and _minors_outside_base(bpa, grid):
+            if mode == "filter" and _minors_outside_base(bpa, selections):
                 filtered += 1
                 sample = c_count > FILTER_RESAMPLE_COUNT
                 sampled += sample
@@ -316,8 +316,8 @@ def check_transform_family(
                 checked += 1
                 for i, v in zip(cells, values):
                     data[i] = add(base[i], v)
-                rep = (is_full_superregular(t) if grid is None
-                       else is_superregular_constrained(t, grid))
+                rep = (is_full_superregular(t, entries=selections) if grid is None
+                       else is_superregular_constrained(t, grid, entries=selections))
                 if rep.verdict is False:
                     c = Matrix(p.rows, p.cols, base_field(q))
                     for i, v in zip(cells, values):
@@ -344,15 +344,15 @@ def check_transform_family(
     )
 
 
-def _minors_outside_base(m: Matrix, grid: BlockGrid | None) -> bool:
-    """Base-field filter: every minor the predicate checks (grid-qualifying
-    ones, or all when grid is None) lies outside F_q, so is nonzero."""
-    sweep = minor_sweep(m, square_selections(m.rows, m.cols, grid), m.field.q)
+def _minors_outside_base(m: Matrix, entries) -> bool:
+    """Base-field filter: every minor the predicate checks (the entries,
+    m's grid-filtered square_selections) lies outside F_q, so is nonzero."""
+    sweep = minor_sweep(m, entries, m.field.q)
     return next(sweep, None) is None
 
 
 def in_transform_family(b_blocks, a_blocks, c: Matrix, ks, nks) -> bool:
-    """True iff (B, A~, C) is a tuple check_transform_family enumerates:
+    """True iff (B, A~, C) is in the family check_transform_family decides:
     each B_i (A~_i) nonsingular upper triangular of size ks[i] (nks[i]),
     and C of shape sum(ks) x sum(nks), zero outside its diagonal blocks."""
     grid = BlockGrid(ks, nks)

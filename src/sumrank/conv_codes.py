@@ -5,11 +5,12 @@ encoders, and the Frobenius-power construction.
 Level i of the m-MSR check is the block systematic check on the sliding
 parity P_i^c: block_codes.check_transform_family with row blocks
 (k)^(i+1), column blocks (n-k)^(i+1) and the block-grid predicate in
-place of full superregularity.  Its filter tests the grid-qualifying
-minors, the ones the predicate checks, and each level's True detail
-counts the pairs whose C were sampled.  A witness carries the level's
-C cut back into per-level blocks; its recheck is the block one,
-block_codes.recheck_family_witness, on the reassembled C."""
+place of full superregularity; its unit upper-triangular B and A~
+stand for all (matrix.enum_block_diag).  Its filter tests the
+grid-qualifying minors, the ones the predicate checks, and each level's
+True detail counts the pairs whose C were sampled.  A witness carries
+the level's C cut back into per-level blocks; its recheck is the block
+one, block_codes.recheck_family_witness, on the reassembled C."""
 
 from __future__ import annotations
 

@@ -401,18 +401,16 @@ def is_permutation(m: Matrix) -> bool:
 # -- enumerators ------------------------------------------------------------
 
 
-def block_diag_cells(rows, cols, upper: bool) -> list[tuple[int, bool]]:
+def block_diag_cells(rows, cols, upper: bool) -> list[int]:
     """Free cells of a block-diagonal matrix with blocks rows[i] x cols[i],
-    as (flat index, on an upper block's diagonal), in enumeration order:
-    blocks left to right; in an upper block its diagonal, then the cells
-    above it row-major; in any other block every cell row-major."""
+    as flat indices in enumeration order: blocks left to right, each
+    row-major; in an upper block only the cells strictly above its
+    diagonal, in any other block every cell."""
     width = sum(cols)
     cells = []
     r0 = c0 = 0
     for br, bc in zip(rows, cols):
-        if upper:
-            cells += [((r0 + i) * width + c0 + i, True) for i in range(br)]
-        cells += [((r0 + r) * width + c0 + c, False) for r in range(br)
+        cells += [(r0 + r) * width + c0 + c for r in range(br)
                   for c in range(r + 1 if upper else 0, bc)]
         r0 += br
         c0 += bc
@@ -421,15 +419,23 @@ def block_diag_cells(rows, cols, upper: bool) -> list[tuple[int, bool]]:
 
 def enum_block_diag(sizes, q: int):
     """Every block-diagonal matrix over F_q whose blocks, sizes[i] x sizes[i],
-    are upper triangular with nonzero diagonal, one at a time; the first
-    block varies slowest (count_ut_nonsingular per block; its diagonal
-    varies slowest, then the cells above it row-major).  0-size blocks
-    take no room."""
+    are unit upper triangular, one at a time: each F_q value tuple of
+    block_diag_cells(sizes, sizes, True) written into an identity, the
+    first block varying slowest.  0-size blocks take no room.
+
+    They stand for every nonsingular upper-triangular block.  Such a B is
+    D U, and such an A~ is U' D', with D, D' diagonal over F_q^* and U, U'
+    unit upper triangular.  So B P A~ + C = D (U P U' + D^-1 C D'^-1) D',
+    C -> D^-1 C D'^-1 permutes the block-diagonal C, and scaling rows and
+    columns by F_q^* changes no minor's vanishing (G A = G U' D' likewise
+    on the transform side).  A predicate that only asks which minors
+    vanish therefore holds for every tuple iff it holds for the unit ones."""
     f = base_field(q)
+    n = sum(sizes)
     cells = block_diag_cells(sizes, sizes, True)
-    for values in product(*[range(1 if diag else 0, q) for _, diag in cells]):
-        m = Matrix(sum(sizes), sum(sizes), f)
-        for (i, _), v in zip(cells, values):
+    for values in product(range(q), repeat=len(cells)):
+        m = Matrix.identity(n, f)
+        for i, v in zip(cells, values):
             m.data[i] = v
         yield m
 
@@ -445,10 +451,6 @@ def diagonal_blocks(m: Matrix, rows, cols) -> list[list[list[int]]]:
         r0 += br
         c0 += bc
     return out
-
-
-def count_ut_nonsingular(s: int, q: int) -> int:
-    return (q - 1) ** s * q ** (s * (s - 1) // 2)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

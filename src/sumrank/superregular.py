@@ -20,17 +20,16 @@ entry once and memoizes the logs of the minors, so each Leibniz term is
 one antilog lookup.  The selections it walks come from square_selections
 (size ascending, then lexicographic, grid-filtered when a block grid is
 given); every Laplace sub-selection of a listed selection is listed
-before it.  A shape's list is built once and kept while it has at most
-SELECTION_CACHE_LIMIT entries; a longer one is shared only while a
-caller holds it, so it is freed with the call that built it.  Witness
-rechecks stay on matrix.det (Gaussian elimination), so each False
+before it.  A shape's list is kept for the process while it has at most
+SELECTION_CACHE_LIMIT entries, and a longer one is built per call; a
+checker builds its list once and passes it to every call (entries).
+Witness rechecks stay on matrix.det (Gaussian elimination), so each False
 witness is confirmed by a method independent of the sweep.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
@@ -173,7 +172,7 @@ class _Selections(list):
     """Sweep entries (terms, sub, slot) and the memo layout they address:
     slots is the memo's length, and selection(slot) names a slot's minor."""
 
-    __slots__ = ("__weakref__", "slots", "_bases", "_rows", "_cols")
+    __slots__ = ("slots", "_bases", "_rows", "_cols")
 
     def selection(self, slot: int) -> tuple[tuple, tuple]:
         """(rows, cols) of the minor memoized at `slot`."""
@@ -227,22 +226,6 @@ def _entries(pairs, ncols: int) -> _Selections:
     return out
 
 
-_held = weakref.WeakValueDictionary()
-
-
-def _selections(count: int, build, *shape) -> _Selections:
-    """build(*shape), which lists `count` entries: kept for the process up
-    to SELECTION_CACHE_LIMIT entries; a longer list is shared only while
-    some caller holds it (a checker running one shape for many matrices),
-    and freed with the last holder."""
-    if count <= SELECTION_CACHE_LIMIT:
-        return _kept(build, *shape)
-    entries = _held.get((build, *shape))
-    if entries is None:
-        entries = _held[(build, *shape)] = build(*shape)
-    return entries
-
-
 @lru_cache(maxsize=64)
 def _kept(build, *shape) -> _Selections:
     return build(*shape)
@@ -256,8 +239,9 @@ def square_selections(rows: int, cols: int, grid: BlockGrid | None = None) -> _S
     blocks are no lower), so each entry's sub-minors are listed before it."""
     blocks = None if grid is None else (
         tuple(grid.row_block_sizes), tuple(grid.col_block_sizes))
-    return _selections(count_square_selections(rows, cols), _build_square_selections,
-                       rows, cols, blocks)
+    if count_square_selections(rows, cols) > SELECTION_CACHE_LIMIT:
+        return _build_square_selections(rows, cols, blocks)
+    return _kept(_build_square_selections, rows, cols, blocks)
 
 
 def _build_square_selections(rows: int, cols: int, blocks) -> _Selections:
@@ -272,8 +256,9 @@ def full_size_selections(rows: int, cols: int) -> _Selections:
     """Sweep entries for the selections of the first s rows against every
     s columns, s = 1..rows: the full-size minors, size rows, come last, after
     all the sub-minors their expansions use."""
-    return _selections(count_full_size_selections(rows, cols),
-                       _build_full_size_selections, rows, cols)
+    if count_full_size_selections(rows, cols) > SELECTION_CACHE_LIMIT:
+        return _build_full_size_selections(rows, cols)
+    return _kept(_build_full_size_selections, rows, cols)
 
 
 def _build_full_size_selections(rows: int, cols: int) -> _Selections:
@@ -353,6 +338,7 @@ def _check_minors(
     skip_trivial: bool,
     grid: BlockGrid | None = None,
     budget: int = DEFAULT_SELECTION_BUDGET,
+    entries: _Selections | None = None,
 ) -> VerificationReport:
     start = time.perf_counter()
     total = count_square_selections(m.rows, m.cols)
@@ -363,7 +349,8 @@ def _check_minors(
             elapsed=time.perf_counter() - start,
         )
     pattern = ZeroPattern.of(m) if skip_trivial else None
-    entries = square_selections(m.rows, m.cols, grid)
+    if entries is None:
+        entries = square_selections(m.rows, m.cols, grid)
     skipped = 0
     for pos, ri, ci, _ in minor_sweep(m, entries, 1):
         # every trivial minor vanishes, so the skip only looks at zeros
@@ -387,16 +374,20 @@ def is_superregular(m: Matrix, budget: int = DEFAULT_SELECTION_BUDGET) -> Verifi
     return _check_minors(m, skip_trivial=True, budget=budget)
 
 
-def is_full_superregular(m: Matrix, budget: int = DEFAULT_SELECTION_BUDGET) -> VerificationReport:
-    """Every minor of every size nonzero (hence every entry nonzero)."""
-    return _check_minors(m, skip_trivial=False, budget=budget)
+def is_full_superregular(m: Matrix, budget: int = DEFAULT_SELECTION_BUDGET,
+                         entries: _Selections | None = None) -> VerificationReport:
+    """Every minor of every size nonzero (hence every entry nonzero);
+    entries, when given, are m's square_selections."""
+    return _check_minors(m, skip_trivial=False, budget=budget, entries=entries)
 
 
 def is_superregular_constrained(
-    m: Matrix, grid: BlockGrid, budget: int = DEFAULT_SELECTION_BUDGET
+    m: Matrix, grid: BlockGrid, budget: int = DEFAULT_SELECTION_BUDGET,
+    entries: _Selections | None = None,
 ) -> VerificationReport:
     """Every square submatrix whose diagonal stays in blocks (s, t) with
-    s <= t is nonsingular.
+    s <= t is nonsingular; entries, when given, are m's grid-filtered
+    square_selections.
 
     On block-upper-triangular matrices this agrees with plain
     superregularity: a zero on a qualifying diagonal forces zeros right
@@ -404,7 +395,7 @@ def is_superregular_constrained(
     """
     if grid.rows != m.rows or grid.cols != m.cols:
         raise ValueError("block grid dimensions disagree with the matrix")
-    return _check_minors(m, skip_trivial=False, grid=grid, budget=budget)
+    return _check_minors(m, skip_trivial=False, grid=grid, budget=budget, entries=entries)
 
 
 def count_nontrivial_minors(

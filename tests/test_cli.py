@@ -16,15 +16,21 @@ from sumrank.cli import (
     EXIT_TRUE,
     main,
 )
-from sumrank.block_codes import SystematicBlockCode, construct_gabidulin, systematic_form
+from sumrank.block_codes import (
+    SystematicBlockCode,
+    construct_gabidulin,
+    systematic_form,
+    transformed_parity,
+)
 from sumrank.conv_codes import PolyEncoder, construct_frobenius
 from sumrank.field import base_field, field
-from sumrank.matrix import Matrix
+from sumrank.matrix import Matrix, minor
 from sumrank.metrics import LengthPartition
 from sumrank.report import VerificationReport
 
 F4 = field(2, 2)
 F8 = field(2, 3)
+F9 = field(3, 2)
 
 
 def _write(tmp_path, name, obj):
@@ -128,6 +134,39 @@ def test_recheck_forged_witness_exits_false(tmp_path, capsys):
     rc, rep = _run(capsys, ["recheck", "--report", report_path, "--code", code_path])
     assert rc == EXIT_FALSE
     assert rep["reverifies"] is False
+
+
+def test_recheck_accepts_diagonally_rescaled_odd_q_witnesses(tmp_path, capsys):
+    # the checkers enumerate unit upper-triangular B and A~, but a recheck
+    # accepts any nonsingular upper-triangular ones: (D B, A~ D', D C D')
+    # gives D T D', whose minors vanish where T's do
+    code = SystematicBlockCode(
+        LengthPartition([4]), (2,), Matrix.from_rows([[1, 1], [1, 2]], F9))
+    code_path = _write(tmp_path, "f9.json", code.to_json())
+    report_path = str(tmp_path / "report.json")
+    rc = main(["verify-block", "--code", code_path, "--check", "msrd-systematic",
+               "--no-oracle", "--out", report_path])
+    capsys.readouterr()
+    assert rc == EXIT_FALSE
+    report = json.loads((tmp_path / "report.json").read_text())
+    w = report["witness"]
+    f3 = base_field(3)
+    d, d2 = Matrix.from_rows([[2, 0], [0, 1]], f3), Matrix.from_rows([[1, 0], [0, 2]], f3)
+    b = d @ Matrix.from_rows(w["B"][0], f3)
+    a = Matrix.from_rows(w["A"][0], f3) @ d2
+    c = d @ Matrix.from_rows(w["C"], f3) @ d2
+    scaled = dict(w, B=[b.to_rows()], A=[a.to_rows()], C=c.to_rows())
+    assert b[0, 0] == 2 and a[1, 1] == 2
+    # a zero on B's diagonal leaves the witnessed minor vanishing, but the
+    # tuple is outside the family
+    singular = Matrix.from_rows([[0, b[0, 1]], [0, b[1, 1]]], f3)
+    assert minor(transformed_parity(code.parity, [singular], [a], c),
+                 w["rows"], w["cols"]) == 0
+    for witness, expect in ((scaled, EXIT_TRUE),
+                            (dict(scaled, B=[singular.to_rows()]), EXIT_FALSE)):
+        path = _write(tmp_path, "scaled.json", dict(report, witness=witness))
+        rc, rep = _run(capsys, ["recheck", "--report", path, "--code", code_path])
+        assert (rc, rep["reverifies"]) == (expect, expect == EXIT_TRUE)
 
 
 def test_recheck_forged_oracle_witness_exits_false(tmp_path, capsys):

@@ -16,7 +16,6 @@ from sumrank.matrix import (
     block_diag,
     block_diag_cells,
     bruhat_decompose,
-    count_ut_nonsingular,
     det,
     diagonal_blocks,
     enum_block_diag,
@@ -164,6 +163,18 @@ def test_bruhat_exhaustive_gl_f3():
 # -- reference per-block enumerators, kept to pin enum_block_diag's order --
 
 
+def enum_ut_unit(s: int, q: int):
+    """All s x s unit upper-triangular matrices over F_q, the cells above
+    the diagonal varying row-major."""
+    f = base_field(q)
+    above = [(r, c) for r in range(s) for c in range(r + 1, s)]
+    for rest in product(range(q), repeat=len(above)):
+        m = Matrix.identity(s, f)
+        for (r, c), v in zip(above, rest):
+            m[r, c] = v
+        yield m
+
+
 def enum_ut_nonsingular(s: int, q: int):
     """All s x s upper-triangular matrices over F_q with nonzero diagonal;
     the diagonal varies slowest, then the cells above it row-major."""
@@ -195,37 +206,58 @@ def enum_base_matrices(r: int, c: int, q: int):
 def reference_block_diag_family(rows, cols, q, upper):
     """Product of the per-block lists, first block slowest, each tuple
     assembled by block_diag."""
-    sets = [list(enum_ut_nonsingular(r, q)) if upper else list(enum_base_matrices(r, c, q))
+    sets = [list(enum_ut_unit(r, q)) if upper else list(enum_base_matrices(r, c, q))
             for r, c in zip(rows, cols)]
     for blocks in product(*sets):
         yield block_diag(blocks)
 
 
-def test_enum_ut_nonsingular_counts():
-    # the upper family of enum_block_diag, one block and several
-    for q in (2, 3):
+def test_enum_block_diag_unit_upper_family():
+    # q^len(cells) distinct unit upper-triangular members, one block and
+    # several, in the per-block reference order
+    for q in (2, 3, 5):
         f = base_field(q)
-        for s in range(5):
+        for s in range(5 if q < 5 else 4):
             mats = list(enum_block_diag([s], q))
             assert mats == list(reference_block_diag_family([s], [s], q, True))
-            assert len(mats) == count_ut_nonsingular(s, q)
-            assert len(mats) == (q - 1) ** s * q ** (s * (s - 1) // 2)
+            assert len(mats) == q ** len(block_diag_cells([s], [s], True))
+            assert len(mats) == q ** (s * (s - 1) // 2)
             assert len({tuple(m.data) for m in mats}) == len(mats)
             for m in mats:
-                assert m.field == f and is_upper_triangular(m) and det(m) != 0
+                assert m.field == f and is_upper_triangular(m)
+                assert all(m[i, i] == 1 for i in range(s))
         for sizes in ([1, 2], [2, 0, 1], [0], [2, 2], [1, 1, 1]):
-            assert list(enum_block_diag(sizes, q)) == list(
-                reference_block_diag_family(sizes, sizes, q, True)), (q, sizes)
+            mats = list(enum_block_diag(sizes, q))
+            assert mats == list(reference_block_diag_family(sizes, sizes, q, True)), (q, sizes)
+            assert len(mats) == q ** len(block_diag_cells(sizes, sizes, True))
     assert [m.to_rows() for m in enum_block_diag([1], 2)] == [[[1]]]
-    assert count_ut_nonsingular(2, 2) == 2
-    assert count_ut_nonsingular(3, 2) == 8
+    assert [m.to_rows() for m in enum_block_diag([2], 3)] == [
+        [[1, v], [0, 1]] for v in range(3)]
+    # the free cells of an upper block lie strictly above its diagonal
+    assert block_diag_cells([2, 1], [2, 1], True) == [1]
+    assert block_diag_cells([3], [3], True) == [1, 2, 5]
+
+
+def test_unit_upper_times_diagonal_is_every_nonsingular_upper():
+    # D U over F_q^* diagonals D and unit U is each nonsingular upper
+    # triangular block exactly once, so the unit family loses no member
+    for q, s in ((3, 2), (3, 3), (5, 2)):
+        f = base_field(q)
+        scaled = []
+        for d in product(range(1, q), repeat=s):
+            dmat = Matrix(s, s, f)
+            for i, v in enumerate(d):
+                dmat[i, i] = v
+            scaled += [tuple((dmat @ u).data) for u in enum_ut_unit(s, q)]
+        assert sorted(scaled) == sorted(tuple(m.data) for m in enum_ut_nonsingular(s, q))
+        assert len(set(scaled)) == (q - 1) ** s * q ** (s * (s - 1) // 2)
 
 
 def c_family(rows, cols, q):
     """Every block-diagonal matrix with blocks rows[i] x cols[i] over F_q,
     each value tuple written to block_diag_cells(rows, cols, False) in
     order, as the transform-family engine writes its C cells."""
-    cells = [i for i, _ in block_diag_cells(rows, cols, False)]
+    cells = block_diag_cells(rows, cols, False)
     for values in product(range(q), repeat=len(cells)):
         m = Matrix(sum(rows), sum(cols), base_field(q))
         for i, v in zip(cells, values):

@@ -3,9 +3,12 @@ points: block MSRD checks over F_9 and F_27 against the transform side and
 the distance oracle, [2,1,1] encoders against the rank-profile oracle and
 the column distances, level 0 of the m-MSR check against the block
 check it reduces to, and all three lazily enumerated checkers against the
-per-block-list loops they replaced (kept here as the reference), filter
-sampling and the search table's [4,2,2] negative included.  Draws are
-derandomized, so every run sees the same codes."""
+per-block-list loops they replaced (kept here as the reference, over the
+same unit upper-triangular B, A~ and A), filter sampling and the search
+table's [4,2,2] negative included.  Over F_9, F_25 and F_27 the exact
+verdicts also match the reference run over every nonsingular
+upper-triangular B, A~ and A, the family the criterion quantifies over.
+Draws are derandomized, so every run sees the same codes."""
 
 import random
 from itertools import product
@@ -14,7 +17,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_matrix import enum_base_matrices, enum_ut_nonsingular
+from test_matrix import enum_base_matrices, enum_ut_nonsingular, enum_ut_unit
 
 from sumrank import block_codes
 from sumrank.block_codes import (
@@ -24,6 +27,8 @@ from sumrank.block_codes import (
     assemble_generator,
     check_msrd_systematic,
     check_msrd_transforms,
+    construct_gabidulin,
+    systematic_form,
 )
 from sumrank.conv_codes import (
     PolyEncoder,
@@ -36,7 +41,11 @@ from sumrank.conv_codes import (
 from sumrank.field import base_field, field
 from sumrank.matrix import Matrix, block_diag
 from sumrank.report import INFEASIBLE
-from sumrank.superregular import count_square_selections, square_selections
+from sumrank.superregular import (
+    count_square_selections,
+    full_size_selections,
+    square_selections,
+)
 from sumrank.metrics import (
     LengthPartition,
     column_distance_bound,
@@ -46,6 +55,7 @@ from sumrank.metrics import (
 
 F8 = field(2, 3)
 F9 = field(3, 2)
+F25 = field(5, 2)
 F27 = field(3, 3)
 F2048 = field(2, 11)
 
@@ -57,16 +67,19 @@ def _entries(f, count):
 
 
 @st.composite
-def odd_block_codes(draw):
-    f = draw(st.sampled_from([F9, F27]))
-    parts, dims = draw(st.sampled_from([((2, 2), (1, 1)), ((4,), (2,))]))
+def odd_block_codes(draw, fields=(F9, F27)):
+    f = draw(st.sampled_from(fields))
+    # one 4 x 4 block: its 4^4 * 5^6 nonsingular upper-triangular A over
+    # F_5 are too many to list for the full-family reference
+    shapes = [((2, 2), (1, 1))] + ([((4,), (2,))] if f.q == 3 else [])
+    parts, dims = draw(st.sampled_from(shapes))
     parity = Matrix(2, 2, f, draw(_entries(f, 4)))
     return SystematicBlockCode(LengthPartition(parts), dims, parity)
 
 
 @st.composite
-def odd_encoders(draw):
-    f = draw(st.sampled_from([F9, F27]))
+def odd_encoders(draw, fields=(F9, F27)):
+    f = draw(st.sampled_from(fields))
     p0 = draw(st.integers(0, f.order - 1))
     p1 = draw(st.integers(1, f.order - 1))
     return PolyEncoder.from_parity([Matrix(1, 1, f, [p0]), Matrix(1, 1, f, [p1])])
@@ -83,10 +96,19 @@ def memory_one_encoders(draw):
     return PolyEncoder.from_parity(coeffs)
 
 
-_POSITIVE_F27 = SystematicBlockCode(
-    LengthPartition((2, 2)), (1, 1),
-    Matrix(2, 2, F27, [F27.alpha_pow(e) for e in (1, 2, 3, 5)]),
-)
+def _two_block_code(f):
+    """[4,2] over f with blocks (2, 2), (1, 1) and parity a, a^2, a^3, a^5:
+    MSRD over F_9, F_25 and F_27."""
+    return SystematicBlockCode(LengthPartition((2, 2)), (1, 1),
+                               Matrix(2, 2, f, [f.alpha_pow(e) for e in (1, 2, 3, 5)]))
+
+
+def _memory_one_encoder(f):
+    """[2,1,1] with parity a, a^2: m-MSR over F_9, F_25 and F_27."""
+    return PolyEncoder.from_parity([Matrix(1, 1, f, [f.alpha_pow(e)]) for e in (1, 2)])
+
+
+_POSITIVE_F27 = _two_block_code(F27)
 
 # P_0 = [a, a^2] over F_8: 1, a, a^2 are independent over F_2, so the
 # [3,1] block code is MRD and level 0 is a positive
@@ -98,14 +120,15 @@ _MRD_LEVEL_ZERO = PolyEncoder.from_parity(
 # -- the per-block-list loops the lazy enumeration replaced ------------------
 
 
-def reference_family(p, ks, nks, grid, mode, resamples, rng):
+def reference_family(p, ks, nks, grid, mode, resamples, rng, upper=enum_ut_unit):
     """(verdict, checked, witness, filtered, sampled) of the (B, A~, C)
     loop over products of per-block lists, each tuple assembled by
-    block_diag; filter passes draw `resamples` C block by block, row by
-    row (every C when there are no more)."""
+    block_diag; B and A~ blocks come from upper(size, q); filter passes
+    draw `resamples` C block by block, row by row (every C when there are
+    no more)."""
     q = p.field.q
-    b_sets = [list(enum_ut_nonsingular(k, q)) for k in ks]
-    a_sets = [list(enum_ut_nonsingular(w, q)) for w in nks]
+    b_sets = [list(upper(k, q)) for k in ks]
+    a_sets = [list(upper(w, q)) for w in nks]
     c_sets = [list(enum_base_matrices(k, w, q)) for k, w in zip(ks, nks)]
     c_total = len(list(product(*c_sets)))
     checked = filtered = sampled = 0
@@ -114,7 +137,8 @@ def reference_family(p, ks, nks, grid, mode, resamples, rng):
         for a_blocks in product(*a_sets):
             bpa = bp @ block_diag(a_blocks)
             c_iter = map(block_diag, product(*c_sets))
-            if mode == "filter" and _minors_outside_base(bpa, grid):
+            if mode == "filter" and _minors_outside_base(
+                    bpa, square_selections(p.rows, p.cols, grid)):
                 filtered += 1
                 if c_total > resamples:
                     sampled += 1
@@ -135,7 +159,7 @@ def reference_family(p, ks, nks, grid, mode, resamples, rng):
     return True, checked, None, filtered, sampled
 
 
-def reference_mMSR(enc, mode, resamples):
+def reference_mMSR(enc, mode, resamples, upper=enum_ut_unit):
     """Every level on one random stream; a witness C cut into levels."""
     rng = random.Random(0)
     k, nk = enc.k, enc.n - enc.k
@@ -143,7 +167,7 @@ def reference_mMSR(enc, mode, resamples):
     for i in range(enc.m + 1):
         verdict, count, w, filtered, sampled = reference_family(
             sliding_parity(enc, i), [k] * (i + 1), [nk] * (i + 1), parity_grid(enc, i),
-            mode, resamples, rng)
+            mode, resamples, rng, upper)
         checked += count
         if verdict is False:
             c = w.pop("C")
@@ -156,11 +180,12 @@ def reference_mMSR(enc, mode, resamples):
     return True, checked, None, passes
 
 
-def reference_transforms(g, parts):
+def reference_transforms(g, parts, upper=enum_ut_unit):
     checked = 0
-    for blocks in product(*[list(enum_ut_nonsingular(n, g.field.q)) for n in parts]):
+    for blocks in product(*[list(upper(n, g.field.q)) for n in parts]):
         checked += 1
-        bad = _full_minors_nonzero(g @ block_diag(blocks))
+        bad = _full_minors_nonzero(g @ block_diag(blocks),
+                                   full_size_selections(g.rows, g.cols))
         if bad is not None:
             return False, checked, {"transform": [b.to_rows() for b in blocks],
                                     "rows": list(range(g.rows)), "cols": list(bad)}
@@ -261,9 +286,43 @@ def test_block_checkers_agree_in_odd_characteristic(code):
     assert exact.verdict == (d == code.n - code.k + 1)
 
 
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(odd_block_codes(fields=(F9, F25, F27)), odd_encoders(fields=(F9, F25, F27)))
+@example(_two_block_code(F9), _memory_one_encoder(F9))
+@example(_two_block_code(F25), _memory_one_encoder(F25))
+@example(_POSITIVE_F27, _memory_one_encoder(F27))
+def test_exact_verdicts_match_the_full_nonsingular_family(code, enc):
+    # the unit upper-triangular B, A~ and A the checkers enumerate decide
+    # the same as every nonsingular upper-triangular one
+    p, ks, nks = code.parity.lift(code.field), code.dim_partition, code.parity_widths
+    full = reference_family(p, ks, nks, None, "exact", 0, None, enum_ut_nonsingular)
+    assert check_msrd_systematic(code).verdict == full[0]
+    g = assemble_generator(code)
+    assert check_msrd_transforms(g, code.length_partition).verdict == reference_transforms(
+        g, code.length_partition.parts, enum_ut_nonsingular)[0]
+    assert check_mMSR(enc).verdict == reference_mMSR(enc, "exact", 0, enum_ut_nonsingular)[0]
+
+
+def test_unit_families_count_q_to_their_free_cells():
+    # Gabidulin [4,2] over F_81, one block: 3 unit B and 3 unit A~ (one
+    # free cell each), 81 C, so 729 T where every nonsingular B and A~
+    # gave 11,664; the transform side has 3^6 unit A
+    f = field(3, 4)
+    code = SystematicBlockCode(LengthPartition([4]), (2,),
+                               systematic_form(construct_gabidulin(4, 2, f)))
+    rep = check_msrd_systematic(code)
+    assert (rep.verdict, rep.checked_count) == (True, 729)
+    assert [rep.detail[c] for c in ("b_count", "a_count", "c_count")] == [3, 3, 81]
+    tr = check_msrd_transforms(assemble_generator(code), code.length_partition)
+    assert (tr.verdict, tr.checked_count, tr.detail["transform_count"]) == (True, 729, 729)
+
+
 def test_pinned_examples_are_positives():
     assert check_msrd_systematic(_POSITIVE_F27).verdict is True
     assert check_mMSR(_MRD_LEVEL_ZERO, 0).verdict is True
+    for f in (F9, F25, F27):
+        assert check_msrd_systematic(_two_block_code(f)).verdict is True
+        assert check_mMSR(_memory_one_encoder(f)).verdict is True
 
 
 @derandomized
