@@ -13,10 +13,10 @@ checkers test the full-size minors of G A.  The systematic side runs one
 engine, check_transform_family: it enumerates (B, A~, C) tuples and tests
 a superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i), one
 T per (B, A~) pair whose C cells it rewrites in place for each C.  For
-block codes the predicate is full superregularity; each level i of the
-convolutional m-MSR check (conv_codes) is the same engine on the sliding
-parity P_i^c, with row blocks (k)^(i+1), column blocks (n-k)^(i+1) and
-the block-grid predicate.  Its base-field filter tests exactly the minors
+block codes the predicate is full superregularity; the convolutional
+m-MSR check (conv_codes) runs the same engine once, on the sliding parity
+P_j^c of its top level j, with row blocks (k)^(j+1), column blocks
+(n-k)^(j+1) and the block-grid predicate.  Its base-field filter tests exactly the minors
 the predicate checks; a True detail says how many pairs rest on random C
 samples (sampled_pairs).  The predicates, the filter and the
 transform-side full-size minor test all evaluate minors through

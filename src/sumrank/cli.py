@@ -470,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-conv", help="run the m-MSR checker + oracles")
     p.add_argument("--encoder", required=True, help="encoder JSON file")
     p.add_argument("--j", type=int, default=None,
-                   help="verify levels 0..j (default: encoder memory m)")
+                   help="certifies levels 0..j by deciding level j "
+                   "(default: encoder memory m)")
     p.add_argument("--mode", choices=("exact", "filter"), default="filter")
     p.add_argument("--no-oracle", action="store_true")
     _add_common(p)

@@ -1,23 +1,26 @@
 """Polynomial encoders, sliding matrices, the transformed-parity family of
 the m-MSR criterion, its rank-profile oracle, systematization of general
-encoders, and the Frobenius-power construction.
+encoders, and the Frobenius-power construction with its exponent search.
 
 Level i of the m-MSR check is the block systematic check on the sliding
 parity P_i^c: block_codes.check_transform_family with row blocks
 (k)^(i+1), column blocks (n-k)^(i+1) and the block-grid predicate in
 place of full superregularity; its unit upper-triangular B and A~
-stand for all (matrix.enum_block_diag).  Its filter tests the
-grid-qualifying minors, the ones the predicate checks, and each level's
-True detail counts the pairs whose C were sampled.  A witness carries
-the level's C cut back into per-level blocks; its recheck is the block
-one, block_codes.recheck_family_witness, on the reassembled C."""
+stand for all (matrix.enum_block_diag).  The levels are nested, so
+check_mMSR(enc, j) runs that engine once, at level j, and level j
+passing certifies every level below it.  Its filter tests the
+grid-qualifying minors, the ones the predicate checks, and a True
+detail counts the pairs whose C were sampled.  A witness belongs to the
+level of the last block it touches and carries that level's B, A~ and
+C blocks; its recheck is the block one,
+block_codes.recheck_family_witness, on the reassembled C."""
 
 from __future__ import annotations
 
 import random
 import time
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 from .block_codes import (
     DEFAULT_TRANSFORM_BUDGET,
@@ -37,6 +40,7 @@ from .matrix import (
     inverse,
     rank,
 )
+from .metrics import BudgetExceeded, column_distance_bound, column_sum_rank_distance
 from .report import INFEASIBLE, VerificationReport
 from .superregular import BlockGrid
 
@@ -186,12 +190,23 @@ def check_mMSR(
     i <= j.  A true verdict certifies d^i = (i+1)(n-k)+1 for all i <= j.
 
     Level i is block_codes.check_transform_family on P_i^c with row blocks
-    (k)^(i+1), column blocks (n-k)^(i+1) and the block grid; one random
-    stream (seed 0) serves every level.  mode "filter" skips C enumeration
-    for pairs whose grid-qualifying minors all avoid the base field,
-    sampling random C tuples instead; pairs failing the filter fall back to
-    exact C enumeration.  A filter-mode True is exhaustive only when every
-    level's sampled_pairs is 0.
+    (k)^(i+1), column blocks (n-k)^(i+1) and the block grid.  The levels
+    are nested: P_i^c is the top-left (i+1) x (i+1) block corner of P_j^c,
+    and since B, A~ and C are block diagonal, the level-i family and its
+    grid-qualifying selections are the level-j ones cut to the first i+1
+    blocks.  So level j passing certifies every level i <= j (the sum-rank
+    form of "d^c_j maximal implies d^c_i maximal"), and the engine runs
+    once, at the largest level i* <= j whose family fits the budget:
+    False there reads False, True at j reads True, and True at i* < j
+    reads INFEASIBLE.  A witness belongs to the level of its last selected
+    column's block, the last block its rows or columns touch; its B, A~
+    and C blocks are cut to that level.
+
+    mode "filter" skips C enumeration for pairs whose grid-qualifying
+    minors all avoid the base field, sampling random C tuples (one random
+    stream, seed 0) instead; pairs failing the filter fall back to exact C
+    enumeration.  A filter-mode True is exhaustive only when its level's
+    sampled_pairs is 0.
     """
     if not enc.systematic:
         raise EncoderError("m-MSR check needs a systematic encoder")
@@ -200,35 +215,37 @@ def check_mMSR(
     if not 0 <= j <= enc.m:
         raise EncoderError(f"level j={j} outside [0, m={enc.m}]")
     start = time.perf_counter()
-    rng = random.Random(0)
     k, nk = enc.k, enc.n - enc.k
-    per_level = []
-    checked = 0
-    for i in range(j + 1):
-        ks, nks = [k] * (i + 1), [nk] * (i + 1)
-        rep = check_transform_family(
-            sliding_parity(enc, i), ks, nks, True, mode, budget, rng)
+    refused = None
+    for i in range(j, -1, -1):
+        rep = check_transform_family(sliding_parity(enc, i), [k] * (i + 1),
+                                     [nk] * (i + 1), True, mode, budget,
+                                     random.Random(0))
         rep.detail = {"level": i} | rep.detail
-        checked += rep.checked_count
-        per_level.append(rep.detail | {"verdict": rep.verdict})
-        if rep.verdict is not True:
-            if rep.verdict is False:
-                # C goes back into its per-level k x (n-k) diagonal blocks
-                w = rep.witness
-                c = Matrix.from_rows(w.pop("C"), enc.field)
-                w["transform"] = {"B": w.pop("B"), "A": w.pop("A"),
-                                  "C": diagonal_blocks(c, ks, nks)}
-                w["level"] = i
-            rep.detail["levels"] = per_level
-            rep.checked_count = checked
-            rep.elapsed = time.perf_counter() - start
-            return rep
-    return VerificationReport(
-        True,
-        checked_count=checked,
-        elapsed=time.perf_counter() - start,
-        detail={"levels": per_level, "mode": mode},
-    )
+        if rep.verdict != INFEASIBLE:
+            break
+        if refused is None:
+            refused = rep
+    levels = [rep.detail | {"verdict": rep.verdict}]
+    checked = rep.checked_count
+    if rep.verdict is False:
+        w = rep.witness
+        level = w["cols"][-1] // nk
+        # B, A~ and C go back into their k x k, (n-k) x (n-k) and k x (n-k)
+        # diagonal blocks, the witness level's first ones
+        c = Matrix.from_rows(w.pop("C"), enc.field)
+        w["transform"] = {
+            "B": w.pop("B")[:level + 1], "A": w.pop("A")[:level + 1],
+            "C": diagonal_blocks(c, [k] * (i + 1), [nk] * (i + 1))[:level + 1]}
+        w["level"] = level
+    elif refused is not None:
+        rep = refused
+    elif rep.verdict is True:
+        rep.detail = {"mode": mode}
+    rep.detail["levels"] = levels
+    rep.checked_count = checked
+    rep.elapsed = time.perf_counter() - start
+    return rep
 
 
 def transform_counts(enc: PolyEncoder, i: int):
@@ -443,6 +460,16 @@ def _is_primitive(a: int, field: Field) -> bool:
     return True
 
 
+def frobenius_class_exponents(field: Field):
+    """Exponents e in ascending order, coprime to q^M - 1, that are the
+    least of their Frobenius class {e q^i mod q^M - 1}: alpha^e runs over
+    one primitive element per conjugacy class."""
+    n, q = field.order - 1, field.q
+    for e in range(1, n):
+        if gcd(e, n) == 1 and all(e * q**i % n >= e for i in range(1, field.M)):
+            yield e
+
+
 def find_frobenius_alpha(
     n: int,
     k: int,
@@ -451,23 +478,33 @@ def find_frobenius_alpha(
     budget: int = DEFAULT_TRANSFORM_BUDGET,
 ) -> int | None:
     """Smallest exponent e (coprime to q^M - 1) such that the construction
-    seeded with alpha^e has maximal column distances d^j for all j <= m,
-    screened by the brute-force distance; None when no exponent works.
+    seeded with alpha^e is m-MSR, i.e. has maximal column distances d^j
+    for all j <= m; None when no exponent works.
 
-    Deterministic: exponents are tried in ascending order."""
-    from math import gcd
-
-    from .metrics import column_sum_rank_distance
-
-    for e in range(1, field.order - 1):
-        if gcd(e, field.order - 1) != 1:
-            continue
+    Conjugate exponents e q^i seed entrywise Frobenius images of one
+    encoder, which the field automorphism maps minor by minor, so they
+    share the verdict: only the least of each class is tried
+    (frobenius_class_exponents), in ascending order, and the smallest
+    working exponent is always one of them.  Each is screened by the exact
+    check_mMSR.  A hit is confirmed by the brute-force column distances
+    when they fit the budget (a disagreement raises RuntimeError); when the
+    check is over budget they decide alone."""
+    bounds = [column_distance_bound(j, n, k) for j in range(m + 1)]
+    for e in frobenius_class_exponents(field):
         enc = construct_frobenius(n, k, m, field, field.alpha_pow(e))
-        if all(
-            column_sum_rank_distance(enc, j, budget=budget)
-            == (j + 1) * (n - k) + 1
-            for j in range(m + 1)
-        ):
+        verdict = check_mMSR(enc, budget=budget).verdict
+        if verdict is False:
+            continue
+        try:
+            maximal = [column_sum_rank_distance(enc, j, budget=budget)
+                       for j in range(m + 1)] == bounds
+        except BudgetExceeded:
+            if verdict is True:
+                return e
+            raise
+        if verdict is True and not maximal:
+            raise RuntimeError(f"check_mMSR and the column distances disagree at e={e}")
+        if maximal:
             return e
     return None
 

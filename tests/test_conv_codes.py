@@ -5,6 +5,7 @@ construction."""
 
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 
@@ -17,6 +18,7 @@ from sumrank.conv_codes import (
     compute_L,
     construct_frobenius,
     find_frobenius_alpha,
+    frobenius_class_exponents,
     iter_rank_profiles,
     laurent_systematize,
     load_encoder,
@@ -154,7 +156,8 @@ def test_check_mMSR_positive_example():
     enc = construct_frobenius(2, 1, 1, F4)
     rep = check_mMSR(enc)
     assert rep.verdict is True
-    assert len(rep.detail["levels"]) == 2
+    # level 1 alone certifies levels 0 and 1
+    assert [lv["level"] for lv in rep.detail["levels"]] == [1]
     # certified distances match the brute force
     for j in range(2):
         assert column_sum_rank_distance(enc, j) == column_distance_bound(
@@ -356,6 +359,20 @@ def test_find_frobenius_alpha():
     for j in range(2):
         assert column_sum_rank_distance(enc, j) == column_distance_bound(j, 3, 2)
     assert find_frobenius_alpha(2, 1, 1, F4) == 1
+
+
+def test_find_frobenius_alpha_tries_one_exponent_per_class():
+    # phi(2^M - 1) / M classes: 1,936 coprime exponents make 176 classes
+    # over F_2^11 and 630 over F_2^13, where 8191 is prime
+    assert sum(1 for _ in frobenius_class_exponents(field(2, 11))) == 176
+    assert sum(1 for _ in frobenius_class_exponents(field(2, 13))) == 630
+    f16 = field(2, 4)
+    assert list(frobenius_class_exponents(f16)) == [1, 7]
+    # [3,2,1] over F_16 screens e = 1 and e = 7, one exact check each
+    with mock.patch("sumrank.conv_codes.check_mMSR", wraps=check_mMSR) as screen:
+        assert find_frobenius_alpha(3, 2, 1, f16) == 7
+    assert [c.args[0] for c in screen.call_args_list] == [
+        construct_frobenius(3, 2, 1, f16, f16.alpha_pow(e)) for e in (1, 7)]
 
 
 def test_compute_L_examples():

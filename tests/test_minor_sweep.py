@@ -306,7 +306,7 @@ def test_checkers_build_one_list_per_shape():
     # every check swept many matrices
     assert min(systematic.checked_count, mmsr.checked_count,
                transforms.checked_count) > 1
-    # one square list per check and level: systematic and m-MSR levels 0
-    # and 1, in each mode; one full-size list for the transform side
-    assert square.call_count == 2 * 3
+    # one square list per check: systematic and m-MSR level 1, in each
+    # mode; one full-size list for the transform side
+    assert square.call_count == 2 * 2
     assert full.call_count == 1

@@ -5,13 +5,17 @@ the column distances, level 0 of the m-MSR check against the block
 check it reduces to, and all three lazily enumerated checkers against the
 per-block-list loops they replaced (kept here as the reference, over the
 same unit upper-triangular B, A~ and A), filter sampling and the search
-table's [4,2,2] negative included.  Over F_9, F_25 and F_27 the exact
-verdicts also match the reference run over every nonsingular
-upper-triangular B, A~ and A, the family the criterion quantifies over.
-Draws are derandomized, so every run sees the same codes."""
+table's [4,2,2] negative included.  The m-MSR check decides its top level
+alone; its verdicts match the per-level loop it replaced (reference_mMSR)
+over F_2^M Frobenius encoders and odd-q ones, and every witness rechecks.
+Over F_9, F_25 and F_27 the exact verdicts also match the reference run
+over every nonsingular upper-triangular B, A~ and A, the family the
+criterion quantifies over.  Draws are derandomized, so every run sees the
+same codes."""
 
 import random
 from itertools import product
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -28,6 +32,7 @@ from sumrank.block_codes import (
     check_msrd_systematic,
     check_msrd_transforms,
     construct_gabidulin,
+    family_counts,
     systematic_form,
 )
 from sumrank.conv_codes import (
@@ -36,6 +41,7 @@ from sumrank.conv_codes import (
     check_mMSR_oracle,
     construct_frobenius,
     parity_grid,
+    recheck_mMSR_witness,
     sliding_parity,
 )
 from sumrank.field import base_field, field
@@ -47,6 +53,7 @@ from sumrank.superregular import (
     square_selections,
 )
 from sumrank.metrics import (
+    BudgetExceeded,
     LengthPartition,
     column_distance_bound,
     column_sum_rank_distance,
@@ -159,25 +166,44 @@ def reference_family(p, ks, nks, grid, mode, resamples, rng, upper=enum_ut_unit)
     return True, checked, None, filtered, sampled
 
 
+def _level_witness(w, level, k, nk):
+    """A reference_family witness in check_mMSR's layout: the B, A~ and C
+    diagonal blocks of levels 0..level, and the level."""
+    c = w.pop("C")
+    w["transform"] = {"B": w.pop("B")[:level + 1], "A": w.pop("A")[:level + 1], "C": [
+        [row[s * nk:(s + 1) * nk] for row in c[s * k:(s + 1) * k]]
+        for s in range(level + 1)]}
+    w["level"] = level
+    return w
+
+
 def reference_mMSR(enc, mode, resamples, upper=enum_ut_unit):
-    """Every level on one random stream; a witness C cut into levels."""
+    """The per-level loop the top-level check replaced: every level 0..m
+    in turn on one random stream, stopping at the first that fails."""
     rng = random.Random(0)
     k, nk = enc.k, enc.n - enc.k
-    checked, passes = 0, []
+    checked = 0
     for i in range(enc.m + 1):
-        verdict, count, w, filtered, sampled = reference_family(
+        verdict, count, w, _, _ = reference_family(
             sliding_parity(enc, i), [k] * (i + 1), [nk] * (i + 1), parity_grid(enc, i),
             mode, resamples, rng, upper)
         checked += count
         if verdict is False:
-            c = w.pop("C")
-            w["transform"] = {"B": w.pop("B"), "A": w.pop("A"), "C": [
-                [row[s * nk:(s + 1) * nk] for row in c[s * k:(s + 1) * k]]
-                for s in range(i + 1)]}
-            w["level"] = i
-            return False, checked, w, passes
-        passes.append((filtered, sampled))
-    return True, checked, None, passes
+            return False, checked, _level_witness(w, i, k, nk)
+    return True, checked, None
+
+
+def reference_top_level(enc, mode, resamples):
+    """(verdict, checked, witness, filtered, sampled) of the reference loop
+    at level m alone, on a fresh random stream; the witness belongs to its
+    last column's block."""
+    k, nk, m = enc.k, enc.n - enc.k, enc.m
+    verdict, checked, w, filtered, sampled = reference_family(
+        sliding_parity(enc, m), [k] * (m + 1), [nk] * (m + 1), parity_grid(enc, m),
+        mode, resamples, random.Random(0))
+    if w is not None:
+        w = _level_witness(w, w["cols"][-1] // nk, k, nk)
+    return verdict, checked, w, filtered, sampled
 
 
 def reference_transforms(g, parts, upper=enum_ut_unit):
@@ -221,11 +247,12 @@ def test_block_checkers_match_the_per_block_reference(code):
 def _same_mMSR_report(enc, mode, resamples, budget=block_codes.DEFAULT_TRANSFORM_BUDGET):
     with mock.patch.object(block_codes, "FILTER_RESAMPLE_COUNT", resamples):
         rep = check_mMSR(enc, mode=mode, budget=budget)
-    verdict, checked, witness, passes = reference_mMSR(enc, mode, resamples)
+    verdict, checked, witness, filtered, sampled = reference_top_level(enc, mode, resamples)
     assert (rep.verdict, rep.checked_count, rep.witness) == (verdict, checked, witness)
-    got = [(lv["filtered_pairs"], lv["sampled_pairs"])
-           for lv in rep.detail["levels"] if lv["verdict"] is True]
-    assert got == passes
+    [level] = rep.detail["levels"]
+    assert (level["level"], level["verdict"]) == (enc.m, verdict)
+    if verdict is True:
+        assert (level["filtered_pairs"], level["sampled_pairs"]) == (filtered, sampled)
     return rep
 
 
@@ -243,15 +270,16 @@ def test_mMSR_matches_the_per_block_reference(enc):
 _TABLE_NEGATIVE = construct_frobenius(4, 2, 2, F2048, F2048.alpha_pow(1))
 
 
-@pytest.mark.parametrize("mode, resamples, checked, sampled", [
-    ("exact", 1000, 5187, [0, 0]),
-    ("filter", 1000, 4176, [0, 0]),
-    ("filter", 3, 136, [4, 16]),
+@pytest.mark.parametrize("mode, resamples, checked", [
+    ("exact", 1000, 1027),
+    ("filter", 1000, 16),
+    ("filter", 3, 74),
 ])
-def test_table_negative_matches_the_per_block_reference(mode, resamples, checked, sampled):
+def test_table_negative_matches_the_per_block_reference(mode, resamples, checked):
     rep = _same_mMSR_report(_TABLE_NEGATIVE, mode, resamples, budget=10**9)
     assert (rep.verdict, rep.checked_count) == (False, checked)
-    assert [lv["sampled_pairs"] for lv in rep.detail["levels"][:2]] == sampled
+    w = rep.witness
+    assert (w["level"], w["rows"], w["cols"]) == (2, [0, 1, 3, 5], [1, 3, 4, 5])
 
 
 def test_engine_budget_charges_the_minors_the_grid_checks():
@@ -261,7 +289,7 @@ def test_engine_budget_charges_the_minors_the_grid_checks():
     assert len(square_selections(6, 6, parity_grid(_TABLE_NEGATIVE, 2))) == 553
     assert count_square_selections(6, 6) == 923
     rep = check_mMSR(_TABLE_NEGATIVE, mode="exact", budget=2 * 10**8)
-    assert (rep.verdict, rep.checked_count) == (False, 5187)
+    assert (rep.verdict, rep.checked_count) == (False, 1027)
     # a shape with more square selections than the budget is refused before
     # its list is built; from the square count on, the list is built and
     # the family charged
@@ -272,6 +300,81 @@ def test_engine_budget_charges_the_minors_the_grid_checks():
             rep = block_codes.check_transform_family(
                 p2, [2] * 3, [2] * 3, True, "exact", budget, random.Random(0))
         assert (rep.verdict, rep.checked_count, build.call_count) == (INFEASIBLE, 0, built)
+
+
+# -- one top-level run against the per-level loop ------------------------------
+
+# Frobenius shapes (n, k, m, M) over F_2^M whose per-level reference is quick
+_FROBENIUS_SHAPES = [(2, 1, 1, 3), (2, 1, 2, 4), (3, 1, 1, 4), (3, 1, 1, 5),
+                     (3, 2, 1, 3), (3, 2, 1, 4), (3, 1, 2, 5), (3, 2, 2, 4),
+                     (4, 2, 1, 4), (3, 2, 2, 7), (3, 1, 2, 9)]
+
+
+@st.composite
+def frobenius_encoders(draw):
+    n, k, m, deg = draw(st.sampled_from(_FROBENIUS_SHAPES))
+    f = field(2, deg)
+    e = draw(st.integers(1, f.order - 2).filter(lambda e: gcd(e, f.order - 1) == 1))
+    return construct_frobenius(n, k, m, f, f.alpha_pow(e))
+
+
+def _witness_is_genuine(enc, rep):
+    level = rep.witness["level"]
+    assert recheck_mMSR_witness(enc, rep.witness)
+    try:
+        d = column_sum_rank_distance(enc, level, budget=10**6)
+    except BudgetExceeded:
+        return
+    assert d < column_distance_bound(level, enc.n, enc.k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.one_of(frobenius_encoders(), odd_encoders(fields=(F9, F25, F27))))
+@example(construct_frobenius(4, 2, 1, field(2, 4), field(2, 4).alpha_pow(7)))
+@example(_memory_one_encoder(F25))
+def test_top_level_decides_like_the_per_level_loop(enc):
+    truth = reference_mMSR(enc, "exact", 0)[0]
+    exact = check_mMSR(enc, mode="exact")
+    assert exact.verdict == truth
+    filt = check_mMSR(enc, mode="filter")
+    # a filter False rests on a vanishing minor; a True is exhaustive when
+    # no pair sampled its C
+    if filt.verdict is False:
+        assert truth is False
+    elif filt.detail["levels"][0]["sampled_pairs"] == 0:
+        assert truth is True
+    for rep in (exact, filt):
+        if rep.verdict is False:
+            _witness_is_genuine(enc, rep)
+
+
+def _level_cost(enc, i):
+    """The exact engine's budget charge at level i: pairs x C x grid minors."""
+    ks, nks = [enc.k] * (i + 1), [enc.n - enc.k] * (i + 1)
+    b, a, c = family_counts(ks, nks, enc.field.q)
+    return b * a * c * len(square_selections(sum(ks), sum(nks), parity_grid(enc, i)))
+
+
+def test_a_refused_top_level_falls_back_to_the_largest_level_that_fits():
+    # [4,2,1]/F_16 at alpha^7 fails at level 0; a budget of level 0's
+    # charge refuses level 1, and level 0 still reads False
+    f16 = field(2, 4)
+    bad = construct_frobenius(4, 2, 1, f16, f16.alpha_pow(7))
+    assert reference_mMSR(bad, "exact", 0)[0] is False
+    rep = check_mMSR(bad, budget=_level_cost(bad, 0))
+    assert (rep.verdict, rep.witness["level"]) == (False, 0)
+    assert [(lv["level"], lv["verdict"]) for lv in rep.detail["levels"]] == [(0, False)]
+    _witness_is_genuine(bad, rep)
+    # a level-1 True under a budget that refuses level 2 certifies only
+    # levels 0 and 1, so the verdict is infeasible
+    good = construct_frobenius(2, 1, 2, field(2, 4))
+    assert check_mMSR(good).verdict is True
+    rep = check_mMSR(good, budget=_level_cost(good, 1))
+    assert rep.verdict == INFEASIBLE
+    assert (rep.detail["level"], rep.detail["budget"]) == (2, _level_cost(good, 1))
+    [level] = rep.detail["levels"]
+    assert (level["level"], level["verdict"]) == (1, True)
+    assert rep.checked_count == check_mMSR(good, 1).checked_count
 
 
 @derandomized
