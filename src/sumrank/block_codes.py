@@ -245,7 +245,6 @@ def check_transform_family(
     constrained: bool,
     mode: str,
     budget: int,
-    rng: random.Random,
 ) -> VerificationReport:
     """True iff diag(B_i) P diag(A~_i) + diag(C_i) satisfies the predicate
     for every tuple over F_q, q = P's base field: B_i (A~_i) nonsingular
@@ -259,12 +258,12 @@ def check_transform_family(
 
     mode "exact" enumerates every C.  mode "filter" first tests that every
     minor the predicate checks of B P A~ lies outside F_q; pairs that pass
-    draw FILTER_RESAMPLE_COUNT random C from rng (every C, when there are
-    no more), pairs that fail enumerate every C.  A True detail counts the
-    pairs that passed the filter (filtered_pairs) and those whose C were
-    drawn at random (sampled_pairs); the verdict is exhaustive only when
-    sampled_pairs is 0.  A False witness holds the B and A~ blocks, the
-    assembled C and the vanishing minor, as JSON rows.
+    draw FILTER_RESAMPLE_COUNT random C from the call's own stream, seeded
+    0 (every C, when there are no more), pairs that fail enumerate every C.
+    A True detail counts the pairs that passed the filter (filtered_pairs)
+    and those whose C were drawn at random (sampled_pairs); the verdict is
+    exhaustive only when sampled_pairs is 0.  A False witness holds the B
+    and A~ blocks, the assembled C and the vanishing minor, as JSON rows.
 
     Each pair fills one T: a copy of B P A~ whose C cells are rewritten in
     place for every C value tuple, and the predicate runs on it once per
@@ -292,6 +291,7 @@ def check_transform_family(
             elapsed=time.perf_counter() - start,
         )
     cells = block_diag_cells(ks, nks, False)
+    rng = random.Random(0)
     # C entries lie in F_q; over F_2^M adding one is XOR
     add = xor if q == 2 else p.field.add
     checked = 0
@@ -406,12 +406,11 @@ def check_msrd_systematic(
 ) -> VerificationReport:
     """MSRD iff diag(B_i) P diag(A~_i) + diag(C_i) is full superregular for
     every block tuple over F_q: check_transform_family with row blocks
-    (k_i), column blocks (n_i - k_i), no grid and a fresh random stream
-    (seed 0) for the filter.  The witness C is the whole k x (n-k)
-    matrix."""
+    (k_i), column blocks (n_i - k_i) and no grid.  The witness C is the
+    whole k x (n-k) matrix."""
     return check_transform_family(
         code.parity.lift(code.field), code.dim_partition, code.parity_widths,
-        False, mode, budget, random.Random(0),
+        False, mode, budget,
     )
 
 

@@ -17,7 +17,6 @@ block_codes.recheck_family_witness, on the reassembled C."""
 
 from __future__ import annotations
 
-import random
 import time
 from itertools import product
 from math import gcd, prod
@@ -203,10 +202,10 @@ def check_mMSR(
     and C blocks are cut to that level.
 
     mode "filter" skips C enumeration for pairs whose grid-qualifying
-    minors all avoid the base field, sampling random C tuples (one random
-    stream, seed 0) instead; pairs failing the filter fall back to exact C
-    enumeration.  A filter-mode True is exhaustive only when its level's
-    sampled_pairs is 0.
+    minors all avoid the base field, sampling random C tuples (the
+    engine's stream, seeded 0 per call) instead; pairs failing the filter
+    fall back to exact C enumeration.  A filter-mode True is exhaustive
+    only when its level's sampled_pairs is 0.
     """
     if not enc.systematic:
         raise EncoderError("m-MSR check needs a systematic encoder")
@@ -219,8 +218,7 @@ def check_mMSR(
     refused = None
     for i in range(j, -1, -1):
         rep = check_transform_family(sliding_parity(enc, i), [k] * (i + 1),
-                                     [nk] * (i + 1), True, mode, budget,
-                                     random.Random(0))
+                                     [nk] * (i + 1), True, mode, budget)
         rep.detail = {"level": i} | rep.detail
         if rep.verdict != INFEASIBLE:
             break

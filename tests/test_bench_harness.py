@@ -1,0 +1,39 @@
+"""The dev benchmark harness (benchmarks/bench.py) runs end to end: a
+kernel row and a checker row, one round of one timed call each, give one
+row per (row, kernel) in the BENCH schema with the pinned results and
+counts."""
+
+import json
+import subprocess
+import sys
+
+from conftest import ROOT
+
+ROW_KEYS = {"row", "instance", "side", "kernel", "loaded", "result", "wall_s",
+            "wall_s_quartiles", "wall_s_rounds", "host_speed_rounds", "layers"}
+
+
+def test_harness_runs_a_kernel_row_and_a_checker_row():
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/bench.py", "--rows", "expand-rank-f8;gab4x2-f81",
+         "--rounds", "1", "--calls", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert {"benchmark", "settings", "machine", "rows"} <= set(doc)
+    rows = {(r["row"], r["kernel"]): r for r in doc["rows"]}
+    assert len(rows) == len(doc["rows"]) == 4
+    assert set(rows) == {(row, kernel) for row in ("expand-rank-f8", "gab4x2-f81")
+                         for kernel in ("python", "c")}
+    for (name, kernel), row in rows.items():
+        assert set(row) == ROW_KEYS
+        # the c side loads the compiled kernel only where the tree has one built
+        assert row["loaded"] in (("python",) if kernel == "python" else ("python", "c"))
+        assert row["wall_s"] > 0 and len(row["wall_s_rounds"]) == 1
+        if name == "expand-rank-f8":
+            assert (row["result"], row["layers"]["vectors"]) == (57909, 20000)
+        else:
+            layers = row["layers"]
+            assert (row["result"], layers["block_codes.t_matrices"],
+                    layers["superregular.minors"]) == (True, 729, 3645)

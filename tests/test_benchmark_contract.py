@@ -1,7 +1,7 @@
 """The benchmark's traced self-tests on the current program: every call of
 a workload's plan passes its gates, each layer the workload must reach is
 reached, and the counts the trace takes equal the counts the reports
-carry.  One traced run per checker workload, about 3.5 s in all."""
+carry.  One traced run per workload, about 10 s in all."""
 
 import json
 import subprocess
@@ -12,7 +12,7 @@ import pytest
 from conftest import ROOT
 
 
-@pytest.mark.parametrize("workload", ["table1", "verify-conv"])
+@pytest.mark.parametrize("workload", ["table1", "verify-conv", "verify-block"])
 def test_traced_benchmark_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",

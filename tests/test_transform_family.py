@@ -298,7 +298,7 @@ def test_engine_budget_charges_the_minors_the_grid_checks():
         with mock.patch.object(block_codes, "square_selections",
                                wraps=block_codes.square_selections) as build:
             rep = block_codes.check_transform_family(
-                p2, [2] * 3, [2] * 3, True, "exact", budget, random.Random(0))
+                p2, [2] * 3, [2] * 3, True, "exact", budget)
         assert (rep.verdict, rep.checked_count, build.call_count) == (INFEASIBLE, 0, built)
 
 
