@@ -12,7 +12,10 @@ vanish, and diagonal scaling over F_q^* changes none
 checkers test the full-size minors of G A.  The systematic side runs one
 engine, check_transform_family: it enumerates (B, A~, C) tuples and tests
 a superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i), one
-T per (B, A~) pair whose C cells it rewrites in place for each C.  For
+T per (B, A~) pair whose C cells it rewrites in place for each C.  A
+minor depends only on the C cells inside its rows and columns, so after
+a pair's first T the predicate re-evaluates only the minors a changed C
+cell touches, on one sweep memo kept across the C values.  For
 block codes the predicate is full superregularity; the convolutional
 m-MSR check (conv_codes) runs the same engine once, on the sliding parity
 P_j^c of its top level j, with row blocks (k)^(j+1), column blocks
@@ -267,8 +270,17 @@ def check_transform_family(
 
     Each pair fills one T: a copy of B P A~ whose C cells are rewritten in
     place for every C value tuple, and the predicate runs on it once per
-    C on the selection list built once for the call.  A C matrix is built
-    only for a witness.
+    C, with one sweep memo (superregular.minor_sweep) kept for the call.
+    A pair's first T sweeps the whole selection list, built once for the
+    call.  A later T re-evaluates only the selections that contain a C
+    cell changed since the T before (selections.touching): in product
+    order the cells from the last nonzero value on, the carry's suffix,
+    and for a sampled C every C cell.  The others keep their minors, and
+    those were nonzero at the T before, or the call would have returned;
+    so the first vanishing minor, hence every report, is the full
+    sweep's.  detail's minors counts the minors evaluated, the sum of the
+    predicate calls' checked_count.  A C matrix is built only for a
+    witness.
     """
     if mode not in ("exact", "filter"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -291,12 +303,15 @@ def check_transform_family(
             elapsed=time.perf_counter() - start,
         )
     cells = block_diag_cells(ks, nks, False)
+    touching = selections.touching(cells)
+    memo = []
     rng = random.Random(0)
     # C entries lie in F_q; over F_2^M adding one is XOR
     add = xor if q == 2 else p.field.add
     checked = 0
     filtered = 0
     sampled = 0
+    minors = 0
     for b in enum_block_diag(ks, q):
         bp = b @ p
         for a in enum_block_diag(nks, q):
@@ -312,12 +327,21 @@ def check_transform_family(
                         else product(range(q), repeat=len(cells)))
             t = bpa.copy()
             base, data = bpa.data, t.data
-            for values in c_values:
+            for step, values in enumerate(c_values):
                 checked += 1
-                for i, v in zip(cells, values):
+                # the C cells from first on changed: in product order the
+                # last nonzero value's and the carry's, sampled C all
+                first = 0
+                if step and not sample:
+                    first = len(values) - 1
+                    while not values[first]:
+                        first -= 1
+                for i, v in zip(cells[first:], values[first:]):
                     data[i] = add(base[i], v)
-                rep = (is_full_superregular(t, entries=selections) if grid is None
-                       else is_superregular_constrained(t, grid, entries=selections))
+                entries = touching[first] if step else selections
+                rep = (is_full_superregular(t, entries=entries, memo=memo) if grid is None
+                       else is_superregular_constrained(t, grid, entries=entries, memo=memo))
+                minors += rep.checked_count
                 if rep.verdict is False:
                     c = Matrix(p.rows, p.cols, base_field(q))
                     for i, v in zip(cells, values):
@@ -333,14 +357,14 @@ def check_transform_family(
                         },
                         checked_count=checked,
                         elapsed=time.perf_counter() - start,
-                        detail=counts,
+                        detail=counts | {"minors": minors},
                     )
     return VerificationReport(
         True,
         checked_count=checked,
         elapsed=time.perf_counter() - start,
         detail=counts | {"mode": mode, "filtered_pairs": filtered,
-                         "sampled_pairs": sampled},
+                         "sampled_pairs": sampled, "minors": minors},
     )
 
 

@@ -36,6 +36,7 @@ from .conv_codes import (
     check_mMSR_oracle,
     construct_frobenius,
     load_encoder,
+    parity_grid,
     recheck_mMSR_witness,
     recheck_oracle_witness,
     transform_counts,
@@ -323,8 +324,10 @@ def cmd_table1(args) -> int:
             "alpha_exponent": e,
             "verdict": _verdict_str(rep.verdict),
             "transform_counts": f"{a_total}x{b_total}",
+            # the engine's grid: its selection list is already built, and
+            # every selection outside it is trivial on this pattern
             "nontrivial_minors": count_nontrivial_minors(
-                _table1_pattern(n, k, m), min_size=2
+                _table1_pattern(n, k, m), parity_grid(enc, m), min_size=2
             ),
             # pairs whose C were drawn at random: a True with any is sampled
             "sampled_pairs": sum(lv.get("sampled_pairs", 0) for lv in rep.detail["levels"]),

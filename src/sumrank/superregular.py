@@ -22,9 +22,15 @@ one antilog lookup.  The selections it walks come from square_selections
 given); every Laplace sub-selection of a listed selection is listed
 before it.  A shape's list is kept for the process while it has at most
 SELECTION_CACHE_LIMIT entries, and a longer one is built per call; a
-checker builds its list once and passes it to every call (entries).
-Witness rechecks stay on matrix.det (Gaussian elimination), so each False
-witness is confirmed by a method independent of the sweep.
+checker builds its list once and passes it to every call (entries).  A
+caller that sweeps a run of matrices differing in a few cells keeps one
+memo across them (memo=) and passes, after the first, only the entries
+whose selection contains a changed cell: _Selections.touching builds
+those sub-lists once per cell list, kept with the list itself.  The
+structural count of non-trivial minors runs the same Laplace recursion
+over the same lists on Booleans.  Witness rechecks stay on matrix.det
+(Gaussian elimination), so each False witness is confirmed by a method
+independent of the sweep.
 """
 
 from __future__ import annotations
@@ -172,13 +178,39 @@ class _Selections(list):
     """Sweep entries (terms, sub, slot) and the memo layout they address:
     slots is the memo's length, and selection(slot) names a slot's minor."""
 
-    __slots__ = ("slots", "_bases", "_rows", "_cols")
+    __slots__ = ("slots", "_bases", "_rows", "_cols", "_ncols", "_touching")
 
     def selection(self, slot: int) -> tuple[tuple, tuple]:
         """(rows, cols) of the minor memoized at `slot`."""
         j = bisect_right(self._bases, slot) - 1
         ri = self._rows[j]
         return ri, self._cols[len(ri)][slot - self._bases[j]]
+
+    def touching(self, cells) -> list["_Selections"]:
+        """Sub-lists, one per i < len(cells): the entries whose selection
+        contains one of cells[i:] (flat indices row * cols + col), in sweep
+        order, on this list's memo layout.  Built once per cell list and
+        kept as long as this list is."""
+        key = tuple(cells)
+        out = self._touching.get(key)
+        if out is None:
+            where = {cell: i for i, cell in enumerate(key)}
+            w = self._ncols
+            last = []  # per entry, the last position of a cell it contains
+            for _, _, slot in self:
+                ri, ci = self.selection(slot)
+                last.append(max((where.get(r * w + c, -1) for r in ri for c in ci),
+                                default=-1))
+            out = self._touching[key] = [
+                self._sub([e for e, t in zip(self, last) if t >= i])
+                for i in range(len(key))]
+        return out
+
+    def _sub(self, items) -> "_Selections":
+        out = _Selections(items)
+        out.slots, out._bases, out._rows, out._cols = (
+            self.slots, self._bases, self._rows, self._cols)
+        return out
 
 
 def _entries(pairs, ncols: int) -> _Selections:
@@ -198,6 +230,7 @@ def _entries(pairs, ncols: int) -> _Selections:
     """
     out = _Selections()
     out._bases, out._rows, out._cols = [0], [()], [[()]]
+    out._ncols, out._touching = ncols, {}
     ranks = [{(): 0}]
     blocks = {(): (0, None)}  # row tuple -> (its base, its rows' sub base)
     by_last = {}
@@ -269,7 +302,7 @@ def _build_full_size_selections(rows: int, cols: int) -> _Selections:
     )
 
 
-def minor_sweep(m: Matrix, entries: _Selections, below: int):
+def minor_sweep(m: Matrix, entries: _Selections, below: int, memo: list | None = None):
     """Yield (position, rows, cols, minor) for each sweep entry whose minor
     has a code below `below`, in order: below=1 yields the vanishing minors,
     below=q the ones in the base field F_q (codes 0..q-1), and
@@ -278,25 +311,36 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int):
     Each minor is the Laplace expansion along its last selected row,
     sum over t of (-1)^((s-1)+t) m[r, c_t] times a memoized minor of size
     s-1, so every entry's sub-minors must come earlier in `entries` (the
-    listers above guarantee it).  The memo is one flat list of
-    entries.slots slots, addressed as _entries lays it out, and lives as
-    long as the generator; an entry's rows and columns are recovered from
-    its slot only when it is yielded.  Over a tabled field of
-    characteristic 2 the signs vanish, addition is XOR, and the sweep
-    takes each entry's discrete log once and memoizes the minors' logs,
-    so a term is one antilog lookup; otherwise products go through the
-    field.
+    listers above guarantee it) or already be in the memo.  The memo is
+    one flat list of entries.slots slots, addressed as _entries lays it
+    out; an entry's rows and columns are recovered from its slot only when
+    it is yielded.  Over a tabled field of characteristic 2 the signs
+    vanish, addition is XOR, and the sweep takes each entry's discrete log
+    once and memoizes the minors' logs, so a term is one antilog lookup;
+    otherwise products go through the field.
+
+    Without `memo` the memo lives as long as the generator.  A caller that
+    sweeps a run of matrices differing in a few cells passes its own list,
+    empty at first, and keeps it between the sweeps: a completed sweep
+    leaves every entry's minor there, so the next sweep may list only the
+    entries whose selection contains a changed cell (_Selections.touching);
+    the others, and the sub-minors they expand into, read the same.
     """
     f = m.field
     data = m.data
     selection = entries.selection
+    if memo is None:
+        memo = []
     if f.q == 2 and f.exp is not None:
         exp, log = f.exp, f.log
         n = f.order - 1
         # entries hold log - n, minors their log; None stands for zero
         logs = [log[a] - n if a else None for a in data]
-        memo = [None] * entries.slots
-        memo[0] = 0
+        if not memo:
+            # grown in place: a temporary list would double the peak
+            memo.append(None)
+            memo *= entries.slots
+            memo[0] = 0
         for pos, (terms, sub, slot) in enumerate(entries):
             acc = 0
             for i, rank in terms:
@@ -311,8 +355,10 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int):
             if acc < below:
                 yield (pos, *selection(slot), acc)
         return
-    memo = [0] * entries.slots
-    memo[0] = 1
+    if not memo:
+        memo.append(0)
+        memo *= entries.slots
+        memo[0] = 1
     add, neg, mul = f.add, f.neg, f.mul
     for pos, (terms, sub, slot) in enumerate(entries):
         acc = 0
@@ -339,7 +385,13 @@ def _check_minors(
     grid: BlockGrid | None = None,
     budget: int = DEFAULT_SELECTION_BUDGET,
     entries: _Selections | None = None,
+    memo: list | None = None,
 ) -> VerificationReport:
+    """First vanishing minor among `entries` (m's square_selections by
+    default), skipping the trivial ones when asked.  checked_count counts
+    the minors evaluated, up to the witness and less the skipped ones: for
+    a sub-list swept on the caller's memo (see minor_sweep), the sub-list's
+    entries, not the whole list's."""
     start = time.perf_counter()
     total = count_square_selections(m.rows, m.cols)
     if total > budget:
@@ -352,7 +404,7 @@ def _check_minors(
     if entries is None:
         entries = square_selections(m.rows, m.cols, grid)
     skipped = 0
-    for pos, ri, ci, _ in minor_sweep(m, entries, 1):
+    for pos, ri, ci, _ in minor_sweep(m, entries, 1, memo):
         # every trivial minor vanishes, so the skip only looks at zeros
         if skip_trivial and is_trivial_minor(pattern, ri, ci):
             skipped += 1
@@ -375,19 +427,24 @@ def is_superregular(m: Matrix, budget: int = DEFAULT_SELECTION_BUDGET) -> Verifi
 
 
 def is_full_superregular(m: Matrix, budget: int = DEFAULT_SELECTION_BUDGET,
-                         entries: _Selections | None = None) -> VerificationReport:
+                         entries: _Selections | None = None,
+                         memo: list | None = None) -> VerificationReport:
     """Every minor of every size nonzero (hence every entry nonzero);
-    entries, when given, are m's square_selections."""
-    return _check_minors(m, skip_trivial=False, budget=budget, entries=entries)
+    entries, when given, are m's square_selections, or with the caller's
+    memo (see minor_sweep) the sub-list of them it must re-evaluate, the
+    others being nonzero already.  checked_count counts the entries
+    evaluated."""
+    return _check_minors(m, skip_trivial=False, budget=budget, entries=entries,
+                         memo=memo)
 
 
 def is_superregular_constrained(
     m: Matrix, grid: BlockGrid, budget: int = DEFAULT_SELECTION_BUDGET,
-    entries: _Selections | None = None,
+    entries: _Selections | None = None, memo: list | None = None,
 ) -> VerificationReport:
     """Every square submatrix whose diagonal stays in blocks (s, t) with
-    s <= t is nonsingular; entries, when given, are m's grid-filtered
-    square_selections.
+    s <= t is nonsingular; entries and memo as for is_full_superregular,
+    on the grid-filtered square_selections.
 
     On block-upper-triangular matrices this agrees with plain
     superregularity: a zero on a qualifying diagonal forces zeros right
@@ -395,7 +452,8 @@ def is_superregular_constrained(
     """
     if grid.rows != m.rows or grid.cols != m.cols:
         raise ValueError("block grid dimensions disagree with the matrix")
-    return _check_minors(m, skip_trivial=False, grid=grid, budget=budget, entries=entries)
+    return _check_minors(m, skip_trivial=False, grid=grid, budget=budget,
+                         entries=entries, memo=memo)
 
 
 def count_nontrivial_minors(
@@ -406,16 +464,23 @@ def count_nontrivial_minors(
 ) -> int:
     """Number of square selections (grid-qualifying, when a grid is given)
     whose minor is non-trivial.  min_size=2 drops the 1x1 minors, matching
-    the counting convention of published search tables."""
+    the counting convention of published search tables.
+
+    One Boolean Laplace sweep over square_selections: a selection admits a
+    perfect matching of supported entries iff some supported entry of its
+    last row leaves a sub-selection that admits one."""
     total = count_square_selections(pattern.rows, pattern.cols)
     if total > budget:
         raise ValueError(f"selection count {total} exceeds budget {budget}")
+    if grid is not None and (grid.rows, grid.cols) != (pattern.rows, pattern.cols):
+        raise ValueError("block grid dimensions disagree with the pattern")
+    entries = square_selections(pattern.rows, pattern.cols, grid)
+    support = [v for row in pattern.support for v in row]
+    nontrivial = bytearray(entries.slots)
+    nontrivial[0] = 1  # the empty selection
     count = 0
-    for ri, ci in iter_square_selections(pattern.rows, pattern.cols):
-        if len(ri) < min_size:
-            continue
-        if grid is not None and not grid.diagonal_allowed(ri, ci):
-            continue
-        if not is_trivial_minor(pattern, ri, ci):
-            count += 1
+    for terms, sub, slot in entries:
+        if any(support[i] and nontrivial[sub + rank] for i, rank in terms):
+            nontrivial[slot] = 1
+            count += len(terms) >= min_size
     return count

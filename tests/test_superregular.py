@@ -1,11 +1,13 @@
 """Trivial-minor detection against the permutation brute force, the
-superregularity predicates, and the minor-counting conventions."""
+superregularity predicates, and the minor-counting conventions, the
+structural count against one perfect-matching test per selection."""
 
 import random
 from itertools import permutations, product
 
 import pytest
 
+from sumrank.cli import TABLE1_ROWS, _table1_pattern
 from sumrank.field import base_field, field
 from sumrank.matrix import Matrix
 from sumrank.report import INFEASIBLE
@@ -164,6 +166,47 @@ def test_count_nontrivial_minors():
         ]
     )
     assert count_nontrivial_minors(t2, min_size=2) == 7
+
+
+def _matching_count(pattern, grid=None, min_size=1):
+    """The per-selection count the Laplace sweep replaced: one
+    perfect-matching test per (grid-qualifying) square selection."""
+    return sum(
+        1 for ri, ci in iter_square_selections(pattern.rows, pattern.cols)
+        if len(ri) >= min_size
+        and (grid is None or grid.diagonal_allowed(ri, ci))
+        and not is_trivial_minor(pattern, ri, ci))
+
+
+def _composition(rng, total, parts):
+    """A random split of total into parts positive sizes."""
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def test_nontrivial_count_matches_the_matching_count():
+    for n, k, m, _, _ in TABLE1_ROWS:
+        pattern = _table1_pattern(n, k, m)
+        grid = BlockGrid.uniform(k, n - k, m + 1)
+        want = _matching_count(pattern, min_size=2)
+        # on the block-upper-triangular pattern every selection outside the
+        # grid is trivial, so the grid changes no count
+        assert _matching_count(pattern, grid, min_size=2) == want
+        for g in (None, grid):
+            assert count_nontrivial_minors(pattern, g, min_size=2) == want
+    rng = random.Random(3)
+    for rows, cols in [(1, 1), (2, 3), (3, 2), (4, 4), (3, 5), (5, 3)]:
+        blocks = rng.randint(1, min(rows, cols))
+        grid = BlockGrid(_composition(rng, rows, blocks), _composition(rng, cols, blocks))
+        for share in (0.2, 0.5, 0.8):
+            pattern = ZeroPattern([[rng.random() < share for _ in range(cols)]
+                                   for _ in range(rows)])
+            for g in (None, grid):
+                for min_size in (1, 2):
+                    assert count_nontrivial_minors(pattern, g, min_size=min_size) == \
+                        _matching_count(pattern, g, min_size)
+    with pytest.raises(ValueError):
+        count_nontrivial_minors(ZeroPattern([[True]]), BlockGrid([1], [2]))
 
 
 def test_selection_enumeration_order():
