@@ -289,21 +289,33 @@ def check_transform_family(
     grid = BlockGrid(ks, nks) if constrained else None
     b_count, a_count, c_count = family_counts(ks, nks, q)
     counts = {"b_count": b_count, "a_count": a_count, "c_count": c_count}
-    # budget unit: one minor evaluation, charged for the minors the predicate
-    # checks; a shape with more square selections than the budget is refused
-    # before its list is built
-    per_pair = c_count if mode == "exact" else FILTER_RESAMPLE_COUNT + 1
-    selections = None
-    if count_square_selections(p.rows, p.cols) <= budget:
-        selections = square_selections(p.rows, p.cols, grid)
-    if selections is None or b_count * a_count * per_pair * len(selections) > budget:
-        return VerificationReport(
-            INFEASIBLE,
-            detail=counts | {"budget": budget},
-            elapsed=time.perf_counter() - start,
-        )
+    # a shape with more square selections than the budget is refused before
+    # its list is built
+    if count_square_selections(p.rows, p.cols) > budget:
+        return VerificationReport(INFEASIBLE, detail=counts | {"budget": budget},
+                                  elapsed=time.perf_counter() - start)
+    selections = square_selections(p.rows, p.cols, grid)
     cells = block_diag_cells(ks, nks, False)
     touching = selections.touching(cells)
+    # budget unit: one minor evaluation.  An exhaustive pair sweeps the whole
+    # list for its first C, and each of the (q-1) q^i later C whose last
+    # nonzero value is at cells[i] re-evaluates touching[i].  A filter pair
+    # adds its filter sweep; one that samples may instead sweep once and
+    # re-evaluate touching[0] for every other drawn C, and is charged the
+    # larger of the two.
+    per_pair = len(selections) + sum((q - 1) * q**i * len(sub)
+                                     for i, sub in enumerate(touching))
+    if mode == "filter":
+        sampling = (len(selections) + (FILTER_RESAMPLE_COUNT - 1) * len(touching[0])
+                    if c_count > FILTER_RESAMPLE_COUNT else 0)
+        per_pair = len(selections) + max(per_pair, sampling)
+    charge = b_count * a_count * per_pair
+    if charge > budget:
+        return VerificationReport(
+            INFEASIBLE,
+            detail=counts | {"charge": charge, "budget": budget},
+            elapsed=time.perf_counter() - start,
+        )
     memo = []
     rng = random.Random(0)
     # C entries lie in F_q; over F_2^M adding one is XOR
@@ -357,14 +369,15 @@ def check_transform_family(
                         },
                         checked_count=checked,
                         elapsed=time.perf_counter() - start,
-                        detail=counts | {"minors": minors},
+                        detail=counts | {"minors": minors, "charge": charge},
                     )
     return VerificationReport(
         True,
         checked_count=checked,
         elapsed=time.perf_counter() - start,
         detail=counts | {"mode": mode, "filtered_pairs": filtered,
-                         "sampled_pairs": sampled, "minors": minors},
+                         "sampled_pairs": sampled, "minors": minors,
+                         "charge": charge},
     )
 
 

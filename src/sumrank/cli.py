@@ -29,6 +29,7 @@ from .block_codes import (
     recheck_transform_witness,
     recheck_witness,
     systematic_form,
+    witness_minor_vanishes,
 )
 from .conv_codes import (
     PolyEncoder,
@@ -369,11 +370,15 @@ def cmd_recheck(args) -> int:
             ok = recheck_mMSR_witness(enc, witness)
     elif args.code:
         code = load_code(args.code)
+        check = str(prior.get("check", ""))
         # the MRD checks treat the whole length as one block
-        mrd = str(prior.get("check", "")).startswith("mrd-")
+        mrd = check.startswith("mrd-")
         if "transform" in witness:
             partition = LengthPartition([code.n]) if mrd else code.length_partition
             ok = recheck_transform_witness(assemble_generator(code), partition, witness)
+        elif check == "mds":
+            # a vanishing minor of P itself, no transform
+            ok = witness_minor_vanishes(code.parity, witness)
         else:
             if mrd:
                 code = SystematicBlockCode(LengthPartition([code.n]), (code.k,), code.parity)

@@ -209,14 +209,6 @@ class Field:
             return (-self.poly[0]) % self.q
         return self.q
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def add(self, a: int, b: int) -> int:
         if self.q == 2:
             return a ^ b
@@ -269,9 +261,6 @@ class Field:
         if self.exp is not None:
             return self.exp[(-self.log[a]) % (self.order - 1)]
         return self.pow(a, self.order - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

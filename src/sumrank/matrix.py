@@ -4,6 +4,8 @@ Entries are integer element codes stored row-major.  Matrices over the
 prime field F_q and over an extension F_{q^M} share this type; products
 that mix the two lift base-field entries through the natural inclusion
 (constant polynomials keep their codes, so lifting is a no-op on data).
+det, rank and inverse run one forward elimination (_eliminate); inverse
+adds only its back-substitution.
 """
 
 from __future__ import annotations
@@ -55,10 +57,6 @@ class Matrix:
         for i in range(n):
             m.data[i * n + i] = 1
         return m
-
-    @classmethod
-    def zero(cls, rows: int, cols: int, field: Field) -> "Matrix":
-        return cls(rows, cols, field)
 
     # -- element access ---------------------------------------------------
 
@@ -227,85 +225,68 @@ def _align(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
 # -- elimination-based operations -----------------------------------------
 
 
+def _eliminate(a: list[list[int]], f: Field):
+    """Forward elimination of the rows a (lists of codes) in place, for
+    det, rank and inverse: per column, pivot on the first nonzero at or
+    below the current row, swap it up, yield (row, column, swapped), then
+    clear the column below it.  A caller may stop at any yield."""
+    width = len(a[0]) if a else 0
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        yield r, c, piv != r
+        prow = a[r]
+        pinv = f.inv(prow[c])
+        for arow in a[r + 1:]:
+            if arow[c]:
+                factor = f.mul(arow[c], pinv)
+                for j in range(c, width):
+                    arow[j] = f.sub(arow[j], f.mul(factor, prow[j]))
+        r += 1
+
+
 def det(m: Matrix) -> int:
-    """Determinant by Gaussian elimination, pivoting on the first nonzero."""
+    """Determinant by forward elimination: the signed product of the
+    pivots, 0 at the first column without one."""
     if m.rows != m.cols:
         raise MatrixError("determinant of non-square matrix")
     f = m.field
-    n = m.rows
-    a = [m.row(r) for r in range(n)]
-    result = 1
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if a[r][c]:
-                piv = r
-                break
-        if piv is None:
+    a = [m.row(r) for r in range(m.rows)]
+    result, r = 1, -1
+    for r, c, swapped in _eliminate(a, f):
+        if c != r:
             return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            result = f.neg(result)
-        pv = a[c][c]
-        result = f.mul(result, pv)
-        pinv = f.inv(pv)
-        for r in range(c + 1, n):
-            if a[r][c]:
-                factor = f.mul(a[r][c], pinv)
-                arow, crow = a[r], a[c]
-                for j in range(c, n):
-                    arow[j] = f.sub(arow[j], f.mul(factor, crow[j]))
-    return result
+        result = f.mul(f.neg(result) if swapped else result, a[r][c])
+    # r is the last pivot's row: fewer than n pivots leave a zero column
+    return result if r == m.rows - 1 else 0
 
 
 def rank(m: Matrix) -> int:
-    f = m.field
-    a = [m.row(r) for r in range(m.rows)]
-    rnk = 0
-    for c in range(m.cols):
-        piv = None
-        for r in range(rnk, m.rows):
-            if a[r][c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rnk], a[piv] = a[piv], a[rnk]
-        pinv = f.inv(a[rnk][c])
-        for r in range(rnk + 1, m.rows):
-            if a[r][c]:
-                factor = f.mul(a[r][c], pinv)
-                arow, prow = a[r], a[rnk]
-                for j in range(c, m.cols):
-                    arow[j] = f.sub(arow[j], f.mul(factor, prow[j]))
-        rnk += 1
-        if rnk == m.rows:
-            break
-    return rnk
+    """Number of pivots of the forward elimination."""
+    return sum(1 for _ in _eliminate([m.row(r) for r in range(m.rows)], m.field))
 
 
 def inverse(m: Matrix) -> Matrix:
+    """Forward elimination of [m | I], then back-substitution from the
+    last pivot up."""
     if m.rows != m.cols:
         raise MatrixError("inverse of non-square matrix")
     f = m.field
     n = m.rows
-    a = [m.row(r) + Matrix.identity(n, f).row(r) for r in range(n)]
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if a[r][c]:
-                piv = r
-                break
-        if piv is None:
-            raise MatrixError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
+    a = [m.row(r) + [int(r == c) for c in range(n)] for r in range(n)]
+    # [m | I] has n pivots; m is singular iff one lies right of the diagonal
+    if any(c != r for r, c, _ in _eliminate(a, f)):
+        raise MatrixError("matrix is singular")
+    for c in range(n - 1, -1, -1):
         pinv = f.inv(a[c][c])
-        a[c] = [f.mul(pinv, v) for v in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                factor = a[r][c]
-                arow, crow = a[r], a[c]
-                for j in range(2 * n):
+        crow = a[c] = [f.mul(pinv, v) for v in a[c]]
+        for arow in a[:c]:
+            if arow[c]:
+                factor = arow[c]
+                for j in range(c, 2 * n):
                     arow[j] = f.sub(arow[j], f.mul(factor, crow[j]))
     return Matrix.from_rows([row[n:] for row in a], f)
 

@@ -1,4 +1,4 @@
-"""Trivial-minor detection, the minor sweep and the superregularity
+"""The minor sweep, trivial-minor detection and the superregularity
 predicates.
 
 A square minor is *trivial* when every Leibniz term of its determinant
@@ -26,11 +26,11 @@ checker builds its list once and passes it to every call (entries).  A
 caller that sweeps a run of matrices differing in a few cells keeps one
 memo across them (memo=) and passes, after the first, only the entries
 whose selection contains a changed cell: _Selections.touching builds
-those sub-lists once per cell list, kept with the list itself.  The
-structural count of non-trivial minors runs the same Laplace recursion
-over the same lists on Booleans.  Witness rechecks stay on matrix.det
-(Gaussian elimination), so each False witness is confirmed by a method
-independent of the sweep.
+those sub-lists once per cell list, kept with the list itself.  One
+Boolean sweep, the same recursion over the same lists (nontrivial_slots),
+decides triviality for count_nontrivial_minors and is_superregular.
+Witness rechecks stay on matrix.det (Gaussian elimination), so each False
+witness is confirmed by a method independent of the sweep.
 """
 
 from __future__ import annotations
@@ -111,43 +111,6 @@ def _index_to_block(sizes) -> list[int]:
     for b, s in enumerate(sizes):
         out.extend([b] * s)
     return out
-
-
-# -- trivial minors ----------------------------------------------------------
-
-
-def has_perfect_matching(adj: list[list[int]], n_right: int) -> bool:
-    """Perfect matching on a bipartite graph via augmenting paths.
-
-    adj[u] lists the right vertices adjacent to left vertex u.
-    """
-    match_right = [-1] * n_right
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] == -1 or augment(match_right[v], seen):
-                    match_right[v] = u
-                    return True
-        return False
-
-    for u in range(len(adj)):
-        if not augment(u, [False] * n_right):
-            return False
-    return True
-
-
-def is_trivial_minor(pattern: ZeroPattern, row_indices, col_indices) -> bool:
-    """True iff no permutation selects all-nonzero entries of the submatrix."""
-    ri, ci = list(row_indices), list(col_indices)
-    if len(ri) != len(ci):
-        raise ValueError("minor selection is not square")
-    adj = [
-        [j for j, c in enumerate(ci) if pattern[r, c]]
-        for r in ri
-    ]
-    return not has_perfect_matching(adj, len(ci))
 
 
 # -- selection enumeration ----------------------------------------------------
@@ -400,13 +363,13 @@ def _check_minors(
             detail={"selection_count": total, "budget": budget},
             elapsed=time.perf_counter() - start,
         )
-    pattern = ZeroPattern.of(m) if skip_trivial else None
     if entries is None:
         entries = square_selections(m.rows, m.cols, grid)
+    nontrivial = nontrivial_slots(ZeroPattern.of(m), entries) if skip_trivial else None
     skipped = 0
     for pos, ri, ci, _ in minor_sweep(m, entries, 1, memo):
         # every trivial minor vanishes, so the skip only looks at zeros
-        if skip_trivial and is_trivial_minor(pattern, ri, ci):
+        if skip_trivial and not nontrivial[entries[pos][2]]:
             skipped += 1
             continue
         return VerificationReport(
@@ -456,6 +419,22 @@ def is_superregular_constrained(
                          entries=entries, memo=memo)
 
 
+def nontrivial_slots(pattern: ZeroPattern, entries: _Selections) -> bytearray:
+    """Per memo slot of entries (a full square_selections list), 1 iff
+    the slot's minor is non-trivial under pattern, else 0.
+
+    One Boolean Laplace sweep: a selection admits a perfect matching of
+    supported entries iff some supported entry of its last row leaves a
+    sub-selection that admits one."""
+    support = [v for row in pattern.support for v in row]
+    nontrivial = bytearray(entries.slots)
+    nontrivial[0] = 1  # the empty selection
+    for terms, sub, slot in entries:
+        if any(support[i] and nontrivial[sub + rank] for i, rank in terms):
+            nontrivial[slot] = 1
+    return nontrivial
+
+
 def count_nontrivial_minors(
     pattern: ZeroPattern,
     grid: BlockGrid | None = None,
@@ -463,24 +442,15 @@ def count_nontrivial_minors(
     min_size: int = 1,
 ) -> int:
     """Number of square selections (grid-qualifying, when a grid is given)
-    whose minor is non-trivial.  min_size=2 drops the 1x1 minors, matching
-    the counting convention of published search tables.
-
-    One Boolean Laplace sweep over square_selections: a selection admits a
-    perfect matching of supported entries iff some supported entry of its
-    last row leaves a sub-selection that admits one."""
+    whose minor is non-trivial (nontrivial_slots).  min_size=2 drops the
+    1x1 minors, matching the counting convention of published search
+    tables."""
     total = count_square_selections(pattern.rows, pattern.cols)
     if total > budget:
         raise ValueError(f"selection count {total} exceeds budget {budget}")
     if grid is not None and (grid.rows, grid.cols) != (pattern.rows, pattern.cols):
         raise ValueError("block grid dimensions disagree with the pattern")
     entries = square_selections(pattern.rows, pattern.cols, grid)
-    support = [v for row in pattern.support for v in row]
-    nontrivial = bytearray(entries.slots)
-    nontrivial[0] = 1  # the empty selection
-    count = 0
-    for terms, sub, slot in entries:
-        if any(support[i] and nontrivial[sub + rank] for i, rank in terms):
-            nontrivial[slot] = 1
-            count += len(terms) >= min_size
-    return count
+    nontrivial = nontrivial_slots(pattern, entries)
+    return sum(1 for terms, _, slot in entries
+               if nontrivial[slot] and len(terms) >= min_size)

@@ -30,7 +30,12 @@ from sumrank.metrics import (
     min_sum_rank_distance,
     singleton_bounds,
 )
-from sumrank.superregular import ZeroPattern, is_trivial_minor, iter_square_selections
+from sumrank.superregular import (
+    ZeroPattern,
+    iter_square_selections,
+    nontrivial_slots,
+    square_selections,
+)
 
 F2 = base_field(2)
 F4 = field(2, 2)
@@ -206,7 +211,7 @@ def test_criterion_8_bruhat_exhaustive(capsys):
             "and GL(n, F_3) for n <= 2", ok, start, 60.0)
 
 
-def test_criterion_9_trivial_minor_matcher(capsys):
+def test_criterion_9_trivial_minor_sweep(capsys):
     from itertools import permutations
 
     start = time.perf_counter()
@@ -218,18 +223,27 @@ def test_criterion_9_trivial_minor_matcher(capsys):
                 return False
         return True
 
+    def agrees(p, entries):
+        # the triviality decision is_superregular and count_nontrivial_minors
+        # read: one Boolean sweep flag per selection's memo slot
+        nontrivial = nontrivial_slots(p, entries)
+        return all(
+            (not nontrivial[slot]) == brute(p, *entries.selection(slot))
+            for _, _, slot in entries)
+
     ok = True
+    entries = square_selections(3, 3)
     for bits in product([False, True], repeat=9):
         p = ZeroPattern([list(bits[0:3]), list(bits[3:6]), list(bits[6:9])])
-        for ri, ci in iter_square_selections(3, 3):
-            ok = ok and is_trivial_minor(p, ri, ci) == brute(p, ri, ci)
+        ok = ok and agrees(p, entries)
     rng = random.Random(99)
+    entries = square_selections(5, 5)
     for _ in range(1000):
         p = ZeroPattern([[rng.random() < 0.5 for _ in range(5)] for _ in range(5)])
-        for ri, ci in iter_square_selections(5, 5):
-            ok = ok and is_trivial_minor(p, ri, ci) == brute(p, ri, ci)
+        ok = ok and agrees(p, entries)
+    ok = ok and len(entries) == sum(1 for _ in iter_square_selections(5, 5))
     _finish(capsys, 9,
-            "trivial-minor matcher equals the permutation brute force on all "
+            "trivial-minor sweep equals the permutation brute force on all "
             "512 3x3 patterns and 1000 random 5x5 patterns", ok, start, 120.0)
 
 

@@ -106,11 +106,13 @@ def test_verify_block_false_and_recheck(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "check", ["mrd-systematic", "mrd-transforms", "msrd-systematic", "msrd-transforms"]
+    "check",
+    ["mds", "mrd-systematic", "mrd-transforms", "msrd-systematic", "msrd-transforms"],
 )
 def test_recheck_two_block_code_witnesses(tmp_path, capsys, check):
-    # the MRD checks see one block of length 4, the MSRD checks two blocks;
-    # recheck must test each witness against the family its check enumerated
+    # the MDS check sees P itself, the MRD checks one block of length 4, the
+    # MSRD checks two blocks; recheck must test each witness against the
+    # family its check enumerated
     code = SystematicBlockCode(
         LengthPartition([2, 2]), (1, 1), Matrix.from_rows([[1, 1], [1, 1]], F4)
     )

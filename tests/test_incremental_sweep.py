@@ -145,7 +145,7 @@ def test_minors_detail_is_the_traced_count():
     # 729 T over 5 selections each swept in full would be 3,645 minors
     assert (rep.verdict, rep.checked_count) == (True, 729)
     assert len(square_selections(2, 2)) == 5
-    assert rep.detail["minors"] == traced == 1809
+    assert rep.detail["minors"] == rep.detail["charge"] == traced == 1809
     for mode in ("exact", "filter"):
         rep, traced = _traced(lambda: check_mMSR(_TABLE_NEGATIVE, mode=mode, budget=10**9))
         [level] = rep.detail["levels"]

@@ -11,7 +11,6 @@ import pytest
 from sumrank.field import base_field, field
 from sumrank.matrix import (
     Matrix,
-    Matrix,
     MatrixError,
     block_diag,
     block_diag_cells,
@@ -32,6 +31,8 @@ F2 = base_field(2)
 F3 = base_field(3)
 F4 = field(2, 2)
 F8 = field(2, 3)
+F9 = field(3, 2)
+F25 = field(5, 2)
 
 
 def leibniz_det(m: Matrix) -> int:
@@ -73,6 +74,32 @@ def test_det_matches_leibniz():
         assert det(m) == leibniz_det(m)
 
 
+def _with_dependent_row(m: Matrix, rng) -> Matrix:
+    """m with one row replaced by a random combination of the others."""
+    f = m.field
+    rows = m.to_rows()
+    r = rng.randrange(m.rows)
+    coeffs = [rng.randrange(f.order) for _ in rows]
+    combo = [0] * m.cols
+    for i, (row, a) in enumerate(zip(rows, coeffs)):
+        if i != r:
+            combo = [f.add(x, f.mul(a, y)) for x, y in zip(combo, row)]
+    rows[r] = combo
+    return Matrix.from_rows(rows, f)
+
+
+@pytest.mark.parametrize("f", [F8, F9, F25], ids=["F8", "F9", "F25"])
+def test_det_matches_leibniz_on_singular_matrices(f):
+    rng = random.Random(f.order)
+    assert det(Matrix(0, 0, f)) == 1
+    for n in range(1, 5):
+        for _ in range(10):
+            m = random_matrix(n, n, f, rng)
+            assert det(m) == leibniz_det(m)
+            s = _with_dependent_row(m, rng)
+            assert det(s) == leibniz_det(s) == 0
+
+
 def test_det_multiplicative():
     rng = random.Random(4)
     for _ in range(30):
@@ -86,6 +113,33 @@ def test_rank_examples():
     assert rank(Matrix.identity(4, F2)) == 4
     # row 2 = alpha * row 1
     assert rank(Matrix.from_rows([[1, 2], [2, 3]], F4)) == 1
+
+
+@pytest.mark.parametrize("f", [F2, F9, F25], ids=["F2", "F9", "F25"])
+def test_rank_equals_the_rank_of_the_transpose(f):
+    # a product through k inner columns has rank at most k
+    rng = random.Random(f.order + 1)
+    for rows, cols in [(2, 5), (3, 4), (5, 2), (4, 3), (4, 4)]:
+        for k in range(min(rows, cols) + 1):
+            for _ in range(5):
+                m = random_matrix(rows, k, f, rng) @ random_matrix(k, cols, f, rng)
+                assert rank(m) == rank(m.transpose()) <= k
+    assert rank(Matrix(0, 3, F9)) == rank(Matrix(3, 0, F9)) == 0
+
+
+@pytest.mark.parametrize("f", [F3, F9, F25], ids=["F3", "F9", "F25"])
+def test_inverse_over_odd_q(f):
+    rng = random.Random(f.order + 2)
+    for n in range(1, 5):
+        for _ in range(10):
+            m = random_matrix(n, n, f, rng)
+            if det(m) == 0:
+                with pytest.raises(MatrixError):
+                    inverse(m)
+                continue
+            assert inverse(m) @ m == m @ inverse(m) == Matrix.identity(n, f)
+        with pytest.raises(MatrixError):
+            inverse(_with_dependent_row(random_matrix(n, n, f, rng), rng))
 
 
 def test_inverse():

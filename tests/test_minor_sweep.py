@@ -10,6 +10,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
+from test_superregular import is_trivial_minor
 
 from sumrank import superregular
 from sumrank.block_codes import (
@@ -32,7 +33,6 @@ from sumrank.superregular import (
     is_full_superregular,
     is_superregular,
     is_superregular_constrained,
-    is_trivial_minor,
     iter_square_selections,
     minor_sweep,
     square_selections,

@@ -1,6 +1,8 @@
 """Trivial-minor detection against the permutation brute force, the
 superregularity predicates, and the minor-counting conventions, the
-structural count against one perfect-matching test per selection."""
+structural count against one perfect-matching test per selection.  The
+bipartite matcher (is_trivial_minor) is the reference the Boolean sweep
+(nontrivial_slots) is compared against."""
 
 import random
 from itertools import permutations, product
@@ -19,12 +21,47 @@ from sumrank.superregular import (
     is_full_superregular,
     is_superregular,
     is_superregular_constrained,
-    is_trivial_minor,
     iter_square_selections,
+    nontrivial_slots,
+    square_selections,
 )
 
 F2 = base_field(2)
 F4 = field(2, 2)
+
+
+def has_perfect_matching(adj: list[list[int]], n_right: int) -> bool:
+    """Perfect matching on a bipartite graph via augmenting paths.
+
+    adj[u] lists the right vertices adjacent to left vertex u.
+    """
+    match_right = [-1] * n_right
+
+    def augment(u: int, seen: list[bool]) -> bool:
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                if match_right[v] == -1 or augment(match_right[v], seen):
+                    match_right[v] = u
+                    return True
+        return False
+
+    for u in range(len(adj)):
+        if not augment(u, [False] * n_right):
+            return False
+    return True
+
+
+def is_trivial_minor(pattern: ZeroPattern, row_indices, col_indices) -> bool:
+    """True iff no permutation selects all-nonzero entries of the submatrix."""
+    ri, ci = list(row_indices), list(col_indices)
+    if len(ri) != len(ci):
+        raise ValueError("minor selection is not square")
+    adj = [
+        [j for j, c in enumerate(ci) if pattern[r, c]]
+        for r in ri
+    ]
+    return not has_perfect_matching(adj, len(ci))
 
 
 def brute_force_trivial(pattern, ri, ci):

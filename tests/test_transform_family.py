@@ -35,6 +35,7 @@ from sumrank.block_codes import (
     family_counts,
     systematic_form,
 )
+from sumrank.cli import TABLE1_ROWS
 from sumrank.conv_codes import (
     PolyEncoder,
     check_mMSR,
@@ -45,11 +46,12 @@ from sumrank.conv_codes import (
     sliding_parity,
 )
 from sumrank.field import base_field, field
-from sumrank.matrix import Matrix, block_diag
+from sumrank.matrix import Matrix, block_diag, block_diag_cells
 from sumrank.report import INFEASIBLE
 from sumrank.superregular import (
     count_square_selections,
     full_size_selections,
+    iter_square_selections,
     square_selections,
 )
 from sumrank.metrics import (
@@ -283,23 +285,57 @@ def test_table_negative_matches_the_per_block_reference(mode, resamples, checked
 
 
 def test_engine_budget_charges_the_minors_the_grid_checks():
-    # the level-2 6 x 6 grid checks 553 of the 923 square minors, so the
-    # exact family (64 pairs x 4096 C x 553 minors = 1.45e8) fits a budget
-    # of 2e8 that the square count (2.42e8) would refuse
+    # the level-2 6 x 6 grid checks 553 of the 923 square minors, and each
+    # of the 64 pairs evaluates each of them once per value tuple of the C
+    # cells up to the last one it contains: 58.2e6 minors, so the exact
+    # family fits the default budget and reads False at T 1,027
     assert len(square_selections(6, 6, parity_grid(_TABLE_NEGATIVE, 2))) == 553
     assert count_square_selections(6, 6) == 923
-    rep = check_mMSR(_TABLE_NEGATIVE, mode="exact", budget=2 * 10**8)
-    assert (rep.verdict, rep.checked_count) == (False, 1027)
+    charge = _level_cost(_TABLE_NEGATIVE, 2)
+    assert charge == 58_234_560
+    rep = check_mMSR(_TABLE_NEGATIVE, mode="exact")
+    [level] = rep.detail["levels"]
+    assert (rep.verdict, rep.checked_count, level["charge"]) == (False, 1027, charge)
+    # filter mode adds each pair's filter sweep; sampling 1,000 C would
+    # evaluate fewer than a pair's 4,096 C in product order
+    rep = check_mMSR(_TABLE_NEGATIVE, mode="filter")
+    [level] = rep.detail["levels"]
+    assert (rep.verdict, level["charge"]) == (False, charge + 64 * 553)
     # a shape with more square selections than the budget is refused before
     # its list is built; from the square count on, the list is built and
-    # the family charged
+    # the family charged, and one minor below the charge refuses it
     p2 = sliding_parity(_TABLE_NEGATIVE, 2)
-    for budget, built in ((922, 0), (923, 1)):
+    for budget, built in ((922, 0), (923, 1), (charge - 1, 1)):
         with mock.patch.object(block_codes, "square_selections",
                                wraps=block_codes.square_selections) as build:
             rep = block_codes.check_transform_family(
                 p2, [2] * 3, [2] * 3, True, "exact", budget)
         assert (rep.verdict, rep.checked_count, build.call_count) == (INFEASIBLE, 0, built)
+    assert rep.detail["charge"] == charge
+
+
+def test_filter_charge_is_the_larger_of_product_order_and_sampling():
+    # one 1 x 7 block over F_9: each 1 x 1 selection holds one C cell, so a
+    # pair in product order evaluates 3 + 9 + ... + 3^7 minors, while one
+    # that samples sweeps its 7 once and re-evaluates them for 999 more C
+    p = Matrix(1, 7, F9, [1] * 7)
+    pairs = 3 ** 21  # A~ is a unit upper-triangular 7 x 7 block
+    exact = block_codes.check_transform_family(p, [1], [7], False, "exact", 7)
+    filt = block_codes.check_transform_family(p, [1], [7], False, "filter", 7)
+    assert exact.verdict == filt.verdict == INFEASIBLE
+    assert exact.detail["charge"] == pairs * sum(3 ** (t + 1) for t in range(7))
+    assert filt.detail["charge"] == pairs * (7 + 7 + 999 * 7)
+
+
+def test_an_exhaustive_true_evaluates_its_charge():
+    # with no witness to stop at, every pair evaluates every C's minors
+    for n, k, m, deg, e in TABLE1_ROWS[:7]:
+        f = field(2, deg)
+        enc = construct_frobenius(n, k, m, f, f.alpha_pow(e))
+        rep = check_mMSR(enc, mode="exact")
+        [level] = rep.detail["levels"]
+        assert rep.verdict is True
+        assert level["minors"] == level["charge"] == _level_cost(enc, m)
 
 
 # -- one top-level run against the per-level loop ------------------------------
@@ -349,10 +385,19 @@ def test_top_level_decides_like_the_per_level_loop(enc):
 
 
 def _level_cost(enc, i):
-    """The exact engine's budget charge at level i: pairs x C x grid minors."""
+    """The exact engine's budget charge at level i: per (B, A~) pair, each
+    grid selection is evaluated once per value tuple of the C cells up to
+    the last one it contains, q^(t+1) times if that is the t-th cell."""
     ks, nks = [enc.k] * (i + 1), [enc.n - enc.k] * (i + 1)
-    b, a, c = family_counts(ks, nks, enc.field.q)
-    return b * a * c * len(square_selections(sum(ks), sum(nks), parity_grid(enc, i)))
+    q = enc.field.q
+    b, a, _ = family_counts(ks, nks, q)
+    position = {cell: t for t, cell in enumerate(block_diag_cells(ks, nks, False))}
+    width, grid = sum(nks), parity_grid(enc, i)
+    per_pair = sum(
+        q ** (1 + max(position.get(r * width + c, -1) for r in ri for c in ci))
+        for ri, ci in iter_square_selections(sum(ks), width)
+        if grid.diagonal_allowed(ri, ci))
+    return b * a * per_pair
 
 
 def test_a_refused_top_level_falls_back_to_the_largest_level_that_fits():
