@@ -11,8 +11,8 @@ Checker rows:
 
 - ``N,K,M`` (say ``4,2,2``): one ``sumrank table1 --mode filter --rows
   N,K,M`` call through ``sumrank.cli.main``.  Layers: ``check_mMSR``
-  time, predicate self time (``superregular.self_s``), T matrices and
-  minors.
+  time, predicate self time (``superregular.self_s``), T matrices,
+  minors and the two predicates' calls, one per (B, A~) pair swept.
 - ``cauchy10``: ``is_full_superregular`` on the 10 x 10 Cauchy matrix
   1/(a^i + a^(10+j)) over F_2^8, the minor sweep alone on its largest
   common shape (all 184,755 minors).  Layers: the check's time and
@@ -20,7 +20,7 @@ Checker rows:
 - ``gab4x2-f81``: exact ``check_msrd_systematic`` on the Gabidulin [4,2]
   code over F_3^4 with one block, an odd-characteristic positive whose
   whole (B, A~, C) family is enumerated.  Layers: the check's time,
-  predicate self time, T matrices and minors.
+  predicate self time, T matrices, minors and the predicates' calls.
 - ``gab6x3-f64-transforms``: ``check_msrd_transforms`` on the Gabidulin
   [6,3] code over F_2^6 under partition (5,1), a positive whose 1,024
   transforms A are all tested.  Layers: the check's time, transforms,
@@ -91,8 +91,10 @@ ROOT = Path(__file__).resolve().parent.parent
 TABLE_ROWS = ("4,2,1", "4,2,2", "5,3,1")
 KERNELS = ("python", "c")
 REF_SAMPLES = 3  # reference samples before each call
+PREDICATE_CALLS = ("superregular.is_superregular_constrained.calls",
+                   "superregular.is_full_superregular.calls")
 TABLE_LAYERS = ("conv_codes.check_mMSR.s", "superregular.self_s",
-                "conv_codes.t_matrices", "superregular.minors")
+                "conv_codes.t_matrices", "superregular.minors") + PREDICATE_CALLS
 
 
 def child(row: str, calls: int) -> dict:
@@ -198,7 +200,7 @@ def time_gab4x2(row: str, calls: int, timed):
     walls, report, layers = measure(
         lambda: block_codes.check_msrd_systematic(code), calls, timed,
         ("block_codes.check_msrd_systematic.s", "superregular.self_s",
-         "block_codes.t_matrices", "superregular.minors"))
+         "block_codes.t_matrices", "superregular.minors") + PREDICATE_CALLS)
     return (f"Gabidulin [4,2] over F_{f.descriptor()}, one block, "
             "check_msrd_systematic, exact mode", report.verdict, walls, layers)
 

@@ -11,20 +11,22 @@ vanish, and diagonal scaling over F_q^* changes none
 (matrix.enum_block_diag states the argument).  The transform-side
 checkers test the full-size minors of G A.  The systematic side runs one
 engine, check_transform_family: it enumerates (B, A~, C) tuples and tests
-a superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i), one
-T per (B, A~) pair whose C cells it rewrites in place for each C.  A
-minor depends only on the C cells inside its rows and columns, so after
-a pair's first T the predicate re-evaluates only the minors a changed C
-cell touches, on one sweep memo kept across the C values.  For
-block codes the predicate is full superregularity; the convolutional
-m-MSR check (conv_codes) runs the same engine once, on the sliding parity
-P_j^c of its top level j, with row blocks (k)^(j+1), column blocks
-(n-k)^(j+1) and the block-grid predicate.  Its base-field filter tests exactly the minors
-the predicate checks; a True detail says how many pairs rest on random C
+a superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i), with
+one predicate call per (B, A~) pair: the pair's C values are one run of
+superregular.minor_sweep, which writes each C into the C cells of one
+copy of B P A~ and, since a minor depends only on the C cells inside its
+rows and columns, re-evaluates after the pair's first T only the minors
+a changed C cell touches.  For block codes the predicate is full
+superregularity; the convolutional m-MSR check (conv_codes) runs the
+same engine once, on the sliding parity P_j^c of its top level j, with
+row blocks (k)^(j+1), column blocks (n-k)^(j+1) and the block-grid
+predicate.  Its base-field filter tests exactly the minors the
+predicate checks; a True detail says how many pairs rest on random C
 samples (sampled_pairs).  The predicates, the filter and the
 transform-side full-size minor test all evaluate minors through
-superregular.minor_sweep, one memoized Laplace sweep per matrix.  Witness
-blocks are cut out of the assembled matrices (matrix.diagonal_blocks).
+superregular.minor_sweep, one memoized Laplace sweep per matrix or
+run.  Witness blocks are cut out of the assembled matrices
+(matrix.diagonal_blocks).
 One recheck, recheck_family_witness, serves both engine callers: it
 confirms that the witnessed tuple belongs to the enumerated family, then
 evaluates the witnessed minor by Gaussian elimination (matrix.minor),
@@ -37,7 +39,6 @@ from __future__ import annotations
 import random
 import time
 from itertools import product
-from operator import xor
 
 from .field import Field, base_field
 from .matrix import (
@@ -268,19 +269,18 @@ def check_transform_family(
     exhaustive only when sampled_pairs is 0.  A False witness holds the B
     and A~ blocks, the assembled C and the vanishing minor, as JSON rows.
 
-    Each pair fills one T: a copy of B P A~ whose C cells are rewritten in
-    place for every C value tuple, and the predicate runs on it once per
-    C, with one sweep memo (superregular.minor_sweep) kept for the call.
-    A pair's first T sweeps the whole selection list, built once for the
-    call.  A later T re-evaluates only the selections that contain a C
-    cell changed since the T before (selections.touching): in product
-    order the cells from the last nonzero value on, the carry's suffix,
-    and for a sampled C every C cell.  The others keep their minors, and
-    those were nonzero at the T before, or the call would have returned;
-    so the first vanishing minor, hence every report, is the full
-    sweep's.  detail's minors counts the minors evaluated, the sum of the
-    predicate calls' checked_count.  A C matrix is built only for a
-    witness.
+    Each pair makes one predicate call, on B P A~ with the run of its C
+    values (superregular.minor_sweep): every C value tuple is an edit
+    that rewrites the C cells from `first` on, in product order the
+    cells from the last nonzero value on, the carry's suffix, and for a
+    sampled C every C cell.  The run's first T sweeps the whole selection
+    list, built once for the call; a later T re-evaluates only the
+    selections that contain a cell the edit wrote (selections.touching).
+    The others keep their minors, and those were nonzero at the T before,
+    or the run would have stopped there; so the first vanishing minor,
+    hence every report, is a full sweep's.  checked_count adds up the
+    matrices the runs swept, and detail's minors their checked_count,
+    the minors evaluated.  A C matrix is built only for a witness.
     """
     if mode not in ("exact", "filter"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -316,10 +316,7 @@ def check_transform_family(
             detail=counts | {"charge": charge, "budget": budget},
             elapsed=time.perf_counter() - start,
         )
-    memo = []
     rng = random.Random(0)
-    # C entries lie in F_q; over F_2^M adding one is XOR
-    add = xor if q == 2 else p.field.add
     checked = 0
     filtered = 0
     sampled = 0
@@ -337,40 +334,29 @@ def check_transform_family(
             c_values = (([rng.randrange(q) for _ in cells]
                          for _ in range(FILTER_RESAMPLE_COUNT)) if sample
                         else product(range(q), repeat=len(cells)))
-            t = bpa.copy()
-            base, data = bpa.data, t.data
-            for step, values in enumerate(c_values):
-                checked += 1
-                # the C cells from first on changed: in product order the
-                # last nonzero value's and the carry's, sampled C all
-                first = 0
-                if step and not sample:
-                    first = len(values) - 1
-                    while not values[first]:
-                        first -= 1
-                for i, v in zip(cells[first:], values[first:]):
-                    data[i] = add(base[i], v)
-                entries = touching[first] if step else selections
-                rep = (is_full_superregular(t, entries=entries, memo=memo) if grid is None
-                       else is_superregular_constrained(t, grid, entries=entries, memo=memo))
-                minors += rep.checked_count
-                if rep.verdict is False:
-                    c = Matrix(p.rows, p.cols, base_field(q))
-                    for i, v in zip(cells, values):
-                        c.data[i] = v
-                    return VerificationReport(
-                        False,
-                        witness={
-                            "B": diagonal_blocks(b, ks, ks),
-                            "A": diagonal_blocks(a, nks, nks),
-                            "C": c.to_rows(),
-                            "rows": rep.witness["rows"],
-                            "cols": rep.witness["cols"],
-                        },
-                        checked_count=checked,
-                        elapsed=time.perf_counter() - start,
-                        detail=counts | {"minors": minors, "charge": charge},
-                    )
+            last = [()]
+            run = (cells, _edits(c_values, sample, last))
+            rep = (is_full_superregular(bpa, entries=selections, run=run) if grid is None
+                   else is_superregular_constrained(bpa, grid, entries=selections, run=run))
+            checked += rep.detail["matrices"]
+            minors += rep.checked_count
+            if rep.verdict is False:
+                c = Matrix(p.rows, p.cols, base_field(q))
+                for i, v in zip(cells, last[0]):
+                    c.data[i] = v
+                return VerificationReport(
+                    False,
+                    witness={
+                        "B": diagonal_blocks(b, ks, ks),
+                        "A": diagonal_blocks(a, nks, nks),
+                        "C": c.to_rows(),
+                        "rows": rep.witness["rows"],
+                        "cols": rep.witness["cols"],
+                    },
+                    checked_count=checked,
+                    elapsed=time.perf_counter() - start,
+                    detail=counts | {"minors": minors, "charge": charge},
+                )
     return VerificationReport(
         True,
         checked_count=checked,
@@ -379,6 +365,21 @@ def check_transform_family(
                          "sampled_pairs": sampled, "minors": minors,
                          "charge": charge},
     )
+
+
+def _edits(c_values, sample: bool, last: list):
+    """The run's edits (first, values), one per C value tuple: first is the
+    first C cell changed since the C before, in product order the last
+    nonzero value's (the carry's suffix), for a sampled C every cell.
+    last[0] keeps the latest values."""
+    for step, values in enumerate(c_values):
+        first = 0
+        if step and not sample:
+            first = len(values) - 1
+            while not values[first]:
+                first -= 1
+        last[0] = values
+        yield first, values
 
 
 def _minors_outside_base(m: Matrix, entries) -> bool:

@@ -310,7 +310,6 @@ def cmd_table1(args) -> int:
     report = _report_base("table1", args)
     report["mode"] = args.mode
     out_rows = []
-    any_false = False
     for n, k, m, deg, e in rows:
         f = field(2, deg)
         enc = construct_frobenius(n, k, m, f, f.alpha_pow(e))
@@ -339,7 +338,6 @@ def cmd_table1(args) -> int:
             row["detail"] = rep.detail
         elif rep.verdict is False:
             row["witness"] = rep.witness
-            any_false = True
         out_rows.append(row)
     report["rows"] = out_rows
     _emit(report, args)
@@ -350,7 +348,9 @@ def cmd_table1(args) -> int:
         for row in out_rows:
             lines.append(",".join(str(row[c]) for c in cols))
         print("\n".join(lines))
-    return EXIT_FALSE if any_false else EXIT_TRUE
+    verdicts = [row["verdict"] for row in out_rows]
+    return (EXIT_FALSE if False in verdicts
+            else EXIT_INFEASIBLE if INFEASIBLE in verdicts else EXIT_TRUE)
 
 
 # -- recheck ------------------------------------------------------------------

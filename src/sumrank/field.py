@@ -15,7 +15,7 @@ depend on this).
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 # Largest field order for which log/antilog tables are built eagerly.
 TABLE_LIMIT = 1 << 20
@@ -181,6 +181,17 @@ class Field:
                 digits = _mul_by_x(digits, self.poly, self.q, self.M)
         self.exp = exp
         self.log = log
+
+    @cached_property
+    def zero_log_tables(self) -> tuple[list, list]:
+        """(log, ext), built on first use from the tables: log as self.log
+        but with log[0] = Z = 2(q^M - 1), and ext the antilog table
+        extended with zeros, so ext[log[a] + log[b]] = a b for every a, b,
+        zero included (the largest index is 2Z)."""
+        n = self.order - 1
+        log = list(self.log)
+        log[0] = 2 * n
+        return log, self.exp * 2 + [0] * (2 * n + 1)
 
     def _digits_to_code(self, digits) -> int:
         code = 0

@@ -10,24 +10,27 @@ of every size is nonzero.
 Every predicate here, and the base-field filter and full-size minor test
 in block_codes, evaluates minors through one sweep: minor_sweep expands
 each selected minor along its last row, reusing the minors of one size
-less that it memoized for the same matrix.  The memo is one flat list
-per sweep: each selected row tuple owns a block of slots, one per column
-selection of its size in lexicographic rank, so a minor's slot is its
-row block's base plus its columns' rank, and a sweep entry is just
-(terms, sub-block base, slot).  Over a tabled field of characteristic 2
-the sweep works in the log domain: it takes the discrete log of every
-entry once and memoizes the logs of the minors, so each Leibniz term is
-one antilog lookup.  The selections it walks come from square_selections
-(size ascending, then lexicographic, grid-filtered when a block grid is
-given); every Laplace sub-selection of a listed selection is listed
-before it.  A shape's list is kept for the process while it has at most
+less that it memoized.  The memo is one flat list per sweep: each
+selected row tuple owns a block of slots, one per column selection of its
+size in lexicographic rank, so a minor's slot is its row block's base
+plus its columns' rank, and a sweep entry is just (terms, sub-block base,
+slot).  Over a tabled field of characteristic 2 the sweep works in the
+log domain on zero-absorbing tables (Field.zero_log_tables): it keeps the
+discrete log of every entry and memoizes the logs of the minors, so each
+Leibniz term is one antilog lookup and an XOR, with no test for zero.
+The selections it walks come from square_selections (size ascending,
+then lexicographic, grid-filtered when a block grid is given); every
+Laplace sub-selection of a listed selection is listed before it.  A
+shape's list is kept for the process while it has at most
 SELECTION_CACHE_LIMIT entries, and a longer one is built per call; a
-checker builds its list once and passes it to every call (entries).  A
-caller that sweeps a run of matrices differing in a few cells keeps one
-memo across them (memo=) and passes, after the first, only the entries
-whose selection contains a changed cell: _Selections.touching builds
-those sub-lists once per cell list, kept with the list itself.  One
-Boolean sweep, the same recursion over the same lists (nontrivial_slots),
+checker builds its list once and passes it to every call (entries).
+One sweep serves a run of matrices that differ in a few cells, the C
+values of one (B, A~) pair (run=): it rewrites the cells each edit
+names, updates their logs, and re-evaluates only the entries whose
+selection contains one of them (_Selections.touching builds those
+sub-lists once per cell list, kept with the list itself).  The
+predicates take the run too and return one report for it.  One Boolean
+sweep, the same recursion over the same lists (nontrivial_slots),
 decides triviality for count_nontrivial_minors and is_superregular.
 Witness rechecks stay on matrix.det (Gaussian elimination), so each False
 witness is confirmed by a method independent of the sweep.
@@ -265,7 +268,8 @@ def _build_full_size_selections(rows: int, cols: int) -> _Selections:
     )
 
 
-def minor_sweep(m: Matrix, entries: _Selections, below: int, memo: list | None = None):
+def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None = None,
+                tally: list | None = None):
     """Yield (position, rows, cols, minor) for each sweep entry whose minor
     has a code below `below`, in order: below=1 yields the vanishing minors,
     below=q the ones in the base field F_q (codes 0..q-1), and
@@ -274,68 +278,73 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, memo: list | None =
     Each minor is the Laplace expansion along its last selected row,
     sum over t of (-1)^((s-1)+t) m[r, c_t] times a memoized minor of size
     s-1, so every entry's sub-minors must come earlier in `entries` (the
-    listers above guarantee it) or already be in the memo.  The memo is
-    one flat list of entries.slots slots, addressed as _entries lays it
-    out; an entry's rows and columns are recovered from its slot only when
-    it is yielded.  Over a tabled field of characteristic 2 the signs
-    vanish, addition is XOR, and the sweep takes each entry's discrete log
-    once and memoizes the minors' logs, so a term is one antilog lookup;
-    otherwise products go through the field.
+    listers above guarantee it).  The memo is one flat list of
+    entries.slots slots, addressed as _entries lays it out; an entry's rows
+    and columns are recovered from its slot only when it is yielded.  Over
+    a tabled field of characteristic 2 the signs vanish, addition is XOR,
+    and the sweep keeps the discrete logs of the entries and memoizes the
+    minors' logs, zero included (Field.zero_log_tables), so a term is one
+    antilog lookup; otherwise products go through the field.
 
-    Without `memo` the memo lives as long as the generator.  A caller that
-    sweeps a run of matrices differing in a few cells passes its own list,
-    empty at first, and keeps it between the sweeps: a completed sweep
-    leaves every entry's minor there, so the next sweep may list only the
-    entries whose selection contains a changed cell (_Selections.touching);
-    the others, and the sub-minors they expand into, read the same.
+    run = (cells, edits) sweeps a run of matrices that differ from m in
+    the cells (flat indices): each edit (first, values) writes m's entry
+    plus values[i] into cells[i] for every i >= first, and updates the
+    kept logs of just those cells.  The run's first matrix sweeps all of
+    entries; a later one only entries.touching(cells)[first], the entries
+    whose selection contains a cell written, while the others, and the
+    sub-minors they expand into, keep their values.  Without a run the
+    sweep is a run of one matrix, m.  position counts the minors evaluated
+    in the run before this one (for one matrix, the entry's position).
+    tally, a list [0, 0] when given, counts [matrices begun, minors
+    evaluated in the matrices done].
     """
     f = m.field
-    data = m.data
+    base = m.data
     selection = entries.selection
-    if memo is None:
-        memo = []
-    if f.q == 2 and f.exp is not None:
-        exp, log = f.exp, f.log
-        n = f.order - 1
-        # entries hold log - n, minors their log; None stands for zero
-        logs = [log[a] - n if a else None for a in data]
-        if not memo:
-            # grown in place: a temporary list would double the peak
-            memo.append(None)
-            memo *= entries.slots
-            memo[0] = 0
-        for pos, (terms, sub, slot) in enumerate(entries):
-            acc = 0
-            for i, rank in terms:
-                la = logs[i]
-                if la is not None:
-                    lb = memo[sub + rank]
-                    if lb is not None:
-                        # la + lb lies in [-n, n-2]; a negative index
-                        # wraps by n, which is the reduction mod n
-                        acc ^= exp[la + lb]
-            memo[slot] = log[acc] if acc else None
-            if acc < below:
-                yield (pos, *selection(slot), acc)
-        return
-    if not memo:
-        memo.append(0)
-        memo *= entries.slots
+    cells, edits = run or ((), ((0, ()),))
+    touching = entries.touching(cells) if cells else ()
+    tabled = f.q == 2 and f.exp is not None
+    if tabled:
+        log, ext = f.zero_log_tables
+        data = [log[a] for a in base]
+        memo = [log[0]] * entries.slots
+        memo[0] = 0
+    else:
+        add, neg, mul = f.add, f.neg, f.mul
+        data = list(base)
+        memo = [0] * entries.slots
         memo[0] = 1
-    add, neg, mul = f.add, f.neg, f.mul
-    for pos, (terms, sub, slot) in enumerate(entries):
-        acc = 0
-        odd = len(terms) - 1
-        for t, (i, rank) in enumerate(terms):
-            a = data[i]
-            if a:
-                b = memo[sub + rank]
-                if b:
-                    p = mul(a, b)
-                    acc = add(acc, neg(p) if (odd + t) & 1 else p)
-        memo[slot] = acc
-        if acc < below:
-            yield (pos, *selection(slot), acc)
+    tally = [0, 0] if tally is None else tally
+    for step, (first, values) in enumerate(edits):
+        swept = touching[first] if step else entries
+        tally[0] = step + 1
+        if tabled:
+            for i, v in zip(cells[first:], values[first:]):
+                data[i] = log[base[i] ^ v]
+            for pos, (terms, sub, slot) in enumerate(swept, tally[1]):
+                acc = 0
+                for i, rank in terms:
+                    acc ^= ext[data[i] + memo[sub + rank]]
+                memo[slot] = log[acc]
+                if acc < below:
+                    yield (pos, *selection(slot), acc)
+        else:
+            for i, v in zip(cells[first:], values[first:]):
+                data[i] = add(base[i], v)
+            for pos, (terms, sub, slot) in enumerate(swept, tally[1]):
+                acc = 0
+                odd = len(terms) - 1
+                for t, (i, rank) in enumerate(terms):
+                    a = data[i]
+                    if a:
+                        b = memo[sub + rank]
+                        if b:
+                            p = mul(a, b)
+                            acc = add(acc, neg(p) if (odd + t) & 1 else p)
+                memo[slot] = acc
+                if acc < below:
+                    yield (pos, *selection(slot), acc)
+        tally[1] += len(swept)
 
 
 # -- predicates ---------------------------------------------------------------
@@ -348,13 +357,14 @@ def _check_minors(
     grid: BlockGrid | None = None,
     budget: int = DEFAULT_SELECTION_BUDGET,
     entries: _Selections | None = None,
-    memo: list | None = None,
+    run: tuple | None = None,
 ) -> VerificationReport:
     """First vanishing minor among `entries` (m's square_selections by
-    default), skipping the trivial ones when asked.  checked_count counts
-    the minors evaluated, up to the witness and less the skipped ones: for
-    a sub-list swept on the caller's memo (see minor_sweep), the sub-list's
-    entries, not the whole list's."""
+    default), skipping the trivial ones when asked, over the run of
+    matrices `run` describes (see minor_sweep), m alone without one.
+    checked_count counts the minors evaluated over the run, up to the
+    witness and less the skipped ones; with a run, detail's matrices
+    counts the matrices swept, the witness's included."""
     start = time.perf_counter()
     total = count_square_selections(m.rows, m.cols)
     if total > budget:
@@ -367,7 +377,8 @@ def _check_minors(
         entries = square_selections(m.rows, m.cols, grid)
     nontrivial = nontrivial_slots(ZeroPattern.of(m), entries) if skip_trivial else None
     skipped = 0
-    for pos, ri, ci, _ in minor_sweep(m, entries, 1, memo):
+    tally = [0, 0]
+    for pos, ri, ci, _ in minor_sweep(m, entries, 1, run, tally):
         # every trivial minor vanishes, so the skip only looks at zeros
         if skip_trivial and not nontrivial[entries[pos][2]]:
             skipped += 1
@@ -377,10 +388,12 @@ def _check_minors(
             witness={"rows": list(ri), "cols": list(ci)},
             checked_count=pos + 1 - skipped,
             elapsed=time.perf_counter() - start,
+            detail={"matrices": tally[0]} if run else None,
         )
     return VerificationReport(
-        True, checked_count=len(entries) - skipped,
+        True, checked_count=tally[1] - skipped,
         elapsed=time.perf_counter() - start,
+        detail={"matrices": tally[0]} if run else None,
     )
 
 
@@ -391,22 +404,22 @@ def is_superregular(m: Matrix, budget: int = DEFAULT_SELECTION_BUDGET) -> Verifi
 
 def is_full_superregular(m: Matrix, budget: int = DEFAULT_SELECTION_BUDGET,
                          entries: _Selections | None = None,
-                         memo: list | None = None) -> VerificationReport:
-    """Every minor of every size nonzero (hence every entry nonzero);
-    entries, when given, are m's square_selections, or with the caller's
-    memo (see minor_sweep) the sub-list of them it must re-evaluate, the
-    others being nonzero already.  checked_count counts the entries
-    evaluated."""
+                         run: tuple | None = None) -> VerificationReport:
+    """Every minor of every size nonzero (hence every entry nonzero), for
+    m or for every matrix of a run (see minor_sweep); entries, when given,
+    are m's square_selections.  One report per run: checked_count counts
+    the minors evaluated, detail the matrices swept, and the witness is
+    the first vanishing minor."""
     return _check_minors(m, skip_trivial=False, budget=budget, entries=entries,
-                         memo=memo)
+                         run=run)
 
 
 def is_superregular_constrained(
     m: Matrix, grid: BlockGrid, budget: int = DEFAULT_SELECTION_BUDGET,
-    entries: _Selections | None = None, memo: list | None = None,
+    entries: _Selections | None = None, run: tuple | None = None,
 ) -> VerificationReport:
     """Every square submatrix whose diagonal stays in blocks (s, t) with
-    s <= t is nonsingular; entries and memo as for is_full_superregular,
+    s <= t is nonsingular; entries and run as for is_full_superregular,
     on the grid-filtered square_selections.
 
     On block-upper-triangular matrices this agrees with plain
@@ -416,7 +429,7 @@ def is_superregular_constrained(
     if grid.rows != m.rows or grid.cols != m.cols:
         raise ValueError("block grid dimensions disagree with the matrix")
     return _check_minors(m, skip_trivial=False, grid=grid, budget=budget,
-                         entries=entries, memo=memo)
+                         entries=entries, run=run)
 
 
 def nontrivial_slots(pattern: ZeroPattern, entries: _Selections) -> bytearray:

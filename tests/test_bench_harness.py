@@ -36,6 +36,9 @@ def test_harness_runs_a_kernel_row_and_a_checker_row():
         else:
             layers = row["layers"]
             # the minors evaluated: each pair's first T sweeps all 5, each
-            # later one only those containing a changed C cell
+            # later one only those containing a changed C cell; one
+            # predicate call per (B, A~) pair, 3 x 3 of them
             assert (row["result"], layers["block_codes.t_matrices"],
-                    layers["superregular.minors"]) == (True, 729, 1809)
+                    layers["superregular.minors"],
+                    layers["superregular.is_full_superregular.calls"]) == (
+                        True, 729, 1809, 9)

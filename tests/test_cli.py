@@ -299,6 +299,17 @@ def test_table1_subset(capsys):
     assert rows[(2, 1, 2)]["nontrivial_minors"] == 7
 
 
+def test_table1_exit_code_reads_every_row(capsys):
+    # over budget, [4,2,1] reads infeasible; a False row decides the exit
+    # even next to an infeasible one ([6,4,1] is over the default budget)
+    rc, report = _run(capsys, ["table1", "--rows", "4,2,1", "--budget", "1000"])
+    assert [r["verdict"] for r in report["rows"]] == ["infeasible"]
+    assert rc == EXIT_INFEASIBLE
+    rc, report = _run(capsys, ["table1", "--rows", "4,2,2;6,4,1"])
+    assert [r["verdict"] for r in report["rows"]] == [False, "infeasible"]
+    assert rc == EXIT_FALSE
+
+
 def test_table1_rows_count_sampled_pairs(capsys):
     # [4,2,1]/F_64 has at most 2^8 C per pair, so by default every C is
     # enumerated; with two random C per pair, pairs that pass the filter

@@ -1,0 +1,185 @@
+"""The minor sweep over a run of matrices, and its zero-absorbing log
+tables.
+
+A run is one (B, A~) pair's C values: minor_sweep keeps the discrete logs
+of the matrix entries across the run and rewrites only the C cells an
+edit names.  Every minor a run evaluates must equal the determinant of
+the run's current matrix, whichever cells the edits wrote; a run of one
+matrix is a plain sweep; and the engine makes one predicate call per
+(B, A~) pair, with the traced minors unchanged."""
+
+import random
+import sys
+from itertools import product
+
+import pytest
+from conftest import ROOT
+from test_transform_family import _TABLE_NEGATIVE
+
+from sumrank.block_codes import (
+    SystematicBlockCode,
+    check_msrd_systematic,
+    construct_gabidulin,
+    family_counts,
+    systematic_form,
+)
+from sumrank.conv_codes import check_mMSR
+from sumrank.field import Field, base_field, field
+from sumrank.matrix import Matrix, block_diag_cells, det
+from sumrank.metrics import LengthPartition
+from sumrank.superregular import BlockGrid, minor_sweep, square_selections
+
+# -- the zero-absorbing tables --------------------------------------------------
+
+
+def _largest_index(f):
+    log, ext = f.zero_log_tables
+    return max(log[a] + log[b] for a in (0, 1) for b in (0, 1))
+
+
+@pytest.mark.parametrize("f", [base_field(2), field(2, 2), field(2, 8)],
+                         ids=["F2", "F4", "F256"])
+def test_zero_log_tables_multiply_every_pair(f):
+    # F2 has n = 1, so every nonzero log is 0 and the wrap is the whole table
+    log, ext = f.zero_log_tables
+    for a in range(f.order):
+        for b in range(f.order):
+            assert ext[log[a] + log[b]] == f.mul(a, b), (a, b)
+    n = f.order - 1
+    assert log[0] == 2 * n
+    # two zeros reach 2Z = 4n, the table's last index
+    assert _largest_index(f) == len(ext) - 1 == 4 * n
+
+
+def test_zero_log_tables_on_a_sample_of_f2048():
+    f = field(2, 11)
+    log, ext = f.zero_log_tables
+    rng = random.Random(2048)
+    pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(20000)]
+    pairs += [(0, 0), (0, f.order - 1), (f.order - 1, f.order - 1), (1, 1)]
+    for a, b in pairs:
+        assert ext[log[a] + log[b]] == f.mul(a, b), (a, b)
+    assert _largest_index(f) == len(ext) - 1 == 4 * (f.order - 1)
+
+
+def test_zero_log_tables_are_built_on_first_use():
+    f = Field(2, 5)
+    assert "zero_log_tables" not in vars(f)
+    assert f.zero_log_tables is f.zero_log_tables
+
+
+# -- runs against matrix.det ----------------------------------------------------
+
+
+def _untabled_f8():
+    f = Field(2, 3)
+    f.exp = f.log = None
+    return f
+
+
+FIELDS = [field(2, 2), field(2, 11), field(3, 2), _untabled_f8()]
+FIELD_IDS = ["F4", "F2048", "F9", "F8-untabled"]
+
+
+def _edit_stream(rng, cells, q, count):
+    """Edits (first, values): product order with its carries, and every so
+    often a C drawn at random, which rewrites every cell (first 0)."""
+    values = [0] * len(cells)
+    out = [(0, tuple(values))]
+    for digits in product(range(q), repeat=len(cells)):
+        if len(out) == count:
+            break
+        if rng.random() < 0.25:
+            values = [rng.randrange(q) for _ in cells]
+            out.append((0, tuple(values)))
+            continue
+        if not any(digits):
+            continue
+        first = max(i for i, v in enumerate(digits) if v)
+        values[first:] = digits[first:]
+        out.append((first, tuple(values)))
+    return out
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("ks, nks, grid", [((2,), (3,), False), ((1, 2), (2, 1), False),
+                                           ((2, 2), (1, 1), True)])
+def test_every_minor_of_a_run_equals_det(f, ks, nks, grid):
+    rng = random.Random(f"{f.descriptor()}/{ks}/{nks}")
+    rows, cols = sum(ks), sum(nks)
+    g = BlockGrid(ks, nks) if grid else None
+    entries = square_selections(rows, cols, g)
+    cells = block_diag_cells(ks, nks, False)
+    base = Matrix(rows, cols, f, [rng.randrange(f.order) for _ in range(rows * cols)])
+    for r, c in product(range(rows), range(cols)):
+        if rng.random() < 0.2:
+            base[r, c] = 0
+    edits = _edit_stream(rng, cells, f.q, 40)
+    touching = entries.touching(cells)
+    tally = [0, 0]
+    seen = [0] * len(edits)
+    run = minor_sweep(base, entries, f.order, (cells, iter(edits)), tally)
+    for pos, ri, ci, v in run:
+        step = tally[0] - 1
+        t = base.copy()
+        for i, c in zip(cells, edits[step][1]):
+            t.data[i] = f.add(base.data[i], c)
+        assert v == det(t.submatrix(ri, ci)), (step, ri, ci)
+        seen[step] += 1
+    # each matrix after the first evaluates the entries its edit touches
+    assert seen == [len(entries)] + [len(touching[first]) for first, _ in edits[1:]]
+    assert tally == [len(edits), sum(seen)]
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
+def test_a_run_of_one_matrix_is_a_plain_sweep(f):
+    rng = random.Random(f.descriptor())
+    entries = square_selections(3, 4)
+    m = Matrix(3, 4, f, [rng.randrange(f.order) for _ in range(12)])
+    for below in (1, f.q, f.order):
+        plain = list(minor_sweep(m, entries, below))
+        tally = [0, 0]
+        assert list(minor_sweep(m, entries, below, ((), [(0, ())]), tally)) == plain
+        assert tally == [1, len(entries)]
+
+
+# -- one predicate call per (B, A~) pair -------------------------------------------
+
+
+def _traced(call):
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from tracer import Tracer
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    import sumrank.cli  # noqa: F401  (the tracer wraps names in every module)
+
+    with Tracer() as tr:
+        rep = call()
+    return rep, tr.metrics()
+
+
+def test_block_check_calls_the_predicate_once_per_pair():
+    code = SystematicBlockCode(LengthPartition([4]), (2,),
+                               systematic_form(construct_gabidulin(4, 2, field(3, 4))))
+    rep, metrics = _traced(lambda: check_msrd_systematic(code))
+    pairs = rep.detail["b_count"] * rep.detail["a_count"]
+    assert (rep.verdict, pairs, rep.checked_count) == (True, 9, 729)
+    assert metrics["superregular.is_full_superregular.calls"] == pairs
+    assert metrics["superregular.minors"] == rep.detail["minors"] == 1809
+
+
+@pytest.mark.parametrize("mode", ["exact", "filter"])
+def test_grid_check_calls_the_predicate_once_per_pair_swept(mode):
+    rep, metrics = _traced(lambda: check_mMSR(_TABLE_NEGATIVE, mode=mode, budget=10**9))
+    [level] = rep.detail["levels"]
+    calls = metrics["superregular.is_superregular_constrained.calls"]
+    assert rep.verdict is False
+    assert metrics["superregular.minors"] == level["minors"]
+    if mode == "exact":
+        # every pair before the witness's sweeps all its C
+        assert calls == (rep.checked_count - 1) // level["c_count"] + 1
+    else:
+        assert 1 <= calls <= level["b_count"] * level["a_count"]
+    b_count, a_count, _ = family_counts([2] * 3, [2] * 3, 2)
+    assert (level["b_count"], level["a_count"]) == (b_count, a_count)
