@@ -23,8 +23,10 @@ Checker rows:
   predicate self time, T matrices, minors and the predicates' calls.
 - ``gab6x3-f64-transforms``: ``check_msrd_transforms`` on the Gabidulin
   [6,3] code over F_2^6 under partition (5,1), a positive whose 1,024
-  transforms A are all tested.  Layers: the check's time, transforms,
-  and the time in ``G A`` products.
+  transforms A are all tested, as one sweep run that rewrites only the
+  columns of ``G A`` each A changes.  Layers: the check's time,
+  transforms, and the time in matrix products (``matrix.Matrix.matmul.s``),
+  about 0 since no ``G A`` is multiplied out.
 
 Kernel rows, their inputs drawn from one seed-1 stream (the vectors
 first, then the generator):

@@ -1,32 +1,30 @@
 """Systematic block codes and the MDS / MRD / MSRD verifier ladder.
 
-Every checker here enumerates one base-field transform family, one
-matrix at a time, and every family is "each F_q value tuple of a list
-of free cells" (matrix.block_diag_cells): block-diagonal matrices with
-unit upper-triangular blocks (B, A~ and the transform-side A, through
-matrix.enum_block_diag) or with arbitrary blocks (C), so a family with
-c free cells has q^c members.  The unit blocks stand for every
-nonsingular upper-triangular one: the predicates only ask which minors
-vanish, and diagonal scaling over F_q^* changes none
-(matrix.enum_block_diag states the argument).  The transform-side
-checkers test the full-size minors of G A.  The systematic side runs one
-engine, check_transform_family: it enumerates (B, A~, C) tuples and tests
-a superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i), with
-one predicate call per (B, A~) pair: the pair's C values are one run of
-superregular.minor_sweep, which writes each C into the C cells of one
-copy of B P A~ and, since a minor depends only on the C cells inside its
-rows and columns, re-evaluates after the pair's first T only the minors
-a changed C cell touches.  For block codes the predicate is full
-superregularity; the convolutional m-MSR check (conv_codes) runs the
-same engine once, on the sliding parity P_j^c of its top level j, with
-row blocks (k)^(j+1), column blocks (n-k)^(j+1) and the block-grid
-predicate.  Its base-field filter tests exactly the minors the
-predicate checks; a True detail says how many pairs rest on random C
-samples (sampled_pairs).  The predicates, the filter and the
-transform-side full-size minor test all evaluate minors through
-superregular.minor_sweep, one memoized Laplace sweep per matrix or
-run.  Witness blocks are cut out of the assembled matrices
-(matrix.diagonal_blocks).
+Every checker here decides one base-field transform family, and every
+family is "each F_q value tuple of a list of free cells"
+(matrix.block_diag_cells): block-diagonal matrices with unit
+upper-triangular blocks (B, A~ and the transform-side A) or with
+arbitrary blocks (C), so a family with c free cells has q^c members.
+The unit blocks stand for every nonsingular upper-triangular one: the
+predicates only ask which minors vanish, and diagonal scaling over F_q^*
+changes none (matrix.enum_block_diag states the argument).  Every minor
+is evaluated through superregular.minor_sweep, one memoized Laplace
+sweep over a matrix or over a run of matrices that differ in a few
+cells, where a later matrix re-evaluates only the minors a changed cell
+touches.  The transform side, check_msrd_transforms, is one run over
+every A: an A rewrites the columns of G A from the least one holding a
+changed free cell, and no G A is multiplied out.  The systematic side
+runs one engine, check_transform_family: it enumerates (B, A~) pairs and
+tests a superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i),
+one predicate call per pair, its C values one run on B P A~.  For block
+codes the predicate is full superregularity; the convolutional m-MSR
+check (conv_codes) runs the same engine once, on the sliding parity
+P_j^c of its top level j, with row blocks (k)^(j+1), column blocks
+(n-k)^(j+1) and the block-grid predicate.  Its base-field filter tests
+exactly the minors the predicate checks; a True detail says how many
+pairs rest on random C samples (sampled_pairs).  Both sides charge their
+budget in the minors their runs can evaluate (_run_charge).  Witness
+blocks are cut out of the assembled matrices (matrix.diagonal_blocks).
 One recheck, recheck_family_witness, serves both engine callers: it
 confirms that the witnessed tuple belongs to the enumerated family, then
 evaluates the witnessed minor by Gaussian elimination (matrix.minor),
@@ -48,6 +46,7 @@ from .matrix import (
     diagonal_blocks,
     enum_block_diag,
     is_upper_triangular,
+    unit_block_diag,
     minor,
 )
 from .metrics import LengthPartition
@@ -166,14 +165,6 @@ def check_mds(p: Matrix, budget: int = DEFAULT_SELECTION_BUDGET) -> Verification
     return is_full_superregular(p, budget=budget)
 
 
-def _full_minors_nonzero(g: Matrix, entries) -> tuple:
-    """First vanishing full-size minor of a k x n matrix, or None; entries
-    are full_size_selections(k, n)."""
-    k = g.rows
-    vanishing = minor_sweep(g, entries, 1)
-    return next((ci for _, ri, ci, _ in vanishing if len(ri) == k), None)
-
-
 def check_mrd_transforms(
     g: Matrix, budget: int = DEFAULT_TRANSFORM_BUDGET
 ) -> VerificationReport:
@@ -189,46 +180,81 @@ def check_msrd_transforms(
 ) -> VerificationReport:
     """MSRD check over all nonsingular block-diagonal A with upper-triangular
     blocks over F_q: every full-size minor of G A must be nonzero.  The
-    unit ones, which stand for all, are enumerated one at a time."""
+    unit ones, which stand for all, are one run of superregular.minor_sweep
+    over G's full_size_selections, in product order.  Column c of G A is
+    G's plus a_rc times G's column r for each free cell (r, c), so an A
+    rewrites G A's entries from the least column among the free cells at
+    or after the carry (_edits), not the carry cell's own: (0, 3) is listed
+    before (1, 2).  The verdict, checked_count (the A swept) and witness
+    are a full sweep's per A.  detail gives the minors evaluated and the
+    charge, those the run can evaluate (_run_charge), equal on a True;
+    the charge is counted before any list is built."""
     start = time.perf_counter()
     q = g.field.q
     k, n = g.rows, g.cols
     if partition.n != n:
         raise ValueError("partition does not sum to the code length")
     parts = partition.parts
-    a_count = q ** len(block_diag_cells(parts, parts, True))
-    # the sweep evaluates every sub-minor its full-size minors expand into
-    per_transform = count_full_size_selections(k, n)
-    if a_count * per_transform > budget:
+    a_cells = block_diag_cells(parts, parts, True)
+    counts = {"transform_count": q ** len(a_cells)}
+    # without rows or free cells G A is G for every A: one sweep decides all
+    cols = sorted({i % n for i in a_cells}) if k else []
+    # since[j]: the position in cols of the least column among a_cells[j:]
+    since = [cols.index(min(i % n for i in a_cells[j:]))
+             for j in range(len(a_cells))] if cols else []
+    # every selection holds row 0, so a rewrite from cols[t] on re-evaluates
+    # those that meet cols[t:]
+    total = count_full_size_selections(k, n)
+    charge = _run_charge(total, [total - count_full_size_selections(k, n - len(cols) + t)
+                                 for t in since], q)
+    if charge > budget:
         return VerificationReport(
             INFEASIBLE,
-            detail={"transform_count": a_count, "minors_per_transform": per_transform,
-                    "budget": budget},
+            detail=counts | {"charge": charge, "budget": budget},
             elapsed=time.perf_counter() - start,
         )
     selections = full_size_selections(k, n)
-    checked = 0
-    for a in enum_block_diag(parts, q):
-        checked += 1
-        bad = _full_minors_nonzero(g @ a, selections)
-        if bad is not None:
+    cells = [r * n + c for c in cols for r in range(k)]
+    last, tally = [()], [0, 0]
+    run = (cells, _column_edits(g, a_cells, cols, since, last)) if cells else None
+    for pos, _, ci, _ in minor_sweep(g, selections, 1, run, tally):
+        if len(ci) == k:
+            a = unit_block_diag(parts, q, last[0])
             return VerificationReport(
                 False,
                 witness={
                     "transform": diagonal_blocks(a, parts, parts),
                     "rows": list(range(k)),
-                    "cols": list(bad),
+                    "cols": list(ci),
                 },
-                checked_count=checked,
+                checked_count=tally[0],
                 elapsed=time.perf_counter() - start,
-                detail={"transform_count": a_count},
+                detail=counts | {"minors": pos + 1, "charge": charge},
             )
     return VerificationReport(
         True,
-        checked_count=checked,
+        checked_count=counts["transform_count"],
         elapsed=time.perf_counter() - start,
-        detail={"transform_count": a_count},
+        detail=counts | {"minors": tally[1], "charge": charge},
     )
+
+
+def _column_edits(g: Matrix, a_cells, cols, since, last):
+    """check_msrd_transforms' edits, one per A in product order: from the
+    column position since[j] on, j the carry, value t * k + r is the sum
+    of a_r'c G[r, r'] over the free cells (r', c) of column c = cols[t]."""
+    f, k, n = g.field, g.rows, g.cols
+    terms = [[(j, g.col(i // n)) for j, i in enumerate(a_cells) if i % n == c]
+             for c in cols]
+    values = [0] * (len(cols) * k)
+    for j, a in _edits(product(range(f.q), repeat=len(a_cells)), False, last):
+        for t in range(since[j], len(cols)):
+            acc = [0] * k
+            for cell, src in terms[t]:
+                if a[cell]:
+                    acc = [f.add(x, f.mul(a[cell], y)) for x, y in zip(acc, src)]
+            values[t * k:(t + 1) * k] = acc
+        yield since[j] * k, values
 
 
 # -- the (B, A~, C) transform family --------------------------------------------
@@ -270,17 +296,11 @@ def check_transform_family(
     and A~ blocks, the assembled C and the vanishing minor, as JSON rows.
 
     Each pair makes one predicate call, on B P A~ with the run of its C
-    values (superregular.minor_sweep): every C value tuple is an edit
-    that rewrites the C cells from `first` on, in product order the
-    cells from the last nonzero value on, the carry's suffix, and for a
-    sampled C every C cell.  The run's first T sweeps the whole selection
-    list, built once for the call; a later T re-evaluates only the
-    selections that contain a cell the edit wrote (selections.touching).
-    The others keep their minors, and those were nonzero at the T before,
-    or the run would have stopped there; so the first vanishing minor,
-    hence every report, is a full sweep's.  checked_count adds up the
-    matrices the runs swept, and detail's minors their checked_count,
-    the minors evaluated.  A C matrix is built only for a witness.
+    values (superregular.minor_sweep): a C rewrites the C cells from the
+    carry on (_edits), every C cell when sampled, over one selection list
+    built for the call, so the first vanishing minor, hence every report,
+    is a full sweep's per T.  checked_count adds up the T swept, detail's
+    minors the minors evaluated.  A C matrix is built only for a witness.
     """
     if mode not in ("exact", "filter"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -297,14 +317,12 @@ def check_transform_family(
     selections = square_selections(p.rows, p.cols, grid)
     cells = block_diag_cells(ks, nks, False)
     touching = selections.touching(cells)
-    # budget unit: one minor evaluation.  An exhaustive pair sweeps the whole
-    # list for its first C, and each of the (q-1) q^i later C whose last
-    # nonzero value is at cells[i] re-evaluates touching[i].  A filter pair
-    # adds its filter sweep; one that samples may instead sweep once and
+    # budget unit: one minor evaluation (_run_charge).  A filter pair adds
+    # its filter sweep; one that samples may instead sweep once and
     # re-evaluate touching[0] for every other drawn C, and is charged the
     # larger of the two.
-    per_pair = len(selections) + sum((q - 1) * q**i * len(sub)
-                                     for i, sub in enumerate(touching))
+    per_pair = _run_charge(len(selections),
+                           [len(touching[i]) for i in range(len(cells))], q)
     if mode == "filter":
         sampling = (len(selections) + (FILTER_RESAMPLE_COUNT - 1) * len(touching[0])
                     if c_count > FILTER_RESAMPLE_COUNT else 0)
@@ -367,9 +385,16 @@ def check_transform_family(
     )
 
 
+def _run_charge(first: int, subs, q: int) -> int:
+    """Minors an exhaustive run evaluates: `first` for its first matrix,
+    and subs[i] for each of the (q-1) q^i later value tuples whose last
+    nonzero value is the i-th."""
+    return first + sum((q - 1) * q**i * sub for i, sub in enumerate(subs))
+
+
 def _edits(c_values, sample: bool, last: list):
-    """The run's edits (first, values), one per C value tuple: first is the
-    first C cell changed since the C before, in product order the last
+    """The run's edits (first, values), one per value tuple: first is the
+    first cell changed since the tuple before, in product order the last
     nonzero value's (the carry's suffix), for a sampled C every cell.
     last[0] keeps the latest values."""
     for step, values in enumerate(c_values):

@@ -400,9 +400,9 @@ def block_diag_cells(rows, cols, upper: bool) -> list[int]:
 
 def enum_block_diag(sizes, q: int):
     """Every block-diagonal matrix over F_q whose blocks, sizes[i] x sizes[i],
-    are unit upper triangular, one at a time: each F_q value tuple of
-    block_diag_cells(sizes, sizes, True) written into an identity, the
-    first block varying slowest.  0-size blocks take no room.
+    are unit upper triangular, one at a time: unit_block_diag of each F_q
+    value tuple of block_diag_cells(sizes, sizes, True), the first block
+    varying slowest.  0-size blocks take no room.
 
     They stand for every nonsingular upper-triangular block.  Such a B is
     D U, and such an A~ is U' D', with D, D' diagonal over F_q^* and U, U'
@@ -411,14 +411,18 @@ def enum_block_diag(sizes, q: int):
     columns by F_q^* changes no minor's vanishing (G A = G U' D' likewise
     on the transform side).  A predicate that only asks which minors
     vanish therefore holds for every tuple iff it holds for the unit ones."""
-    f = base_field(q)
-    n = sum(sizes)
-    cells = block_diag_cells(sizes, sizes, True)
-    for values in product(range(q), repeat=len(cells)):
-        m = Matrix.identity(n, f)
-        for i, v in zip(cells, values):
-            m.data[i] = v
-        yield m
+    for values in product(range(q), repeat=len(block_diag_cells(sizes, sizes, True))):
+        yield unit_block_diag(sizes, q, values)
+
+
+def unit_block_diag(sizes, q: int, values) -> Matrix:
+    """The block-diagonal matrix over F_q with unit upper-triangular blocks
+    sizes[i] x sizes[i] whose free cells, block_diag_cells(sizes, sizes,
+    True), hold values: an identity with values written in."""
+    m = Matrix.identity(sum(sizes), base_field(q))
+    for i, v in zip(block_diag_cells(sizes, sizes, True), values):
+        m.data[i] = v
+    return m
 
 
 def diagonal_blocks(m: Matrix, rows, cols) -> list[list[list[int]]]:

@@ -7,8 +7,8 @@ perfect matching between rows and columns.  A matrix is superregular if
 all non-trivial minors are nonzero, and full superregular if every minor
 of every size is nonzero.
 
-Every predicate here, and the base-field filter and full-size minor test
-in block_codes, evaluates minors through one sweep: minor_sweep expands
+Every predicate here, and the base-field filter and transform run in
+block_codes, evaluates minors through one sweep: minor_sweep expands
 each selected minor along its last row, reusing the minors of one size
 less that it memoized.  The memo is one flat list per sweep: each
 selected row tuple owns a block of slots, one per column selection of its
@@ -25,11 +25,11 @@ shape's list is kept for the process while it has at most
 SELECTION_CACHE_LIMIT entries, and a longer one is built per call; a
 checker builds its list once and passes it to every call (entries).
 One sweep serves a run of matrices that differ in a few cells, the C
-values of one (B, A~) pair (run=): it rewrites the cells each edit
-names, updates their logs, and re-evaluates only the entries whose
-selection contains one of them (_Selections.touching builds those
-sub-lists once per cell list, kept with the list itself).  The
-predicates take the run too and return one report for it.  One Boolean
+values of one (B, A~) pair or the transform side's A (run=): it rewrites
+the cells each edit names, updates their logs, and re-evaluates only the
+entries whose selection contains one of them (_Selections.touching
+builds each of those sub-lists on first use, kept with the list itself).
+The predicates take the run too and return one report for it.  One Boolean
 sweep, the same recursion over the same lists (nontrivial_slots),
 decides triviality for count_nontrivial_minors and is_superregular.
 Witness rechecks stay on matrix.det (Gaussian elimination), so each False
@@ -39,6 +39,7 @@ witness is confirmed by a method independent of the sweep.
 from __future__ import annotations
 
 import time
+import weakref
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
@@ -144,7 +145,8 @@ class _Selections(list):
     """Sweep entries (terms, sub, slot) and the memo layout they address:
     slots is the memo's length, and selection(slot) names a slot's minor."""
 
-    __slots__ = ("slots", "_bases", "_rows", "_cols", "_ncols", "_touching")
+    __slots__ = ("slots", "_bases", "_rows", "_cols", "_ncols", "_touching",
+                 "__weakref__")
 
     def selection(self, slot: int) -> tuple[tuple, tuple]:
         """(rows, cols) of the minor memoized at `slot`."""
@@ -152,30 +154,38 @@ class _Selections(list):
         ri = self._rows[j]
         return ri, self._cols[len(ri)][slot - self._bases[j]]
 
-    def touching(self, cells) -> list["_Selections"]:
-        """Sub-lists, one per i < len(cells): the entries whose selection
-        contains one of cells[i:] (flat indices row * cols + col), in sweep
-        order, on this list's memo layout.  Built once per cell list and
-        kept as long as this list is."""
+    def touching(self, cells) -> "_Touching":
+        """Sub-lists, one per i < len(cells): touching(cells)[i] holds the
+        entries whose selection contains one of cells[i:] (flat indices
+        row * cols + col), in sweep order, on this list's memo layout.
+        Each is built on first use and kept as long as this list is."""
         key = tuple(cells)
-        out = self._touching.get(key)
-        if out is None:
-            where = {cell: i for i, cell in enumerate(key)}
-            w = self._ncols
-            last = []  # per entry, the last position of a cell it contains
-            for _, _, slot in self:
-                ri, ci = self.selection(slot)
-                last.append(max((where.get(r * w + c, -1) for r in ri for c in ci),
-                                default=-1))
-            out = self._touching[key] = [
-                self._sub([e for e, t in zip(self, last) if t >= i])
-                for i in range(len(key))]
-        return out
+        return self._touching.setdefault(key, _Touching(self, key))
 
     def _sub(self, items) -> "_Selections":
         out = _Selections(items)
         out.slots, out._bases, out._rows, out._cols = (
             self.slots, self._bases, self._rows, self._cols)
+        return out
+
+
+class _Touching(dict):
+    """_Selections.touching's sub-lists for one cell list, keyed by i.  It
+    reaches its list through a weak proxy, so a list it is kept with is
+    freed as soon as it is dropped."""
+
+    def __init__(self, entries: _Selections, cells: tuple):
+        super().__init__()
+        self.entries, self.cells, self.last = weakref.proxy(entries), cells, None
+
+    def __missing__(self, i: int) -> _Selections:
+        e = self.entries
+        if self.last is None:  # per entry, the last position of a cell it holds
+            where, w = {cell: j for j, cell in enumerate(self.cells)}, e._ncols
+            self.last = [max((where.get(r * w + c, -1) for r in ri for c in ci),
+                             default=-1)
+                         for ri, ci in (e.selection(slot) for _, _, slot in e)]
+        out = self[i] = e._sub([x for x, t in zip(e, self.last) if t >= i])
         return out
 
 
@@ -288,15 +298,15 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
 
     run = (cells, edits) sweeps a run of matrices that differ from m in
     the cells (flat indices): each edit (first, values) writes m's entry
-    plus values[i] into cells[i] for every i >= first, and updates the
-    kept logs of just those cells.  The run's first matrix sweeps all of
-    entries; a later one only entries.touching(cells)[first], the entries
-    whose selection contains a cell written, while the others, and the
-    sub-minors they expand into, keep their values.  Without a run the
-    sweep is a run of one matrix, m.  position counts the minors evaluated
-    in the run before this one (for one matrix, the entry's position).
-    tally, a list [0, 0] when given, counts [matrices begun, minors
-    evaluated in the matrices done].
+    plus values[i], any element of m's field, into cells[i] for every
+    i >= first, and updates the kept logs of just those cells.  The run's
+    first matrix sweeps all of entries; a later one only
+    entries.touching(cells)[first], the entries whose selection contains
+    a cell written, while the others, and the sub-minors they expand into,
+    keep their values.  Without a run the sweep is a run of one matrix, m.
+    position counts the minors evaluated in the run before this one (for
+    one matrix, the entry's position).  tally, a list [0, 0] when given,
+    counts [matrices begun, minors evaluated in the matrices done].
     """
     f = m.field
     base = m.data

@@ -5,9 +5,11 @@ rechecking, and the base-field filter."""
 import random
 import tracemalloc
 from itertools import product
+from unittest import mock
 
 import pytest
 
+from sumrank import superregular
 from sumrank.block_codes import (
     SystematicBlockCode,
     assemble_generator,
@@ -246,13 +248,38 @@ def test_budget_reports_infeasible():
 
 
 def test_transform_budget_charges_every_swept_minor():
-    # [6,3] over (3,3): 64 transforms, each sweeping C(6,1) + C(6,2) +
-    # C(6,3) = 41 minors on the way to its 20 full-size ones
+    # [6,3] over (3,3): 64 transforms in one run, the first sweeping all
+    # C(6,1) + C(6,2) + C(6,3) = 41 selections, each later one only those
+    # that meet a rewritten column, 1,267 minors in all
     g, parts = construct_gabidulin(6, 3, field(2, 6)), LengthPartition((3, 3))
-    short = check_msrd_transforms(g, parts, budget=64 * 41 - 1)
-    assert (short.verdict, short.checked_count) == (INFEASIBLE, 0)
-    assert short.detail["minors_per_transform"] == 41
-    assert check_msrd_transforms(g, parts, budget=64 * 41).checked_count == 64
+    short = check_msrd_transforms(g, parts, budget=1266)
+    assert (short.verdict, short.checked_count, short.detail["charge"]) == (
+        INFEASIBLE, 0, 1267)
+    rep = check_msrd_transforms(g, parts, budget=1267)
+    assert (rep.verdict, rep.checked_count) == (True, 64)
+    assert rep.detail["minors"] == rep.detail["charge"] == 1267
+
+
+def test_transform_budget_refusal_builds_no_list():
+    # the charge is counted before the selection list is built: a refused
+    # budget, below the 41 selections or below the 1,267 the run needs,
+    # builds nothing; from 1,267 on, the list is built once
+    g, parts = construct_gabidulin(6, 3, field(2, 6)), LengthPartition((3, 3))
+    build = mock.Mock(wraps=superregular._build_full_size_selections)
+    for budget, built in ((40, 0), (1266, 0), (1267, 1)):
+        build.reset_mock()
+        with mock.patch.multiple(superregular, SELECTION_CACHE_LIMIT=0,
+                                 _build_full_size_selections=build):
+            rep = check_msrd_transforms(g, parts, budget=budget)
+        assert (rep.verdict == INFEASIBLE, build.call_count) == (not built, built)
+        assert rep.detail["charge"] == 1267
+    # [24,12] under (24,): 9,740,686 selections, under the default budget,
+    # but 2^276 transforms; refused at once, with no list built
+    build.reset_mock()
+    with mock.patch.object(superregular, "_build_full_size_selections", build):
+        rep = check_msrd_transforms(Matrix(12, 24, field(2, 1)), LengthPartition((24,)))
+    assert (rep.verdict, rep.checked_count, build.call_count) == (INFEASIBLE, 0, 0)
+    assert rep.detail["charge"] > rep.detail["budget"]
 
 
 def test_gabidulin_validation():

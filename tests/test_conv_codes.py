@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 
 from sumrank.block_codes import transformed_parity
+from sumrank.cli import TABLE1_ROWS
 from sumrank.conv_codes import (
     EncoderError,
     PolyEncoder,
@@ -373,6 +374,21 @@ def test_find_frobenius_alpha_tries_one_exponent_per_class():
         assert find_frobenius_alpha(3, 2, 1, f16) == 7
     assert [c.args[0] for c in screen.call_args_list] == [
         construct_frobenius(3, 2, 1, f16, f16.alpha_pow(e)) for e in (1, 7)]
+
+
+# table1 rows that also read True over a smaller field than their
+# published degree: (n, k, m, M, e)
+_SMALLER_FIELD_ROWS = [(2, 1, 2, 2, 1), (3, 2, 1, 3, 1), (3, 1, 1, 4, 7),
+                       (3, 2, 2, 6, 5), (3, 1, 2, 6, 5)]
+
+
+@pytest.mark.parametrize("n, k, m, deg, e", _SMALLER_FIELD_ROWS)
+def test_table_rows_hold_over_smaller_fields(n, k, m, deg, e):
+    assert deg < {row[:3]: row[3] for row in TABLE1_ROWS}[n, k, m]
+    f = field(2, deg)
+    enc = construct_frobenius(n, k, m, f, f.alpha_pow(e))
+    assert check_mMSR(enc).verdict is True
+    assert check_mMSR_oracle(enc, m).verdict is True
 
 
 def test_compute_L_examples():

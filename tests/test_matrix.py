@@ -4,7 +4,7 @@ against their counting formulas, and the lazy block-diagonal family
 enumerator against the per-block reference it replaced."""
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -56,6 +56,15 @@ def leibniz_det(m: Matrix) -> int:
 
 def random_matrix(rows, cols, f, rng):
     return Matrix(rows, cols, f, [rng.randrange(f.order) for _ in range(rows * cols)])
+
+
+def reference_full_minors(g: Matrix):
+    """Columns of g's first vanishing full-size minor, in lexicographic
+    order, by Gaussian elimination (det); None when every one is nonzero."""
+    for ci in combinations(range(g.cols), g.rows):
+        if det(g.submatrix(range(g.rows), ci)) == 0:
+            return ci
+    return None
 
 
 def test_det_examples():

@@ -10,12 +10,12 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
+from test_matrix import reference_full_minors
 from test_superregular import is_trivial_minor
 
 from sumrank import superregular
 from sumrank.block_codes import (
     SystematicBlockCode,
-    _full_minors_nonzero,
     _minors_outside_base,
     check_msrd_systematic,
     check_msrd_transforms,
@@ -184,13 +184,6 @@ def _reference_outside_base(m, grid):
     return True
 
 
-def _reference_full_minors(g):
-    for ci in combinations(range(g.cols), g.rows):
-        if det(g.submatrix(range(g.rows), ci)) == 0:
-            return ci
-    return None
-
-
 def _same(rep, ref):
     assert (rep.verdict, rep.witness, rep.checked_count) == ref
 
@@ -227,8 +220,11 @@ def test_predicates_match_the_reference_loop(f):
                 _same(is_superregular(m), _reference_check(m, skip_trivial=True))
                 outside = _minors_outside_base(m, entries)
                 assert outside == _reference_outside_base(m, None)
-                first = _full_minors_nonzero(m, full_size_selections(*shape))
-                assert first == _reference_full_minors(m)
+                # an all-ones partition enumerates A = I alone
+                first = reference_full_minors(m)
+                rep = check_msrd_transforms(m, LengthPartition([1] * m.cols))
+                assert (rep.verdict, rep.witness and rep.witness["cols"]) == (
+                    (True, None) if first is None else (False, list(first)))
                 seen |= {("full", full.verdict), ("filter", outside),
                          ("full-size", first is None)}
     for grid in GRIDS:

@@ -5,11 +5,14 @@ A run is one (B, A~) pair's C values: minor_sweep keeps the discrete logs
 of the matrix entries across the run and rewrites only the C cells an
 edit names.  Every minor a run evaluates must equal the determinant of
 the run's current matrix, whichever cells the edits wrote; a run of one
-matrix is a plain sweep; and the engine makes one predicate call per
-(B, A~) pair, with the traced minors unchanged."""
+matrix is a plain sweep; a run's sub-lists are built only when swept;
+and the engine makes one predicate call per (B, A~) pair, with the
+traced minors unchanged."""
 
+import gc
 import random
 import sys
+import weakref
 from itertools import product
 
 import pytest
@@ -27,7 +30,12 @@ from sumrank.conv_codes import check_mMSR
 from sumrank.field import Field, base_field, field
 from sumrank.matrix import Matrix, block_diag_cells, det
 from sumrank.metrics import LengthPartition
-from sumrank.superregular import BlockGrid, minor_sweep, square_selections
+from sumrank.superregular import (
+    BlockGrid,
+    _build_full_size_selections,
+    minor_sweep,
+    square_selections,
+)
 
 # -- the zero-absorbing tables --------------------------------------------------
 
@@ -141,6 +149,27 @@ def test_a_run_of_one_matrix_is_a_plain_sweep(f):
         tally = [0, 0]
         assert list(minor_sweep(m, entries, below, ((), [(0, ())]), tally)) == plain
         assert tally == [1, len(entries)]
+
+
+def test_touching_builds_a_sub_list_on_first_use_and_frees_with_its_list():
+    # the cells of columns 2 and 4 of a 3 x 6 matrix, column by column
+    entries = _build_full_size_selections(3, 6)
+    cells = [r * 6 + c for c in (2, 4) for r in range(3)]
+    touching = entries.touching(cells)
+    assert len(touching) == 0 and entries.touching(cells) is touching
+    sub = touching[3]
+    assert list(touching) == [3] and entries.touching(cells)[3] is sub
+    assert [entries.selection(slot)[1] for _, _, slot in sub] == [
+        entries.selection(slot)[1] for _, _, slot in entries
+        if 4 in entries.selection(slot)[1]]
+    # a list built per call is freed when dropped, with no cycle to collect
+    ref = weakref.ref(entries)
+    gc.disable()
+    try:
+        del entries, touching
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- one predicate call per (B, A~) pair -------------------------------------------

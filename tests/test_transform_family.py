@@ -10,8 +10,9 @@ alone; its verdicts match the per-level loop it replaced (reference_mMSR)
 over F_2^M Frobenius encoders and odd-q ones, and every witness rechecks.
 Over F_9, F_25 and F_27 the exact verdicts also match the reference run
 over every nonsingular upper-triangular B, A~ and A, the family the
-criterion quantifies over.  Draws are derandomized, so every run sees the
-same codes."""
+criterion quantifies over.  The transform side's one sweep run matches
+its per-A reference over F_8, F_16 and F_32 too.  Draws are
+derandomized, so every run sees the same codes."""
 
 import random
 from itertools import product
@@ -21,12 +22,16 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_matrix import enum_base_matrices, enum_ut_nonsingular, enum_ut_unit
+from test_matrix import (
+    enum_base_matrices,
+    enum_ut_nonsingular,
+    enum_ut_unit,
+    reference_full_minors,
+)
 
 from sumrank import block_codes
 from sumrank.block_codes import (
     SystematicBlockCode,
-    _full_minors_nonzero,
     _minors_outside_base,
     assemble_generator,
     check_msrd_systematic,
@@ -50,7 +55,6 @@ from sumrank.matrix import Matrix, block_diag, block_diag_cells
 from sumrank.report import INFEASIBLE
 from sumrank.superregular import (
     count_square_selections,
-    full_size_selections,
     iter_square_selections,
     square_selections,
 )
@@ -64,6 +68,8 @@ from sumrank.metrics import (
 
 F8 = field(2, 3)
 F9 = field(3, 2)
+F16 = field(2, 4)
+F32 = field(2, 5)
 F25 = field(5, 2)
 F27 = field(3, 3)
 F2048 = field(2, 11)
@@ -209,11 +215,13 @@ def reference_top_level(enc, mode, resamples):
 
 
 def reference_transforms(g, parts, upper=enum_ut_unit):
+    """(verdict, checked, witness) of the per-A loop the transform run
+    replaced: each A assembled by block_diag, G A multiplied out and its
+    full-size minors evaluated by det."""
     checked = 0
     for blocks in product(*[list(upper(n, g.field.q)) for n in parts]):
         checked += 1
-        bad = _full_minors_nonzero(g @ block_diag(blocks),
-                                   full_size_selections(g.rows, g.cols))
+        bad = reference_full_minors(g @ block_diag(blocks))
         if bad is not None:
             return False, checked, {"transform": [b.to_rows() for b in blocks],
                                     "rows": list(range(g.rows)), "cols": list(bad)}
@@ -244,6 +252,45 @@ def test_block_checkers_match_the_per_block_reference(code):
     rep = check_msrd_transforms(g, code.length_partition)
     assert (rep.verdict, rep.checked_count, rep.witness) == reference_transforms(
         g, code.length_partition.parts)
+
+
+def _random_code(rng, f, parts):
+    """A random parity over f under the length partition parts, with
+    random block dimensions, neither none nor all of the length."""
+    n = sum(parts)
+    while True:
+        dims = tuple(rng.randint(0, n_i) for n_i in parts)
+        if 0 < sum(dims) < n:
+            break
+    k = sum(dims)
+    parity = Matrix(k, n - k, f, [rng.randrange(f.order) for _ in range(k * (n - k))])
+    return SystematicBlockCode(LengthPartition(parts), dims, parity)
+
+
+def test_transform_run_matches_the_per_transform_reference_in_characteristic_2():
+    rng = random.Random("transform run")
+    seen = set()
+    for f in (F8, F16, F32):
+        for parts in [(5,), (4, 1), (3, 2), (2, 2, 1)]:
+            for _ in range(4):
+                g = assemble_generator(_random_code(rng, f, parts))
+                rep = check_msrd_transforms(g, LengthPartition(parts))
+                assert (rep.verdict, rep.checked_count, rep.witness) == \
+                    reference_transforms(g, parts)
+                seen.add((rep.verdict, rep.checked_count > 1))
+    # True verdicts, and False ones at the first A and past it
+    assert seen == {(True, True), (False, False), (False, True)}
+    # no rows: every A gives the empty G A, True after all 2^4 of them;
+    # an all-ones partition has no free cell, so A = I alone
+    for g, parts, outcome in [
+            (Matrix(0, 5, F8), (3, 2), (True, 16)),
+            (Matrix(0, 5, F8), (1,) * 5, (True, 1)),
+            (Matrix(2, 4, F16, [1, 1, 1, 1, 0, 1, 1, 3]), (1,) * 4, (False, 1)),
+            (construct_gabidulin(4, 2, F16), (1,) * 4, (True, 1))]:
+        rep = check_msrd_transforms(g, LengthPartition(parts))
+        assert (rep.verdict, rep.checked_count) == outcome
+        assert (rep.verdict, rep.checked_count, rep.witness) == \
+            reference_transforms(g, parts)
 
 
 def _same_mMSR_report(enc, mode, resamples, budget=block_codes.DEFAULT_TRANSFORM_BUDGET):
