@@ -2,7 +2,7 @@
 layer by layer, for one or more source trees and both kernels.
 
     python3 benchmarks/bench.py --side this=src \\
-        --rows "4,2,1;4,2,2;5,3,1;cauchy10;gab4x2-f81;gab6x3-f64-transforms" \\
+        --rows "4,2,1;4,2,2;4,2,2-exact;5,3,1;cauchy10;gab4x2-f81;gab6x3-f64-transforms" \\
         --out BENCH_transform_family.json
     python3 benchmarks/bench.py --side this=src \\
         --rows "expand-rank-f8;block-min-f16;conv-dist-f128" --out BENCH_kernels.json
@@ -13,6 +13,9 @@ Checker rows:
   N,K,M`` call through ``sumrank.cli.main``.  Layers: ``check_mMSR``
   time, predicate self time (``superregular.self_s``), T matrices,
   minors and the two predicates' calls, one per (B, A~) pair swept.
+- ``N,K,M-exact`` (say ``4,2,2-exact``): the same call with ``--mode
+  exact``, which enumerates every C of every pair.  On [4,2,2] it tracks
+  the exact ``False``: the T and the minors its witness costs.
 - ``cauchy10``: ``is_full_superregular`` on the 10 x 10 Cauchy matrix
   1/(a^i + a^(10+j)) over F_2^8, the minor sweep alone on its largest
   common shape (all 184,755 minors).  Layers: the check's time and
@@ -90,7 +93,7 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TABLE_ROWS = ("4,2,1", "4,2,2", "5,3,1")
+TABLE_ROWS = ("4,2,1", "4,2,2", "4,2,2-exact", "5,3,1")
 KERNELS = ("python", "c")
 REF_SAMPLES = 3  # reference samples before each call
 PREDICATE_CALLS = ("superregular.is_superregular_constrained.calls",
@@ -157,12 +160,14 @@ def measure(call, calls: int, timed, layers, warm: bool = True):
 def time_table_row(row: str, calls: int, timed):
     from sumrank import cli
 
+    shape, _, mode = row.partition("-")
+    mode = mode or "filter"
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["table1", "--mode", "filter", "--rows", row, "--out", f"{tmp}/r.json"]
+        argv = ["table1", "--mode", mode, "--rows", shape, "--out", f"{tmp}/r.json"]
         walls, _, layers = measure(lambda: cli.main(argv), calls, timed, TABLE_LAYERS)
         out = json.loads(Path(f"{tmp}/r.json").read_text())["rows"][0]
-    return (f"[{row}] over F_{out['field']} at alpha^{out['alpha_exponent']}, "
-            "table1 row, filter mode", out["verdict"], walls, layers)
+    return (f"[{shape}] over F_{out['field']} at alpha^{out['alpha_exponent']}, "
+            f"table1 row, {mode} mode", out["verdict"], walls, layers)
 
 
 def time_cauchy(row: str, calls: int, timed):

@@ -10,13 +10,14 @@ predicates only ask which minors vanish, and diagonal scaling over F_q^*
 changes none (matrix.enum_block_diag states the argument).  Every minor
 is evaluated through superregular.minor_sweep, one memoized Laplace
 sweep over a matrix or over a run of matrices that differ in a few
-cells, where a later matrix re-evaluates only the minors a changed cell
-touches.  The transform side, check_msrd_transforms, is one run over
-every A: an A rewrites the columns of G A from the least one holding a
-changed free cell, and no G A is multiplied out.  The systematic side
-runs one engine, check_transform_family: it enumerates (B, A~) pairs and
-tests a superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i),
-one predicate call per pair, its C values one run on B P A~.  For block
+cells.  Each run steps in reflected q-ary Gray order (gray_steps), so a
+later matrix moves one free cell and re-evaluates only the minors that
+hold it.  The transform side, check_msrd_transforms, is one run over
+every A: an A rewrites the one column of G A that holds the cell it
+moves, and no G A is multiplied out.  The systematic side runs one
+engine, check_transform_family: it enumerates (B, A~) pairs and tests a
+superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i), one
+predicate call per pair, its C values one run on B P A~.  For block
 codes the predicate is full superregularity; the convolutional m-MSR
 check (conv_codes) runs the same engine once, on the sliding parity
 P_j^c of its top level j, with row blocks (k)^(j+1), column blocks
@@ -36,7 +37,8 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import product
+from collections import Counter
+from math import comb
 
 from .field import Field, base_field
 from .matrix import (
@@ -181,14 +183,15 @@ def check_msrd_transforms(
     """MSRD check over all nonsingular block-diagonal A with upper-triangular
     blocks over F_q: every full-size minor of G A must be nonzero.  The
     unit ones, which stand for all, are one run of superregular.minor_sweep
-    over G's full_size_selections, in product order.  Column c of G A is
-    G's plus a_rc times G's column r for each free cell (r, c), so an A
-    rewrites G A's entries from the least column among the free cells at
-    or after the carry (_edits), not the carry cell's own: (0, 3) is listed
-    before (1, 2).  The verdict, checked_count (the A swept) and witness
-    are a full sweep's per A.  detail gives the minors evaluated and the
-    charge, those the run can evaluate (_run_charge), equal on a True;
-    the charge is counted before any list is built."""
+    over G's full_size_selections, in reflected q-ary Gray order
+    (gray_steps): each A after the first moves one free cell (r', c) by
+    +-1, which rewrites column c of G A as itself +- G's column r', so an
+    edit names the k cells of one column (_column_edits) and re-evaluates
+    the selections that hold it.  The verdict, checked_count (the A swept)
+    and witness are a full sweep's per A, in that order.  detail gives the
+    minors evaluated and the charge, those the run can evaluate
+    (_run_charge), equal on a True; the charge is counted before any list
+    is built."""
     start = time.perf_counter()
     q = g.field.q
     k, n = g.rows, g.cols
@@ -199,14 +202,11 @@ def check_msrd_transforms(
     counts = {"transform_count": q ** len(a_cells)}
     # without rows or free cells G A is G for every A: one sweep decides all
     cols = sorted({i % n for i in a_cells}) if k else []
-    # since[j]: the position in cols of the least column among a_cells[j:]
-    since = [cols.index(min(i % n for i in a_cells[j:]))
-             for j in range(len(a_cells))] if cols else []
-    # every selection holds row 0, so a rewrite from cols[t] on re-evaluates
-    # those that meet cols[t:]
+    # every selection holds row 0, so one holds a column's cells iff it
+    # selects the column
     total = count_full_size_selections(k, n)
-    charge = _run_charge(total, [total - count_full_size_selections(k, n - len(cols) + t)
-                                 for t in since], q)
+    held = total - count_full_size_selections(k, n - 1) if cols else 0
+    charge = _run_charge(total, [held] * len(a_cells), q)
     if charge > budget:
         return VerificationReport(
             INFEASIBLE,
@@ -214,12 +214,12 @@ def check_msrd_transforms(
             elapsed=time.perf_counter() - start,
         )
     selections = full_size_selections(k, n)
-    cells = [r * n + c for c in cols for r in range(k)]
-    last, tally = [()], [0, 0]
-    run = (cells, _column_edits(g, a_cells, cols, since, last)) if cells else None
+    groups = [tuple(range(c, k * n, n)) for c in cols]
+    digits, tally = [0] * len(a_cells), [0, 0]
+    run = (groups, _column_edits(g, a_cells, cols, digits)) if cols else None
     for pos, _, ci, _ in minor_sweep(g, selections, 1, run, tally):
         if len(ci) == k:
-            a = unit_block_diag(parts, q, last[0])
+            a = unit_block_diag(parts, q, digits)
             return VerificationReport(
                 False,
                 witness={
@@ -239,22 +239,24 @@ def check_msrd_transforms(
     )
 
 
-def _column_edits(g: Matrix, a_cells, cols, since, last):
-    """check_msrd_transforms' edits, one per A in product order: from the
-    column position since[j] on, j the carry, value t * k + r is the sum
-    of a_r'c G[r, r'] over the free cells (r', c) of column c = cols[t]."""
+def _column_edits(g: Matrix, a_cells, cols, digits):
+    """check_msrd_transforms' edits, one per A in gray_steps order over the
+    free cells a_cells, whose values digits keeps current: free cell j =
+    (r', c) moving by d = +-1 adds d times G's column r' to column c, and
+    the edit names its group, position t of c in cols, with the values
+    sum of a_r'c G[r, r'] over the free cells (r', c), r = 0..k-1."""
     f, k, n = g.field, g.rows, g.cols
-    terms = [[(j, g.col(i // n)) for j, i in enumerate(a_cells) if i % n == c]
-             for c in cols]
-    values = [0] * (len(cols) * k)
-    for j, a in _edits(product(range(f.q), repeat=len(a_cells)), False, last):
-        for t in range(since[j], len(cols)):
-            acc = [0] * k
-            for cell, src in terms[t]:
-                if a[cell]:
-                    acc = [f.add(x, f.mul(a[cell], y)) for x, y in zip(acc, src)]
-            values[t * k:(t + 1) * k] = acc
-        yield since[j] * k, values
+    moves = []
+    for i in a_cells:
+        src = g.col(i // n)
+        moves.append((cols.index(i % n), src, [f.neg(y) for y in src]))
+    offsets = [[0] * k for _ in cols]
+    yield 0, offsets[0]
+    for j, d in gray_steps(f.q, len(a_cells)):
+        digits[j] += d
+        t, up, down = moves[j]
+        offsets[t] = [f.add(x, y) for x, y in zip(offsets[t], up if d > 0 else down)]
+        yield t, offsets[t]
 
 
 # -- the (B, A~, C) transform family --------------------------------------------
@@ -283,8 +285,9 @@ def check_transform_family(
     superregularity on the grid BlockGrid(ks, nks) (diagonals in blocks
     (s, t) with s <= t).  Every family is enumerated lazily: B slowest,
     then A~, both unit upper triangular, standing for all
-    (matrix.enum_block_diag), then C (every value tuple of the cells
-    matrix.block_diag_cells(ks, nks, False) lists, in its order).
+    (matrix.enum_block_diag), both in product order, then C (every value
+    tuple of the cells matrix.block_diag_cells(ks, nks, False) lists, in
+    gray_steps order over that list).
 
     mode "exact" enumerates every C.  mode "filter" first tests that every
     minor the predicate checks of B P A~ lies outside F_q; pairs that pass
@@ -296,11 +299,13 @@ def check_transform_family(
     and A~ blocks, the assembled C and the vanishing minor, as JSON rows.
 
     Each pair makes one predicate call, on B P A~ with the run of its C
-    values (superregular.minor_sweep): a C rewrites the C cells from the
-    carry on (_edits), every C cell when sampled, over one selection list
-    built for the call, so the first vanishing minor, hence every report,
-    is a full sweep's per T.  checked_count adds up the T swept, detail's
-    minors the minors evaluated.  A C matrix is built only for a witness.
+    values (superregular.minor_sweep), over one selection list built for
+    the call: every C in reflected q-ary Gray order (gray_steps), each
+    after the first moving one C cell, or every C cell for a sampled draw
+    (_c_edits), so the first vanishing minor, hence every report, is a full
+    sweep's per T in that order.  checked_count adds up the T swept,
+    detail's minors the minors evaluated.  A C matrix is built only for a
+    witness.
     """
     if mode not in ("exact", "filter"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -311,22 +316,30 @@ def check_transform_family(
     counts = {"b_count": b_count, "a_count": a_count, "c_count": c_count}
     # a shape with more square selections than the budget is refused before
     # its list is built
-    if count_square_selections(p.rows, p.cols) > budget:
+    total = count_square_selections(p.rows, p.cols)
+    if total > budget:
         return VerificationReport(INFEASIBLE, detail=counts | {"budget": budget},
                                   elapsed=time.perf_counter() - start)
-    selections = square_selections(p.rows, p.cols, grid)
     cells = block_diag_cells(ks, nks, False)
-    touching = selections.touching(cells)
+    # a run edit names one C cell, or every C cell for a sampled draw
+    groups = [(i,) for i in cells] + [tuple(cells)]
+    if grid is None:
+        # counted, so a refused family builds no list: the selections that
+        # hold a cell are those of the other rows and columns, plus the cell
+        held = ([count_square_selections(p.rows - 1, p.cols - 1) + 1] * len(cells)
+                + [_square_selections_meeting_blocks(ks, nks)])
+    else:
+        selections = square_selections(p.rows, p.cols, grid)
+        total, held = len(selections), selections.holding(groups).lengths
     # budget unit: one minor evaluation (_run_charge).  A filter pair adds
     # its filter sweep; one that samples may instead sweep once and
-    # re-evaluate touching[0] for every other drawn C, and is charged the
-    # larger of the two.
-    per_pair = _run_charge(len(selections),
-                           [len(touching[i]) for i in range(len(cells))], q)
+    # re-evaluate the selections holding any C cell for every other drawn
+    # C, and is charged the larger of the two.
+    per_pair = _run_charge(total, held[:-1], q)
     if mode == "filter":
-        sampling = (len(selections) + (FILTER_RESAMPLE_COUNT - 1) * len(touching[0])
+        sampling = (total + (FILTER_RESAMPLE_COUNT - 1) * held[-1]
                     if c_count > FILTER_RESAMPLE_COUNT else 0)
-        per_pair = len(selections) + max(per_pair, sampling)
+        per_pair = total + max(per_pair, sampling)
     charge = b_count * a_count * per_pair
     if charge > budget:
         return VerificationReport(
@@ -334,6 +347,8 @@ def check_transform_family(
             detail=counts | {"charge": charge, "budget": budget},
             elapsed=time.perf_counter() - start,
         )
+    if grid is None:
+        selections = square_selections(p.rows, p.cols)
     rng = random.Random(0)
     checked = 0
     filtered = 0
@@ -348,19 +363,15 @@ def check_transform_family(
                 filtered += 1
                 sample = c_count > FILTER_RESAMPLE_COUNT
                 sampled += sample
-            # a sampled C is drawn cell by cell in the order C are listed
-            c_values = (([rng.randrange(q) for _ in cells]
-                         for _ in range(FILTER_RESAMPLE_COUNT)) if sample
-                        else product(range(q), repeat=len(cells)))
-            last = [()]
-            run = (cells, _edits(c_values, sample, last))
+            digits = [0] * len(cells)
+            run = (groups, _c_edits(q, digits, rng if sample else None))
             rep = (is_full_superregular(bpa, entries=selections, run=run) if grid is None
                    else is_superregular_constrained(bpa, grid, entries=selections, run=run))
             checked += rep.detail["matrices"]
             minors += rep.checked_count
             if rep.verdict is False:
                 c = Matrix(p.rows, p.cols, base_field(q))
-                for i, v in zip(cells, last[0]):
+                for i, v in zip(cells, digits):
                     c.data[i] = v
                 return VerificationReport(
                     False,
@@ -385,26 +396,62 @@ def check_transform_family(
     )
 
 
-def _run_charge(first: int, subs, q: int) -> int:
-    """Minors an exhaustive run evaluates: `first` for its first matrix,
-    and subs[i] for each of the (q-1) q^i later value tuples whose last
-    nonzero value is the i-th."""
-    return first + sum((q - 1) * q**i * sub for i, sub in enumerate(subs))
+def gray_steps(q: int, c: int):
+    """The steps of the reflected q-ary Gray order over c cells, last cell
+    fastest (Knuth, TAOCP 4A, 7.2.1.1), from all zeros: (cell, d) for each
+    of the q^c - 1 value tuples after the first, where the cell moves by
+    d = +-1 and no other does.  At step s the cell is the one whose digit,
+    counted from the fastest, is the base-q valuation j of s, and d is +1
+    when s // q^(j+1) is even: cell i (from the slowest) moves
+    (q-1) q^i times."""
+    for s in range(1, q ** c):
+        j, t = 0, s
+        while not t % q:
+            j, t = j + 1, t // q
+        yield c - 1 - j, 1 - 2 * (t // q & 1)
 
 
-def _edits(c_values, sample: bool, last: list):
-    """The run's edits (first, values), one per value tuple: first is the
-    first cell changed since the tuple before, in product order the last
-    nonzero value's (the carry's suffix), for a sampled C every cell.
-    last[0] keeps the latest values."""
-    for step, values in enumerate(c_values):
-        first = 0
-        if step and not sample:
-            first = len(values) - 1
-            while not values[first]:
-                first -= 1
-        last[0] = values
-        yield first, values
+def _run_charge(first: int, held, q: int) -> int:
+    """Minors an exhaustive run in gray_steps order evaluates: `first` for
+    its first matrix, and held[i], the selections holding free cell i's
+    group, for each of the (q-1) q^i steps that move cell i."""
+    return first + sum((q - 1) * q**i * h for i, h in enumerate(held))
+
+
+def _c_edits(q: int, digits: list, rng):
+    """check_transform_family's edits for one pair over the C cells, whose
+    values digits keeps current: with an rng, FILTER_RESAMPLE_COUNT draws,
+    each rewriting every C cell (the last group), cell by cell in the
+    order C is listed; without, every value tuple in gray_steps order, each
+    after the first rewriting the one cell it moves."""
+    every = len(digits)
+    if rng is not None:
+        for _ in range(FILTER_RESAMPLE_COUNT):
+            digits[:] = [rng.randrange(q) for _ in digits]
+            yield every, digits
+        return
+    yield every, digits
+    for i, d in gray_steps(q, every):
+        digits[i] += d
+        yield i, (digits[i],)
+
+
+def _square_selections_meeting_blocks(ks, nks) -> int:
+    """Square selections of a sum(ks) x sum(nks) matrix that hold a cell
+    of a diagonal block ks[i] x nks[i]: all but those that take, in every
+    block, some of its rows or some of its columns but not both."""
+    avoid = Counter({(0, 0): 1})  # rows and columns taken so far -> ways
+    for k, w in zip(ks, nks):
+        takes = ([((a, 0), comb(k, a)) for a in range(1, k + 1)]
+                 + [((0, b), comb(w, b)) for b in range(w + 1)])
+        step = Counter()
+        for (r, c), ways in avoid.items():
+            for (a, b), more in takes:
+                step[r + a, c + b] += ways * more
+        avoid = step
+    # avoid counts the empty selection, which count_square_selections does not
+    return (count_square_selections(sum(ks), sum(nks)) + 1
+            - sum(ways for (r, c), ways in avoid.items() if r == c))
 
 
 def _minors_outside_base(m: Matrix, entries) -> bool:

@@ -113,7 +113,8 @@ def _report_base(command: str, args) -> dict:
         "implementation": core.IMPLEMENTATION,
         "budget": args.budget,
         "enumeration_order": "size-ascending then lexicographic; "
-        "messages by ascending mixed-radix index",
+        "messages by ascending mixed-radix index; "
+        "B, A~ in product order, C and A in reflected Gray order",
     }
 
 

@@ -25,10 +25,12 @@ shape's list is kept for the process while it has at most
 SELECTION_CACHE_LIMIT entries, and a longer one is built per call; a
 checker builds its list once and passes it to every call (entries).
 One sweep serves a run of matrices that differ in a few cells, the C
-values of one (B, A~) pair or the transform side's A (run=): it rewrites
-the cells each edit names, updates their logs, and re-evaluates only the
-entries whose selection contains one of them (_Selections.touching
-builds each of those sub-lists on first use, kept with the list itself).
+values of one (B, A~) pair or the transform side's A (run=): each edit
+names one group of cells (a C cell, every C cell, or a column of G A),
+and the sweep rewrites that group, updates its logs, and re-evaluates
+only the entries whose selection holds one of its cells
+(_Selections.holding keeps one sub-list per group, each built on first
+use and kept with the list itself).
 The predicates take the run too and return one report for it.  One Boolean
 sweep, the same recursion over the same lists (nontrivial_slots),
 decides triviality for count_nontrivial_minors and is_superregular.
@@ -41,7 +43,7 @@ from __future__ import annotations
 import time
 import weakref
 from bisect import bisect_right
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
@@ -145,7 +147,7 @@ class _Selections(list):
     """Sweep entries (terms, sub, slot) and the memo layout they address:
     slots is the memo's length, and selection(slot) names a slot's minor."""
 
-    __slots__ = ("slots", "_bases", "_rows", "_cols", "_ncols", "_touching",
+    __slots__ = ("slots", "_bases", "_rows", "_cols", "_ncols", "_holding",
                  "__weakref__")
 
     def selection(self, slot: int) -> tuple[tuple, tuple]:
@@ -154,13 +156,16 @@ class _Selections(list):
         ri = self._rows[j]
         return ri, self._cols[len(ri)][slot - self._bases[j]]
 
-    def touching(self, cells) -> "_Touching":
-        """Sub-lists, one per i < len(cells): touching(cells)[i] holds the
-        entries whose selection contains one of cells[i:] (flat indices
+    def holding(self, groups) -> "_Holding":
+        """Sub-lists, one per cell group: holding(groups)[g] holds the
+        entries whose selection holds a cell of groups[g] (flat indices
         row * cols + col), in sweep order, on this list's memo layout.
         Each is built on first use and kept as long as this list is."""
-        key = tuple(cells)
-        return self._touching.setdefault(key, _Touching(self, key))
+        # from a list: a tuple built from an iterator is resized, so it
+        # bypasses CPython's tuple free list, and freeing one key per call
+        # would fill that list
+        key = tuple([tuple(group) for group in groups])
+        return self._holding.setdefault(key, _Holding(self, key))
 
     def _sub(self, items) -> "_Selections":
         out = _Selections(items)
@@ -169,23 +174,37 @@ class _Selections(list):
         return out
 
 
-class _Touching(dict):
-    """_Selections.touching's sub-lists for one cell list, keyed by i.  It
-    reaches its list through a weak proxy, so a list it is kept with is
-    freed as soon as it is dropped."""
+def _bits(indices) -> int:
+    return sum(1 << i for i in indices)
 
-    def __init__(self, entries: _Selections, cells: tuple):
+
+class _Holding(dict):
+    """_Selections.holding's sub-lists for one group list, keyed by group
+    index, and their lengths.  It reaches its list through a weak proxy,
+    so a list it is kept with is freed as soon as it is dropped."""
+
+    def __init__(self, entries: _Selections, groups: tuple):
         super().__init__()
-        self.entries, self.cells, self.last = weakref.proxy(entries), cells, None
+        self.entries = weakref.proxy(entries)
+        self.bits = [_bits(group) for group in groups]
 
-    def __missing__(self, i: int) -> _Selections:
-        e = self.entries
-        if self.last is None:  # per entry, the last position of a cell it holds
-            where, w = {cell: j for j, cell in enumerate(self.cells)}, e._ncols
-            self.last = [max((where.get(r * w + c, -1) for r in ri for c in ci),
-                             default=-1)
-                         for ri, ci in (e.selection(slot) for _, _, slot in e)]
-        out = self[i] = e._sub([x for x, t in zip(e, self.last) if t >= i])
+    @cached_property
+    def masks(self) -> list[int]:
+        """Per entry, in sweep order, the bit mask of the cells its
+        selection holds (bit row * cols + col)."""
+        e, w = self.entries, self.entries._ncols
+        return [sum(_bits(ci) << r * w for r in ri)
+                for ri, ci in (e.selection(slot) for _, _, slot in e)]
+
+    @cached_property
+    def lengths(self) -> list[int]:
+        """len(self[g]) for each group g, counted from the masks, building
+        no sub-list."""
+        return [sum(1 for m in self.masks if m & b) for b in self.bits]
+
+    def __missing__(self, g: int) -> _Selections:
+        e, bits = self.entries, self.bits[g]
+        out = self[g] = e._sub([x for x, m in zip(e, self.masks) if m & bits])
         return out
 
 
@@ -206,7 +225,7 @@ def _entries(pairs, ncols: int) -> _Selections:
     """
     out = _Selections()
     out._bases, out._rows, out._cols = [0], [()], [[()]]
-    out._ncols, out._touching = ncols, {}
+    out._ncols, out._holding = ncols, {}
     ranks = [{(): 0}]
     blocks = {(): (0, None)}  # row tuple -> (its base, its rows' sub base)
     by_last = {}
@@ -296,23 +315,24 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
     minors' logs, zero included (Field.zero_log_tables), so a term is one
     antilog lookup; otherwise products go through the field.
 
-    run = (cells, edits) sweeps a run of matrices that differ from m in
-    the cells (flat indices): each edit (first, values) writes m's entry
-    plus values[i], any element of m's field, into cells[i] for every
-    i >= first, and updates the kept logs of just those cells.  The run's
-    first matrix sweeps all of entries; a later one only
-    entries.touching(cells)[first], the entries whose selection contains
-    a cell written, while the others, and the sub-minors they expand into,
-    keep their values.  Without a run the sweep is a run of one matrix, m.
-    position counts the minors evaluated in the run before this one (for
-    one matrix, the entry's position).  tally, a list [0, 0] when given,
-    counts [matrices begun, minors evaluated in the matrices done].
+    run = (groups, edits) sweeps a run of matrices that differ from m in
+    the cells of the groups, tuples of flat indices: each edit (g, values)
+    writes m's entry plus values[i], any element of m's field, into the
+    i-th cell of groups[g], and updates the kept logs of just those cells.
+    The run's first matrix sweeps all of entries; a later one only
+    entries.holding(groups)[g], the entries whose selection holds a cell
+    of the group written, while the others, and the sub-minors they expand
+    into, keep their values.  Without a run the sweep is a run of one
+    matrix, m.  position counts the minors evaluated in the run before
+    this one (for one matrix, the entry's position).  tally, a list [0, 0]
+    when given, counts [matrices begun, minors evaluated in the matrices
+    done].
     """
     f = m.field
     base = m.data
     selection = entries.selection
-    cells, edits = run or ((), ((0, ()),))
-    touching = entries.touching(cells) if cells else ()
+    groups, edits = run or (((),), ((0, ()),))
+    holding = entries.holding(groups) if run else None
     tabled = f.q == 2 and f.exp is not None
     if tabled:
         log, ext = f.zero_log_tables
@@ -325,11 +345,11 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
         memo = [0] * entries.slots
         memo[0] = 1
     tally = [0, 0] if tally is None else tally
-    for step, (first, values) in enumerate(edits):
-        swept = touching[first] if step else entries
+    for step, (g, values) in enumerate(edits):
+        swept = holding[g] if step else entries
         tally[0] = step + 1
         if tabled:
-            for i, v in zip(cells[first:], values[first:]):
+            for i, v in zip(groups[g], values):
                 data[i] = log[base[i] ^ v]
             for pos, (terms, sub, slot) in enumerate(swept, tally[1]):
                 acc = 0
@@ -339,7 +359,7 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
                 if acc < below:
                     yield (pos, *selection(slot), acc)
         else:
-            for i, v in zip(cells[first:], values[first:]):
+            for i, v in zip(groups[g], values):
                 data[i] = add(base[i], v)
             for pos, (terms, sub, slot) in enumerate(swept, tally[1]):
                 acc = 0

@@ -36,9 +36,9 @@ def test_harness_runs_a_kernel_row_and_a_checker_row():
         else:
             layers = row["layers"]
             # the minors evaluated: each pair's first T sweeps all 5, each
-            # later one only those containing a changed C cell; one
-            # predicate call per (B, A~) pair, 3 x 3 of them
+            # of its 80 later ones, in Gray order, only the 2 that hold the
+            # C cell it moves; one predicate call per (B, A~) pair, 3 x 3
             assert (row["result"], layers["block_codes.t_matrices"],
                     layers["superregular.minors"],
                     layers["superregular.is_full_superregular.calls"]) == (
-                        True, 729, 1809, 9)
+                        True, 729, 9 * (5 + 80 * 2), 9)

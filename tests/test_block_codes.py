@@ -248,31 +248,32 @@ def test_budget_reports_infeasible():
 
 
 def test_transform_budget_charges_every_swept_minor():
-    # [6,3] over (3,3): 64 transforms in one run, the first sweeping all
-    # C(6,1) + C(6,2) + C(6,3) = 41 selections, each later one only those
-    # that meet a rewritten column, 1,267 minors in all
+    # [6,3] over (3,3): 64 transforms in one Gray-order run, the first
+    # sweeping all C(6,1) + C(6,2) + C(6,3) = 41 selections, each of the 63
+    # later ones the 1 + 5 + 10 = 16 that hold the column it rewrites,
+    # 1,049 minors in all
     g, parts = construct_gabidulin(6, 3, field(2, 6)), LengthPartition((3, 3))
-    short = check_msrd_transforms(g, parts, budget=1266)
+    short = check_msrd_transforms(g, parts, budget=1048)
     assert (short.verdict, short.checked_count, short.detail["charge"]) == (
-        INFEASIBLE, 0, 1267)
-    rep = check_msrd_transforms(g, parts, budget=1267)
+        INFEASIBLE, 0, 41 + 63 * 16)
+    rep = check_msrd_transforms(g, parts, budget=1049)
     assert (rep.verdict, rep.checked_count) == (True, 64)
-    assert rep.detail["minors"] == rep.detail["charge"] == 1267
+    assert rep.detail["minors"] == rep.detail["charge"] == 1049
 
 
 def test_transform_budget_refusal_builds_no_list():
     # the charge is counted before the selection list is built: a refused
-    # budget, below the 41 selections or below the 1,267 the run needs,
-    # builds nothing; from 1,267 on, the list is built once
+    # budget, below the 41 selections or below the 1,049 the run needs,
+    # builds nothing; from 1,049 on, the list is built once
     g, parts = construct_gabidulin(6, 3, field(2, 6)), LengthPartition((3, 3))
     build = mock.Mock(wraps=superregular._build_full_size_selections)
-    for budget, built in ((40, 0), (1266, 0), (1267, 1)):
+    for budget, built in ((40, 0), (1048, 0), (1049, 1)):
         build.reset_mock()
         with mock.patch.multiple(superregular, SELECTION_CACHE_LIMIT=0,
                                  _build_full_size_selections=build):
             rep = check_msrd_transforms(g, parts, budget=budget)
         assert (rep.verdict == INFEASIBLE, build.call_count) == (not built, built)
-        assert rep.detail["charge"] == 1267
+        assert rep.detail["charge"] == 1049
     # [24,12] under (24,): 9,740,686 selections, under the default budget,
     # but 2^276 transforms; refused at once, with no list built
     build.reset_mock()
@@ -280,6 +281,42 @@ def test_transform_budget_refusal_builds_no_list():
         rep = check_msrd_transforms(Matrix(12, 24, field(2, 1)), LengthPartition((24,)))
     assert (rep.verdict, rep.checked_count, build.call_count) == (INFEASIBLE, 0, 0)
     assert rep.detail["charge"] > rep.detail["budget"]
+
+
+def test_systematic_budget_refusal_builds_no_list():
+    # without a grid every cell is held by as many square selections, so
+    # the charge is counted, and a refused family builds neither the
+    # selection list nor its sub-lists (nor counts over them)
+    build = mock.Mock(wraps=superregular._build_square_selections)
+    holding = mock.Mock(wraps=superregular._Holding)
+
+    def check(code, budget):
+        build.reset_mock()
+        holding.reset_mock()
+        with mock.patch.multiple(superregular, SELECTION_CACHE_LIMIT=0,
+                                 _build_square_selections=build, _Holding=holding):
+            rep = check_msrd_systematic(code, budget=budget)
+        return rep, build.call_count, holding.call_count
+
+    # a random one-block [18,9] code over F_2^8: 48,619 selections, under
+    # the default budget, but 81 C cells
+    f = field(2, 8)
+    rng = random.Random("[18,9]")
+    code = SystematicBlockCode(LengthPartition([18]), (9,),
+                               Matrix(9, 9, f, [rng.randrange(f.order) for _ in range(81)]))
+    rep, built, held = check(code, superregular.DEFAULT_SELECTION_BUDGET)
+    assert (rep.verdict, rep.checked_count, built, held) == (INFEASIBLE, 0, 0, 0)
+    assert rep.detail["charge"] > rep.detail["budget"]
+    # Gabidulin [4,2] over F_81, one block: 9 pairs of 5 selections swept
+    # once, then 2 for each of the 80 Gray steps; one minor short of its
+    # charge builds nothing, and the charge itself builds the list once
+    gab = SystematicBlockCode(LengthPartition([4]), (2,),
+                              systematic_form(construct_gabidulin(4, 2, field(3, 4))))
+    charge = 9 * (5 + 80 * 2)
+    rep, built, held = check(gab, charge - 1)
+    assert (rep.verdict, rep.detail["charge"], built, held) == (INFEASIBLE, charge, 0, 0)
+    rep, built, held = check(gab, charge)
+    assert (rep.verdict, rep.detail["minors"], built) == (True, charge, 1)
 
 
 def test_gabidulin_validation():

@@ -100,6 +100,10 @@ def test_verify_block_false_and_recheck(tmp_path, capsys):
     )
     capsys.readouterr()
     assert rc == EXIT_FALSE
+    # a False report's checked_count and witness follow the transform order
+    assert json.loads(open(report_path).read())["enumeration_order"] == (
+        "size-ascending then lexicographic; messages by ascending mixed-radix "
+        "index; B, A~ in product order, C and A in reflected Gray order")
     rc, rep = _run(capsys, ["recheck", "--report", report_path, "--code", code_path])
     assert rc == EXIT_TRUE
     assert rep["reverifies"] is True
@@ -122,6 +126,10 @@ def test_recheck_two_block_code_witnesses(tmp_path, capsys, check):
                "--out", report_path])
     capsys.readouterr()
     assert rc == EXIT_FALSE
+    # a False report's checked_count and witness follow the transform order
+    assert json.loads(open(report_path).read())["enumeration_order"] == (
+        "size-ascending then lexicographic; messages by ascending mixed-radix "
+        "index; B, A~ in product order, C and A in reflected Gray order")
     rc, rep = _run(capsys, ["recheck", "--report", report_path, "--code", code_path])
     assert rc == EXIT_TRUE
     assert rep["reverifies"] is True

@@ -1,14 +1,16 @@
 """The transform-family engine's incremental sweep against a full sweep of
-every T.  check_transform_family keeps one sweep memo across its C values
-and re-evaluates only the selections that contain a C cell changed since
-the T before; reference_family (test_transform_family) sweeps each T's
-whole selection list, the loop the engine ran before.  Both must give the
+every T.  check_transform_family keeps one sweep memo across its C values,
+which step in reflected q-ary Gray order, and re-evaluates only the
+selections that hold the C cell a step moves (every C cell, for a sampled
+draw); reference_family (test_transform_family) sweeps each T's whole
+selection list, in the same order.  Both must give the
 same verdict, checked_count, witness and filtered/sampled pair counts,
 for the full predicate (block codes, no grid) and the grid one (m-MSR
 level 1), over F_2^M and over F_9, F_25 and F_27, in exact mode, in
 filter mode and in filter mode with a sampled pair; every witness
-rechecks.  The engine's detail counts the minors it evaluated, which is
-what a traced call counts as superregular.minors."""
+rechecks; an exact True evaluates the minors its charge counts.  The
+engine's detail counts the minors it evaluated, which is what a traced
+call counts as superregular.minors."""
 
 import random
 import sys
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_transform_family import (
     _TABLE_NEGATIVE,
+    gray_run_minors,
     memory_one_encoders,
     odd_encoders,
     reference_family,
@@ -34,7 +37,7 @@ from sumrank.block_codes import (
     recheck_family_witness,
     systematic_form,
 )
-from sumrank.conv_codes import check_mMSR, sliding_parity
+from sumrank.conv_codes import PolyEncoder, check_mMSR, sliding_parity
 from sumrank.field import field
 from sumrank.matrix import Matrix
 from sumrank.metrics import LengthPartition
@@ -75,6 +78,9 @@ def _same_as_full_sweep(p, ks, nks, constrained, mode, resamples,
     if verdict is True:
         assert (rep.detail["filtered_pairs"], rep.detail["sampled_pairs"]) == (
             filtered, sampled)
+        if mode == "exact":
+            assert rep.detail["minors"] == rep.detail["charge"] == gray_run_minors(
+                ks, nks, grid, p.field.q)
     else:
         assert recheck_family_witness(p, ks, nks, constrained, rep.witness)
     return rep
@@ -97,6 +103,32 @@ def test_grid_engine_matches_the_full_sweep(enc):
                             resamples)
 
 
+@pytest.mark.parametrize("f", [field(2, 2), field(2, 8), field(2, 11), field(3, 2),
+                               field(3, 3)], ids=["F4", "F256", "F2048", "F9", "F27"])
+@pytest.mark.parametrize("constrained", [False, True], ids=["full", "grid"])
+def test_gray_runs_match_the_full_sweep_over_each_field(f, constrained):
+    # three random parities per field: a one-block 2 x 2 code, or the level-1
+    # sliding parity of a [3,1,1] encoder (blocks (1,1) x (2,2)), each in
+    # exact mode, filter mode and filter mode sampling 3 C per passing pair
+    rng = random.Random(f"{f.descriptor()}/{constrained}")
+    outcomes = set()
+    for _ in range(3):
+        if constrained:
+            enc = PolyEncoder.from_parity(
+                [Matrix(1, 2, f, [rng.randrange(1, f.order) for _ in range(2)])
+                 for _ in range(2)])
+            p, ks, nks = sliding_parity(enc, 1), [1, 1], [2, 2]
+        else:
+            p = Matrix(2, 2, f, [rng.randrange(f.order) for _ in range(4)])
+            ks, nks = (2,), (2,)
+        for resamples, mode in RUNS:
+            rep = _same_as_full_sweep(p, ks, nks, constrained, mode, resamples)
+            outcomes.add(rep.verdict)
+    # the large fields give True verdicts, hence whole runs
+    if f.order >= 256:
+        assert True in outcomes
+
+
 @pytest.mark.parametrize("case", ["gf16", "gf27"])
 def test_late_block_witnesses_match_the_full_sweep(case):
     # found by drawing parities until a witness came late
@@ -104,18 +136,19 @@ def test_late_block_witnesses_match_the_full_sweep(case):
                "gf27": (field(3, 3), [3, 26, 7, 21])}[case]
     p = Matrix(2, 2, f, data)
     rep = _same_as_full_sweep(p, (2,), (2,), False, "exact", 1000)
-    # the witness C is past its pair's first q, so a carry has rolled over
-    # more than the last C cell before it
+    # the witness C is past its pair's first q, so a Gray step has moved
+    # a C cell other than the last before it
     assert rep.verdict is False
     assert (rep.checked_count - 1) % rep.detail["c_count"] >= f.q
 
 
 def test_table_negative_matches_the_full_sweep():
-    # [4,2,2] over F_2^11 at e = 1: in exact order the witness is T 1,027,
-    # the 4th pair's 3rd C, after the carry rolled over every C cell
+    # [4,2,2] over F_2^11 at e = 1: in exact order the witness is T 1,028,
+    # the first pair's 1,028th C of 4,096 (T 1,027 in product order)
     p = sliding_parity(_TABLE_NEGATIVE, 2)
     rep = _same_as_full_sweep(p, [2] * 3, [2] * 3, True, "exact", 1000, budget=10**9)
-    assert (rep.verdict, rep.checked_count) == (False, 1027)
+    assert (rep.verdict, rep.checked_count) == (False, 1028)
+    assert rep.detail["minors"] == 162_999
     # filter mode samples the first pair's C
     rep = _same_as_full_sweep(p, [2] * 3, [2] * 3, True, "filter", 3, budget=10**9)
     assert rep.verdict is False
@@ -142,10 +175,12 @@ def test_minors_detail_is_the_traced_count():
     code = SystematicBlockCode(LengthPartition([4]), (2,),
                                systematic_form(construct_gabidulin(4, 2, f)))
     rep, traced = _traced(lambda: check_msrd_systematic(code))
-    # 729 T over 5 selections each swept in full would be 3,645 minors
+    # 729 T over 5 selections each swept in full would be 3,645 minors; a
+    # pair sweeps its 5 once, then the 2 that hold the C cell of each of
+    # its 80 Gray steps
     assert (rep.verdict, rep.checked_count) == (True, 729)
     assert len(square_selections(2, 2)) == 5
-    assert rep.detail["minors"] == rep.detail["charge"] == traced == 1809
+    assert rep.detail["minors"] == rep.detail["charge"] == traced == 9 * (5 + 80 * 2)
     for mode in ("exact", "filter"):
         rep, traced = _traced(lambda: check_mMSR(_TABLE_NEGATIVE, mode=mode, budget=10**9))
         [level] = rep.detail["levels"]

@@ -2,12 +2,14 @@
 tables.
 
 A run is one (B, A~) pair's C values: minor_sweep keeps the discrete logs
-of the matrix entries across the run and rewrites only the C cells an
-edit names.  Every minor a run evaluates must equal the determinant of
-the run's current matrix, whichever cells the edits wrote; a run of one
-matrix is a plain sweep; a run's sub-lists are built only when swept;
-and the engine makes one predicate call per (B, A~) pair, with the
-traced minors unchanged."""
+of the matrix entries across the run and rewrites only the group of C
+cells an edit names, one cell per Gray step or every C cell for a random
+draw.  Every minor a run evaluates must equal the determinant of the
+run's current matrix, whichever group the edits wrote, and a later
+matrix evaluates exactly the selections that hold a cell of its group;
+a run of one matrix is a plain sweep; a run's sub-lists are built only
+when swept; and the engine makes one predicate call per (B, A~) pair,
+with the traced minors unchanged."""
 
 import gc
 import random
@@ -17,13 +19,14 @@ from itertools import product
 
 import pytest
 from conftest import ROOT
-from test_transform_family import _TABLE_NEGATIVE
+from test_transform_family import _TABLE_NEGATIVE, gray_order
 
 from sumrank.block_codes import (
     SystematicBlockCode,
     check_msrd_systematic,
     construct_gabidulin,
     family_counts,
+    gray_steps,
     systematic_form,
 )
 from sumrank.conv_codes import check_mMSR
@@ -76,6 +79,27 @@ def test_zero_log_tables_are_built_on_first_use():
     assert f.zero_log_tables is f.zero_log_tables
 
 
+# -- the Gray order -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("c", range(5))
+def test_gray_steps_visit_every_tuple_once_one_cell_at_a_time(q, c):
+    values = [0] * c
+    seen = [tuple(values)]
+    moves = [0] * c
+    for i, d in gray_steps(q, c):
+        assert d in (1, -1) and 0 <= values[i] + d < q
+        values[i] += d
+        moves[i] += 1
+        seen.append(tuple(values))
+    assert sorted(seen) == list(product(range(q), repeat=c))
+    # cell i, counted from the slowest, moves (q-1) q^i times
+    assert moves == [(q - 1) * q ** i for i in range(c)]
+    # and the order is the recursive reflected one
+    assert seen == gray_order(q, c)
+
+
 # -- runs against matrix.det ----------------------------------------------------
 
 
@@ -90,23 +114,26 @@ FIELD_IDS = ["F4", "F2048", "F9", "F8-untabled"]
 
 
 def _edit_stream(rng, cells, q, count):
-    """Edits (first, values): product order with its carries, and every so
-    often a C drawn at random, which rewrites every cell (first 0)."""
-    values = [0] * len(cells)
-    out = [(0, tuple(values))]
-    for digits in product(range(q), repeat=len(cells)):
-        if len(out) == count:
+    """Edits (g, values) over the groups (cells[0],), ..., (cells[-1],) and
+    cells itself, with the values of every cell after each edit: the first
+    sets every cell to 0, then gray_order moves one cell per edit, and
+    every so often a C drawn at random rewrites every cell."""
+    every = len(cells)
+    values = [0] * every
+    edits, states = [(every, tuple(values))], [tuple(values)]
+    order = gray_order(q, every)
+    for before, after in zip(order, order[1:]):
+        if len(edits) == count:
             break
         if rng.random() < 0.25:
             values = [rng.randrange(q) for _ in cells]
-            out.append((0, tuple(values)))
-            continue
-        if not any(digits):
-            continue
-        first = max(i for i, v in enumerate(digits) if v)
-        values[first:] = digits[first:]
-        out.append((first, tuple(values)))
-    return out
+            edits.append((every, tuple(values)))
+        else:
+            [i] = [i for i in range(every) if before[i] != after[i]]
+            values[i] = after[i]
+            edits.append((i, (after[i],)))
+        states.append(tuple(values))
+    return edits, states
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
@@ -118,25 +145,30 @@ def test_every_minor_of_a_run_equals_det(f, ks, nks, grid):
     g = BlockGrid(ks, nks) if grid else None
     entries = square_selections(rows, cols, g)
     cells = block_diag_cells(ks, nks, False)
+    groups = [(i,) for i in cells] + [tuple(cells)]
     base = Matrix(rows, cols, f, [rng.randrange(f.order) for _ in range(rows * cols)])
     for r, c in product(range(rows), range(cols)):
         if rng.random() < 0.2:
             base[r, c] = 0
-    edits = _edit_stream(rng, cells, f.q, 40)
-    touching = entries.touching(cells)
+    edits, states = _edit_stream(rng, cells, f.q, 40)
     tally = [0, 0]
-    seen = [0] * len(edits)
-    run = minor_sweep(base, entries, f.order, (cells, iter(edits)), tally)
+    seen = [[] for _ in edits]
+    run = minor_sweep(base, entries, f.order, (groups, iter(edits)), tally)
     for pos, ri, ci, v in run:
         step = tally[0] - 1
         t = base.copy()
-        for i, c in zip(cells, edits[step][1]):
+        for i, c in zip(cells, states[step]):
             t.data[i] = f.add(base.data[i], c)
         assert v == det(t.submatrix(ri, ci)), (step, ri, ci)
-        seen[step] += 1
-    # each matrix after the first evaluates the entries its edit touches
-    assert seen == [len(entries)] + [len(touching[first]) for first, _ in edits[1:]]
-    assert tally == [len(edits), sum(seen)]
+        seen[step].append((ri, ci))
+    # the first matrix evaluates every entry, each later one exactly those
+    # whose rows and columns hold a cell of the group its edit wrote
+    listed = [entries.selection(slot) for _, _, slot in entries]
+    assert seen == [listed] + [
+        [(ri, ci) for ri, ci in listed
+         if any(r * cols + c in groups[e] for r in ri for c in ci)]
+        for e, _ in edits[1:]]
+    assert tally == [len(edits), sum(map(len, seen))]
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
@@ -147,26 +179,29 @@ def test_a_run_of_one_matrix_is_a_plain_sweep(f):
     for below in (1, f.q, f.order):
         plain = list(minor_sweep(m, entries, below))
         tally = [0, 0]
-        assert list(minor_sweep(m, entries, below, ((), [(0, ())]), tally)) == plain
+        assert list(minor_sweep(m, entries, below, (((),), [(0, ())]), tally)) == plain
         assert tally == [1, len(entries)]
 
 
-def test_touching_builds_a_sub_list_on_first_use_and_frees_with_its_list():
-    # the cells of columns 2 and 4 of a 3 x 6 matrix, column by column
+def test_holding_builds_a_sub_list_on_first_use_and_frees_with_its_list():
+    # two groups, the cells of columns 2 and 4 of a 3 x 6 matrix
     entries = _build_full_size_selections(3, 6)
-    cells = [r * 6 + c for c in (2, 4) for r in range(3)]
-    touching = entries.touching(cells)
-    assert len(touching) == 0 and entries.touching(cells) is touching
-    sub = touching[3]
-    assert list(touching) == [3] and entries.touching(cells)[3] is sub
+    groups = [[r * 6 + c for r in range(3)] for c in (2, 4)]
+    holding = entries.holding(groups)
+    assert len(holding) == 0 and entries.holding(groups) is holding
+    sub = holding[1]
+    assert list(holding) == [1] and entries.holding(groups)[1] is sub
     assert [entries.selection(slot)[1] for _, _, slot in sub] == [
         entries.selection(slot)[1] for _, _, slot in entries
         if 4 in entries.selection(slot)[1]]
+    # the counts need no sub-list: 1 + 5 + 10 selections hold each column
+    assert holding.lengths == [16, 16] == [len(sub)] * 2
+    assert list(holding) == [1]
     # a list built per call is freed when dropped, with no cycle to collect
     ref = weakref.ref(entries)
     gc.disable()
     try:
-        del entries, touching
+        del entries, holding
         assert ref() is None
     finally:
         gc.enable()
@@ -195,7 +230,7 @@ def test_block_check_calls_the_predicate_once_per_pair():
     pairs = rep.detail["b_count"] * rep.detail["a_count"]
     assert (rep.verdict, pairs, rep.checked_count) == (True, 9, 729)
     assert metrics["superregular.is_full_superregular.calls"] == pairs
-    assert metrics["superregular.minors"] == rep.detail["minors"] == 1809
+    assert metrics["superregular.minors"] == rep.detail["minors"] == 1485
 
 
 @pytest.mark.parametrize("mode", ["exact", "filter"])

@@ -11,8 +11,10 @@ over F_2^M Frobenius encoders and odd-q ones, and every witness rechecks.
 Over F_9, F_25 and F_27 the exact verdicts also match the reference run
 over every nonsingular upper-triangular B, A~ and A, the family the
 criterion quantifies over.  The transform side's one sweep run matches
-its per-A reference over F_8, F_16 and F_32 too.  Draws are
-derandomized, so every run sees the same codes."""
+its per-A reference over F_8, F_16 and F_32 too.  The references walk
+each run, the C values of a pair and the transform side's A, in the
+reflected q-ary Gray order of gray_order, built here from its recursive
+definition.  Draws are derandomized, so every run sees the same codes."""
 
 import random
 from itertools import product
@@ -23,7 +25,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_matrix import (
-    enum_base_matrices,
     enum_ut_nonsingular,
     enum_ut_unit,
     reference_full_minors,
@@ -135,30 +136,59 @@ _MRD_LEVEL_ZERO = PolyEncoder.from_parity(
 # -- the per-block-list loops the lazy enumeration replaced ------------------
 
 
+def gray_order(q, c):
+    """Every F_q value tuple of c cells in reflected q-ary Gray order, last
+    cell fastest, by its recursive definition: each digit d of the first
+    cell in turn, followed by the order on the other cells, reversed when
+    d is odd."""
+    if c == 0:
+        return [()]
+    rest = gray_order(q, c - 1)
+    return [(d,) + t for d in range(q) for t in (rest if d % 2 == 0 else rest[::-1])]
+
+
+def filled_blocks(rows, cols, values, f, upper):
+    """Blocks rows[i] x cols[i] over f whose free cells, block by block and
+    row-major, hold values: with upper, unit upper-triangular blocks and
+    the cells above the diagonal; otherwise every cell of zero blocks."""
+    it = iter(values)
+    out = []
+    for br, bc in zip(rows, cols):
+        b = Matrix.identity(br, f) if upper else Matrix(br, bc, f)
+        for r in range(br):
+            for c in range(r + 1 if upper else 0, bc):
+                b[r, c] = next(it)
+        out.append(b)
+    return out
+
+
 def reference_family(p, ks, nks, grid, mode, resamples, rng, upper=enum_ut_unit):
     """(verdict, checked, witness, filtered, sampled) of the (B, A~, C)
     loop over products of per-block lists, each tuple assembled by
-    block_diag; B and A~ blocks come from upper(size, q); filter passes
-    draw `resamples` C block by block, row by row (every C when there are
-    no more)."""
+    block_diag; B and A~ blocks come from upper(size, q), and each pair's
+    C blocks take every value tuple of their cells in gray_order; filter
+    passes draw `resamples` C block by block, row by row (every C when
+    there are no more)."""
     q = p.field.q
+    base = base_field(q)
     b_sets = [list(upper(k, q)) for k in ks]
     a_sets = [list(upper(w, q)) for w in nks]
-    c_sets = [list(enum_base_matrices(k, w, q)) for k, w in zip(ks, nks)]
-    c_total = len(list(product(*c_sets)))
+    c_cells = sum(k * w for k, w in zip(ks, nks))
+    c_total = q ** c_cells
     checked = filtered = sampled = 0
     for b_blocks in product(*b_sets):
         bp = block_diag(b_blocks) @ p
         for a_blocks in product(*a_sets):
             bpa = bp @ block_diag(a_blocks)
-            c_iter = map(block_diag, product(*c_sets))
+            c_iter = (block_diag(filled_blocks(ks, nks, values, base, False))
+                      for values in gray_order(q, c_cells))
             if mode == "filter" and _minors_outside_base(
                     bpa, square_selections(p.rows, p.cols, grid)):
                 filtered += 1
                 if c_total > resamples:
                     sampled += 1
                     c_iter = (block_diag([
-                        Matrix(k, w, base_field(q), [rng.randrange(q) for _ in range(k * w)])
+                        Matrix(k, w, base, [rng.randrange(q) for _ in range(k * w)])
                         for k, w in zip(ks, nks)]) for _ in range(resamples))
             for c in c_iter:
                 checked += 1
@@ -214,12 +244,21 @@ def reference_top_level(enc, mode, resamples):
     return verdict, checked, w, filtered, sampled
 
 
-def reference_transforms(g, parts, upper=enum_ut_unit):
+def reference_transforms(g, parts, upper=None):
     """(verdict, checked, witness) of the per-A loop the transform run
     replaced: each A assembled by block_diag, G A multiplied out and its
-    full-size minors evaluated by det."""
+    full-size minors evaluated by det.  The unit A take every value tuple
+    of their free cells in gray_order; with upper, A runs over the product
+    of the per-block lists upper(size, q) instead."""
+    q = g.field.q
+    if upper is None:
+        free = sum(n * (n - 1) // 2 for n in parts)
+        a_iter = (filled_blocks(parts, parts, values, base_field(q), True)
+                  for values in gray_order(q, free))
+    else:
+        a_iter = product(*[list(upper(n, q)) for n in parts])
     checked = 0
-    for blocks in product(*[list(upper(n, g.field.q)) for n in parts]):
+    for blocks in a_iter:
         checked += 1
         bad = reference_full_minors(g @ block_diag(blocks))
         if bad is not None:
@@ -320,7 +359,7 @@ _TABLE_NEGATIVE = construct_frobenius(4, 2, 2, F2048, F2048.alpha_pow(1))
 
 
 @pytest.mark.parametrize("mode, resamples, checked", [
-    ("exact", 1000, 1027),
+    ("exact", 1000, 1028),
     ("filter", 1000, 16),
     ("filter", 3, 74),
 ])
@@ -333,18 +372,18 @@ def test_table_negative_matches_the_per_block_reference(mode, resamples, checked
 
 def test_engine_budget_charges_the_minors_the_grid_checks():
     # the level-2 6 x 6 grid checks 553 of the 923 square minors, and each
-    # of the 64 pairs evaluates each of them once per value tuple of the C
-    # cells up to the last one it contains: 58.2e6 minors, so the exact
-    # family fits the default budget and reads False at T 1,027
+    # of the 64 pairs evaluates each of them once, then again at every Gray
+    # step that moves a C cell it holds: 41.5e6 minors, so the exact family
+    # fits the default budget and reads False at T 1,028
     assert len(square_selections(6, 6, parity_grid(_TABLE_NEGATIVE, 2))) == 553
     assert count_square_selections(6, 6) == 923
     charge = _level_cost(_TABLE_NEGATIVE, 2)
-    assert charge == 58_234_560
+    assert charge == 41_505_472
     rep = check_mMSR(_TABLE_NEGATIVE, mode="exact")
     [level] = rep.detail["levels"]
-    assert (rep.verdict, rep.checked_count, level["charge"]) == (False, 1027, charge)
+    assert (rep.verdict, rep.checked_count, level["charge"]) == (False, 1028, charge)
     # filter mode adds each pair's filter sweep; sampling 1,000 C would
-    # evaluate fewer than a pair's 4,096 C in product order
+    # evaluate fewer than a pair's 4,096 C in Gray order
     rep = check_mMSR(_TABLE_NEGATIVE, mode="filter")
     [level] = rep.detail["levels"]
     assert (rep.verdict, level["charge"]) == (False, charge + 64 * 553)
@@ -361,17 +400,35 @@ def test_engine_budget_charges_the_minors_the_grid_checks():
     assert rep.detail["charge"] == charge
 
 
-def test_filter_charge_is_the_larger_of_product_order_and_sampling():
+def test_filter_charge_is_the_larger_of_gray_order_and_sampling():
     # one 1 x 7 block over F_9: each 1 x 1 selection holds one C cell, so a
-    # pair in product order evaluates 3 + 9 + ... + 3^7 minors, while one
-    # that samples sweeps its 7 once and re-evaluates them for 999 more C
+    # pair in Gray order evaluates its 7 once and then one minor per later
+    # C, 7 + 3^7 - 1, while one that samples sweeps its 7 once and
+    # re-evaluates them for 999 more C
     p = Matrix(1, 7, F9, [1] * 7)
     pairs = 3 ** 21  # A~ is a unit upper-triangular 7 x 7 block
     exact = block_codes.check_transform_family(p, [1], [7], False, "exact", 7)
     filt = block_codes.check_transform_family(p, [1], [7], False, "filter", 7)
     assert exact.verdict == filt.verdict == INFEASIBLE
-    assert exact.detail["charge"] == pairs * sum(3 ** (t + 1) for t in range(7))
+    assert exact.detail["charge"] == pairs * (7 + 3 ** 7 - 1)
     assert filt.detail["charge"] == pairs * (7 + 7 + 999 * 7)
+
+
+@pytest.mark.parametrize("ks, nks", [((2,), (2,)), ((1, 1), (1, 1)), ((2, 1), (1, 2)),
+                                     ((3, 1), (2, 2)), ((2, 2, 2), (2, 2, 2)),
+                                     ((0, 2), (1, 1))])
+def test_ungridded_charge_counts_its_held_cells_without_a_list(ks, nks):
+    # without a grid the engine charges from counts: the square selections
+    # that hold each C cell, and those that hold any, which sampling uses
+    rows, cols = sum(ks), sum(nks)
+    cells = block_diag_cells(ks, nks, False)
+    p = Matrix(rows, cols, F8, [1] * (rows * cols))
+    rep = block_codes.check_transform_family(p, ks, nks, False, "exact",
+                                             count_square_selections(rows, cols))
+    assert rep.detail["charge"] == gray_run_minors(ks, nks, None, 2)
+    assert block_codes._square_selections_meeting_blocks(ks, nks) == sum(
+        1 for ri, ci in iter_square_selections(rows, cols)
+        if any(r * cols + c in cells for r in ri for c in ci))
 
 
 def test_an_exhaustive_true_evaluates_its_charge():
@@ -431,20 +488,25 @@ def test_top_level_decides_like_the_per_level_loop(enc):
             _witness_is_genuine(enc, rep)
 
 
-def _level_cost(enc, i):
-    """The exact engine's budget charge at level i: per (B, A~) pair, each
-    grid selection is evaluated once per value tuple of the C cells up to
-    the last one it contains, q^(t+1) times if that is the t-th cell."""
-    ks, nks = [enc.k] * (i + 1), [enc.n - enc.k] * (i + 1)
-    q = enc.field.q
+def gray_run_minors(ks, nks, grid, q):
+    """Minors an exhaustive (B, A~, C) family evaluates: per pair, each
+    selection the predicate checks once, then again at every step of the
+    Gray order that moves a C cell it holds, (q-1) q^t times for the t-th."""
     b, a, _ = family_counts(ks, nks, q)
     position = {cell: t for t, cell in enumerate(block_diag_cells(ks, nks, False))}
-    width, grid = sum(nks), parity_grid(enc, i)
+    width = sum(nks)
     per_pair = sum(
-        q ** (1 + max(position.get(r * width + c, -1) for r in ri for c in ci))
+        1 + sum((q - 1) * q ** position[r * width + c]
+                for r in ri for c in ci if r * width + c in position)
         for ri, ci in iter_square_selections(sum(ks), width)
-        if grid.diagonal_allowed(ri, ci))
+        if grid is None or grid.diagonal_allowed(ri, ci))
     return b * a * per_pair
+
+
+def _level_cost(enc, i):
+    """The exact engine's budget charge at level i."""
+    ks, nks = [enc.k] * (i + 1), [enc.n - enc.k] * (i + 1)
+    return gray_run_minors(ks, nks, parity_grid(enc, i), enc.field.q)
 
 
 def test_a_refused_top_level_falls_back_to_the_largest_level_that_fits():
