@@ -24,11 +24,12 @@ P_j^c of its top level j, with row blocks (k)^(j+1), column blocks
 (n-k)^(j+1) and the block-grid predicate.  Its base-field filter tests
 exactly the minors the predicate checks; a True detail says how many
 pairs rest on random C samples (sampled_pairs).  Both sides charge their
-budget in the minors their runs can evaluate (_run_charge).  Witness
-blocks are cut out of the assembled matrices (matrix.diagonal_blocks).
-One recheck, recheck_family_witness, serves both engine callers: it
-confirms that the witnessed tuple belongs to the enumerated family, then
-evaluates the witnessed minor by Gaussian elimination (matrix.minor),
+budget in the minors their runs can evaluate (_run_charge).  Every
+witness has one layout: {"transform": {name: diagonal blocks}, "rows",
+"cols"}, naming B, A~ and C on the systematic side and A on the
+transform side, and one parser (_parse_transform) reads it back into the
+family's block-diagonal matrices, or rejects it.  Each recheck is that
+parse and the witnessed minor by Gaussian elimination (matrix.minor),
 independently of the sweep.  A Gabidulin constructor supplies positive
 MRD instances for the oracles.
 """
@@ -40,13 +41,14 @@ import time
 from collections import Counter
 from math import comb
 
-from .field import Field, base_field
+from .field import Field
 from .matrix import (
     Matrix,
     block_diag,
     block_diag_cells,
     diagonal_blocks,
     enum_block_diag,
+    is_code_rows,
     is_upper_triangular,
     unit_block_diag,
     minor,
@@ -131,6 +133,8 @@ class SystematicBlockCode:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SystematicBlockCode":
+        if not isinstance(obj, dict) or not is_code_rows([obj["partition"], obj["dims"]]):
+            raise ValueError("a code's partition and dims must be lists of integers")
         parity = Matrix.from_json(obj["parity"])
         return cls(LengthPartition(obj["partition"]), tuple(obj["dims"]), parity)
 
@@ -223,7 +227,7 @@ def check_msrd_transforms(
             return VerificationReport(
                 False,
                 witness={
-                    "transform": diagonal_blocks(a, parts, parts),
+                    "transform": {"A": diagonal_blocks(a, parts, parts)},
                     "rows": list(range(k)),
                     "cols": list(ci),
                 },
@@ -295,8 +299,8 @@ def check_transform_family(
     0 (every C, when there are no more), pairs that fail enumerate every C.
     A True detail counts the pairs that passed the filter (filtered_pairs)
     and those whose C were drawn at random (sampled_pairs); the verdict is
-    exhaustive only when sampled_pairs is 0.  A False witness holds the B
-    and A~ blocks, the assembled C and the vanishing minor, as JSON rows.
+    exhaustive only when sampled_pairs is 0.  A False witness holds the
+    diagonal blocks of B, A~ and C and the vanishing minor, as JSON.
 
     Each pair makes one predicate call, on B P A~ with the run of its C
     values (superregular.minor_sweep), over one selection list built for
@@ -370,15 +374,15 @@ def check_transform_family(
             checked += rep.detail["matrices"]
             minors += rep.checked_count
             if rep.verdict is False:
-                c = Matrix(p.rows, p.cols, base_field(q))
-                for i, v in zip(cells, digits):
-                    c.data[i] = v
+                c = iter(digits)  # C's cells, block by block, row-major
                 return VerificationReport(
                     False,
                     witness={
-                        "B": diagonal_blocks(b, ks, ks),
-                        "A": diagonal_blocks(a, nks, nks),
-                        "C": c.to_rows(),
+                        "transform": {
+                            "B": diagonal_blocks(b, ks, ks),
+                            "A": diagonal_blocks(a, nks, nks),
+                            "C": [[[next(c) for _ in range(w)] for _ in range(k)]
+                                  for k, w in zip(ks, nks)]},
                         "rows": rep.witness["rows"],
                         "cols": rep.witness["cols"],
                     },
@@ -461,33 +465,13 @@ def _minors_outside_base(m: Matrix, entries) -> bool:
     return next(sweep, None) is None
 
 
-def in_transform_family(b_blocks, a_blocks, c: Matrix, ks, nks) -> bool:
-    """True iff (B, A~, C) is in the family check_transform_family decides:
-    each B_i (A~_i) nonsingular upper triangular of size ks[i] (nks[i]),
-    and C of shape sum(ks) x sum(nks), zero outside its diagonal blocks."""
-    grid = BlockGrid(ks, nks)
-    return (
-        _nonsingular_upper(b_blocks, ks)
-        and _nonsingular_upper(a_blocks, nks)
-        and (c.rows, c.cols) == (sum(ks), sum(nks))
-        and all(c[r, col] == 0 for r in range(c.rows) for col in range(c.cols)
-                if grid.row_block(r) != grid.col_block(col))
-    )
-
-
-def _nonsingular_upper(blocks, sizes) -> bool:
-    return len(blocks) == len(sizes) and all(
-        (b.rows, b.cols) == (s, s)
-        and is_upper_triangular(b)
-        and all(b[i, i] for i in range(s))
-        for b, s in zip(blocks, sizes)
-    )
-
-
 def witness_minor_vanishes(t: Matrix, witness: dict, grid: BlockGrid | None = None) -> bool:
     """The witnessed minor of t is zero and is one the predicate checks:
-    rows and cols strictly increasing and, with a grid, grid-qualifying."""
-    rows, cols = list(witness["rows"]), list(witness["cols"])
+    rows and cols strictly increasing and, with a grid, grid-qualifying.
+    rows or cols that are not lists of integers raise ValueError."""
+    rows, cols = witness.get("rows"), witness.get("cols")
+    if not is_code_rows([rows, cols]):
+        raise ValueError("witness rows and cols must be lists of integers")
     return (
         minor(t, rows, cols) == 0
         and all(a < b for idx in (rows, cols) for a, b in zip(idx, idx[1:]))
@@ -543,23 +527,19 @@ def construct_gabidulin(n: int, k: int, field: Field) -> Matrix:
 
 
 def recheck_family_witness(p: Matrix, ks, nks, constrained: bool, witness: dict) -> bool:
-    """Re-evaluate a check_transform_family witness (B and A~ blocks, the
-    assembled C, rows and cols): the tuple must belong to the family, and
-    the witnessed minor of T = diag(B_i) P diag(A~_i) + C, one the
-    predicate checks, must vanish under Gaussian elimination."""
-    base = p.field.base()
-    b = _blocks_from_rows(witness["B"], base)
-    a = _blocks_from_rows(witness["A"], base)
-    c = Matrix.from_rows(witness["C"], base)
-    if not in_transform_family(b, a, c, ks, nks):
-        return False
+    """Re-evaluate a check_transform_family witness: its B, A~ and C must
+    parse into the family (_parse_transform), and the witnessed minor of
+    T = B P A~ + C, one the predicate checks, must vanish."""
+    tr = _parse_transform(witness, p.field.base(),
+                          {"B": (ks, ks), "A": (nks, nks), "C": (ks, nks)})
     grid = BlockGrid(ks, nks) if constrained else None
-    return witness_minor_vanishes(transformed_parity(p, b, a, c), witness, grid)
+    return tr is not None and witness_minor_vanishes(
+        transformed_parity(p, tr["B"], tr["A"], tr["C"]), witness, grid)
 
 
-def transformed_parity(p: Matrix, b_blocks, a_blocks, c: Matrix) -> Matrix:
-    """T = diag(B_i) P diag(A~_i) + C."""
-    return (block_diag(b_blocks) @ p @ block_diag(a_blocks)).add(c)
+def transformed_parity(p: Matrix, b: Matrix, a: Matrix, c: Matrix) -> Matrix:
+    """T = B P A~ + C."""
+    return (b @ p @ a).add(c)
 
 
 def recheck_witness(code: SystematicBlockCode, witness: dict) -> bool:
@@ -572,17 +552,45 @@ def recheck_witness(code: SystematicBlockCode, witness: dict) -> bool:
 def recheck_transform_witness(
     g: Matrix, partition: LengthPartition, witness: dict
 ) -> bool:
-    """Re-evaluate a transform-side witness: every block must be nonsingular
-    upper triangular of its part's size, and the witnessed full-size minor
-    of G A must vanish."""
-    blocks = _blocks_from_rows(witness["transform"], g.field.base())
-    if not _nonsingular_upper(blocks, partition.parts) or len(witness["rows"]) != g.rows:
-        return False
-    return witness_minor_vanishes(g @ block_diag(blocks), witness)
+    """Re-evaluate a transform-side witness: every block of A must be
+    nonsingular upper triangular of its part's size, and the witnessed
+    full-size minor of G A must vanish."""
+    parts = partition.parts
+    tr = _parse_transform(witness, g.field.base(), {"A": (parts, parts)})
+    return (tr is not None and witness_minor_vanishes(g @ tr["A"], witness)
+            and len(witness["rows"]) == g.rows)
 
 
-def _blocks_from_rows(blocks_rows, f) -> list[Matrix]:
-    return [Matrix.from_rows(b, f) if b else Matrix(0, 0, f) for b in blocks_rows]
+def witness_block(rows, r: int, c: int, f: Field) -> Matrix | None:
+    """The r x c matrix over f of JSON rows, or None when they have another
+    shape or an entry outside f.  Rows of other types raise ValueError."""
+    if not is_code_rows(rows):
+        raise ValueError("a witness block must be a list of lists of integers")
+    if len(rows) == r and all(len(row) == c and all(0 <= v < f.order for v in row)
+                              for row in rows):
+        return Matrix(r, c, f, [v for row in rows for v in row])
+    return None
+
+
+def _parse_transform(witness: dict, f: Field, shapes: dict) -> dict | None:
+    """The block-diagonal matrices over f that witness["transform"] names,
+    or None when one is outside the family the check decided: shapes maps
+    each name to its block sizes (rows, cols), one block of that shape per
+    size, and every block but C's is nonsingular upper triangular.  Other
+    names, or values that are not lists, raise ValueError."""
+    tr = witness.get("transform")
+    if (not isinstance(tr, dict) or set(tr) != set(shapes)
+            or not all(isinstance(blocks, list) for blocks in tr.values())):
+        raise ValueError(f"a witness transform names block lists {', '.join(shapes)}")
+    out = {}
+    for name, (rows, cols) in shapes.items():
+        blocks = [witness_block(b, r, c, f) for b, r, c in zip(tr[name], rows, cols)]
+        if len(tr[name]) != len(rows) or None in blocks or name != "C" and not all(
+                is_upper_triangular(b) and all(b[i, i] for i in range(b.rows))
+                for b in blocks):
+            return None
+        out[name] = block_diag(blocks)
+    return out
 
 
 def load_code(obj_or_path) -> SystematicBlockCode:

@@ -40,6 +40,7 @@ from .conv_codes import (
     parity_grid,
     recheck_mMSR_witness,
     recheck_oracle_witness,
+    sliding_parity,
     transform_counts,
 )
 from .field import FieldError, field, parse_descriptor
@@ -288,17 +289,6 @@ def cmd_construct(args) -> int:
 # -- table1 -------------------------------------------------------------------
 
 
-def _table1_pattern(n: int, k: int, m: int) -> ZeroPattern:
-    nk = n - k
-    sup = [[False] * (nk * (m + 1)) for _ in range(k * (m + 1))]
-    for s in range(m + 1):
-        for t in range(s, m + 1):
-            for r in range(k):
-                for c in range(nk):
-                    sup[s * k + r][t * nk + c] = True
-    return ZeroPattern(sup)
-
-
 def cmd_table1(args) -> int:
     if args.rows:
         wanted = {tuple(int(v) for v in r.split(",")) for r in args.rows.split(";")}
@@ -317,6 +307,7 @@ def cmd_table1(args) -> int:
         t0 = time.perf_counter()
         rep = check_mMSR(enc, m, mode=args.mode, budget=args.budget)
         b_total, a_total, _ = transform_counts(enc, m)
+        decided = rep.detail["levels"][0]
         row = {
             "n": n,
             "k": k,
@@ -325,13 +316,17 @@ def cmd_table1(args) -> int:
             "alpha_exponent": e,
             "verdict": _verdict_str(rep.verdict),
             "transform_counts": f"{a_total}x{b_total}",
-            # the engine's grid: its selection list is already built, and
-            # every selection outside it is trivial on this pattern
+            # the construction's zero pattern and the engine's grid, whose
+            # list is built; every selection outside it is trivial here
             "nontrivial_minors": count_nontrivial_minors(
-                _table1_pattern(n, k, m), parity_grid(enc, m), min_size=2
+                ZeroPattern.of(sliding_parity(enc, m)), parity_grid(enc, m), min_size=2
             ),
             # pairs whose C were drawn at random: a True with any is sampled
-            "sampled_pairs": sum(lv.get("sampled_pairs", 0) for lv in rep.detail["levels"]),
+            "sampled_pairs": decided.get("sampled_pairs", 0),
+            # the decided level's cost: T swept, minors evaluated, charge
+            "checked_count": rep.checked_count,
+            "minors": decided.get("minors"),
+            "charge": decided.get("charge"),
             "elapsed": time.perf_counter() - t0,
         }
         if rep.verdict == INFEASIBLE:
@@ -360,8 +355,10 @@ def cmd_table1(args) -> int:
 def cmd_recheck(args) -> int:
     with open(args.report) as fh:
         prior = json.load(fh)
+    if not isinstance(prior, dict) or not isinstance(prior.get("oracle", {}), dict):
+        raise CliError("a report must be a JSON object", EXIT_PARSE)
     witness = prior.get("witness") or prior.get("oracle", {}).get("witness")
-    if not witness:
+    if not witness or not isinstance(witness, dict):
         raise CliError("report carries no witness to re-check", EXIT_PARSE)
     if args.encoder:
         enc = load_encoder(args.encoder)
@@ -374,12 +371,13 @@ def cmd_recheck(args) -> int:
         check = str(prior.get("check", ""))
         # the MRD checks treat the whole length as one block
         mrd = check.startswith("mrd-")
-        if "transform" in witness:
-            partition = LengthPartition([code.n]) if mrd else code.length_partition
-            ok = recheck_transform_witness(assemble_generator(code), partition, witness)
-        elif check == "mds":
+        if check == "mds":
             # a vanishing minor of P itself, no transform
             ok = witness_minor_vanishes(code.parity, witness)
+        elif isinstance(witness.get("transform"), dict) and "B" not in witness["transform"]:
+            # the transform side names A alone, the systematic side B, A~, C
+            partition = LengthPartition([code.n]) if mrd else code.length_partition
+            ok = recheck_transform_witness(assemble_generator(code), partition, witness)
         else:
             if mrd:
                 code = SystematicBlockCode(LengthPartition([code.n]), (code.k,), code.parity)

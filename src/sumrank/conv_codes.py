@@ -5,15 +5,12 @@ encoders, and the Frobenius-power construction with its exponent search.
 Level i of the m-MSR check is the block systematic check on the sliding
 parity P_i^c: block_codes.check_transform_family with row blocks
 (k)^(i+1), column blocks (n-k)^(i+1) and the block-grid predicate in
-place of full superregularity; its unit upper-triangular B and A~
-stand for all (matrix.enum_block_diag).  The levels are nested, so
+place of full superregularity.  The levels are nested, so
 check_mMSR(enc, j) runs that engine once, at level j, and level j
-passing certifies every level below it.  Its filter tests the
-grid-qualifying minors, the ones the predicate checks, and a True
-detail counts the pairs whose C were sampled.  A witness belongs to the
-level of the last block it touches and carries that level's B, A~ and
-C blocks; its recheck is the block one,
-block_codes.recheck_family_witness, on the reassembled C."""
+passing certifies every level below it.  A witness belongs to the level
+of the last block it touches: it is the engine's witness, each block
+list cut to that level, plus the level, and it rechecks as a block
+witness (block_codes.recheck_family_witness) on that level's P_i^c."""
 
 from __future__ import annotations
 
@@ -26,14 +23,13 @@ from .block_codes import (
     check_transform_family,
     family_counts,
     recheck_family_witness,
+    witness_block,
 )
 from .field import Field, base_field
 from .matrix import (
     Matrix,
-    MatrixError,
     block_diag,
     det,
-    diagonal_blocks,
     enum_full_rank_column_spaces,
     gaussian_binomial,
     inverse,
@@ -229,12 +225,8 @@ def check_mMSR(
     if rep.verdict is False:
         w = rep.witness
         level = w["cols"][-1] // nk
-        # B, A~ and C go back into their k x k, (n-k) x (n-k) and k x (n-k)
-        # diagonal blocks, the witness level's first ones
-        c = Matrix.from_rows(w.pop("C"), enc.field)
-        w["transform"] = {
-            "B": w.pop("B")[:level + 1], "A": w.pop("A")[:level + 1],
-            "C": diagonal_blocks(c, [k] * (i + 1), [nk] * (i + 1))[:level + 1]}
+        # the witness level's first diagonal blocks of B, A~ and C
+        w["transform"] = {name: b[:level + 1] for name, b in w["transform"].items()}
         w["level"] = level
     elif refused is not None:
         rep = refused
@@ -252,18 +244,18 @@ def transform_counts(enc: PolyEncoder, i: int):
 
 
 def recheck_mMSR_witness(enc: PolyEncoder, witness: dict) -> bool:
-    """Reassemble the level's C from its per-level blocks (one per level up
-    to the witnessed one) and recheck the tuple and the grid-qualifying
-    minor with block_codes.recheck_family_witness on P_i^c.  The level must
-    be one check_mMSR tests, 0 <= i <= m: past the memory, P_i^c has zero
-    blocks whose minors vanish for every encoder."""
-    i, tr = witness["level"], witness["transform"]
-    if not 0 <= i <= enc.m or len(tr["C"]) != i + 1:
+    """Recheck a level-i witness (i + 1 diagonal blocks of B, A~ and C)
+    with block_codes.recheck_family_witness on P_i^c and its grid.  The
+    level must be one check_mMSR tests, 0 <= i <= m: past the memory,
+    P_i^c has zero blocks whose minors vanish for every encoder.  A level
+    that is not an integer raises ValueError."""
+    i = witness.get("level")
+    if type(i) is not int:
+        raise ValueError("an m-MSR witness level must be an integer")
+    if not 0 <= i <= enc.m:
         return False
-    c = block_diag([Matrix.from_rows(c_s, base_field(enc.field.q)) for c_s in tr["C"]])
     return recheck_family_witness(
-        sliding_parity(enc, i), [enc.k] * (i + 1), [enc.n - enc.k] * (i + 1), True,
-        dict(witness, B=tr["B"], A=tr["A"], C=c.to_rows()))
+        sliding_parity(enc, i), [enc.k] * (i + 1), [enc.n - enc.k] * (i + 1), True, witness)
 
 
 # -- rank-profile oracle ------------------------------------------------------
@@ -341,24 +333,18 @@ def recheck_oracle_witness(enc: PolyEncoder, witness: dict) -> bool:
     iter_rank_profiles(n, k, j) yields, each block an n x rho_i matrix over
     F_q of rank rho_i, and det(G_j^c A*) must vanish.  Without the first two
     checks a zero column or a rank-deficient block would make any
-    encoder's determinant vanish."""
-    n, q = enc.n, enc.field.q
-    profile, rows = tuple(witness["profile"]), witness["blocks"]
+    encoder's determinant vanish.  A profile or blocks that are not lists
+    raise ValueError."""
+    n, f = enc.n, base_field(enc.field.q)
+    profile, rows = witness.get("profile"), witness.get("blocks")
+    if not isinstance(profile, list) or not isinstance(rows, list):
+        raise ValueError("an oracle witness needs a profile and a list of blocks")
     j = len(rows) - 1
-    if j < 0 or profile not in iter_rank_profiles(n, enc.k, j):
+    if j < 0 or tuple(profile) not in iter_rank_profiles(n, enc.k, j):
         return False
-    f = base_field(q)
-    blocks = []
-    for rho, b in zip(profile, rows):
-        if len(b) != n or any(len(r) != rho for r in b):
-            return False
-        try:
-            block = Matrix(n, rho, f, [v for r in b for v in r])
-        except MatrixError:
-            return False
-        if rank(block) != rho:
-            return False
-        blocks.append(block)
+    blocks = [witness_block(b, n, rho, f) for rho, b in zip(profile, rows)]
+    if any(b is None or rank(b) != rho for b, rho in zip(blocks, profile)):
+        return False
     return det(sliding_generator(enc, j) @ block_diag(blocks)) == 0
 
 

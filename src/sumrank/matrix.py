@@ -42,6 +42,9 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows_of_codes, field: Field) -> "Matrix":
+        """The matrix of equal-length lists of integer codes, else MatrixError."""
+        if not is_code_rows(rows_of_codes):
+            raise MatrixError("matrix rows must be lists of integer codes")
         rows = len(rows_of_codes)
         cols = len(rows_of_codes[0]) if rows else 0
         flat = []
@@ -185,11 +188,20 @@ class Matrix:
     def from_json(cls, obj: dict) -> "Matrix":
         from .field import parse_descriptor
 
+        if not isinstance(obj, dict):
+            raise MatrixError("a matrix must be a JSON object")
         f = parse_descriptor(obj["field"])
         m = cls.from_rows(obj["data"], f)
         if (m.rows, m.cols) != (obj["rows"], obj["cols"]):
             raise MatrixError("matrix JSON dimensions disagree with data")
         return m
+
+
+def is_code_rows(value) -> bool:
+    """value is a list of lists of integers, the JSON form of a matrix's
+    rows (of any lengths)."""
+    return isinstance(value, list) and all(
+        isinstance(r, list) and all(type(v) is int for v in r) for r in value)
 
 
 def block_diag(blocks) -> Matrix:

@@ -97,12 +97,6 @@ class BlockGrid:
     def uniform(cls, k: int, nk: int, blocks: int) -> "BlockGrid":
         return cls([k] * blocks, [nk] * blocks)
 
-    def row_block(self, r: int) -> int:
-        return self._row_block[r]
-
-    def col_block(self, c: int) -> int:
-        return self._col_block[c]
-
     def diagonal_allowed(self, row_indices, col_indices) -> bool:
         """True iff every diagonal entry of the selection lies in a block
         (s, t) with s <= t."""

@@ -167,10 +167,10 @@ def test_msrd_systematic_witness_rechecks():
     rep = check_msrd_systematic(code)
     assert rep.verdict is False
     assert recheck_witness(code, rep.witness)
-    # a tampered witness must not validate
-    bad = dict(rep.witness)
-    bad["C"] = [[1 - c for c in row] for row in rep.witness["C"]]
-    assert recheck_witness(code, bad) is False  # C leaves its diagonal blocks
+    # a tampered witness must not validate: C's first block is 1 x 1
+    tr = rep.witness["transform"]
+    bad = dict(rep.witness, transform=dict(tr, C=[[[0, 0]], tr["C"][1]]))
+    assert recheck_witness(code, bad) is False
     # agreement: the transform-side checker also rejects this code
     g = assemble_generator(code)
     trep = check_msrd_transforms(g, code.length_partition)
@@ -190,33 +190,35 @@ def test_recheck_witness_rejects_tuples_outside_the_family():
     # B = 0 makes every minor of B P A~ + 0 vanish, but B must be nonsingular
     _, code = _gabidulin_5_3()
     eye2 = [[1, 0], [0, 1]]
-    zero_b = {"B": [[[0] * 3] * 3], "A": [eye2], "C": [[0, 0]] * 3,
-              "rows": [0], "cols": [0]}
+    zero = {"B": [[[0] * 3] * 3], "A": [eye2], "C": [[[0, 0]] * 3]}
+    zero_b = {"transform": zero, "rows": [0], "cols": [0]}
     assert recheck_witness(code, zero_b) is False
     eye3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    lower_a = dict(zero_b, B=[eye3], A=[[[1, 0], [1, 1]]])
+    lower_a = dict(zero_b, transform=dict(zero, B=[eye3], A=[[[1, 0], [1, 1]]]))
     assert recheck_witness(code, lower_a) is False
     # a repeated row selects a zero minor of any matrix
-    assert recheck_witness(code, dict(zero_b, B=[eye3], rows=[0, 0],
-                                      cols=[0, 1])) is False
-    # over (2,2)/(1,1), C may be nonzero only in the cells (0,0) and (1,1)
+    assert recheck_witness(code, {"transform": dict(zero, B=[eye3]), "rows": [0, 0],
+                                  "cols": [0, 1]}) is False
+    # over (2,2)/(1,1), C has two 1 x 1 blocks
     small = _code((2, 2), (1, 1), [[1, 1], [1, 1]], F4)
     rep = check_msrd_systematic(small)
     assert recheck_witness(small, rep.witness) is True
-    assert recheck_witness(small, dict(rep.witness, C=[[0, 1], [0, 0]])) is False
+    tr = rep.witness["transform"]
+    one_c = dict(rep.witness, transform=dict(tr, C=tr["C"][:1]))
+    assert recheck_witness(small, one_c) is False
 
 
 def test_recheck_transform_witness_rejects_singular_transforms():
     g, _ = _gabidulin_5_3()
     part = LengthPartition((5,))
-    zero = {"transform": [[[0] * 5] * 5], "rows": [0, 1, 2], "cols": [0, 1, 2]}
+    zero = {"transform": {"A": [[[0] * 5] * 5]}, "rows": [0, 1, 2], "cols": [0, 1, 2]}
     assert recheck_transform_witness(g, part, zero) is False
     # the identity is in the family, but an MRD code has no vanishing minor
     eye = [[int(r == c) for c in range(5)] for r in range(5)]
-    assert recheck_transform_witness(g, part, dict(zero, transform=[eye])) is False
+    assert recheck_transform_witness(g, part, dict(zero, transform={"A": [eye]})) is False
     # blocks must follow the partition
     assert recheck_transform_witness(
-        g, LengthPartition((3, 2)), dict(zero, transform=[eye])) is False
+        g, LengthPartition((3, 2)), dict(zero, transform={"A": [eye]})) is False
 
 
 @pytest.mark.parametrize("check", [

@@ -138,8 +138,8 @@ def test_recheck_two_block_code_witnesses(tmp_path, capsys, check):
 def test_recheck_forged_witness_exits_false(tmp_path, capsys):
     # an all-zero B makes every minor vanish, but it is not a transform
     code_path = _write(tmp_path, "gab.json", _gabidulin_code_json(3, 2, F8))
-    forged = {"witness": {"B": [[[0, 0], [0, 0]]], "A": [[[1]]],
-                          "C": [[0], [0]], "rows": [0], "cols": [0]}}
+    forged = {"witness": {"transform": {"B": [[[0, 0], [0, 0]]], "A": [[[1]]],
+                                        "C": [[[0], [0]]]}, "rows": [0], "cols": [0]}}
     report_path = _write(tmp_path, "forged.json", forged)
     rc, rep = _run(capsys, ["recheck", "--report", report_path, "--code", code_path])
     assert rc == EXIT_FALSE
@@ -160,20 +160,22 @@ def test_recheck_accepts_diagonally_rescaled_odd_q_witnesses(tmp_path, capsys):
     assert rc == EXIT_FALSE
     report = json.loads((tmp_path / "report.json").read_text())
     w = report["witness"]
+    tr = w["transform"]
     f3 = base_field(3)
     d, d2 = Matrix.from_rows([[2, 0], [0, 1]], f3), Matrix.from_rows([[1, 0], [0, 2]], f3)
-    b = d @ Matrix.from_rows(w["B"][0], f3)
-    a = Matrix.from_rows(w["A"][0], f3) @ d2
-    c = d @ Matrix.from_rows(w["C"], f3) @ d2
-    scaled = dict(w, B=[b.to_rows()], A=[a.to_rows()], C=c.to_rows())
+    b = d @ Matrix.from_rows(tr["B"][0], f3)
+    a = Matrix.from_rows(tr["A"][0], f3) @ d2
+    c = d @ Matrix.from_rows(tr["C"][0], f3) @ d2
+    scaled = {"B": [b.to_rows()], "A": [a.to_rows()], "C": [c.to_rows()]}
     assert b[0, 0] == 2 and a[1, 1] == 2
     # a zero on B's diagonal leaves the witnessed minor vanishing, but the
     # tuple is outside the family
     singular = Matrix.from_rows([[0, b[0, 1]], [0, b[1, 1]]], f3)
-    assert minor(transformed_parity(code.parity, [singular], [a], c),
+    assert minor(transformed_parity(code.parity, singular, a, c),
                  w["rows"], w["cols"]) == 0
-    for witness, expect in ((scaled, EXIT_TRUE),
-                            (dict(scaled, B=[singular.to_rows()]), EXIT_FALSE)):
+    for transform, expect in ((scaled, EXIT_TRUE),
+                              (dict(scaled, B=[singular.to_rows()]), EXIT_FALSE)):
+        witness = dict(w, transform=transform)
         path = _write(tmp_path, "scaled.json", dict(report, witness=witness))
         rc, rep = _run(capsys, ["recheck", "--report", path, "--code", code_path])
         assert (rc, rep["reverifies"]) == (expect, expect == EXIT_TRUE)
@@ -188,6 +190,114 @@ def test_recheck_forged_oracle_witness_exits_false(tmp_path, capsys):
     rc, rep = _run(capsys, ["recheck", "--report", report_path, "--encoder", enc_path])
     assert rc == EXIT_FALSE
     assert rep["reverifies"] is False
+
+
+# -- the witness schema ---------------------------------------------------------
+
+# blocks (4, 2) with dims (2, 1): B, A~ and C have 2 x 2 and 1 x 1 blocks
+# on the systematic side, A has 4 x 4 and 2 x 2 blocks on the transform
+# side; every 2 x 2 minor of the all-ones parity vanishes
+_TWO_BLOCKS = SystematicBlockCode(LengthPartition([4, 2]), (2, 1),
+                                  Matrix.from_rows([[1, 1, 1]] * 3, F4))
+# P(D) = 1 + D over F_2 is not 1-MSR, by the engine and by the oracle
+_NOT_MSR = PolyEncoder.from_parity([Matrix.from_rows([[1]], base_field(2))] * 2)
+
+
+def _false_report(tmp_path, capsys, argv, name="report.json"):
+    path = tmp_path / name
+    rc = main(argv + ["--out", str(path)])
+    capsys.readouterr()
+    assert rc == EXIT_FALSE
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("kind, names, blocks", [
+    ("mds", None, None),
+    ("mrd-systematic", {"B", "A", "C"}, 1),
+    ("mrd-transforms", {"A"}, 1),
+    ("msrd-systematic", {"B", "A", "C"}, 2),
+    ("msrd-transforms", {"A"}, 2),
+    ("m-MSR", {"B", "A", "C"}, 2),
+    ("oracle", None, None),
+])
+def test_every_false_witness_rechecks(tmp_path, capsys, kind, names, blocks):
+    # each check writes its witness in the one schema, and recheck reads it
+    if kind in ("m-MSR", "oracle"):
+        subject = ["--encoder", _write(tmp_path, "enc.json", _NOT_MSR.to_json())]
+        report = _false_report(tmp_path, capsys, ["verify-conv", *subject])
+    else:
+        subject = ["--code", _write(tmp_path, "code.json", _TWO_BLOCKS.to_json())]
+        report = _false_report(tmp_path, capsys, ["verify-block", *subject, "--check", kind,
+                                                  "--no-oracle"])
+    if kind == "oracle":
+        report = {"oracle": report["oracle"]}
+        assert set(report["oracle"]["witness"]) == {"profile", "blocks"}
+    else:
+        w = report["witness"]
+        assert set(w.get("transform", {})) == (names or set())
+        if names:
+            assert {len(b) for b in w["transform"].values()} == {blocks}
+        assert ("level" in w) == (kind == "m-MSR")
+    path = _write(tmp_path, "witness.json", report)
+    rc, rep = _run(capsys, ["recheck", "--report", path, *subject])
+    assert (rc, rep["reverifies"]) == (EXIT_TRUE, True)
+
+
+@pytest.mark.parametrize("check, forge", [
+    ("msrd-systematic", {"B": lambda bs: bs[:1]}),
+    ("msrd-systematic", {"C": lambda bs: [bs[0], [[0, 0]]]}),
+    ("msrd-systematic", {"B": lambda bs: [[[0, 1], [0, 1]], bs[1]]}),
+    ("msrd-systematic", {"A": lambda bs: [[[1, 0], [1, 1]], bs[1]]}),
+    ("msrd-systematic", {"rows": lambda rows: [rows[0]] * len(rows)}),
+    ("msrd-transforms", {"A": lambda bs: bs + bs}),
+    ("msrd-transforms", {"A": lambda bs: [bs[0], [[1, 0], [1, 1]]]}),
+    # G's columns 2 and 3 agree, but a transform witness is full size
+    ("msrd-transforms", {"rows": lambda rows: rows[:2], "cols": lambda cols: [2, 3]}),
+], ids=["block-count", "c-shape", "singular", "lower-triangular", "repeated-row",
+        "transform-block-count", "transform-lower-triangular", "transform-not-full-size"])
+def test_recheck_forgeries_exit_false(tmp_path, capsys, check, forge):
+    code_path = _write(tmp_path, "code.json", _TWO_BLOCKS.to_json())
+    report = _false_report(tmp_path, capsys, ["verify-block", "--code", code_path,
+                                              "--check", check, "--no-oracle"])
+    w = report["witness"]
+    for name, change in forge.items():
+        where = w["transform"] if name in w["transform"] else w
+        where[name] = change(where[name])
+    path = _write(tmp_path, "forged.json", report)
+    rc, rep = _run(capsys, ["recheck", "--report", path, "--code", code_path])
+    assert (rc, rep["reverifies"]) == (EXIT_FALSE, False)
+
+
+@pytest.mark.parametrize("case", ["parity-entry", "coefficient", "partition", "level",
+                                  "B", "rows", "transform", "oracle-blocks"])
+def test_malformed_json_exits_2_with_one_error_line(tmp_path, capsys, case):
+    code, enc = _TWO_BLOCKS.to_json(), _NOT_MSR.to_json()
+    on_code = ["--code", _write(tmp_path, "code.json", code)]
+    on_enc = ["--encoder", _write(tmp_path, "enc.json", enc)]
+    block = _false_report(tmp_path, capsys, ["verify-block", *on_code, "--check",
+                                             "msrd-systematic"], "block.json")
+    conv = _false_report(tmp_path, capsys, ["verify-conv", *on_enc], "conv.json")
+    bw, cw, ow = block["witness"], conv["witness"], conv["oracle"]["witness"]
+    recheck_code = ["recheck", *on_code, "--report"]
+    recheck_enc = ["recheck", *on_enc, "--report"]
+    # each case: a command, and the malformed JSON its last argument names
+    argv, obj = {
+        "parity-entry": (["verify-block", "--code"],
+                         dict(code, parity=dict(code["parity"], data=[["x"] * 3] * 3))),
+        "coefficient": (["verify-conv", "--encoder"],
+                        dict(enc, coeffs=[enc["coeffs"][0], None])),
+        # a string of digits would read as the partition (4, 2)
+        "partition": (["verify-block", "--code"], dict(code, partition="42")),
+        "level": (recheck_enc, dict(conv, witness=dict(cw, level="1"))),
+        "B": (recheck_code,
+              dict(block, witness=dict(bw, transform=dict(bw["transform"], B=5)))),
+        "rows": (recheck_code, dict(block, witness=dict(bw, rows=list(map(str, bw["rows"]))))),
+        "transform": (recheck_code, dict(block, witness=dict(bw, transform=[7]))),
+        "oracle-blocks": (recheck_enc, {"oracle": {"witness": dict(ow, blocks=3)}}),
+    }[case]
+    assert main(argv + [_write(tmp_path, "bad.json", obj)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_verify_block_msrd_all_unit_blocks_matches_mds(tmp_path, capsys):
@@ -327,6 +437,15 @@ def test_table1_rows_count_sampled_pairs(capsys):
     with mock.patch.object(block_codes, "FILTER_RESAMPLE_COUNT", 2):
         rc, report = _run(capsys, ["table1", "--rows", "4,2,1"])
     assert rc == EXIT_TRUE and report["rows"][0]["sampled_pairs"] > 0
+
+
+def test_table1_rows_report_their_cost(capsys):
+    # the decided level's T swept, minors evaluated and charge, equal on an
+    # exact True
+    rc, report = _run(capsys, ["table1", "--rows", "4,2,1", "--mode", "exact"])
+    row = report["rows"][0]
+    assert rc == EXIT_TRUE and row["verdict"] is True
+    assert (row["checked_count"], row["minors"], row["charge"]) == (4096, 66112, 66112)
 
 
 def test_table1_csv(capsys):

@@ -116,7 +116,8 @@ def test_build_Tj_identity_tuple_example():
     assert sliding_parity(enc, 1).to_rows() == [[2, 3], [0, 2]]
     eye = Matrix.identity(1, F2)
     c = Matrix.from_rows([[1, 0], [0, 0]], F2)
-    t = transformed_parity(sliding_parity(enc, 1), [eye, eye], [eye, eye], c)
+    t = transformed_parity(sliding_parity(enc, 1), block_diag([eye, eye]),
+                           block_diag([eye, eye]), c)
     assert t.to_rows() == [[3, 3], [0, 2]]
 
 
@@ -136,7 +137,8 @@ def test_build_Tj_block_product_oracle():
         for r in range(k):
             for c in range(nk):
                 c_list[lvl][r, c] = rng.randrange(2)
-    t = transformed_parity(sliding_parity(enc, j), b_list, a_list, block_diag(c_list))
+    t = transformed_parity(sliding_parity(enc, j), block_diag(b_list), block_diag(a_list),
+                           block_diag(c_list))
     parities = enc.parity_coeffs()
     f = enc.field
     for s in range(j + 1):

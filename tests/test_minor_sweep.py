@@ -193,7 +193,7 @@ def _grid_matrix(rng, grid, f, zero_share):
     m = _random_matrix(rng, grid.rows, grid.cols, f, zero_share)
     for r in range(grid.rows):
         for c in range(grid.cols):
-            if grid.row_block(r) > grid.col_block(c):
+            if not grid.diagonal_allowed([r], [c]):
                 m[r, c] = 0
     return m
 

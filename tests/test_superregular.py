@@ -9,7 +9,8 @@ from itertools import permutations, product
 
 import pytest
 
-from sumrank.cli import TABLE1_ROWS, _table1_pattern
+from sumrank.cli import TABLE1_ROWS
+from sumrank.conv_codes import construct_frobenius, sliding_parity
 from sumrank.field import base_field, field
 from sumrank.matrix import Matrix
 from sumrank.report import INFEASIBLE
@@ -150,7 +151,7 @@ def _structural_superregular(m, grid):
 
     pattern = ZeroPattern(
         [
-            [grid.row_block(r) <= grid.col_block(c) for c in range(m.cols)]
+            [grid.diagonal_allowed([r], [c]) for c in range(m.cols)]
             for r in range(m.rows)
         ]
     )
@@ -221,9 +222,22 @@ def _composition(rng, total, parts):
     return [b - a for a, b in zip([0] + cuts, cuts + [total])]
 
 
+def _block_upper_pattern(n, k, m):
+    """The support of a sliding parity whose coefficients have no zero
+    entry: every k x (n-k) block (s, t) with s <= t."""
+    nk = n - k
+    return ZeroPattern([[r // k <= c // nk for c in range(nk * (m + 1))]
+                        for r in range(k * (m + 1))])
+
+
 def test_nontrivial_count_matches_the_matching_count():
-    for n, k, m, _, _ in TABLE1_ROWS:
-        pattern = _table1_pattern(n, k, m)
+    for n, k, m, deg, e in TABLE1_ROWS:
+        # table1 counts on the construction's own pattern: every Frobenius
+        # entry is nonzero, so it is the block-upper-triangular one
+        f = field(2, deg)
+        enc = construct_frobenius(n, k, m, f, f.alpha_pow(e))
+        pattern = ZeroPattern.of(sliding_parity(enc, m))
+        assert pattern.support == _block_upper_pattern(n, k, m).support
         grid = BlockGrid.uniform(k, n - k, m + 1)
         want = _matching_count(pattern, min_size=2)
         # on the block-upper-triangular pattern every selection outside the

@@ -52,7 +52,7 @@ from sumrank.conv_codes import (
     sliding_parity,
 )
 from sumrank.field import base_field, field
-from sumrank.matrix import Matrix, block_diag, block_diag_cells
+from sumrank.matrix import Matrix, block_diag, block_diag_cells, diagonal_blocks
 from sumrank.report import INFEASIBLE
 from sumrank.superregular import (
     count_square_selections,
@@ -196,21 +196,18 @@ def reference_family(p, ks, nks, grid, mode, resamples, rng, upper=enum_ut_unit)
                 rep = (block_codes.is_full_superregular(t) if grid is None
                        else block_codes.is_superregular_constrained(t, grid))
                 if rep.verdict is False:
-                    witness = {"B": [m.to_rows() for m in b_blocks],
-                               "A": [m.to_rows() for m in a_blocks],
-                               "C": c.to_rows(),
+                    witness = {"transform": {"B": [m.to_rows() for m in b_blocks],
+                                             "A": [m.to_rows() for m in a_blocks],
+                                             "C": diagonal_blocks(c, ks, nks)},
                                "rows": rep.witness["rows"], "cols": rep.witness["cols"]}
                     return False, checked, witness, None, None
     return True, checked, None, filtered, sampled
 
 
-def _level_witness(w, level, k, nk):
-    """A reference_family witness in check_mMSR's layout: the B, A~ and C
+def _level_witness(w, level):
+    """A reference_family witness as check_mMSR reports it: the B, A~ and C
     diagonal blocks of levels 0..level, and the level."""
-    c = w.pop("C")
-    w["transform"] = {"B": w.pop("B")[:level + 1], "A": w.pop("A")[:level + 1], "C": [
-        [row[s * nk:(s + 1) * nk] for row in c[s * k:(s + 1) * k]]
-        for s in range(level + 1)]}
+    w["transform"] = {name: blocks[:level + 1] for name, blocks in w["transform"].items()}
     w["level"] = level
     return w
 
@@ -227,7 +224,7 @@ def reference_mMSR(enc, mode, resamples, upper=enum_ut_unit):
             mode, resamples, rng, upper)
         checked += count
         if verdict is False:
-            return False, checked, _level_witness(w, i, k, nk)
+            return False, checked, _level_witness(w, i)
     return True, checked, None
 
 
@@ -240,7 +237,7 @@ def reference_top_level(enc, mode, resamples):
         sliding_parity(enc, m), [k] * (m + 1), [nk] * (m + 1), parity_grid(enc, m),
         mode, resamples, random.Random(0))
     if w is not None:
-        w = _level_witness(w, w["cols"][-1] // nk, k, nk)
+        w = _level_witness(w, w["cols"][-1] // nk)
     return verdict, checked, w, filtered, sampled
 
 
@@ -262,7 +259,7 @@ def reference_transforms(g, parts, upper=None):
         checked += 1
         bad = reference_full_minors(g @ block_diag(blocks))
         if bad is not None:
-            return False, checked, {"transform": [b.to_rows() for b in blocks],
+            return False, checked, {"transform": {"A": [b.to_rows() for b in blocks]},
                                     "rows": list(range(g.rows)), "cols": list(bad)}
     return True, checked, None
 
@@ -610,4 +607,4 @@ def test_level_zero_is_the_block_systematic_check(enc, mode):
     if block.verdict is False:
         w = block.witness
         assert (conv.witness["rows"], conv.witness["cols"]) == (w["rows"], w["cols"])
-        assert conv.witness["transform"] == {"B": w["B"], "A": w["A"], "C": [w["C"]]}
+        assert conv.witness["transform"] == w["transform"]
