@@ -6,6 +6,8 @@ layer by layer, for one or more source trees and both kernels.
         --out BENCH_transform_family.json
     python3 benchmarks/bench.py --side this=src \\
         --rows "expand-rank-f8;block-min-f16;conv-dist-f128" --out BENCH_kernels.json
+    python3 benchmarks/bench.py --side parent=PARENT/src --side change=src \\
+        --rows descent424-f2048 --rounds 5 --out BENCH_refused_descent.json
 
 Checker rows:
 
@@ -16,6 +18,10 @@ Checker rows:
 - ``N,K,M-exact`` (say ``4,2,2-exact``): the same call with ``--mode
   exact``, which enumerates every C of every pair.  On [4,2,2] it tracks
   the exact ``False``: the T and the minors its witness costs.
+- ``descent424-f2048``: ``check_mMSR`` on the Frobenius [4,2,4] encoder
+  over F_2^11 at alpha, exact, j = 4: the default budget refuses levels
+  4 and 3 from their counted charges, and level 2 reads ``False``.
+  Layers as for a table row.
 - ``cauchy10``: ``is_full_superregular`` on the 10 x 10 Cauchy matrix
   1/(a^i + a^(10+j)) over F_2^8, the minor sweep alone on its largest
   common shape (all 184,755 minors).  Layers: the check's time and
@@ -170,6 +176,18 @@ def time_table_row(row: str, calls: int, timed):
             f"table1 row, {mode} mode", out["verdict"], walls, layers)
 
 
+def time_descent(row: str, calls: int, timed):
+    from sumrank import conv_codes
+    from sumrank.field import field
+
+    f = field(2, 11)
+    enc = conv_codes.construct_frobenius(4, 2, 4, f, f.alpha_pow(1))
+    walls, report, layers = measure(lambda: conv_codes.check_mMSR(enc, 4), calls, timed,
+                                    TABLE_LAYERS)
+    return (f"Frobenius [4,2,4] over F_{f.descriptor()} at alpha, check_mMSR j=4, "
+            "exact mode", report.verdict, walls, layers)
+
+
 def time_cauchy(row: str, calls: int, timed):
     from sumrank import superregular
     from sumrank.field import field
@@ -290,6 +308,7 @@ def time_conv_dist(row: str, calls: int, timed):
 
 
 NAMED = {
+    "descent424-f2048": time_descent,
     "cauchy10": time_cauchy,
     "gab4x2-f81": time_gab4x2,
     "gab6x3-f64-transforms": time_gab6x3_transforms,

@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
-from math import comb
 
 from .field import Field
 from .matrix import (
@@ -58,8 +56,8 @@ from .report import INFEASIBLE, VerificationReport
 from .superregular import (
     DEFAULT_SELECTION_BUDGET,
     BlockGrid,
+    count_block_selections,
     count_full_size_selections,
-    count_square_selections,
     full_size_selections,
     is_full_superregular,
     is_superregular_constrained,
@@ -67,7 +65,6 @@ from .superregular import (
     square_selections,
 )
 
-DEFAULT_TRANSFORM_BUDGET = 10**8
 FILTER_RESAMPLE_COUNT = 1000
 
 
@@ -172,7 +169,7 @@ def check_mds(p: Matrix, budget: int = DEFAULT_SELECTION_BUDGET) -> Verification
 
 
 def check_mrd_transforms(
-    g: Matrix, budget: int = DEFAULT_TRANSFORM_BUDGET
+    g: Matrix, budget: int = DEFAULT_SELECTION_BUDGET
 ) -> VerificationReport:
     """MRD check over all nonsingular upper-triangular U over F_q: every
     full-size minor of G U must be nonzero."""
@@ -182,7 +179,7 @@ def check_mrd_transforms(
 def check_msrd_transforms(
     g: Matrix,
     partition: LengthPartition,
-    budget: int = DEFAULT_TRANSFORM_BUDGET,
+    budget: int = DEFAULT_SELECTION_BUDGET,
 ) -> VerificationReport:
     """MSRD check over all nonsingular block-diagonal A with upper-triangular
     blocks over F_q: every full-size minor of G A must be nonzero.  The
@@ -308,8 +305,10 @@ def check_transform_family(
     after the first moving one C cell, or every C cell for a sampled draw
     (_c_edits), so the first vanishing minor, hence every report, is a full
     sweep's per T in that order.  checked_count adds up the T swept,
-    detail's minors the minors evaluated.  A C matrix is built only for a
-    witness.
+    detail's minors the minors evaluated and its charge the minors the
+    runs can evaluate, counted (superregular.count_block_selections) before
+    the list is built, so a family over budget builds none.  A C matrix is
+    built only for a witness.
     """
     if mode not in ("exact", "filter"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -318,30 +317,16 @@ def check_transform_family(
     grid = BlockGrid(ks, nks) if constrained else None
     b_count, a_count, c_count = family_counts(ks, nks, q)
     counts = {"b_count": b_count, "a_count": a_count, "c_count": c_count}
-    # a shape with more square selections than the budget is refused before
-    # its list is built
-    total = count_square_selections(p.rows, p.cols)
-    if total > budget:
-        return VerificationReport(INFEASIBLE, detail=counts | {"budget": budget},
-                                  elapsed=time.perf_counter() - start)
-    cells = block_diag_cells(ks, nks, False)
-    # a run edit names one C cell, or every C cell for a sampled draw
-    groups = [(i,) for i in cells] + [tuple(cells)]
-    if grid is None:
-        # counted, so a refused family builds no list: the selections that
-        # hold a cell are those of the other rows and columns, plus the cell
-        held = ([count_square_selections(p.rows - 1, p.cols - 1) + 1] * len(cells)
-                + [_square_selections_meeting_blocks(ks, nks)])
-    else:
-        selections = square_selections(p.rows, p.cols, grid)
-        total, held = len(selections), selections.holding(groups).lengths
+    # counted, so a refused family builds no list
+    total, held, meeting = count_block_selections(tuple(ks), tuple(nks), constrained)
     # budget unit: one minor evaluation (_run_charge).  A filter pair adds
     # its filter sweep; one that samples may instead sweep once and
     # re-evaluate the selections holding any C cell for every other drawn
     # C, and is charged the larger of the two.
-    per_pair = _run_charge(total, held[:-1], q)
+    per_pair = _run_charge(total, [h for h, k, w in zip(held, ks, nks)
+                                   for _ in range(k * w)], q)
     if mode == "filter":
-        sampling = (total + (FILTER_RESAMPLE_COUNT - 1) * held[-1]
+        sampling = (total + (FILTER_RESAMPLE_COUNT - 1) * meeting
                     if c_count > FILTER_RESAMPLE_COUNT else 0)
         per_pair = total + max(per_pair, sampling)
     charge = b_count * a_count * per_pair
@@ -351,8 +336,10 @@ def check_transform_family(
             detail=counts | {"charge": charge, "budget": budget},
             elapsed=time.perf_counter() - start,
         )
-    if grid is None:
-        selections = square_selections(p.rows, p.cols)
+    selections = square_selections(p.rows, p.cols, grid)
+    cells = block_diag_cells(ks, nks, False)
+    # a run edit names one C cell, or every C cell for a sampled draw
+    groups = [(i,) for i in cells] + [tuple(cells)]
     rng = random.Random(0)
     checked = 0
     filtered = 0
@@ -440,24 +427,6 @@ def _c_edits(q: int, digits: list, rng):
         yield i, (digits[i],)
 
 
-def _square_selections_meeting_blocks(ks, nks) -> int:
-    """Square selections of a sum(ks) x sum(nks) matrix that hold a cell
-    of a diagonal block ks[i] x nks[i]: all but those that take, in every
-    block, some of its rows or some of its columns but not both."""
-    avoid = Counter({(0, 0): 1})  # rows and columns taken so far -> ways
-    for k, w in zip(ks, nks):
-        takes = ([((a, 0), comb(k, a)) for a in range(1, k + 1)]
-                 + [((0, b), comb(w, b)) for b in range(w + 1)])
-        step = Counter()
-        for (r, c), ways in avoid.items():
-            for (a, b), more in takes:
-                step[r + a, c + b] += ways * more
-        avoid = step
-    # avoid counts the empty selection, which count_square_selections does not
-    return (count_square_selections(sum(ks), sum(nks)) + 1
-            - sum(ways for (r, c), ways in avoid.items() if r == c))
-
-
 def _minors_outside_base(m: Matrix, entries) -> bool:
     """Base-field filter: every minor the predicate checks (the entries,
     m's grid-filtered square_selections) lies outside F_q, so is nonzero."""
@@ -485,7 +454,7 @@ def witness_minor_vanishes(t: Matrix, witness: dict, grid: BlockGrid | None = No
 def check_mrd_systematic(
     p: Matrix,
     mode: str = "exact",
-    budget: int = DEFAULT_TRANSFORM_BUDGET,
+    budget: int = DEFAULT_SELECTION_BUDGET,
 ) -> VerificationReport:
     """MRD iff B P A~ + C is full superregular for every nonsingular
     upper-triangular B (k x k), A~ ((n-k) x (n-k)) and every C over F_q."""
@@ -496,14 +465,14 @@ def check_mrd_systematic(
 def check_msrd_systematic(
     code: SystematicBlockCode,
     mode: str = "exact",
-    budget: int = DEFAULT_TRANSFORM_BUDGET,
+    budget: int = DEFAULT_SELECTION_BUDGET,
 ) -> VerificationReport:
     """MSRD iff diag(B_i) P diag(A~_i) + diag(C_i) is full superregular for
     every block tuple over F_q: check_transform_family with row blocks
     (k_i), column blocks (n_i - k_i) and no grid.  The witness C is the
     whole k x (n-k) matrix."""
     return check_transform_family(
-        code.parity.lift(code.field), code.dim_partition, code.parity_widths,
+        code.parity, code.dim_partition, code.parity_widths,
         False, mode, budget,
     )
 
@@ -545,7 +514,7 @@ def transformed_parity(p: Matrix, b: Matrix, a: Matrix, c: Matrix) -> Matrix:
 def recheck_witness(code: SystematicBlockCode, witness: dict) -> bool:
     """Re-evaluate a systematic-side witness: the tuple must belong to the
     transform family, and the witnessed minor of B P A~ + C must vanish."""
-    return recheck_family_witness(code.parity.lift(code.field), code.dim_partition,
+    return recheck_family_witness(code.parity, code.dim_partition,
                                   code.parity_widths, False, witness)
 
 

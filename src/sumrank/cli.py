@@ -16,7 +16,6 @@ from functools import cache
 
 from . import __version__, core
 from .block_codes import (
-    DEFAULT_TRANSFORM_BUDGET,
     SystematicBlockCode,
     assemble_generator,
     check_mds,
@@ -55,7 +54,7 @@ from .metrics import (
     singleton_bounds,
 )
 from .report import INFEASIBLE
-from .superregular import ZeroPattern, count_nontrivial_minors
+from .superregular import DEFAULT_SELECTION_BUDGET, ZeroPattern, count_nontrivial_minors
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -472,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "filter"), default="filter")
     p.add_argument("--no-oracle", action="store_true")
     _add_common(p)
-    p.set_defaults(func=cmd_verify_block, default_budget=DEFAULT_TRANSFORM_BUDGET)
+    p.set_defaults(func=cmd_verify_block, default_budget=DEFAULT_SELECTION_BUDGET)
 
     p = sub.add_parser("verify-conv", help="run the m-MSR checker + oracles")
     p.add_argument("--encoder", required=True, help="encoder JSON file")
@@ -482,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "filter"), default="filter")
     p.add_argument("--no-oracle", action="store_true")
     _add_common(p)
-    p.set_defaults(func=cmd_verify_conv, default_budget=DEFAULT_TRANSFORM_BUDGET)
+    p.set_defaults(func=cmd_verify_conv, default_budget=DEFAULT_SELECTION_BUDGET)
 
     p = sub.add_parser("construct", help="build a code or encoder")
     p.add_argument("--kind", choices=("gabidulin", "frobenius"), required=True)
@@ -494,21 +493,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-exp", type=int, default=1,
                    help="seed the construction with alpha^e (frobenius only)")
     _add_common(p)
-    p.set_defaults(func=cmd_construct, default_budget=DEFAULT_TRANSFORM_BUDGET)
+    p.set_defaults(func=cmd_construct, default_budget=DEFAULT_SELECTION_BUDGET)
 
     p = sub.add_parser("table1", help="reproduce the published search table")
     p.add_argument("--rows", help='selection like "2,1,1;3,2,1" (default: all)')
     p.add_argument("--mode", choices=("exact", "filter"), default="filter")
     p.add_argument("--csv", action="store_true", help="also print a CSV table")
     _add_common(p)
-    p.set_defaults(func=cmd_table1, default_budget=DEFAULT_TRANSFORM_BUDGET)
+    p.set_defaults(func=cmd_table1, default_budget=DEFAULT_SELECTION_BUDGET)
 
     p = sub.add_parser("recheck", help="re-verify a witness from a report")
     p.add_argument("--report", required=True, help="JSON report with a witness")
     p.add_argument("--code")
     p.add_argument("--encoder")
     _add_common(p)
-    p.set_defaults(func=cmd_recheck, default_budget=DEFAULT_TRANSFORM_BUDGET)
+    p.set_defaults(func=cmd_recheck, default_budget=DEFAULT_SELECTION_BUDGET)
 
     p = sub.add_parser("distance", help="brute-force distances and bounds")
     p.add_argument("--code")

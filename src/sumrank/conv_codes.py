@@ -19,7 +19,6 @@ from itertools import product
 from math import gcd, prod
 
 from .block_codes import (
-    DEFAULT_TRANSFORM_BUDGET,
     check_transform_family,
     family_counts,
     recheck_family_witness,
@@ -37,7 +36,7 @@ from .matrix import (
 )
 from .metrics import BudgetExceeded, column_distance_bound, column_sum_rank_distance
 from .report import INFEASIBLE, VerificationReport
-from .superregular import BlockGrid
+from .superregular import DEFAULT_SELECTION_BUDGET, BlockGrid
 
 
 class EncoderError(ValueError):
@@ -129,6 +128,9 @@ class PolyEncoder:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PolyEncoder":
+        if (not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list)
+                or any(type(obj.get(key)) is not int for key in ("n", "k"))):
+            raise EncoderError("an encoder needs integers n, k and a list of coeffs")
         coeffs = [Matrix.from_json(g) for g in obj["coeffs"]]
         enc = cls(obj["n"], obj["k"], coeffs)
         if obj.get("m") is not None and obj["m"] != enc.m:
@@ -178,7 +180,7 @@ def check_mMSR(
     enc: PolyEncoder,
     j: int | None = None,
     mode: str = "exact",
-    budget: int = DEFAULT_TRANSFORM_BUDGET,
+    budget: int = DEFAULT_SELECTION_BUDGET,
 ) -> VerificationReport:
     """True iff the transformed sliding parity stays superregular (in the
     diagonal-constrained sense) for every transform tuple, at every level
@@ -284,7 +286,7 @@ def iter_rank_profiles(n: int, k: int, j: int):
 
 
 def check_mMSR_oracle(
-    enc: PolyEncoder, j: int, budget: int = DEFAULT_TRANSFORM_BUDGET
+    enc: PolyEncoder, j: int, budget: int = DEFAULT_SELECTION_BUDGET
 ) -> VerificationReport:
     """Independent criterion: d^j is maximal iff G_j^c A* is nonsingular for
     every admissible rank profile and every block-diagonal A* built from
@@ -459,7 +461,7 @@ def find_frobenius_alpha(
     k: int,
     m: int,
     field: Field,
-    budget: int = DEFAULT_TRANSFORM_BUDGET,
+    budget: int = DEFAULT_SELECTION_BUDGET,
 ) -> int | None:
     """Smallest exponent e (coprime to q^M - 1) such that the construction
     seeded with alpha^e is m-MSR, i.e. has maximal column distances d^j

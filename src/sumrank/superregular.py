@@ -23,7 +23,8 @@ then lexicographic, grid-filtered when a block grid is given); every
 Laplace sub-selection of a listed selection is listed before it.  A
 shape's list is kept for the process while it has at most
 SELECTION_CACHE_LIMIT entries, and a longer one is built per call; a
-checker builds its list once and passes it to every call (entries).
+checker builds its list once and passes it to every call (entries), and
+charges its budget first from count_block_selections, which builds none.
 One sweep serves a run of matrices that differ in a few cells, the C
 values of one (B, A~) pair or the transform side's A (run=): each edit
 names one group of cells (a C cell, every C cell, or a column of G A),
@@ -121,6 +122,40 @@ def count_square_selections(rows: int, cols: int) -> int:
     return sum(comb(rows, s) * comb(cols, s) for s in range(1, min(rows, cols) + 1))
 
 
+@lru_cache(maxsize=256)
+def count_block_selections(ks: tuple, nks: tuple, grid: bool) -> tuple:
+    """(total, held, meeting): the square selections of a sum(ks) x
+    sum(nks) matrix (with grid, the BlockGrid(ks, nks)-qualifying ones),
+    those holding any one cell of diagonal block ks[i] x nks[i] (held[i])
+    and those holding a cell of some diagonal block, counted without
+    listing them.  One pass over the blocks tracks the rows taken less
+    the columns taken; under the grid a selection qualifies iff no prefix
+    of blocks takes more columns than rows, the sorted pairing of
+    BlockGrid.diagonal_allowed written as a count."""
+
+    def count(takes) -> int:
+        # takes[i]: (a, b, ways) to take a rows and b columns of block i
+        ways = {0: 1}  # rows less columns taken so far -> selections
+        for block in takes:
+            step = {}
+            for d, m in ways.items():
+                for a, b, n in block:
+                    if not grid or d + a - b >= 0:
+                        step[d + a - b] = step.get(d + a - b, 0) + m * n
+            ways = step
+        return ways.get(0, 0)
+
+    every = [[(a, b, comb(k, a) * comb(w, b)) for a in range(k + 1) for b in range(w + 1)]
+             for k, w in zip(ks, nks)]
+    holding = [[(a, b, comb(k - 1, a - 1) * comb(w - 1, b - 1))
+                for a in range(1, k + 1) for b in range(1, w + 1)] for k, w in zip(ks, nks)]
+    held = tuple(count(every[:i] + [h] + every[i + 1:]) for i, h in enumerate(holding))
+    # both count the empty selection, which total leaves out
+    taken = count(every)
+    avoiding = count([[t for t in block if not t[0] * t[1]] for block in every])
+    return taken - 1, held, taken - avoiding
+
+
 def count_full_size_selections(rows: int, cols: int) -> int:
     """Length of full_size_selections(rows, cols): sum over s of C(cols, s)."""
     return sum(comb(cols, s) for s in range(1, rows + 1))
@@ -174,8 +209,8 @@ def _bits(indices) -> int:
 
 class _Holding(dict):
     """_Selections.holding's sub-lists for one group list, keyed by group
-    index, and their lengths.  It reaches its list through a weak proxy,
-    so a list it is kept with is freed as soon as it is dropped."""
+    index.  It reaches its list through a weak proxy, so a list it is kept
+    with is freed as soon as it is dropped."""
 
     def __init__(self, entries: _Selections, groups: tuple):
         super().__init__()
@@ -189,12 +224,6 @@ class _Holding(dict):
         e, w = self.entries, self.entries._ncols
         return [sum(_bits(ci) << r * w for r in ri)
                 for ri, ci in (e.selection(slot) for _, _, slot in e)]
-
-    @cached_property
-    def lengths(self) -> list[int]:
-        """len(self[g]) for each group g, counted from the masks, building
-        no sub-list."""
-        return [sum(1 for m in self.masks if m & b) for b in self.bits]
 
     def __missing__(self, g: int) -> _Selections:
         e, bits = self.entries, self.bits[g]

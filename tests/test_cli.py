@@ -269,7 +269,8 @@ def test_recheck_forgeries_exit_false(tmp_path, capsys, check, forge):
 
 
 @pytest.mark.parametrize("case", ["parity-entry", "coefficient", "partition", "level",
-                                  "B", "rows", "transform", "oracle-blocks"])
+                                  "B", "rows", "transform", "oracle-blocks",
+                                  "coeffs", "encoder-list", "recheck-encoder"])
 def test_malformed_json_exits_2_with_one_error_line(tmp_path, capsys, case):
     code, enc = _TWO_BLOCKS.to_json(), _NOT_MSR.to_json()
     on_code = ["--code", _write(tmp_path, "code.json", code)]
@@ -294,6 +295,10 @@ def test_malformed_json_exits_2_with_one_error_line(tmp_path, capsys, case):
         "rows": (recheck_code, dict(block, witness=dict(bw, rows=list(map(str, bw["rows"]))))),
         "transform": (recheck_code, dict(block, witness=dict(bw, transform=[7]))),
         "oracle-blocks": (recheck_enc, {"oracle": {"witness": dict(ow, blocks=3)}}),
+        "coeffs": (["verify-conv", "--encoder"], {"n": 3, "k": 1, "coeffs": 5}),
+        "encoder-list": (["verify-conv", "--encoder"], [enc]),
+        "recheck-encoder": (["recheck", "--report", str(tmp_path / "conv.json"),
+                             "--encoder"], {"n": 3, "k": 1, "coeffs": 5}),
     }[case]
     assert main(argv + [_write(tmp_path, "bad.json", obj)]) == EXIT_PARSE
     err = capsys.readouterr().err

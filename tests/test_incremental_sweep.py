@@ -41,7 +41,7 @@ from sumrank.conv_codes import PolyEncoder, check_mMSR, sliding_parity
 from sumrank.field import field
 from sumrank.matrix import Matrix
 from sumrank.metrics import LengthPartition
-from sumrank.superregular import BlockGrid, square_selections
+from sumrank.superregular import DEFAULT_SELECTION_BUDGET, BlockGrid, square_selections
 
 Q2_FIELDS = (field(2, 2), field(2, 3), field(2, 4))
 ODD_FIELDS = (field(3, 2), field(5, 2), field(3, 3))
@@ -68,7 +68,7 @@ def block_codes_with_c_cells(draw):
 
 
 def _same_as_full_sweep(p, ks, nks, constrained, mode, resamples,
-                        budget=block_codes.DEFAULT_TRANSFORM_BUDGET):
+                        budget=DEFAULT_SELECTION_BUDGET):
     with mock.patch.object(block_codes, "FILTER_RESAMPLE_COUNT", resamples):
         rep = check_transform_family(p, ks, nks, constrained, mode, budget)
     grid = BlockGrid(ks, nks) if constrained else None
@@ -89,7 +89,7 @@ def _same_as_full_sweep(p, ks, nks, constrained, mode, resamples,
 @derandomized
 @given(block_codes_with_c_cells())
 def test_block_engine_matches_the_full_sweep(code):
-    p, ks, nks = code.parity.lift(code.field), code.dim_partition, code.parity_widths
+    p, ks, nks = code.parity, code.dim_partition, code.parity_widths
     for resamples, mode in RUNS:
         _same_as_full_sweep(p, ks, nks, False, mode, resamples)
 

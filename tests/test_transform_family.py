@@ -55,6 +55,9 @@ from sumrank.field import base_field, field
 from sumrank.matrix import Matrix, block_diag, block_diag_cells, diagonal_blocks
 from sumrank.report import INFEASIBLE
 from sumrank.superregular import (
+    DEFAULT_SELECTION_BUDGET,
+    BlockGrid,
+    count_block_selections,
     count_square_selections,
     iter_square_selections,
     square_selections,
@@ -276,7 +279,7 @@ def _same_block_report(rep, ref):
 @given(odd_block_codes())
 @example(_POSITIVE_F27)
 def test_block_checkers_match_the_per_block_reference(code):
-    p, ks, nks = code.parity.lift(code.field), code.dim_partition, code.parity_widths
+    p, ks, nks = code.parity, code.dim_partition, code.parity_widths
     for mode in ("exact", "filter"):
         _same_block_report(check_msrd_systematic(code, mode=mode),
                            reference_family(p, ks, nks, None, mode, 1000, random.Random(0)))
@@ -329,7 +332,7 @@ def test_transform_run_matches_the_per_transform_reference_in_characteristic_2()
             reference_transforms(g, parts)
 
 
-def _same_mMSR_report(enc, mode, resamples, budget=block_codes.DEFAULT_TRANSFORM_BUDGET):
+def _same_mMSR_report(enc, mode, resamples, budget=DEFAULT_SELECTION_BUDGET):
     with mock.patch.object(block_codes, "FILTER_RESAMPLE_COUNT", resamples):
         rep = check_mMSR(enc, mode=mode, budget=budget)
     verdict, checked, witness, filtered, sampled = reference_top_level(enc, mode, resamples)
@@ -384,17 +387,18 @@ def test_engine_budget_charges_the_minors_the_grid_checks():
     rep = check_mMSR(_TABLE_NEGATIVE, mode="filter")
     [level] = rep.detail["levels"]
     assert (rep.verdict, level["charge"]) == (False, charge + 64 * 553)
-    # a shape with more square selections than the budget is refused before
-    # its list is built; from the square count on, the list is built and
-    # the family charged, and one minor below the charge refuses it
+    # the charge is counted, so every budget below it refuses the family
+    # with no list built, and the charge itself builds the grid's list once
     p2 = sliding_parity(_TABLE_NEGATIVE, 2)
-    for budget, built in ((922, 0), (923, 1), (charge - 1, 1)):
+    for budget in (922, 923, charge - 1, charge):
         with mock.patch.object(block_codes, "square_selections",
                                wraps=block_codes.square_selections) as build:
             rep = block_codes.check_transform_family(
                 p2, [2] * 3, [2] * 3, True, "exact", budget)
-        assert (rep.verdict, rep.checked_count, build.call_count) == (INFEASIBLE, 0, built)
-    assert rep.detail["charge"] == charge
+        assert rep.detail["charge"] == charge
+        if budget < charge:
+            assert (rep.verdict, rep.checked_count, build.call_count) == (INFEASIBLE, 0, 0)
+    assert (rep.verdict, rep.checked_count, build.call_count) == (False, 1028, 1)
 
 
 def test_filter_charge_is_the_larger_of_gray_order_and_sampling():
@@ -418,14 +422,42 @@ def test_ungridded_charge_counts_its_held_cells_without_a_list(ks, nks):
     # without a grid the engine charges from counts: the square selections
     # that hold each C cell, and those that hold any, which sampling uses
     rows, cols = sum(ks), sum(nks)
-    cells = block_diag_cells(ks, nks, False)
     p = Matrix(rows, cols, F8, [1] * (rows * cols))
     rep = block_codes.check_transform_family(p, ks, nks, False, "exact",
                                              count_square_selections(rows, cols))
     assert rep.detail["charge"] == gray_run_minors(ks, nks, None, 2)
-    assert block_codes._square_selections_meeting_blocks(ks, nks) == sum(
-        1 for ri, ci in iter_square_selections(rows, cols)
-        if any(r * cols + c in cells for r in ri for c in ci))
+    assert _listed_counts(ks, nks, False) == _counted(ks, nks, False)
+
+
+def _counted(ks, nks, grid):
+    """count_block_selections, with held given per C cell."""
+    total, held, meeting = count_block_selections(ks, nks, grid)
+    return total, [h for h, k, w in zip(held, ks, nks) for _ in range(k * w)], meeting
+
+
+def _listed_counts(ks, nks, grid):
+    """The lengths of square_selections and of its holding sub-lists: one
+    per C cell, then the one for every C cell at once."""
+    entries = square_selections(sum(ks), sum(nks), BlockGrid(ks, nks) if grid else None)
+    cells = block_diag_cells(ks, nks, False)
+    holding = entries.holding([(i,) for i in cells] + [tuple(cells)])
+    lengths = [len(holding[g]) for g in range(len(cells) + 1)]
+    return len(entries), lengths[:-1], lengths[-1]
+
+
+def test_block_selection_counts_equal_the_listed_lengths():
+    # every shape of up to 3 blocks of 0 to 2 rows and columns, and some
+    # with larger, uneven blocks, with and without the grid: the count
+    # builds no list, yet agrees with the lengths of the lists the engine
+    # sweeps
+    shapes = [(ks, nks) for blocks in (1, 2, 3)
+              for ks in product(range(3), repeat=blocks)
+              for nks in product(range(3), repeat=blocks)]
+    shapes += [((3,), (2,)), ((0, 3), (2, 1)), ((3, 0, 1), (1, 2, 2)),
+               ((2, 2, 2, 2), (2, 2, 2, 2)), ((3, 3), (3, 3))]
+    for ks, nks in shapes:
+        for grid in (False, True):
+            assert _counted(ks, nks, grid) == _listed_counts(ks, nks, grid), (ks, nks, grid)
 
 
 def test_an_exhaustive_true_evaluates_its_charge():
@@ -528,6 +560,21 @@ def test_a_refused_top_level_falls_back_to_the_largest_level_that_fits():
     assert rep.checked_count == check_mMSR(good, 1).checked_count
 
 
+def test_a_refused_descent_builds_only_the_decided_levels_list():
+    # [4,2,4] over F_2^11 at alpha, j = 4: the charges of levels 4 and 3
+    # are over the default budget and counted, so they build nothing;
+    # level 2 reads False on its grid's list, the only one built
+    enc = construct_frobenius(4, 2, 4, F2048, F2048.alpha_pow(1))
+    with mock.patch.object(block_codes, "square_selections",
+                           wraps=block_codes.square_selections) as build:
+        rep = check_mMSR(enc, 4)
+    assert (rep.verdict, rep.witness["level"]) == (False, 2)
+    assert [lv["level"] for lv in rep.detail["levels"]] == [2]
+    [call] = build.call_args_list
+    assert call.args[:2] == (6, 6) and call.args[2].col_block_sizes == [2] * 3
+    assert recheck_mMSR_witness(enc, rep.witness)
+
+
 @derandomized
 @given(odd_block_codes())
 @example(_POSITIVE_F27)
@@ -548,7 +595,7 @@ def test_block_checkers_agree_in_odd_characteristic(code):
 def test_exact_verdicts_match_the_full_nonsingular_family(code, enc):
     # the unit upper-triangular B, A~ and A the checkers enumerate decide
     # the same as every nonsingular upper-triangular one
-    p, ks, nks = code.parity.lift(code.field), code.dim_partition, code.parity_widths
+    p, ks, nks = code.parity, code.dim_partition, code.parity_widths
     full = reference_family(p, ks, nks, None, "exact", 0, None, enum_ut_nonsingular)
     assert check_msrd_systematic(code).verdict == full[0]
     g = assemble_generator(code)
