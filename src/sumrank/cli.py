@@ -102,7 +102,7 @@ def _emit(report: dict, args) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    if getattr(args, "json", False) or not getattr(args, "out", None):
+    else:
         print(text)
 
 
@@ -452,9 +452,7 @@ def _add_common(p):
     p.add_argument("--budget", type=int, default=None,
                    help="enumeration budget (work units)")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", help="write the JSON report to this path")
-    p.add_argument("--json", action="store_true",
-                   help="print the JSON report to stdout (default when no --out)")
+    p.add_argument("--out", help="write the JSON report to this path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -129,7 +129,7 @@ class Field:
     element-level operations take and return integer codes.
     """
 
-    def __init__(self, q: int, M: int, poly=None, validate: bool = True):
+    def __init__(self, q: int, M: int, poly=None):
         if not _is_prime(q):
             raise FieldError(f"base order q={q} is not prime")
         if M < 1:
@@ -143,7 +143,7 @@ class Field:
                     "pass one explicitly"
                 ) from None
         poly = tuple(int(c) for c in poly)
-        if validate and not validate_primitive(q, M, poly):
+        if not validate_primitive(q, M, poly):
             raise FieldError(f"polynomial {poly} is not primitive over F_{q}")
         self.q = q
         self.M = M

@@ -20,18 +20,21 @@ discrete log of every entry and memoizes the logs of the minors, so each
 Leibniz term is one antilog lookup and an XOR, with no test for zero.
 The selections it walks come from square_selections (size ascending,
 then lexicographic, grid-filtered when a block grid is given); every
-Laplace sub-selection of a listed selection is listed before it.  A
-shape's list is kept for the process while it has at most
-SELECTION_CACHE_LIMIT entries, and a longer one is built per call; a
-checker builds its list once and passes it to every call (entries), and
-charges its budget first from count_block_selections, which builds none.
+Laplace sub-selection of a listed selection is listed before it.  Each
+list kind has one count, taken without listing: count_block_selections
+for square lists (a grid's blocks, or one block of the whole matrix) and
+count_full_size_selections for full-size ones.  A list is kept for the
+process while its count is at most SELECTION_CACHE_LIMIT, and a longer
+one is built per call; whoever builds a list charges its budget from
+that count first, so a refused check builds none, and a checker builds
+its list once and passes it, already charged, to every call (entries).
 One sweep serves a run of matrices that differ in a few cells, the C
 values of one (B, A~) pair or the transform side's A (run=): each edit
 names one group of cells (a C cell, every C cell, or a column of G A),
 and the sweep rewrites that group, updates its logs, and re-evaluates
 only the entries whose selection holds one of its cells
-(_Selections.holding keeps one sub-list per group, each built on first
-use and kept with the list itself).
+(_Selections.held keeps one plain sub-list per group's bit mask, each
+built on first use and kept with the list itself).
 The predicates take the run too and return one report for it.  One Boolean
 sweep, the same recursion over the same lists (nontrivial_slots),
 decides triviality for count_nontrivial_minors and is_superregular.
@@ -42,9 +45,8 @@ witness is confirmed by a method independent of the sweep.
 from __future__ import annotations
 
 import time
-import weakref
 from bisect import bisect_right
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -118,11 +120,6 @@ def _index_to_block(sizes) -> list[int]:
 
 
 @lru_cache(maxsize=256)
-def count_square_selections(rows: int, cols: int) -> int:
-    return sum(comb(rows, s) * comb(cols, s) for s in range(1, min(rows, cols) + 1))
-
-
-@lru_cache(maxsize=256)
 def count_block_selections(ks: tuple, nks: tuple, grid: bool) -> tuple:
     """(total, held, meeting): the square selections of a sum(ks) x
     sum(nks) matrix (with grid, the BlockGrid(ks, nks)-qualifying ones),
@@ -176,8 +173,7 @@ class _Selections(list):
     """Sweep entries (terms, sub, slot) and the memo layout they address:
     slots is the memo's length, and selection(slot) names a slot's minor."""
 
-    __slots__ = ("slots", "_bases", "_rows", "_cols", "_ncols", "_holding",
-                 "__weakref__")
+    __slots__ = ("slots", "_bases", "_rows", "_cols", "_ncols", "_masks", "_held")
 
     def selection(self, slot: int) -> tuple[tuple, tuple]:
         """(rows, cols) of the minor memoized at `slot`."""
@@ -185,50 +181,23 @@ class _Selections(list):
         ri = self._rows[j]
         return ri, self._cols[len(ri)][slot - self._bases[j]]
 
-    def holding(self, groups) -> "_Holding":
-        """Sub-lists, one per cell group: holding(groups)[g] holds the
-        entries whose selection holds a cell of groups[g] (flat indices
-        row * cols + col), in sweep order, on this list's memo layout.
-        Each is built on first use and kept as long as this list is."""
-        # from a list: a tuple built from an iterator is resized, so it
-        # bypasses CPython's tuple free list, and freeing one key per call
-        # would fill that list
-        key = tuple([tuple(group) for group in groups])
-        return self._holding.setdefault(key, _Holding(self, key))
-
-    def _sub(self, items) -> "_Selections":
-        out = _Selections(items)
-        out.slots, out._bases, out._rows, out._cols = (
-            self.slots, self._bases, self._rows, self._cols)
-        return out
+    def held(self, bits: int) -> list:
+        """The entries whose selection holds a cell of the group with bit
+        mask `bits` (bit row * cols + col), in sweep order: a plain list,
+        built on first use and kept as long as this list is."""
+        sub = self._held.get(bits)
+        if sub is None:
+            if self._masks is None:
+                # per entry, the bit mask of the cells its selection holds
+                w = self._ncols
+                self._masks = [sum(_bits(ci) << r * w for r in ri)
+                               for ri, ci in (self.selection(slot) for _, _, slot in self)]
+            sub = self._held[bits] = [x for x, m in zip(self, self._masks) if m & bits]
+        return sub
 
 
 def _bits(indices) -> int:
     return sum(1 << i for i in indices)
-
-
-class _Holding(dict):
-    """_Selections.holding's sub-lists for one group list, keyed by group
-    index.  It reaches its list through a weak proxy, so a list it is kept
-    with is freed as soon as it is dropped."""
-
-    def __init__(self, entries: _Selections, groups: tuple):
-        super().__init__()
-        self.entries = weakref.proxy(entries)
-        self.bits = [_bits(group) for group in groups]
-
-    @cached_property
-    def masks(self) -> list[int]:
-        """Per entry, in sweep order, the bit mask of the cells its
-        selection holds (bit row * cols + col)."""
-        e, w = self.entries, self.entries._ncols
-        return [sum(_bits(ci) << r * w for r in ri)
-                for ri, ci in (e.selection(slot) for _, _, slot in e)]
-
-    def __missing__(self, g: int) -> _Selections:
-        e, bits = self.entries, self.bits[g]
-        out = self[g] = e._sub([x for x, m in zip(e, self.masks) if m & bits])
-        return out
 
 
 def _entries(pairs, ncols: int) -> _Selections:
@@ -248,7 +217,7 @@ def _entries(pairs, ncols: int) -> _Selections:
     """
     out = _Selections()
     out._bases, out._rows, out._cols = [0], [()], [[()]]
-    out._ncols, out._holding = ncols, {}
+    out._ncols, out._masks, out._held = ncols, None, {}
     ranks = [{(): 0}]
     blocks = {(): (0, None)}  # row tuple -> (its base, its rows' sub base)
     by_last = {}
@@ -290,9 +259,18 @@ def square_selections(rows: int, cols: int, grid: BlockGrid | None = None) -> _S
     blocks are no lower), so each entry's sub-minors are listed before it."""
     blocks = None if grid is None else (
         tuple(grid.row_block_sizes), tuple(grid.col_block_sizes))
-    if count_square_selections(rows, cols) > SELECTION_CACHE_LIMIT:
+    if _square_count(rows, cols, grid) > SELECTION_CACHE_LIMIT:
         return _build_square_selections(rows, cols, blocks)
     return _kept(_build_square_selections, rows, cols, blocks)
+
+
+def _square_count(rows: int, cols: int, grid: BlockGrid | None) -> int:
+    """Length of square_selections(rows, cols, grid), counted without
+    listing: the grid's count_block_selections, or one block's without."""
+    if grid is None:
+        return count_block_selections((rows,), (cols,), False)[0]
+    return count_block_selections(
+        tuple(grid.row_block_sizes), tuple(grid.col_block_sizes), True)[0]
 
 
 def _build_square_selections(rows: int, cols: int, blocks) -> _Selections:
@@ -343,19 +321,19 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
     writes m's entry plus values[i], any element of m's field, into the
     i-th cell of groups[g], and updates the kept logs of just those cells.
     The run's first matrix sweeps all of entries; a later one only
-    entries.holding(groups)[g], the entries whose selection holds a cell
-    of the group written, while the others, and the sub-minors they expand
-    into, keep their values.  Without a run the sweep is a run of one
-    matrix, m.  position counts the minors evaluated in the run before
-    this one (for one matrix, the entry's position).  tally, a list [0, 0]
-    when given, counts [matrices begun, minors evaluated in the matrices
-    done].
+    entries.held(bits), bits the written group's mask, the entries whose
+    selection holds a cell of that group, while the others, and the
+    sub-minors they expand into, keep their values.  Without a run the
+    sweep is a run of one matrix, m.  position counts the minors
+    evaluated in the run before this one (for one matrix, the entry's
+    position).  tally, a list [0, 0] when given, counts [matrices begun,
+    minors evaluated in the matrices done].
     """
     f = m.field
     base = m.data
     selection = entries.selection
     groups, edits = run or (((),), ((0, ()),))
-    holding = entries.holding(groups) if run else None
+    subs = [None] * len(groups)  # entries.held of each group, on first use
     tabled = f.q == 2 and f.exp is not None
     if tabled:
         log, ext = f.zero_log_tables
@@ -369,7 +347,9 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
         memo[0] = 1
     tally = [0, 0] if tally is None else tally
     for step, (g, values) in enumerate(edits):
-        swept = holding[g] if step else entries
+        swept = subs[g] if step else entries
+        if swept is None:
+            swept = subs[g] = entries.held(_bits(groups[g]))
         tally[0] = step + 1
         if tabled:
             for i, v in zip(groups[g], values):
@@ -417,16 +397,19 @@ def _check_minors(
     matrices `run` describes (see minor_sweep), m alone without one.
     checked_count counts the minors evaluated over the run, up to the
     witness and less the skipped ones; with a run, detail's matrices
-    counts the matrices swept, the witness's included."""
+    counts the matrices swept, the witness's included.  budget charges
+    the list this call builds, its count (_square_count) before it is
+    built; entries passed in were charged by their caller, so they are
+    not charged again."""
     start = time.perf_counter()
-    total = count_square_selections(m.rows, m.cols)
-    if total > budget:
-        return VerificationReport(
-            INFEASIBLE,
-            detail={"selection_count": total, "budget": budget},
-            elapsed=time.perf_counter() - start,
-        )
     if entries is None:
+        total = _square_count(m.rows, m.cols, grid)
+        if total > budget:
+            return VerificationReport(
+                INFEASIBLE,
+                detail={"selection_count": total, "budget": budget},
+                elapsed=time.perf_counter() - start,
+            )
         entries = square_selections(m.rows, m.cols, grid)
     nontrivial = nontrivial_slots(ZeroPattern.of(m), entries) if skip_trivial else None
     skipped = 0
@@ -462,7 +445,9 @@ def is_full_superregular(m: Matrix, budget: int = DEFAULT_SELECTION_BUDGET,
     m or for every matrix of a run (see minor_sweep); entries, when given,
     are m's square_selections.  One report per run: checked_count counts
     the minors evaluated, detail the matrices swept, and the witness is
-    the first vanishing minor."""
+    the first vanishing minor.  budget charges the list the predicate
+    builds, reading infeasible when its selections exceed it; entries
+    passed in are already charged, and budget is not read."""
     return _check_minors(m, skip_trivial=False, budget=budget, entries=entries,
                          run=run)
 
@@ -472,8 +457,9 @@ def is_superregular_constrained(
     entries: _Selections | None = None, run: tuple | None = None,
 ) -> VerificationReport:
     """Every square submatrix whose diagonal stays in blocks (s, t) with
-    s <= t is nonsingular; entries and run as for is_full_superregular,
-    on the grid-filtered square_selections.
+    s <= t is nonsingular; entries, run and budget as for
+    is_full_superregular, on the grid-filtered square_selections, so the
+    budget charges the grid-qualifying selections only.
 
     On block-upper-triangular matrices this agrees with plain
     superregularity: a zero on a qualifying diagonal forces zeros right
@@ -511,11 +497,11 @@ def count_nontrivial_minors(
     whose minor is non-trivial (nontrivial_slots).  min_size=2 drops the
     1x1 minors, matching the counting convention of published search
     tables."""
-    total = count_square_selections(pattern.rows, pattern.cols)
-    if total > budget:
-        raise ValueError(f"selection count {total} exceeds budget {budget}")
     if grid is not None and (grid.rows, grid.cols) != (pattern.rows, pattern.cols):
         raise ValueError("block grid dimensions disagree with the pattern")
+    total = _square_count(pattern.rows, pattern.cols, grid)
+    if total > budget:
+        raise ValueError(f"selection count {total} exceeds budget {budget}")
     entries = square_selections(pattern.rows, pattern.cols, grid)
     nontrivial = nontrivial_slots(pattern, entries)
     return sum(1 for terms, _, slot in entries

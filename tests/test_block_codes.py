@@ -287,18 +287,16 @@ def test_transform_budget_refusal_builds_no_list():
 
 def test_systematic_budget_refusal_builds_no_list():
     # without a grid every cell is held by as many square selections, so
-    # the charge is counted, and a refused family builds neither the
-    # selection list nor its sub-lists (nor counts over them)
+    # the charge is counted, and a refused family builds no selection
+    # list, so none of its sub-lists either (nor counts over them)
     build = mock.Mock(wraps=superregular._build_square_selections)
-    holding = mock.Mock(wraps=superregular._Holding)
 
     def check(code, budget):
         build.reset_mock()
-        holding.reset_mock()
         with mock.patch.multiple(superregular, SELECTION_CACHE_LIMIT=0,
-                                 _build_square_selections=build, _Holding=holding):
+                                 _build_square_selections=build):
             rep = check_msrd_systematic(code, budget=budget)
-        return rep, build.call_count, holding.call_count
+        return rep, build.call_count
 
     # a random one-block [18,9] code over F_2^8: 48,619 selections, under
     # the default budget, but 81 C cells
@@ -306,8 +304,8 @@ def test_systematic_budget_refusal_builds_no_list():
     rng = random.Random("[18,9]")
     code = SystematicBlockCode(LengthPartition([18]), (9,),
                                Matrix(9, 9, f, [rng.randrange(f.order) for _ in range(81)]))
-    rep, built, held = check(code, superregular.DEFAULT_SELECTION_BUDGET)
-    assert (rep.verdict, rep.checked_count, built, held) == (INFEASIBLE, 0, 0, 0)
+    rep, built = check(code, superregular.DEFAULT_SELECTION_BUDGET)
+    assert (rep.verdict, rep.checked_count, built) == (INFEASIBLE, 0, 0)
     assert rep.detail["charge"] > rep.detail["budget"]
     # Gabidulin [4,2] over F_81, one block: 9 pairs of 5 selections swept
     # once, then 2 for each of the 80 Gray steps; one minor short of its
@@ -315,9 +313,9 @@ def test_systematic_budget_refusal_builds_no_list():
     gab = SystematicBlockCode(LengthPartition([4]), (2,),
                               systematic_form(construct_gabidulin(4, 2, field(3, 4))))
     charge = 9 * (5 + 80 * 2)
-    rep, built, held = check(gab, charge - 1)
-    assert (rep.verdict, rep.detail["charge"], built, held) == (INFEASIBLE, charge, 0, 0)
-    rep, built, held = check(gab, charge)
+    rep, built = check(gab, charge - 1)
+    assert (rep.verdict, rep.detail["charge"], built) == (INFEASIBLE, charge, 0)
+    rep, built = check(gab, charge)
     assert (rep.verdict, rep.detail["minors"], built) == (True, charge, 1)
 
 

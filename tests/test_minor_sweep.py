@@ -256,9 +256,22 @@ def _cauchy_10x10():
          for i in range(10)], f)
 
 
+def test_a_gridded_list_is_kept_by_its_own_length():
+    # [3,1,5] at level 5: the 6 x 12 grid keeps 7,751 of the 18,563 square
+    # selections, so its list is kept for the process although the
+    # ungridded shape's would not be
+    limit = superregular.SELECTION_CACHE_LIMIT
+    assert superregular.count_block_selections((6,), (12,), False)[0] == 18563 > limit
+    assert superregular.count_block_selections((1,) * 6, (2,) * 6, True)[0] == 7751 <= limit
+    kept = square_selections(6, 12, BlockGrid.uniform(1, 2, 6))
+    assert len(kept) == 7751
+    assert square_selections(6, 12, BlockGrid.uniform(1, 2, 6)) is kept
+
+
 def test_long_selection_lists_are_freed_with_the_call():
     cauchy = _cauchy_10x10()
-    assert superregular.count_square_selections(10, 10) > superregular.SELECTION_CACHE_LIMIT
+    assert superregular.count_block_selections((10,), (10,), False)[0] > \
+        superregular.SELECTION_CACHE_LIMIT
     tracemalloc.start()
     try:
         rep = is_full_superregular(cauchy)

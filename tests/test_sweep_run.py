@@ -14,7 +14,6 @@ with the traced minors unchanged."""
 import gc
 import random
 import sys
-import weakref
 from itertools import product
 
 import pytest
@@ -185,21 +184,23 @@ def test_a_run_of_one_matrix_is_a_plain_sweep(f):
 
 def test_holding_builds_a_sub_list_on_first_use_and_frees_with_its_list():
     # two groups, the cells of columns 2 and 4 of a 3 x 6 matrix
-    entries = _build_full_size_selections(3, 6)
-    groups = [[r * 6 + c for r in range(3)] for c in (2, 4)]
-    holding = entries.holding(groups)
-    assert len(holding) == 0 and entries.holding(groups) is holding
-    sub = holding[1]
-    assert list(holding) == [1] and entries.holding(groups)[1] is sub
-    assert [entries.selection(slot)[1] for _, _, slot in sub] == [
-        entries.selection(slot)[1] for _, _, slot in entries
-        if 4 in entries.selection(slot)[1]]
-    # a list built per call is freed when dropped, with no cycle to collect
-    ref = weakref.ref(entries)
+    gc.collect()
     gc.disable()
     try:
-        del entries, holding
-        assert ref() is None
+        entries = _build_full_size_selections(3, 6)
+        col2, col4 = (sum(1 << r * 6 + c for r in range(3)) for c in (2, 4))
+        assert entries._held == {}
+        sub = entries.held(col4)
+        assert type(sub) is list and entries._held == {col4: sub}
+        assert entries.held(col4) is sub
+        assert [entries.selection(slot)[1] for _, _, slot in sub] == [
+            entries.selection(slot)[1] for _, _, slot in entries
+            if 4 in entries.selection(slot)[1]]
+        assert len(entries.held(col2)) == len(sub) and entries._held.keys() == {col2, col4}
+        # a list built per call is freed by reference counting alone when
+        # dropped, its sub-lists with it: no cycle is left to collect
+        del entries, sub
+        assert gc.collect() == 0
     finally:
         gc.enable()
 

@@ -57,8 +57,10 @@ from sumrank.report import INFEASIBLE
 from sumrank.superregular import (
     DEFAULT_SELECTION_BUDGET,
     BlockGrid,
+    ZeroPattern,
     count_block_selections,
-    count_square_selections,
+    count_nontrivial_minors,
+    is_superregular_constrained,
     iter_square_selections,
     square_selections,
 )
@@ -376,7 +378,7 @@ def test_engine_budget_charges_the_minors_the_grid_checks():
     # step that moves a C cell it holds: 41.5e6 minors, so the exact family
     # fits the default budget and reads False at T 1,028
     assert len(square_selections(6, 6, parity_grid(_TABLE_NEGATIVE, 2))) == 553
-    assert count_square_selections(6, 6) == 923
+    assert count_block_selections((6,), (6,), False)[0] == 923
     charge = _level_cost(_TABLE_NEGATIVE, 2)
     assert charge == 41_505_472
     rep = check_mMSR(_TABLE_NEGATIVE, mode="exact")
@@ -399,6 +401,20 @@ def test_engine_budget_charges_the_minors_the_grid_checks():
         if budget < charge:
             assert (rep.verdict, rep.checked_count, build.call_count) == (INFEASIBLE, 0, 0)
     assert (rep.verdict, rep.checked_count, build.call_count) == (False, 1028, 1)
+
+
+def test_grid_predicates_charge_the_minors_the_grid_checks():
+    # on the level-2 6 x 6 grid a budget is charged the 553 selections the
+    # grid keeps, not the 923 square ones: it fits at 553 and refuses at 552
+    p2, grid = sliding_parity(_TABLE_NEGATIVE, 2), parity_grid(_TABLE_NEGATIVE, 2)
+    rep = is_superregular_constrained(p2, grid, budget=553)
+    assert (rep.verdict, rep.checked_count) == (True, 553)
+    rep = is_superregular_constrained(p2, grid, budget=552)
+    assert (rep.verdict, rep.detail) == (INFEASIBLE, {"selection_count": 553, "budget": 552})
+    pattern = ZeroPattern.of(p2)
+    assert count_nontrivial_minors(pattern, grid, budget=553) == 553
+    with pytest.raises(ValueError, match="selection count 553 exceeds budget 552"):
+        count_nontrivial_minors(pattern, grid, budget=552)
 
 
 def test_filter_charge_is_the_larger_of_gray_order_and_sampling():
@@ -424,7 +440,7 @@ def test_ungridded_charge_counts_its_held_cells_without_a_list(ks, nks):
     rows, cols = sum(ks), sum(nks)
     p = Matrix(rows, cols, F8, [1] * (rows * cols))
     rep = block_codes.check_transform_family(p, ks, nks, False, "exact",
-                                             count_square_selections(rows, cols))
+                                             count_block_selections((rows,), (cols,), False)[0])
     assert rep.detail["charge"] == gray_run_minors(ks, nks, None, 2)
     assert _listed_counts(ks, nks, False) == _counted(ks, nks, False)
 
@@ -436,12 +452,12 @@ def _counted(ks, nks, grid):
 
 
 def _listed_counts(ks, nks, grid):
-    """The lengths of square_selections and of its holding sub-lists: one
+    """The lengths of square_selections and of its held sub-lists: one
     per C cell, then the one for every C cell at once."""
     entries = square_selections(sum(ks), sum(nks), BlockGrid(ks, nks) if grid else None)
     cells = block_diag_cells(ks, nks, False)
-    holding = entries.holding([(i,) for i in cells] + [tuple(cells)])
-    lengths = [len(holding[g]) for g in range(len(cells) + 1)]
+    lengths = [len(entries.held(sum(1 << i for i in group)))
+               for group in [(i,) for i in cells] + [cells]]
     return len(entries), lengths[:-1], lengths[-1]
 
 
