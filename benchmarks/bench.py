@@ -8,6 +8,8 @@ layer by layer, for one or more source trees and both kernels.
         --rows "expand-rank-f8;block-min-f16;conv-dist-f128" --out BENCH_kernels.json
     python3 benchmarks/bench.py --side parent=PARENT/src --side change=src \\
         --rows descent424-f2048 --rounds 5 --out BENCH_refused_descent.json
+    python3 benchmarks/bench.py --side parent=PARENT/src --side change=src \\
+        --rows field-f2-18 --rounds 5 --out BENCH_field.json
 
 Checker rows:
 
@@ -36,6 +38,14 @@ Checker rows:
   columns of ``G A`` each A changes.  Layers: the check's time,
   transforms, and the time in matrix products (``matrix.Matrix.matmul.s``),
   about 0 since no ``G A`` is multiplied out.
+
+Field row:
+
+- ``field-f2-18``: ``Field(2, 18)``, the field of table1's largest row
+  [6,3,1], built by its constructor (not the cached ``field()``), so
+  each call walks the powers of x and fills the log/antilog tables.
+  Result: the field's order.  Layers: its elements, and elements tabled
+  per second.
 
 Kernel rows, their inputs drawn from one seed-1 stream (the vectors
 first, then the generator):
@@ -246,6 +256,20 @@ def time_gab6x3_transforms(row: str, calls: int, timed):
             "check_msrd_transforms", report.verdict, walls, layers)
 
 
+# -- field row ------------------------------------------------------------------
+
+
+def time_field(row: str, calls: int, timed):
+    from sumrank.field import Field
+
+    # the tracer wraps no constructor, so this row takes no traced call
+    runs = [timed(lambda: Field(2, 18)) for _ in range(calls)]
+    walls = [t for t, _ in runs]
+    f = runs[-1][1]
+    return (f"Field(2, 18), F_{f.descriptor()}, built by its constructor", f.order,
+            walls, {"elements": f.order, "elements_per_s": f.order / statistics.median(walls)})
+
+
 # -- kernel rows ----------------------------------------------------------------
 
 
@@ -312,6 +336,7 @@ NAMED = {
     "cauchy10": time_cauchy,
     "gab4x2-f81": time_gab4x2,
     "gab6x3-f64-transforms": time_gab6x3_transforms,
+    "field-f2-18": time_field,
     "expand-rank-f8": time_expand_rank,
     "block-min-f16": time_block_min,
     "conv-dist-f128": time_conv_dist,

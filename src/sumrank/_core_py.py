@@ -2,11 +2,10 @@
 
 Same API as the compiled twin in ``_core_c`` (hand-written C,
 ``_core_c.c``); ``core`` picks one at import time.  Everything here works
-for any prime q; the compiled version additionally requires the field's
-log/antilog tables and q^M < 2^63.  The budget rules that refuse a
-search before it starts, ``message_stop`` and ``children_per_node``,
-live here and serve both kernels, so a message space past 2^63 is
-refused with the same arguments by either.
+for any prime q; the compiled version additionally requires q^M < 2^63.
+The budget rules that refuse a search before it starts, ``message_stop``
+and ``children_per_node``, live here and serve both kernels, so a
+message space past 2^63 is refused with the same arguments by either.
 
 The column-distance search runs on packed vectors:
 

@@ -414,7 +414,8 @@ def construct_frobenius(
     r_step = max(k, n - k)
     if alpha is None:
         alpha = field.alpha
-    elif not _is_primitive(alpha, field):
+    elif alpha == 0 or gcd(field.log[alpha], field.order - 1) != 1:
+        # alpha = a^log(alpha) generates F_{q^M}^* iff its log is coprime to q^M - 1
         raise EncoderError("alpha is not a primitive element")
     parity = []
     for i in range(m + 1):
@@ -424,26 +425,6 @@ def construct_frobenius(
                 p[r, c] = field.frobenius(alpha, r_step * i + r + c)
         parity.append(p)
     return PolyEncoder.from_parity(parity)
-
-
-def _is_primitive(a: int, field: Field) -> bool:
-    """a generates the multiplicative group: a^((q^M-1)/p) != 1 for every
-    prime p dividing q^M - 1."""
-    if a == 0:
-        return False
-    n = field.order - 1
-    rest = n
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            if field.pow(a, n // p) == 1:
-                return False
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1 and field.pow(a, n // rest) == 1:
-        return False
-    return True
 
 
 def frobenius_class_exponents(field: Field):

@@ -7,17 +7,18 @@ the primitive polynomial.  Codes 0 and 1 are the additive and
 multiplicative identities, and code q is the primitive element a itself.
 
 For q = 2 the digit encoding coincides with the usual bit-vector
-representation, so addition is XOR.  Multiplication and inversion go
-through log/antilog tables whenever q^M is small enough to precompute
-them (the exhaustive verification loops in the rest of the package
-depend on this).
+representation, so addition is XOR.  Every field is tabled, orders up to
+2^20 (TABLE_LIMIT): multiplication, inversion and powers are lookups in
+log/antilog tables that one walk over the powers of x builds while it
+proves the polynomial primitive.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-# Largest field order for which log/antilog tables are built eagerly.
+# Largest field order a Field accepts: every field is tabled, orders up to
+# 2^20, and its log/antilog tables are built with it.
 TABLE_LIMIT = 1 << 20
 
 # Primitive polynomials, ascending coefficient order (index i = coeff of
@@ -85,41 +86,57 @@ def _mul_by_x(digits: list[int], poly, q: int, M: int) -> list[int]:
     return out
 
 
-def validate_primitive(q: int, M: int, poly) -> bool:
-    """True iff poly (ascending, monic, degree M) is primitive over F_q.
+def _antilog(q: int, M: int, poly) -> list[int] | None:
+    """The codes of x^0, x^1, ..., x^(q^M - 2) modulo poly when poly
+    (ascending, monic, degree M) is primitive over F_q and q^M is at most
+    TABLE_LIMIT; None otherwise.
 
-    The class of x must have multiplicative order exactly q^M - 1; this
-    forces irreducibility, since a reducible quotient ring has fewer
-    than q^M - 1 units.
+    One walk over the powers of x fills the table and proves primitivity:
+    x must first return to 1 at step q^M - 1, so its order is exactly
+    q^M - 1; this forces irreducibility, since a reducible quotient ring
+    has fewer than q^M - 1 units.
     """
     poly = list(poly)
-    if not _is_prime(q) or M < 1:
-        return False
+    if not _is_prime(q) or M < 1 or q ** M > TABLE_LIMIT:
+        return None
     if len(poly) != M + 1 or poly[M] % q != 1:
-        return False
+        return None
     if any(c % q != c for c in poly):
-        return False
+        return None
     if poly[0] == 0:
-        return False
-    order = q ** M - 1
-    if M == 1:
-        x0 = (-poly[0]) % q
-        if x0 == 0:
-            return False
-        v = x0
-        for i in range(1, order + 1):
+        return None
+    n = q ** M - 1
+    exp = [0] * n
+    if q == 2:
+        # digits are bits, so mul-by-x is shift + conditional XOR, and only
+        # the XOR can bring x back to 1
+        polycode = sum(c << i for i, c in enumerate(poly))
+        hi = 1 << M
+        v = 1
+        for i in range(n):
+            exp[i] = v
+            v <<= 1
+            if v & hi:
+                v ^= polycode
+                if v == 1:
+                    break
+    else:
+        qpows = [q ** i for i in range(M)]
+        digits = [1] + [0] * (M - 1)
+        v = 1
+        for i in range(n):
+            exp[i] = v
+            digits = _mul_by_x(digits, poly, q, M)
+            v = sum(d * p for d, p in zip(digits, qpows))
             if v == 1:
-                return i == order
-            v = (v * x0) % q
-        return False
-    one = [1] + [0] * (M - 1)
-    v = [0] * M
-    v[1] = 1
-    for i in range(1, order + 1):
-        if v == one:
-            return i == order
-        v = _mul_by_x(v, poly, q, M)
-    return False
+                break
+    return exp if v == 1 and i == n - 1 else None
+
+
+def validate_primitive(q: int, M: int, poly) -> bool:
+    """True iff poly (ascending, monic, degree M) is primitive over F_q
+    and q^M is at most TABLE_LIMIT, the largest order a Field accepts."""
+    return _antilog(q, M, poly) is not None
 
 
 class Field:
@@ -134,6 +151,9 @@ class Field:
             raise FieldError(f"base order q={q} is not prime")
         if M < 1:
             raise FieldError(f"extension degree M={M} must be >= 1")
+        if q ** M > TABLE_LIMIT:
+            raise FieldError(f"field order {q}^{M} is above TABLE_LIMIT = "
+                             f"{TABLE_LIMIT}, the largest order a Field accepts")
         if poly is None:
             try:
                 poly = PRIMITIVE_POLYS[(q, M)]
@@ -143,44 +163,20 @@ class Field:
                     "pass one explicitly"
                 ) from None
         poly = tuple(int(c) for c in poly)
-        if not validate_primitive(q, M, poly):
+        table = _antilog(q, M, poly)
+        if table is None:
             raise FieldError(f"polynomial {poly} is not primitive over F_{q}")
         self.q = q
         self.M = M
         self.poly = poly
         self.order = q ** M
         self._qpows = tuple(q ** i for i in range(M + 1))
-        self.exp = None
-        self.log = None
-        if self.order <= TABLE_LIMIT:
-            self._build_tables()
+        self.exp = table
+        self.log = log = [0] * self.order
+        for i, a in enumerate(table):
+            log[a] = i
 
-    # -- construction helpers -------------------------------------------
-
-    def _build_tables(self):
-        n = self.order - 1
-        exp = [0] * n
-        log = [0] * self.order
-        if self.q == 2:
-            # digits are bits, so mul-by-x is shift + conditional XOR
-            polycode = sum(c << i for i, c in enumerate(self.poly))
-            hi = 1 << self.M
-            v = 1
-            for i in range(n):
-                exp[i] = v
-                log[v] = i
-                v <<= 1
-                if v & hi:
-                    v ^= polycode
-        else:
-            digits = [1] + [0] * (self.M - 1)
-            for i in range(n):
-                code = self._digits_to_code(digits)
-                exp[i] = code
-                log[code] = i
-                digits = _mul_by_x(digits, self.poly, self.q, self.M)
-        self.exp = exp
-        self.log = log
+    # -- tables and digits -----------------------------------------------
 
     @cached_property
     def zero_log_tables(self) -> tuple[list, list]:
@@ -193,12 +189,6 @@ class Field:
         log[0] = 2 * n
         return log, self.exp * 2 + [0] * (2 * n + 1)
 
-    def _digits_to_code(self, digits) -> int:
-        code = 0
-        for i in range(self.M - 1, -1, -1):
-            code = code * self.q + digits[i]
-        return code
-
     def digits(self, a: int) -> list[int]:
         """Base-q digits of a, ascending (coordinates in the polynomial basis)."""
         q = self.q
@@ -209,7 +199,12 @@ class Field:
         return out
 
     def from_digits(self, digits) -> int:
-        return self._digits_to_code(list(digits))
+        """The code whose base-q digits, ascending, are digits[:M]."""
+        digits = list(digits)
+        code = 0
+        for i in range(self.M - 1, -1, -1):
+            code = code * self.q + digits[i]
+        return code
 
     # -- arithmetic ------------------------------------------------------
 
@@ -249,45 +244,19 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.exp is not None:
-            return self.exp[(self.log[a] + self.log[b]) % (self.order - 1)]
-        return self._mul_slow(a, b)
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        # schoolbook polynomial product: accumulate digit(a, i) * (b * x^i)
-        da = self.digits(a)
-        acc = [0] * self.M
-        xb = self.digits(b)
-        for i in range(self.M):
-            d = da[i]
-            if d:
-                for j in range(self.M):
-                    acc[j] = (acc[j] + d * xb[j]) % self.q
-            xb = _mul_by_x(xb, self.poly, self.q, self.M)
-        return self._digits_to_code(acc)
+        return self.exp[(self.log[a] + self.log[b]) % (self.order - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        if self.exp is not None:
-            return self.exp[(-self.log[a]) % (self.order - 1)]
-        return self.pow(a, self.order - 2)
+        return self.exp[(-self.log[a]) % (self.order - 1)]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 0 if e else 1
-        if self.exp is not None:
-            return self.exp[(self.log[a] * e) % (self.order - 1)]
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return self.exp[(self.log[a] * e) % (self.order - 1)]
 
     def frobenius(self, a: int, j: int = 1) -> int:
         """a raised to q^j; a field automorphism power fixing F_q."""
@@ -299,9 +268,7 @@ class Field:
 
     def alpha_pow(self, e: int) -> int:
         """alpha^e, e taken modulo q^M - 1."""
-        if self.exp is not None:
-            return self.exp[e % (self.order - 1)]
-        return self.pow(self.alpha, e % (self.order - 1))
+        return self.exp[e % (self.order - 1)]
 
     def is_in_base_field(self, a: int) -> bool:
         return self.pow(a, self.q) == a

@@ -128,8 +128,6 @@ def min_sum_rank_distance(
     total = field.order**k
     if total - 1 > budget:
         raise BudgetExceeded(total - 1, budget)
-    if field.exp is None:
-        raise ValueError("field too large for kernel tables")
     gen_rows = generator.to_rows()
     args = (gen_rows, list(partition.parts), field.q, field.M, field.order,
             field.exp, field.log)
@@ -166,8 +164,6 @@ def column_sum_rank_distance(
     with block-by-block pruning.  Raises BudgetExceeded when the pruned
     search still visits more nodes than the budget allows."""
     field = encoder.field
-    if field.exp is None:
-        raise ValueError("field too large for kernel tables")
     coeff_rows = [g.to_rows() for g in encoder.coeffs]
     dist, _ = core.conv_column_distance(
         coeff_rows,

@@ -14,7 +14,7 @@ less that it memoized.  The memo is one flat list per sweep: each
 selected row tuple owns a block of slots, one per column selection of its
 size in lexicographic rank, so a minor's slot is its row block's base
 plus its columns' rank, and a sweep entry is just (terms, sub-block base,
-slot).  Over a tabled field of characteristic 2 the sweep works in the
+slot).  Over a field of characteristic 2 the sweep works in the
 log domain on zero-absorbing tables (Field.zero_log_tables): it keeps the
 discrete log of every entry and memoizes the logs of the minors, so each
 Leibniz term is one antilog lookup and an XOR, with no test for zero.
@@ -256,7 +256,11 @@ def square_selections(rows: int, cols: int, grid: BlockGrid | None = None) -> _S
     size ascending then lexicographic; with a grid, only the grid-qualifying
     ones.  Deleting the last row and any column of a qualifying selection
     leaves a qualifying one (the later columns move to earlier rows, whose
-    blocks are no lower), so each entry's sub-minors are listed before it."""
+    blocks are no lower), so each entry's sub-minors are listed before it.
+    A grid must be rows x cols (ValueError otherwise)."""
+    if grid is not None and (grid.rows, grid.cols) != (rows, cols):
+        raise ValueError(
+            f"a {grid.rows} x {grid.cols} grid on a {rows} x {cols} selection list")
     blocks = None if grid is None else (
         tuple(grid.row_block_sizes), tuple(grid.col_block_sizes))
     if _square_count(rows, cols, grid) > SELECTION_CACHE_LIMIT:
@@ -311,7 +315,7 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
     listers above guarantee it).  The memo is one flat list of
     entries.slots slots, addressed as _entries lays it out; an entry's rows
     and columns are recovered from its slot only when it is yielded.  Over
-    a tabled field of characteristic 2 the signs vanish, addition is XOR,
+    a field of characteristic 2 the signs vanish, addition is XOR,
     and the sweep keeps the discrete logs of the entries and memoizes the
     minors' logs, zero included (Field.zero_log_tables), so a term is one
     antilog lookup; otherwise products go through the field.
@@ -334,8 +338,8 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
     selection = entries.selection
     groups, edits = run or (((),), ((0, ()),))
     subs = [None] * len(groups)  # entries.held of each group, on first use
-    tabled = f.q == 2 and f.exp is not None
-    if tabled:
+    char2 = f.q == 2
+    if char2:
         log, ext = f.zero_log_tables
         data = [log[a] for a in base]
         memo = [log[0]] * entries.slots
@@ -351,7 +355,7 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
         if swept is None:
             swept = subs[g] = entries.held(_bits(groups[g]))
         tally[0] = step + 1
-        if tabled:
+        if char2:
             for i, v in zip(groups[g], values):
                 data[i] = log[base[i] ^ v]
             for pos, (terms, sub, slot) in enumerate(swept, tally[1]):

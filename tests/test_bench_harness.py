@@ -42,3 +42,19 @@ def test_harness_runs_a_kernel_row_and_a_checker_row():
                     layers["superregular.minors"],
                     layers["superregular.is_full_superregular.calls"]) == (
                         True, 729, 9 * (5 + 80 * 2), 9)
+
+
+def test_field_row_builds_the_field_by_its_constructor():
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/bench.py", "--rows", "field-f2-18",
+         "--rounds", "1", "--calls", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["rows"]
+    assert [(r["row"], r["kernel"]) for r in rows] == [("field-f2-18", "python"),
+                                                        ("field-f2-18", "c")]
+    for row in rows:
+        assert set(row) == ROW_KEYS
+        assert (row["result"], row["layers"]["elements"]) == (2**18, 2**18)
+        assert row["wall_s"] > 0 and row["layers"]["elements_per_s"] > 0

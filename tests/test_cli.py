@@ -305,6 +305,17 @@ def test_malformed_json_exits_2_with_one_error_line(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_a_field_above_the_table_limit_exits_2_with_one_error_line(tmp_path, capsys):
+    # x^21 + x^2 + 1 is primitive, but every field is tabled, orders up to 2^20
+    desc = "2^21/1" + "0" * 18 + "101"
+    code = _gabidulin_code_json(3, 2, F8)
+    code = dict(code, field=desc, parity=dict(code["parity"], field=desc))
+    assert main(["verify-block", "--code", _write(tmp_path, "c.json", code)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "TABLE_LIMIT" in err
+
+
 def test_verify_block_msrd_all_unit_blocks_matches_mds(tmp_path, capsys):
     code = SystematicBlockCode(
         LengthPartition([1, 1, 1]), (1, 1, 0), Matrix.from_rows([[1], [1]], F4)

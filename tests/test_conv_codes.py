@@ -5,6 +5,7 @@ construction."""
 
 import random
 from itertools import product
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -242,6 +243,29 @@ def test_check_mMSR_rejects_nonsystematic_and_bad_level():
         check_mMSR(PolyEncoder(2, 1, [g0, g1]))
     with pytest.raises(EncoderError):
         check_mMSR(construct_frobenius(2, 1, 1, F4), j=2)
+
+
+def _accepts(f, alpha):
+    try:
+        construct_frobenius(3, 1, 1, f, alpha)
+    except EncoderError as e:
+        assert str(e) == "alpha is not a primitive element"
+        return False
+    return True
+
+
+def test_construct_frobenius_takes_only_a_primitive_alpha():
+    # alpha^e generates the multiplicative group exactly when e is coprime
+    # to its order: over F_16, 0 and alpha^e for e = 0, 3, 5, 6, 9, 10, 12
+    # are refused, and over F_9 the even powers
+    for f in (field(2, 4), field(3, 2)):
+        n = f.order - 1
+        assert not _accepts(f, 0)
+        assert [e for e in range(n) if _accepts(f, f.alpha_pow(e))] == [
+            e for e in range(n) if gcd(e, n) == 1]
+    assert not _accepts(field(2, 4), field(2, 4).alpha_pow(3))
+    assert [e for e in range(8) if _accepts(field(3, 2), field(3, 2).alpha_pow(e))] == [
+        1, 3, 5, 7]
 
 
 def test_transform_counts_example():

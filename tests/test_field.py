@@ -1,10 +1,13 @@
 """Field arithmetic: exhaustive axiom checks on small fields, the
 primitive-polynomial table, Frobenius powers, descriptors."""
 
+import time
+
 import pytest
 
 from sumrank.field import (
     PRIMITIVE_POLYS,
+    TABLE_LIMIT,
     Field,
     FieldError,
     base_field,
@@ -19,6 +22,24 @@ F9 = field(3, 2)
 
 A = 2  # code of alpha in any F_{q^M} with M >= 2
 
+# x^21 + x^2 + 1, primitive over F_2, for a field of order 2^21 > TABLE_LIMIT
+POLY_2_21 = (1, 0, 1) + (0,) * 18 + (1,)
+
+
+def _mul_slow(f: Field, a: int, b: int) -> int:
+    """a b in f without its tables: the schoolbook product of the digit
+    polynomials, reduced modulo f.poly from the top degree down."""
+    q, M = f.q, f.M
+    prod = [0] * (2 * M - 1)
+    for i, x in enumerate(f.digits(a)):
+        for j, y in enumerate(f.digits(b)):
+            prod[i + j] = (prod[i + j] + x * y) % q
+    for d in range(2 * M - 2, M - 1, -1):
+        top = prod[d]
+        for i, c in enumerate(f.poly):
+            prod[d - M + i] = (prod[d - M + i] - top * c) % q
+    return f.from_digits(prod[:M])
+
 
 def test_primitive_poly_table_validates():
     for (q, M), poly in PRIMITIVE_POLYS.items():
@@ -32,7 +53,7 @@ def test_odd_prime_tables_build_primitive_fields(q, M):
     # the order of alpha, walked without the tables it seeds
     power, order = f.alpha, 1
     while power != 1:
-        power = f._mul_slow(power, f.alpha)
+        power = _mul_slow(f, power, f.alpha)
         order += 1
     assert order == q**M - 1
 
@@ -42,6 +63,30 @@ def test_validate_primitive_rejects():
     assert not validate_primitive(2, 2, (1, 0, 1))
     # irreducible but x has order 5 != 15
     assert not validate_primitive(2, 4, (1, 1, 1, 1, 1))
+    # over F_3: x^2 + 1 is irreducible but x has order 4 != 8, and x^2
+    # makes x a zero divisor
+    assert not validate_primitive(3, 2, (1, 0, 1))
+    assert not validate_primitive(3, 2, (0, 0, 1))
+    # not monic, a coefficient outside F_q, wrong degree, q not prime
+    assert not validate_primitive(3, 2, (2, 1, 2))
+    assert not validate_primitive(2, 2, (1, 2, 1))
+    assert not validate_primitive(2, 3, (1, 1, 1))
+    assert not validate_primitive(4, 1, (1, 1))
+
+
+def test_validate_primitive_is_false_above_the_table_limit():
+    assert 2**21 > TABLE_LIMIT == 2**20
+    assert validate_primitive(2, 20, PRIMITIVE_POLYS[(2, 20)])
+    assert not validate_primitive(2, 21, POLY_2_21)
+
+
+def test_a_field_above_the_table_limit_is_refused_before_any_walk():
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match="TABLE_LIMIT"):
+        Field(2, 21, POLY_2_21)
+    with pytest.raises(FieldError, match="TABLE_LIMIT"):
+        parse_descriptor("2^21/" + "".join(map(str, reversed(POLY_2_21))))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_add_examples():
@@ -67,6 +112,13 @@ def test_inv_examples():
     assert F8.inv(A) == 5  # alpha^2 + 1
     with pytest.raises(ZeroDivisionError):
         F4.inv(0)
+    for f in (F4, F9):
+        with pytest.raises(ZeroDivisionError):
+            f.pow(0, -1)
+        assert f.pow(0, 0) == 1 and f.pow(0, 3) == 0
+        a = f.alpha
+        assert f.pow(a, -1) == f.inv(a)
+        assert f.pow(a, -2) == f.mul(f.inv(a), f.inv(a))
 
 
 def test_inv_f8_matches_extended_euclid():
@@ -144,11 +196,14 @@ def test_field_axioms_exhaustive(f: Field):
             assert f.mul(a, f.inv(a)) == 1
 
 
-@pytest.mark.parametrize("f", [F4, F8, F9], ids=["F4", "F8", "F9"])
+@pytest.mark.parametrize("f", [F4, F8, F9, base_field(2), base_field(3), field(3, 3),
+                               field(5, 2)],
+                         ids=["F4", "F8", "F9", "F2", "F3", "F27", "F25"])
 def test_alpha_is_primitive(f: Field):
     seen = set()
     for e in range(f.order - 1):
         seen.add(f.alpha_pow(e))
+        assert f.log[f.alpha_pow(e)] == e
     assert seen == set(f.nonzero())
 
 
@@ -156,7 +211,7 @@ def test_mul_slow_agrees_with_tables():
     for f in (F8, F9):
         for a in f.elements():
             for b in f.elements():
-                assert f._mul_slow(a, b) == f.mul(a, b)
+                assert _mul_slow(f, a, b) == f.mul(a, b)
 
 
 def test_descriptor_round_trip():
@@ -174,10 +229,11 @@ def test_parse_descriptor_errors():
         parse_descriptor("2^2/101")  # x^2+1 not primitive
 
 
-def test_large_field_has_no_tables_but_works():
-    f = field(2, 18)  # above nothing: order 262144 <= table limit, has tables
-    assert f.exp is not None
+def test_largest_table1_field_is_tabled():
+    f = field(2, 18)  # the field of table1's largest row, [6,3,1]
+    assert len(f.exp) == 2**18 - 1 and len(f.log) == 2**18
     assert f.mul(f.alpha, f.inv(f.alpha)) == 1
+    assert _mul_slow(f, f.alpha_pow(200_000), f.alpha_pow(100_000)) == f.alpha_pow(37_857)
 
 
 def test_digit_codecs():

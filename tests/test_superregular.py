@@ -267,6 +267,17 @@ def test_selection_enumeration_order():
     assert len(sels) == count_block_selections((2,), (2,), False)[0] == 5
 
 
+def test_a_grid_of_another_shape_is_refused():
+    # the list and its cache decision both read the grid, so it must be
+    # rows x cols: a 1 x 2 grid on 3 x 3 once failed inside the grid, and a
+    # 3 x 3 grid on 2 x 2 built 4 entries while the decision counted 13
+    with pytest.raises(ValueError, match="1 x 2 grid on a 3 x 3"):
+        square_selections(3, 3, BlockGrid([1], [2]))
+    with pytest.raises(ValueError, match="3 x 3 grid on a 2 x 2"):
+        square_selections(2, 2, BlockGrid([1, 1, 1], [1, 1, 1]))
+    assert len(square_selections(3, 3, BlockGrid([1, 1, 1], [1, 1, 1]))) == 13
+
+
 def test_budget_reports_infeasible():
     m = Matrix.identity(5, F2)
     rep = is_full_superregular(m, budget=10)

@@ -102,14 +102,8 @@ def test_gray_steps_visit_every_tuple_once_one_cell_at_a_time(q, c):
 # -- runs against matrix.det ----------------------------------------------------
 
 
-def _untabled_f8():
-    f = Field(2, 3)
-    f.exp = f.log = None
-    return f
-
-
-FIELDS = [field(2, 2), field(2, 11), field(3, 2), _untabled_f8()]
-FIELD_IDS = ["F4", "F2048", "F9", "F8-untabled"]
+FIELDS = [field(2, 2), field(2, 11), field(3, 2)]
+FIELD_IDS = ["F4", "F2048", "F9"]
 
 
 def _edit_stream(rng, cells, q, count):

@@ -671,3 +671,39 @@ def test_level_zero_is_the_block_systematic_check(enc, mode):
         w = block.witness
         assert (conv.witness["rows"], conv.witness["cols"]) == (w["rows"], w["cols"])
         assert conv.witness["transform"] == w["transform"]
+
+
+# -- the reversal-transpose symmetry --------------------------------------------
+
+
+def _reversal_transpose(p):
+    """J P^T J, J reversing the order of rows and columns."""
+    return Matrix.from_rows([[p[p.rows - 1 - r, p.cols - 1 - c] for r in range(p.rows)]
+                             for c in range(p.cols)], p.field)
+
+
+def test_the_reversal_transpose_reads_the_same_verdict():
+    # T -> J T^T J maps the (B, A~, C) family of P with blocks (ks, nks)
+    # onto that of J P^T J with blocks (nks reversed, ks reversed): unit
+    # upper-triangular blocks stay so, every C maps onto every C, minors
+    # onto minors, and the grid rule "row block <= column block" onto
+    # itself, so the exact verdicts agree, with the grid and without
+    shapes = [((1,), (1,)), ((2,), (1,)), ((1, 1), (1, 1)), ((1, 1), (2, 1)),
+              ((2, 1), (1, 1)), ((2,), (2,)), ((1, 1), (1, 2)), ((1, 2), (1, 1))]
+    verdicts = {2: set(), 3: set(), 5: set()}
+    for f in (F8, F16, F9, F25):
+        rng = random.Random(f.descriptor())
+        for ks, nks in shapes:
+            for constrained in (False, True):
+                for _ in range(3):
+                    p = Matrix(sum(ks), sum(nks), f, [rng.randrange(1, f.order)
+                                                      for _ in range(sum(ks) * sum(nks))])
+                    rep = block_codes.check_transform_family(
+                        p, ks, nks, constrained, "exact", 10**6)
+                    dual = block_codes.check_transform_family(
+                        _reversal_transpose(p), nks[::-1], ks[::-1], constrained, "exact",
+                        10**6)
+                    assert rep.verdict == dual.verdict, (f, ks, nks, constrained, p)
+                    verdicts[f.q].add(rep.verdict)
+    # True and False instances over q = 2 and over odd q
+    assert verdicts == {2: {True, False}, 3: {True, False}, 5: {True, False}}
