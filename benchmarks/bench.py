@@ -10,6 +10,9 @@ layer by layer, for one or more source trees and both kernels.
         --rows descent424-f2048 --rounds 5 --out BENCH_refused_descent.json
     python3 benchmarks/bench.py --side parent=PARENT/src --side change=src \\
         --rows field-f2-18 --rounds 5 --out BENCH_field.json
+    python3 benchmarks/bench.py --side parent=PARENT/src --side change=src \\
+        --rows "oracle-422-e19;oracle-531-e67" --rounds 5 --calls 1 \\
+        --out BENCH_oracle.json
 
 Checker rows:
 
@@ -38,6 +41,14 @@ Checker rows:
   columns of ``G A`` each A changes.  Layers: the check's time,
   transforms, and the time in matrix products (``matrix.Matrix.matmul.s``),
   about 0 since no ``G A`` is multiplied out.
+
+Oracle rows: ``check_mMSR_oracle`` on a Frobenius encoder over F_2^11
+that reads ``True``, so every A* of every rank profile is tried.  Layers:
+the oracle's time, its A* (``conv_codes.a_star``), and the ``det`` calls
+and matrix products it makes.
+
+- ``oracle-422-e19``: [4,2,2] at alpha^19, j = 2 (67,055 A*).
+- ``oracle-531-e67``: [5,3,1] at alpha^67, j = 1 (28,861 A*).
 
 Field row:
 
@@ -68,9 +79,10 @@ first, then the generator):
   wraps in ``sys.modules``, so every traced row imports ``sumrank.cli``.
 
 Every row runs in a fresh interpreter per (side, kernel, round): one
-untimed warm-up call (field tables, selection lists; kernel rows hold no
-cache and skip it), ``--calls`` timed calls whose median is the round's
-wall time, then one call under ``perfbench/tracer.py`` for the layers.
+untimed warm-up call (field tables, selection lists; kernel and oracle
+rows hold no cache and skip it), ``--calls`` timed calls whose median is
+the round's wall time, then one call under ``perfbench/tracer.py`` for
+the layers.
 Like perfbench/run.py, the child times perfbench/reference.py, a fixed
 pure-Python kernel, before every call, and scales its seconds by
 ``REF_S`` over the mean reference sample: a shared host's speed drifts
@@ -256,6 +268,32 @@ def time_gab6x3_transforms(row: str, calls: int, timed):
             "check_msrd_transforms", report.verdict, walls, layers)
 
 
+# -- oracle rows -----------------------------------------------------------------
+
+# row -> ((n, k, m), exponent of alpha, level j), over F_2^11
+ORACLE_ROWS = {
+    "oracle-422-e19": ((4, 2, 2), 19, 2),
+    "oracle-531-e67": ((5, 3, 1), 67, 1),
+}
+
+
+def time_oracle(row: str, calls: int, timed):
+    from sumrank import conv_codes
+    from sumrank.field import field
+
+    (n, k, m), e, j = ORACLE_ROWS[row]
+    f = field(2, 11)
+    enc = conv_codes.construct_frobenius(n, k, m, f, f.alpha_pow(e))
+    walls, report, layers = measure(
+        # through the module, so the traced call reaches the tracer's wrapper
+        lambda: conv_codes.check_mMSR_oracle(enc, j), calls, timed,
+        ("conv_codes.check_mMSR_oracle.s", "conv_codes.a_star", "matrix.det.calls",
+         "matrix.Matrix.matmul.calls"),
+        warm=False)
+    return (f"Frobenius [{n},{k},{m}] over F_{f.descriptor()} at alpha^{e}, "
+            f"check_mMSR_oracle j={j}", report.verdict, walls, layers)
+
+
 # -- field row ------------------------------------------------------------------
 
 
@@ -336,6 +374,8 @@ NAMED = {
     "cauchy10": time_cauchy,
     "gab4x2-f81": time_gab4x2,
     "gab6x3-f64-transforms": time_gab6x3_transforms,
+    "oracle-422-e19": time_oracle,
+    "oracle-531-e67": time_oracle,
     "field-f2-18": time_field,
     "expand-rank-f8": time_expand_rank,
     "block-min-f16": time_block_min,

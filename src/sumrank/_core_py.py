@@ -13,7 +13,8 @@ The column-distance search runs on packed vectors:
   base-``order`` digit c is code c, so over q = 2 code c sits at bits
   c*M and a vector add is a single XOR.  Odd q adds digitwise (``_add``).
 - **Row tables.**  Each coefficient row gets the table of its multiples
-  d*g for every d in F_{q^M}, packed.
+  d*g for every d in F_{q^M}, packed; only G_0 .. G_min(j,m) get one,
+  the coefficients a depth-j search reads.
 - **Streamed images.**  Children are visited in message-index order,
   lowest digit fastest: the image of the high digits is formed once per
   high index and each low digit's table entry is added to it inside the
@@ -22,8 +23,9 @@ The column-distance search runs on packed vectors:
   only the least rank matters, so the children are counted at once and
   their minimum rank taken in one loop.
 - **Rank.**  Over q = 2 the rank of a packed vector comes from an
-  elimination that pivots on its top bit; odd q unpacks the codes for
-  ``expand_rank``.
+  elimination that pivots on its top bit (``_pivots``), stepped inline
+  in the children loops with no call per child; odd q unpacks the codes
+  for ``expand_rank``, one ``rank_below`` call per child.
 
 The minimum-distance kernel still decodes and multiplies out each
 message, as the compiled twin does in both of its searches.  Values and
@@ -194,27 +196,24 @@ def block_min_sum_rank(
     return best, enumerated
 
 
+def _pivots(M: int, n: int):
+    """(pivot, ones, mask) of the q = 2 rank step on packed vectors of at
+    most n codes: pivot[l] is (b, c*M) locating bit length l's top bit as
+    bit b of code c, ones has bit 0 of every code set and mask covers one
+    code.  The step XORs code c into every code with bit b set, which clears
+    code c and bit b everywhere else:
+
+        b, shift = pivot[v.bit_length()]
+        v ^= ((v >> b) & ones) * ((v >> shift) & mask)
+    """
+    pivot = [None] + [(t % M, t - t % M) for t in range(n * M)]
+    return pivot, sum(1 << (c * M) for c in range(n)), (1 << M) - 1
+
+
 def _packed_ops(q: int, M: int, order: int, n: int):
-    """(add, rank_below) on packed vectors of at most n codes, where
-    rank_below(v, cap) is min(rank of v's expansion over F_q, cap)."""
-    if q == 2:
-        mask = order - 1
-        ones = sum(1 << (c * M) for c in range(n))
-        # by bit length: (b, c*M) locating the top bit as bit b of code c
-        pivot = [None] + [(t % M, t - t % M) for t in range(n * M)]
-
-        def rank_below(v: int, cap: int) -> int:
-            r = 0
-            while v and r < cap:
-                # the top bit pivots: XOR code c into every code with bit b
-                # set, which clears code c and bit b everywhere else
-                b, shift = pivot[v.bit_length()]
-                v ^= ((v >> b) & ones) * ((v >> shift) & mask)
-                r += 1
-            return r
-
-        return xor, rank_below
-
+    """(add, rank_below) on packed vectors of at most n codes over odd q,
+    where rank_below(v, cap) is min(rank of v's expansion over F_q, cap).
+    Over q = 2 add is XOR and the rank step is ``_pivots``'s, inline."""
     digits = n * M
 
     def add(a: int, b: int) -> int:
@@ -298,8 +297,15 @@ def conv_column_distance(
     """
     m = len(coeff_rows) - 1
     qmk = children_per_node(k, order, budget)
-    add, rank_below = _packed_ops(q, M, order, n)
-    tables = [_row_tables(rows, order, exp, log) for rows in coeff_rows]
+    # over q = 2 the children loops take the rank step inline
+    char2 = q == 2
+    if char2:
+        add = xor
+        pivot, ones, mask = _pivots(M, n)
+    else:
+        add, rank_below = _packed_ops(q, M, order, n)
+    # depth t reads G_0 .. G_min(t, m), and t never passes j
+    tables = [_row_tables(rows, order, exp, log) for rows in coeff_rows[:min(j, m) + 1]]
     low = tables[0][0]
     zero = [0] * k
     best = n * (j + 1) + 1  # strictly above any achievable weight
@@ -341,7 +347,15 @@ def conv_column_distance(
             cap = best - s
             for h, _, head in images:
                 for x in low[1:] if t == 0 and h == 0 else low:
-                    r = rank_below(add(head, x), cap)
+                    if char2:
+                        v = head ^ x
+                        r = 0
+                        while v and r < cap:
+                            b, shift = pivot[v.bit_length()]
+                            v ^= ((v >> b) & ones) * ((v >> shift) & mask)
+                            r += 1
+                    else:
+                        r = rank_below(add(head, x), cap)
                     if r < cap:
                         cap = r
                         if not cap:
@@ -352,8 +366,17 @@ def conv_column_distance(
             return
         for h, digits, head in images:
             for d in range(1 if t == 0 and h == 0 else 0, order):
-                r = rank_below(add(head, low[d]), best - s)
-                if s + r < best:
+                cap = best - s
+                if char2:
+                    v = head ^ low[d]
+                    r = 0
+                    while v and r < cap:
+                        b, shift = pivot[v.bit_length()]
+                        v ^= ((v >> b) & ones) * ((v >> shift) & mask)
+                        r += 1
+                else:
+                    r = rank_below(add(head, low[d]), cap)
+                if r < cap:
                     rec(t + 1, s + r, history + [[d] + digits])
 
     try:

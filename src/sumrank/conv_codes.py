@@ -15,7 +15,7 @@ witness (block_codes.recheck_family_witness) on that level's P_i^c."""
 from __future__ import annotations
 
 import time
-from itertools import product
+from itertools import combinations, product
 from math import gcd, prod
 
 from .block_codes import (
@@ -290,13 +290,27 @@ def check_mMSR_oracle(
 ) -> VerificationReport:
     """Independent criterion: d^j is maximal iff G_j^c A* is nonsingular for
     every admissible rank profile and every block-diagonal A* built from
-    one full-rank representative per column space."""
+    one full-rank representative per column space.
+
+    A* = diag(A_0, ..., A_j) with A_i an n x rho_i block, so by
+    Cauchy-Binet det(G_j^c A*) = sum_J det(G_j^c[:, J]) prod_i
+    det(A_i[J_i, :]), J running over the column sets with |J_i| = rho_i in
+    block i.  Per profile, each minor of G_j^c is computed once by
+    matrix.det (elimination, independent of the minor sweep), and each
+    representative's Plucker coordinates det(A_i[J_i, :]) once per rho.
+    The A* are tried in product order, the first block slowest: choosing
+    A_i contracts the minors' tensor along block i, and a leaf's
+    contraction is det(G_j^c A*).  The first A* whose determinant vanishes
+    is the witness, and checked_count counts the A* tried up to it.
+    Over q = 2 the coordinates are bits and a tensor is one packed int,
+    so a contraction is an XOR of slices; odd q contracts with Field.add
+    and Field.mul."""
     start = time.perf_counter()
-    q = enc.field.q
+    f = enc.field
     n, k = enc.n, enc.k
     profiles = list(iter_rank_profiles(n, k, j))
     total = sum(
-        prod(gaussian_binomial(n, rho, q) for rho in prof) for prof in profiles
+        prod(gaussian_binomial(n, rho, f.q) for rho in prof) for prof in profiles
     )
     if total > budget:
         return VerificationReport(
@@ -306,28 +320,111 @@ def check_mMSR_oracle(
             elapsed=time.perf_counter() - start,
         )
     gjc = sliding_generator(enc, j)
+    rows = range(gjc.rows)
+    row_sets = [list(combinations(range(n), rho)) for rho in range(n + 1)]
+    reps = {}  # rho -> [(representative, its nonzero Plucker coordinates)]
     checked = 0
     for prof in profiles:
-        reps = [list(enum_full_rank_column_spaces(n, rho, q)) for rho in prof]
-        for blocks in product(*reps):
-            a_star = block_diag(blocks)
-            checked += 1
-            if det(gjc @ a_star) == 0:
-                return VerificationReport(
-                    False,
-                    witness={
-                        "profile": list(prof),
-                        "blocks": [b.to_rows() for b in blocks],
-                    },
-                    checked_count=checked,
-                    elapsed=time.perf_counter() - start,
-                )
+        for rho in prof:
+            if rho not in reps:
+                reps[rho] = [(b, _plucker(b, row_sets[rho]))
+                             for b in enum_full_rank_column_spaces(n, rho, f.q)]
+        minors = [det(gjc.submatrix(rows, [i * n + c for i, cols in enumerate(js)
+                                           for c in cols]))
+                  for js in product(*(row_sets[rho] for rho in prof))]
+        blocks, tried = _first_singular(
+            minors, [reps[rho] for rho in prof], [len(row_sets[rho]) for rho in prof], f)
+        checked += tried
+        if blocks is not None:
+            return VerificationReport(
+                False,
+                witness={
+                    "profile": list(prof),
+                    "blocks": [b.to_rows() for b in blocks],
+                },
+                checked_count=checked,
+                elapsed=time.perf_counter() - start,
+            )
     return VerificationReport(
         True,
         checked_count=checked,
         elapsed=time.perf_counter() - start,
         detail={"profile_count": len(profiles), "a_star_count": total},
     )
+
+
+def _plucker(block: Matrix, row_sets) -> list[tuple[int, int]]:
+    """(t, det(block[J, :])) for the t-th row set J of row_sets, nonzero
+    minors only."""
+    cols = range(block.cols)
+    minors = ((t, det(block.submatrix(rs, cols))) for t, rs in enumerate(row_sets))
+    return [(t, d) for t, d in minors if d]
+
+
+def _first_singular(minors, levels, sizes, f: Field):
+    """(blocks, tried): the first A* in product order over levels (one
+    [(block, Plucker coordinates)] list per diagonal block, the first
+    slowest) whose det(G A*) vanishes, None if none does, and the A*
+    tried.  minors is the tensor det(G[:, J]) flattened with block 0's
+    row-set index most significant, sizes its extent per block."""
+    strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+    if f.q == 2:
+        width = f.M
+        # code t of the tensor sits at bits t*M: a slice is a shift and a mask
+        tensor = sum(g << (t * width) for t, g in enumerate(minors))
+
+        def split(packed, size, stride):
+            bits = stride * width
+            mask = (1 << bits) - 1
+            return [(packed >> (a * bits)) & mask for a in range(size)]
+
+        def contract(slices, coords):
+            acc = 0
+            for a, _ in coords:
+                acc ^= slices[a]
+            return acc
+
+        zero = 0
+    else:
+        tensor = minors
+        add, mul = f.add, f.mul
+
+        def split(flat, size, stride):
+            return [flat[a * stride:(a + 1) * stride] for a in range(size)]
+
+        def contract(slices, coords):
+            acc = [0] * len(slices[0])
+            for a, p in coords:
+                for r, x in enumerate(slices[a]):
+                    acc[r] = add(acc[r], mul(p, x))
+            return acc
+
+        zero = [0]  # a leaf's one-entry tensor
+
+    last = len(levels) - 1
+    tried = 0
+
+    def descend(i, t):
+        nonlocal tried
+        slices = split(t, sizes[i], strides[i])
+        if i == last:
+            for block, coords in levels[i]:
+                tried += 1
+                if contract(slices, coords) == zero:
+                    return [block]
+            return None
+        for block, coords in levels[i]:
+            found = descend(i + 1, contract(slices, coords))
+            if found is not None:
+                return [block] + found
+        return None
+
+    try:
+        return descend(0, tensor), tried
+    finally:
+        # descend refers to itself: unbind it so the levels go now, not at
+        # the next cyclic garbage collection
+        descend = None
 
 
 def recheck_oracle_witness(enc: PolyEncoder, witness: dict) -> bool:

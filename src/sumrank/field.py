@@ -139,6 +139,19 @@ def validate_primitive(q: int, M: int, poly) -> bool:
     return _antilog(q, M, poly) is not None
 
 
+def _check_order(q: int, M: int) -> None:
+    """Raise FieldError unless F_{q^M} is a field a Field accepts: the
+    order is tested against TABLE_LIMIT first, so a huge q is refused
+    without trial division."""
+    if M < 1:
+        raise FieldError(f"extension degree M={M} must be >= 1")
+    if q ** M > TABLE_LIMIT:
+        raise FieldError(f"field order {q}^{M} is above TABLE_LIMIT = "
+                         f"{TABLE_LIMIT}, the largest order a Field accepts")
+    if not _is_prime(q):
+        raise FieldError(f"base order q={q} is not prime")
+
+
 class Field:
     """The field F_{q^M} with a fixed primitive polynomial.
 
@@ -147,13 +160,7 @@ class Field:
     """
 
     def __init__(self, q: int, M: int, poly=None):
-        if not _is_prime(q):
-            raise FieldError(f"base order q={q} is not prime")
-        if M < 1:
-            raise FieldError(f"extension degree M={M} must be >= 1")
-        if q ** M > TABLE_LIMIT:
-            raise FieldError(f"field order {q}^{M} is above TABLE_LIMIT = "
-                             f"{TABLE_LIMIT}, the largest order a Field accepts")
+        _check_order(q, M)
         if poly is None:
             try:
                 poly = PRIMITIVE_POLYS[(q, M)]
@@ -324,6 +331,7 @@ def base_field(q: int) -> Field:
     """The prime field F_q (extension degree 1)."""
     if (q, 1) in PRIMITIVE_POLYS:
         return field(q, 1)
+    _check_order(q, 1)
     # search for x + c with -c a primitive root mod q
     for c in range(1, q):
         if validate_primitive(q, 1, (c, 1)):

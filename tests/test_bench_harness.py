@@ -58,3 +58,20 @@ def test_field_row_builds_the_field_by_its_constructor():
         assert set(row) == ROW_KEYS
         assert (row["result"], row["layers"]["elements"]) == (2**18, 2**18)
         assert row["wall_s"] > 0 and row["layers"]["elements_per_s"] > 0
+
+
+def test_oracle_row_tries_every_a_star():
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/bench.py", "--rows", "oracle-531-e67",
+         "--rounds", "1", "--calls", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["rows"]
+    assert [(r["row"], r["kernel"]) for r in rows] == [("oracle-531-e67", "python"),
+                                                        ("oracle-531-e67", "c")]
+    for row in rows:
+        assert set(row) == ROW_KEYS
+        # a True oracle reads every A* once, with no matrix product
+        assert (row["result"], row["layers"]["conv_codes.a_star"],
+                row["layers"]["matrix.Matrix.matmul.calls"]) == (True, 28861, 0)

@@ -89,6 +89,18 @@ def test_a_field_above_the_table_limit_is_refused_before_any_walk():
     assert time.perf_counter() - start < 0.1
 
 
+def test_a_prime_field_above_the_table_limit_is_refused_at_once():
+    # 1048583 is the least prime above 2^20: base_field tried every
+    # x + c through validate_primitive (95 s) before naming no limit
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match="TABLE_LIMIT"):
+        base_field(1048583)
+    with pytest.raises(FieldError, match="not prime"):
+        base_field(1048575)
+    assert time.perf_counter() - start < 0.1
+    assert base_field(101).poly == (2, 1)  # x + 2: a prime with no built-in polynomial
+
+
 def test_add_examples():
     assert F4.add(A, A) == 0
     for x in F8.elements():

@@ -13,6 +13,7 @@ exception arguments; both search kernels refuse a message space past
 """
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -155,6 +156,19 @@ def test_conv_column_distance_two_row_encoders():
 
 def test_compiled_conv_column_distance_two_row_encoders(core_c):
     _two_row_encoders(core_c)
+
+
+def test_a_search_tables_only_the_coefficients_it_reads():
+    # depth j reads G_0 .. G_min(j, m): a memory-2 encoder searched at
+    # j = 0, 1, 2, 3 tables 1, 2, 3 and 3 of its coefficient matrices
+    rng = random.Random(45)
+    f = field(2, 3)
+    coeffs = _random_encoder(rng, f, 3, 1, 2, systematic=True)
+    for j, tabled in enumerate((1, 2, 3, 3)):
+        with mock.patch.object(_core_py, "_row_tables", wraps=_core_py._row_tables) as rt:
+            got = _core_py.conv_column_distance(coeffs, 1, 3, j, *_args(f), 10**7, True)
+        assert [c.args[0] for c in rt.call_args_list] == coeffs[:tabled]
+        assert got == ref_conv_column_distance(coeffs, 1, 3, j, *_args(f), 10**7, True)
 
 
 def _refusal_at_the_count(kernel):
