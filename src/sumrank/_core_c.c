@@ -227,16 +227,13 @@ static PyObject *py_expand_rank(PyObject *self, PyObject *args)
 
 /* -- block_min_sum_rank ---------------------------------------------------- */
 
-static PyObject *py_block_min_sum_rank(PyObject *self, PyObject *args, PyObject *kw)
+static PyObject *py_block_min_sum_rank(PyObject *self, PyObject *args)
 {
-    static char *names[] = {"gen_rows", "parts", "q", "M", "order", "exp", "log",
-                            "budget", "start", "stop", NULL};
-    PyObject *gen_rows, *parts, *exp, *log, *budget, *stop_o = Py_None;
+    PyObject *gen_rows, *parts, *exp, *log, *budget;
     Field f = {0};
-    i64 start = 1, stop;
-    if (!PyArg_ParseTupleAndKeywords(args, kw, "OOiiLOOO|LO", names, &gen_rows, &parts,
-                                     &f.q, &f.M, &f.order, &exp, &log, &budget, &start,
-                                     &stop_o))
+    i64 stop;
+    if (!PyArg_ParseTuple(args, "OOiiLOOO", &gen_rows, &parts, &f.q, &f.M, &f.order, &exp,
+                          &log, &budget))
         return NULL;
     Py_ssize_t k = PyObject_Length(gen_rows);
     if (k < 1 || k > INT_MAX) {
@@ -244,9 +241,8 @@ static PyObject *py_block_min_sum_rank(PyObject *self, PyObject *args, PyObject 
             PyErr_SetString(PyExc_ValueError, "need one to INT_MAX generator rows");
         return NULL;
     }
-    /* refuse the index range [start, stop) before converting anything */
-    PyObject *stop_p = PyObject_CallFunction(message_stop, "nLOLO", k, f.order, budget,
-                                             start, stop_o);
+    /* refuse the message space before converting anything */
+    PyObject *stop_p = PyObject_CallFunction(message_stop, "nLO", k, f.order, budget);
     stop = stop_p ? PyLong_AsLongLong(stop_p) : -1;
     Py_XDECREF(stop_p);
     if (PyErr_Occurred())
@@ -271,12 +267,9 @@ static PyObject *py_block_min_sum_rank(PyObject *self, PyObject *args, PyObject 
         PyErr_SetString(PyExc_ValueError, "parts exceed the code length");
         goto done;
     }
-    i64 best = -1, enumerated = 0;
+    i64 best = -1;
     Py_BEGIN_ALLOW_THREADS
-    for (i64 idx = start; idx < stop; idx++) {
-        if (idx == 0)
-            continue;
-        enumerated++;
+    for (i64 idx = 1; idx < stop; idx++) {
         decode_message(&f, idx, u);
         vec_matmul(&f, u, gen, v);
         i64 w = 0, a = 0;
@@ -290,8 +283,7 @@ static PyObject *py_block_min_sum_rank(PyObject *self, PyObject *args, PyObject 
             best = w;
     }
     Py_END_ALLOW_THREADS
-    result = best < 0 ? Py_BuildValue("(OL)", Py_None, enumerated)
-                      : Py_BuildValue("(LL)", best, enumerated);
+    result = Py_BuildValue("(LL)", best, stop - 1);
 done:
     if (result == NULL && !PyErr_Occurred())
         PyErr_NoMemory();
@@ -465,10 +457,9 @@ static PyObject *py_conv_column_distance(PyObject *self, PyObject *args)
 static PyMethodDef methods[] = {
     {"expand_rank", py_expand_rank, METH_VARARGS,
      "expand_rank(codes, q, M): rank over F_q of the codes' digit expansions."},
-    {"block_min_sum_rank", (PyCFunction)(void (*)(void))py_block_min_sum_rank,
-     METH_VARARGS | METH_KEYWORDS,
-     "block_min_sum_rank(gen_rows, parts, q, M, order, exp, log, budget, start=1,\n"
-     "stop=None) -> (minimum sum-rank weight, enumerated)"},
+    {"block_min_sum_rank", py_block_min_sum_rank, METH_VARARGS,
+     "block_min_sum_rank(gen_rows, parts, q, M, order, exp, log, budget)\n"
+     "-> (minimum sum-rank weight, enumerated)"},
     {"conv_column_distance", py_conv_column_distance, METH_VARARGS,
      "conv_column_distance(coeff_rows, k, n, j, q, M, order, exp, log, budget,\n"
      "systematic) -> (j-th column sum-rank distance, enumerated nodes)"},

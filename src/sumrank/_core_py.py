@@ -50,16 +50,12 @@ class BudgetExceeded(Exception):
 IMPLEMENTATION = "python"
 
 
-def message_stop(k: int, order: int, budget: int, start: int = 1, stop=None) -> int:
-    """The end of the message index range [start, stop), order**k when stop
-    is None, after refusing a range of more nonzero indices than budget."""
-    if start < 0:
-        raise ValueError("start must be non-negative")
-    if stop is None:
-        stop = order**k
-    span = max(0, stop - start) - (1 if start == 0 else 0)
-    if span > budget:
-        raise BudgetExceeded(span, budget)
+def message_stop(k: int, order: int, budget: int) -> int:
+    """order**k, one past the last message index, after refusing a space of
+    more nonzero messages than budget."""
+    stop = order**k
+    if stop - 1 > budget:
+        raise BudgetExceeded(stop - 1, budget)
     return stop
 
 
@@ -166,24 +162,18 @@ def block_min_sum_rank(
     exp,
     log,
     budget: int,
-    start: int = 1,
-    stop: int | None = None,
 ):
-    """Minimum sum-rank weight over messages u with index in [start, stop),
-    index 0 (the zero message) excluded.  Returns (min, enumerated)."""
+    """Minimum sum-rank weight over all nonzero messages u.  Returns
+    (min, enumerated)."""
     k = len(gen_rows)
-    stop = message_stop(k, order, budget, start, stop)
+    stop = message_stop(k, order, budget)
     offsets = []
     pos = 0
     for p in parts:
         offsets.append((pos, pos + p))
         pos += p
     best = None
-    enumerated = 0
-    for idx in range(start, stop):
-        if idx == 0:
-            continue
-        enumerated += 1
+    for idx in range(1, stop):
         u = _decode_message(idx, k, order)
         v = _vec_matmul(u, gen_rows, q, order, exp, log, M)
         w = 0
@@ -193,7 +183,7 @@ def block_min_sum_rank(
                 break
         if best is None or w < best:
             best = w
-    return best, enumerated
+    return best, stop - 1
 
 
 def _pivots(M: int, n: int):
@@ -295,6 +285,8 @@ def conv_column_distance(
 
     Returns (distance, enumerated_nodes).
     """
+    if j < 0:
+        raise ValueError("j must be non-negative")
     m = len(coeff_rows) - 1
     qmk = children_per_node(k, order, budget)
     # over q = 2 the children loops take the rank step inline

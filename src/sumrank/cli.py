@@ -180,10 +180,7 @@ def cmd_verify_block(args) -> int:
         target = code.n - code.k + 1
         try:
             d = min_sum_rank_distance(
-                assemble_generator(code),
-                oracle_partition,
-                budget=args.budget,
-                workers=args.workers,
+                assemble_generator(code), oracle_partition, budget=args.budget
             )
             agreement = (rep.verdict is True) == (d == target)
             report["oracle"] = {
@@ -404,8 +401,7 @@ def cmd_distance(args) -> int:
                 else code.length_partition
             )
             d = min_sum_rank_distance(
-                assemble_generator(code), partition, budget=args.budget,
-                workers=args.workers,
+                assemble_generator(code), partition, budget=args.budget
             )
             rr, rs, cl = singleton_bounds(
                 code.n, code.k, code.field.M, partition
@@ -421,6 +417,8 @@ def cmd_distance(args) -> int:
         elif args.encoder:
             enc = load_encoder(args.encoder)
             j = args.j if args.j is not None else enc.m
+            if j < 0:
+                raise CliError(f"level j={j} is negative", EXIT_PARSE)
             dists = [
                 column_sum_rank_distance(enc, i, budget=args.budget)
                 for i in range(j + 1)
@@ -451,7 +449,9 @@ def cmd_distance(args) -> int:
 def _add_common(p):
     p.add_argument("--budget", type=int, default=None,
                    help="enumeration budget (work units)")
-    p.add_argument("--workers", type=int, default=1)
+    # every search runs in this process; the option stays for callers
+    # that pass --workers 1
+    p.add_argument("--workers", type=int, choices=(1,), default=1)
     p.add_argument("--out", help="write the JSON report to this path (default: stdout)")
 
 

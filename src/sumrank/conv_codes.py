@@ -142,6 +142,8 @@ class PolyEncoder:
 
 
 def _sliding(coeffs: list[Matrix], j: int, rows: int, cols: int) -> Matrix:
+    if j < 0:
+        raise EncoderError("j must be non-negative")
     f = coeffs[0].field
     m = len(coeffs) - 1
     out = Matrix(rows * (j + 1), cols * (j + 1), f)
@@ -159,8 +161,6 @@ def _sliding(coeffs: list[Matrix], j: int, rows: int, cols: int) -> Matrix:
 
 def sliding_generator(enc: PolyEncoder, j: int) -> Matrix:
     """Block upper-triangular k(j+1) x n(j+1) matrix, block (s, t) = G_{t-s}."""
-    if j < 0:
-        raise EncoderError("j must be non-negative")
     return _sliding(enc.coeffs, j, enc.k, enc.n)
 
 
@@ -508,6 +508,8 @@ def construct_frobenius(
     primitive element (see find_frobenius_alpha)."""
     if not 0 < k < n:
         raise EncoderError(f"need 0 < k < n, got k={k}, n={n}")
+    if m < 0:
+        raise EncoderError(f"need memory m >= 0, got m={m}")
     r_step = max(k, n - k)
     if alpha is None:
         alpha = field.alpha

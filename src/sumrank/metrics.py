@@ -115,7 +115,6 @@ def min_sum_rank_distance(
     generator: Matrix,
     partition: LengthPartition,
     budget: int = DEFAULT_MESSAGE_BUDGET,
-    workers: int = 1,
 ) -> int:
     """Brute-force minimum sum-rank weight over all nonzero messages.
 
@@ -124,36 +123,10 @@ def min_sum_rank_distance(
     field = generator.field
     if partition.n != generator.cols:
         raise PartitionError("partition does not sum to the code length")
-    k = generator.rows
-    total = field.order**k
-    if total - 1 > budget:
-        raise BudgetExceeded(total - 1, budget)
-    gen_rows = generator.to_rows()
-    args = (gen_rows, list(partition.parts), field.q, field.M, field.order,
-            field.exp, field.log)
-    if workers > 1 and total > 4 * workers:
-        return _parallel_min(args, total, budget, workers)
-    best, _ = core.block_min_sum_rank(*args, budget)
-    return best
-
-
-def _parallel_min(args, total, budget, workers):
-    import multiprocessing as mp
-
-    bounds = [1 + (total - 1) * i // workers for i in range(workers)] + [total]
-    jobs = [
-        (args, budget, bounds[i], bounds[i + 1])
-        for i in range(workers)
-        if bounds[i] < bounds[i + 1]
-    ]
-    with mp.Pool(workers) as pool:
-        results = pool.map(_min_chunk, jobs)
-    return min(r for r in results if r is not None)
-
-
-def _min_chunk(job):
-    args, budget, start, stop = job
-    best, _ = core.block_min_sum_rank(*args, budget, start, stop)
+    best, _ = core.block_min_sum_rank(
+        generator.to_rows(), list(partition.parts), field.q, field.M, field.order,
+        field.exp, field.log, budget,
+    )
     return best
 
 

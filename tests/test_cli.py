@@ -14,6 +14,7 @@ from sumrank.cli import (
     EXIT_INFEASIBLE,
     EXIT_PARSE,
     EXIT_TRUE,
+    build_parser,
     main,
 )
 from sumrank.block_codes import (
@@ -420,6 +421,34 @@ def test_distance_command(tmp_path, capsys):
     assert rc == EXIT_TRUE
     assert report["column_distances"] == [2, 3]
     assert report["column_distance_bounds"] == [2, 3]
+
+
+def test_negative_level_or_memory_exits_2_with_one_error_line(tmp_path, capsys):
+    enc_path = _write(tmp_path, "e.json", construct_frobenius(2, 1, 1, F4).to_json())
+    for argv in (["distance", "--encoder", enc_path, "--j", "-1"],
+                 ["construct", "--kind", "frobenius", "--field", "2^3",
+                  "--n", "3", "--k", "1", "--m", "-1"]):
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-block", "--code", "c.json"],
+    ["verify-conv", "--encoder", "e.json"],
+    ["construct", "--kind", "gabidulin", "--field", "2^3", "--n", "3", "--k", "2"],
+    ["table1"],
+    ["recheck", "--report", "r.json"],
+    ["distance"],
+], ids=lambda argv: argv[0])
+def test_workers_accepts_only_1(argv, capsys):
+    # every search runs in-process; callers may still pass --workers 1
+    assert build_parser().parse_args(argv + ["--workers", "1"]).workers == 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", "2"])
+    assert exc.value.code == EXIT_PARSE
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_table1_subset(capsys):

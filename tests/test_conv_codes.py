@@ -82,6 +82,15 @@ def test_sliding_matrices_shapes():
         sliding_generator(enc, -1)
 
 
+def test_negative_memory_and_level_are_refused():
+    with pytest.raises(EncoderError):
+        construct_frobenius(3, 1, -1, F8)
+    enc = construct_frobenius(3, 2, 1, field(2, 4))
+    for sliding in (sliding_generator, sliding_parity):
+        with pytest.raises(EncoderError):
+            sliding(enc, -1)
+
+
 def test_sliding_generator_is_truncated_convolution():
     enc = construct_frobenius(3, 2, 2, F8)
     f = enc.field

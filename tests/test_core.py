@@ -90,29 +90,6 @@ def test_block_min_sum_rank_agreement(core_c):
                 assert a == b
 
 
-def _chunks_agree(mod):
-    f = F8
-    q, M, order, exp, log = _field_args(f)
-    rng = random.Random(52)
-    gen = [[rng.randrange(order) for _ in range(3)] for _ in range(2)]
-    whole, _ = mod.block_min_sum_rank(gen, [3], q, M, order, exp, log, 10**6)
-    half1, _ = mod.block_min_sum_rank(
-        gen, [3], q, M, order, exp, log, 10**6, 1, 30
-    )
-    half2, _ = mod.block_min_sum_rank(
-        gen, [3], q, M, order, exp, log, 10**6, 30, order**2
-    )
-    assert whole == min(half1, half2)
-
-
-def test_block_min_sum_rank_chunks_agree_pure():
-    _chunks_agree(_core_py)
-
-
-def test_block_min_sum_rank_chunks_agree(core_c):
-    _chunks_agree(core_c)
-
-
 def test_conv_column_distance_agreement(core_c):
     from sumrank.conv_codes import construct_frobenius
 
@@ -182,7 +159,3 @@ def test_compiled_kernels_reject_malformed_input(core_c):
     for call in bad:
         with pytest.raises(ValueError):
             call()
-    with pytest.raises(ValueError):  # both kernels share this rule
-        _core_py.block_min_sum_rank(gen, [3], q, M, order, exp, log, 99, -1)
-    with pytest.raises(ValueError):
-        core_c.block_min_sum_rank(gen, [3], q, M, order, exp, log, 99, -1)

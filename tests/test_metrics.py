@@ -137,12 +137,9 @@ def test_min_sum_rank_distance_matches_naive():
     assert min_sum_rank_distance(gen, part1) == _naive_min_distance(gen, part1)
 
 
-def test_min_sum_rank_distance_workers_agree():
-    gen = construct_gabidulin(4, 2, field(2, 4))
-    part = LengthPartition((2, 2))
-    assert min_sum_rank_distance(gen, part) == min_sum_rank_distance(
-        gen, part, workers=2
-    )
+def test_column_sum_rank_distance_refuses_a_negative_level():
+    with pytest.raises(ValueError):
+        column_sum_rank_distance(construct_frobenius(2, 1, 1, F4), -1)
 
 
 def test_min_sum_rank_distance_budget():

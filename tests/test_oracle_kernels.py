@@ -214,3 +214,12 @@ def test_search_kernels_refuse_message_spaces_past_2_63(request, name):
         kernel.conv_column_distance([WIDE_ROWS, WIDE_ROWS], 4, 5, 1, *_args(F_BIG),
                                     1000, False)
     assert exc.value.args == BudgetExceeded(1001, 1000).args
+
+
+@pytest.mark.parametrize("name", ["python", "c"])
+def test_column_distance_kernels_refuse_a_negative_level(request, name):
+    kernel = _core_py if name == "python" else request.getfixturevalue("core_c")
+    f = field(2, 3)
+    coeffs = _random_encoder(random.Random(46), f, 3, 1, 1, systematic=True)
+    with pytest.raises(ValueError):
+        kernel.conv_column_distance(coeffs, 1, 3, -1, *_args(f), 10**7, True)
