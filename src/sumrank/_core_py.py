@@ -164,8 +164,11 @@ def block_min_sum_rank(
     budget: int,
 ):
     """Minimum sum-rank weight over all nonzero messages u.  Returns
-    (min, enumerated)."""
+    (min, enumerated).  A generator without rows has no nonzero message
+    and is refused with ValueError, as the compiled kernel refuses it."""
     k = len(gen_rows)
+    if not k:
+        raise ValueError("need one to INT_MAX generator rows")
     stop = message_stop(k, order, budget)
     offsets = []
     pos = 0

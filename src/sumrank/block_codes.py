@@ -10,9 +10,10 @@ predicates only ask which minors vanish, and diagonal scaling over F_q^*
 changes none (matrix.enum_block_diag states the argument).  Every minor
 is evaluated through superregular.minor_sweep, one memoized Laplace
 sweep over a matrix or over a run of matrices that differ in a few
-cells.  Each run steps in reflected q-ary Gray order (gray_steps), so a
-later matrix moves one free cell and re-evaluates only the minors that
-hold it.  The transform side, check_msrd_transforms, is one run over
+cells.  Each run steps in reflected q-ary Gray order (gray_steps; a C
+run walks it inside the sweep, from gray_moves' table), so a later
+matrix moves one free cell and re-evaluates only the minors that hold
+it.  The transform side, check_msrd_transforms, is one run over
 every A: an A rewrites the one column of G A that holds the cell it
 moves, and no G A is multiplied out.  The systematic side runs one
 engine, check_transform_family: it enumerates (B, A~) pairs and tests a
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import random
 import time
+from functools import lru_cache
 
 from .field import Field
 from .matrix import (
@@ -301,13 +303,15 @@ def check_transform_family(
 
     Each pair makes one predicate call, on B P A~ with the run of its C
     values (superregular.minor_sweep), over one selection list built for
-    the call: every C in reflected q-ary Gray order (gray_steps), each
-    after the first moving one C cell, or every C cell for a sampled draw
-    (_c_edits), so the first vanishing minor, hence every report, is a full
-    sweep's per T in that order.  checked_count adds up the T swept,
-    detail's minors the minors evaluated and its charge the minors the
-    runs can evaluate, counted (superregular.count_block_selections) before
-    the list is built, so a family over budget builds none.  A C matrix is
+    the call: every C in reflected q-ary Gray order, each after the first
+    moving one C cell, which the sweep walks from gray_moves' table and
+    whose values it keeps (the witness C is read from them), or every C
+    cell for a sampled draw (_c_draws), so the first vanishing minor, hence
+    every report, is a full sweep's per T in that order.  checked_count
+    adds up the T swept, detail's minors the minors evaluated and its
+    charge the minors the runs can evaluate, counted
+    (superregular.count_block_selections) before the list is built, so a
+    family over budget builds none.  A C matrix is
     built only for a witness.
     """
     if mode not in ("exact", "filter"):
@@ -338,8 +342,6 @@ def check_transform_family(
         )
     selections = square_selections(p.rows, p.cols, grid)
     cells = block_diag_cells(ks, nks, False)
-    # a run edit names one C cell, or every C cell for a sampled draw
-    groups = [(i,) for i in cells] + [tuple(cells)]
     rng = random.Random(0)
     checked = 0
     filtered = 0
@@ -355,7 +357,10 @@ def check_transform_family(
                 sample = c_count > FILTER_RESAMPLE_COUNT
                 sampled += sample
             digits = [0] * len(cells)
-            run = (groups, _c_edits(q, digits, rng if sample else None))
+            # every C in Gray order, the sweep moving one cell per step, or
+            # the drawn C, each rewriting every cell
+            run = (((tuple(cells),), _c_draws(q, digits, rng)) if sample
+                   else (cells, gray_moves(q, len(cells)), digits))
             rep = (is_full_superregular(bpa, entries=selections, run=run) if grid is None
                    else is_superregular_constrained(bpa, grid, entries=selections, run=run))
             checked += rep.detail["matrices"]
@@ -402,6 +407,13 @@ def gray_steps(q: int, c: int):
         yield c - 1 - j, 1 - 2 * (t // q & 1)
 
 
+@lru_cache(maxsize=16)
+def gray_moves(q: int, c: int) -> bytes:
+    """gray_steps(q, c) as a table for superregular.minor_sweep, one byte
+    per step: j << 1 | (d < 0) for cell j moving by d (c < 128)."""
+    return bytes(j << 1 | (d < 0) for j, d in gray_steps(q, c))
+
+
 def _run_charge(first: int, held, q: int) -> int:
     """Minors an exhaustive run in gray_steps order evaluates: `first` for
     its first matrix, and held[i], the selections holding free cell i's
@@ -409,22 +421,14 @@ def _run_charge(first: int, held, q: int) -> int:
     return first + sum((q - 1) * q**i * h for i, h in enumerate(held))
 
 
-def _c_edits(q: int, digits: list, rng):
-    """check_transform_family's edits for one pair over the C cells, whose
-    values digits keeps current: with an rng, FILTER_RESAMPLE_COUNT draws,
-    each rewriting every C cell (the last group), cell by cell in the
-    order C is listed; without, every value tuple in gray_steps order, each
-    after the first rewriting the one cell it moves."""
-    every = len(digits)
-    if rng is not None:
-        for _ in range(FILTER_RESAMPLE_COUNT):
-            digits[:] = [rng.randrange(q) for _ in digits]
-            yield every, digits
-        return
-    yield every, digits
-    for i, d in gray_steps(q, every):
-        digits[i] += d
-        yield i, (digits[i],)
+def _c_draws(q: int, digits: list, rng):
+    """check_transform_family's edits for a pair whose C are drawn:
+    FILTER_RESAMPLE_COUNT draws from rng, each rewriting every C cell (the
+    run's one group), cell by cell in the order C is listed, with digits
+    kept current."""
+    for _ in range(FILTER_RESAMPLE_COUNT):
+        digits[:] = [rng.randrange(q) for _ in digits]
+        yield 0, digits
 
 
 def _minors_outside_base(m: Matrix, entries) -> bool:

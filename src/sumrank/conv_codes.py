@@ -24,6 +24,7 @@ from .block_codes import (
     recheck_family_witness,
     witness_block,
 )
+from .core import expand_rank
 from .field import Field, base_field
 from .matrix import (
     Matrix,
@@ -355,7 +356,14 @@ def check_mMSR_oracle(
 
 def _plucker(block: Matrix, row_sets) -> list[tuple[int, int]]:
     """(t, det(block[J, :])) for the t-th row set J of row_sets, nonzero
-    minors only."""
+    minors only.  Over F_2 a coordinate is 1 exactly when J's rows, packed
+    as bit vectors, are independent (core.expand_rank's XOR elimination);
+    odd q takes matrix.det."""
+    if block.field.q == 2:
+        packed = [sum(v << c for c, v in enumerate(block.row(r))) for r in range(block.rows)]
+        # the empty minor is 1, and the compiled kernel takes no M = 0
+        return [(t, 1) for t, rs in enumerate(row_sets)
+                if not rs or expand_rank([packed[r] for r in rs], 2, len(rs)) == len(rs)]
     cols = range(block.cols)
     minors = ((t, det(block.submatrix(rs, cols))) for t, rs in enumerate(row_sets))
     return [(t, d) for t, d in minors if d]

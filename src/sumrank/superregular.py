@@ -13,11 +13,16 @@ each selected minor along its last row, reusing the minors of one size
 less that it memoized.  The memo is one flat list per sweep: each
 selected row tuple owns a block of slots, one per column selection of its
 size in lexicographic rank, so a minor's slot is its row block's base
-plus its columns' rank, and a sweep entry is just (terms, sub-block base,
-slot).  Over a field of characteristic 2 the sweep works in the
-log domain on zero-absorbing tables (Field.zero_log_tables): it keeps the
-discrete log of every entry and memoizes the logs of the minors, so each
-Leibniz term is one antilog lookup and an XOR, with no test for zero.
+plus its columns' rank.  A selection's sweep record is 2s + 1 fields:
+its slot, then for each Laplace term the matrix data index and the
+absolute memo slot of the sub-minor it multiplies, so a term is read
+with no address arithmetic; the records of a list fall in runs of equal
+size, one flat list of fields per run.  Over a field of characteristic
+2 the sweep works in the log domain on zero-absorbing tables
+(Field.zero_log_tables): it keeps the discrete log of every entry and
+memoizes the logs of the minors, so each Leibniz term is one antilog
+lookup and an XOR, with no test for zero, and each size up to 6 has its
+own straight-line loop.
 The selections it walks come from square_selections (size ascending,
 then lexicographic, grid-filtered when a block grid is given); every
 Laplace sub-selection of a listed selection is listed before it.  Each
@@ -29,12 +34,14 @@ one is built per call; whoever builds a list charges its budget from
 that count first, so a refused check builds none, and a checker builds
 its list once and passes it, already charged, to every call (entries).
 One sweep serves a run of matrices that differ in a few cells, the C
-values of one (B, A~) pair or the transform side's A (run=): each edit
-names one group of cells (a C cell, every C cell, or a column of G A),
-and the sweep rewrites that group, updates its logs, and re-evaluates
-only the entries whose selection holds one of its cells
-(_Selections.held keeps one plain sub-list per group's bit mask, each
-built on first use and kept with the list itself).
+values of one (B, A~) pair or the transform side's A (run=): a Gray walk
+over the C cells moves one cell per matrix from a table of moves, and
+keeps the cells' values itself; otherwise each edit names one group of
+cells (every C cell for a random draw, or a column of G A).  The sweep
+rewrites the cells, updates their logs, and re-evaluates only the
+records whose selection holds one of them (_Selections.held keeps one
+plain list of record tuples per group's bit mask, each built on first
+use and kept with the list itself).
 The predicates take the run too and return one report for it.  One Boolean
 sweep, the same recursion over the same lists (nontrivial_slots),
 decides triviality for count_nontrivial_minors and is_superregular.
@@ -45,18 +52,20 @@ witness is confirmed by a method independent of the sweep.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
+from operator import itemgetter
 
 from .matrix import Matrix
 from .report import INFEASIBLE, VerificationReport
 
 DEFAULT_SELECTION_BUDGET = 10**8
-# Longest selection list kept for the process (an entry takes about 120
-# bytes with its share of the terms); the engine's shapes list at most a
-# few thousand.
+# Longest selection list kept for the process (a record takes about 127
+# bytes with its slot's int object on the 10 x 10 list, measured by
+# tracemalloc, and up to about 220 with the layout's column tables on a
+# gridded 6 x 12 one); the engine's shapes list at most a few thousand.
 SELECTION_CACHE_LIMIT = 1 << 14
 
 
@@ -169,11 +178,27 @@ def iter_square_selections(rows: int, cols: int):
 # -- the minor sweep ------------------------------------------------------------
 
 
-class _Selections(list):
-    """Sweep entries (terms, sub, slot) and the memo layout they address:
-    slots is the memo's length, and selection(slot) names a slot's minor."""
+class _Selections:
+    """The sweep records of a selection list and the memo layout they
+    address.  runs holds (s, flat, start) per run of size-s records: flat
+    their fields, one record after another (2s + 1 each, as _entries lays
+    them out), and start the records before the run.  Iterating yields
+    each record as a tuple, and len counts them.  slots is the memo's
+    length, and selection(slot) names a slot's minor."""
 
-    __slots__ = ("slots", "_bases", "_rows", "_cols", "_ncols", "_masks", "_held")
+    __slots__ = ("runs", "slots", "_len", "_bases", "_rows", "_cols", "_ncols",
+                 "_masks", "_held")
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return chain.from_iterable(_fields(flat, s) for s, flat, _ in self.runs)
+
+    def __getitem__(self, pos: int) -> tuple:
+        s, flat, start = self.runs[bisect_right(self.runs, pos, key=_start) - 1]
+        w = 2 * s + 1
+        return tuple(flat[(pos - start) * w:(pos - start + 1) * w])
 
     def selection(self, slot: int) -> tuple[tuple, tuple]:
         """(rows, cols) of the minor memoized at `slot`."""
@@ -182,18 +207,28 @@ class _Selections(list):
         return ri, self._cols[len(ri)][slot - self._bases[j]]
 
     def held(self, bits: int) -> list:
-        """The entries whose selection holds a cell of the group with bit
-        mask `bits` (bit row * cols + col), in sweep order: a plain list,
-        built on first use and kept as long as this list is."""
+        """The records whose selection holds a cell of the group with bit
+        mask `bits` (bit row * cols + col), in sweep order: a plain list of
+        record tuples, built on first use and kept as long as this list
+        is."""
         sub = self._held.get(bits)
         if sub is None:
             if self._masks is None:
-                # per entry, the bit mask of the cells its selection holds
+                # per record, the bit mask of the cells its selection holds
                 w = self._ncols
                 self._masks = [sum(_bits(ci) << r * w for r in ri)
-                               for ri, ci in (self.selection(slot) for _, _, slot in self)]
-            sub = self._held[bits] = [x for x, m in zip(self, self._masks) if m & bits]
+                               for ri, ci in (self.selection(rec[0]) for rec in self)]
+            sub = self._held[bits] = [rec for rec, m in zip(self, self._masks) if m & bits]
         return sub
+
+
+def _fields(flat: list, s: int):
+    """The size-s records of a run's flat fields, as tuples."""
+    it = iter(flat)
+    return zip(*[it] * (2 * s + 1))
+
+
+_start = itemgetter(2)
 
 
 def _bits(indices) -> int:
@@ -201,49 +236,84 @@ def _bits(indices) -> int:
 
 
 def _entries(pairs, ncols: int) -> _Selections:
-    """Sweep entries (terms, sub, slot) for square selections, and the flat
-    memo layout they address.
+    """Sweep records for square selections, and the flat memo layout they
+    address.
 
     Each selected row tuple owns a block of memo slots, one per column
     selection of its size in lexicographic rank, allocated on first use;
     slot 0 is the block of the empty row tuple and holds the empty minor,
-    1.  An entry's slot is its row block's base plus its columns' rank,
-    and sub is the base of its rows without the last one.  terms holds
-    (i, rank) for each selected column c, where i indexes the matrix data
-    at the last selected row and column c, and rank is the rank of the
-    columns without c, so deleting that row and column leaves the minor
-    at slot sub + rank.  Entries with the same last row and columns share
-    one terms tuple.
+    1.  A selection's slot is its row block's base plus its columns'
+    rank.  Its record is the 2s + 1 fields (slot, i_1..i_s, m_1..m_s) for
+    columns c_1 < .. < c_s: i_t indexes the matrix data at the last
+    selected row and column c_t, and m_t is the absolute slot of the
+    minor left by deleting that row and column.  The pairs come size
+    ascending, each row tuple's selections together, so the records fall
+    in runs of equal size, kept as one flat list of fields per run, and
+    their slots increase along the list.  Every slot and data index the
+    records hold is one int object per value, so a slot read by many
+    records is stored once.
     """
-    out = _Selections()
-    out._bases, out._rows, out._cols = [0], [()], [[()]]
-    out._ncols, out._masks, out._held = ncols, None, {}
-    ranks = [{(): 0}]
-    blocks = {(): (0, None)}  # row tuple -> (its base, its rows' sub base)
-    by_last = {}
+    cols = [[()]]
+    # per size, columns -> (their rank, a getter taking the slots of the
+    # row block below to those of their Laplace sub-minors)
+    levels = [{(): (0, None)}]
+    blocks = {(): 0}  # row tuple -> its base
+    bases, rows = [0], [()]
+    ints = [0]  # the one int object of each slot and data index
+    by_last = {}  # (last row, size) -> data index tuples by column rank
+    runs = []
+    row = None
     slots = 1
     for ri, ci in pairs:
-        s = len(ci)
-        while len(ranks) <= s:
-            level = list(combinations(range(ncols), len(ranks)))
-            out._cols.append(level)
-            ranks.append({c: rank for rank, c in enumerate(level)})
-        row = blocks.get(ri)
-        if row is None:
-            row = blocks[ri] = (slots, blocks[ri[:-1]][0])
-            out._bases.append(slots)
-            out._rows.append(ri)
-            slots += len(out._cols[s])
-        base, sub = row
-        terms = by_last.get((ri[-1], ci))
-        if terms is None:
+        if ri != row:
+            # a new row tuple, maybe of a new size: refresh what its
+            # selections share
+            row, s = ri, len(ri)
+            while len(levels) <= s:
+                t = len(levels)
+                below = levels[t - 1]
+                cols.append(list(combinations(range(ncols), t)))
+                levels.append({c: (rank, _getter([below[c[:u] + c[u + 1:]][0]
+                                                  for u in range(t)]))
+                               for rank, c in enumerate(cols[t])})
+            level = levels[s]
+            base = blocks.get(ri)
+            if base is None:
+                base = blocks[ri] = slots
+                bases.append(slots)
+                rows.append(ri)
+                slots += len(cols[s])
             off = ri[-1] * ncols
-            below = ranks[s - 1]
-            terms = by_last[ri[-1], ci] = tuple(
-                (off + c, below[ci[:t] + ci[t + 1:]]) for t, c in enumerate(ci))
-        out.append((terms, sub, base + ranks[s][ci]))
-    out.slots = slots
+            if len(ints) < max(slots, off + ncols):
+                ints.extend(range(len(ints), max(slots, off + ncols)))
+            up = blocks[ri[:-1]]
+            sub = ints[up:up + len(cols[s - 1])]
+            idxs = by_last.setdefault((ri[-1], s), [None] * len(cols[s]))
+            if not runs or runs[-1][0] != s:
+                runs.append((s, []))
+            flat = runs[-1][1]
+        rank, get = level[ci]
+        idx = idxs[rank]
+        if idx is None:
+            idx = idxs[rank] = tuple(ints[off + c] for c in ci)
+        flat.append(ints[base + rank])
+        flat += idx
+        flat += get(sub)
+    out = _Selections()
+    out.runs, start = [], 0
+    for s, flat in runs:
+        out.runs.append((s, flat, start))
+        start += len(flat) // (2 * s + 1)
+    out._len, out.slots, out._bases, out._rows, out._cols = start, slots, bases, rows, cols
+    out._ncols, out._masks, out._held = ncols, None, {}
     return out
+
+
+def _getter(ranks: list):
+    """A callable taking a sequence to the tuple of its items at ranks."""
+    if len(ranks) == 1:
+        return lambda seq, r=ranks[0]: (seq[r],)
+    return itemgetter(*ranks)
 
 
 @lru_cache(maxsize=64)
@@ -252,7 +322,7 @@ def _kept(build, *shape) -> _Selections:
 
 
 def square_selections(rows: int, cols: int, grid: BlockGrid | None = None) -> _Selections:
-    """Sweep entries for every square selection of a rows x cols matrix,
+    """Sweep records for every square selection of a rows x cols matrix,
     size ascending then lexicographic; with a grid, only the grid-qualifying
     ones.  Deleting the last row and any column of a qualifying selection
     leaves a qualifying one (the later columns move to earlier rows, whose
@@ -286,7 +356,7 @@ def _build_square_selections(rows: int, cols: int, blocks) -> _Selections:
 
 
 def full_size_selections(rows: int, cols: int) -> _Selections:
-    """Sweep entries for the selections of the first s rows against every
+    """Sweep records for the selections of the first s rows against every
     s columns, s = 1..rows: the full-size minors, size rows, come last, after
     all the sub-minors their expansions use."""
     if count_full_size_selections(rows, cols) > SELECTION_CACHE_LIMIT:
@@ -304,84 +374,209 @@ def _build_full_size_selections(rows: int, cols: int) -> _Selections:
 
 def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None = None,
                 tally: list | None = None):
-    """Yield (position, rows, cols, minor) for each sweep entry whose minor
+    """Yield (position, rows, cols, minor) for each sweep record whose minor
     has a code below `below`, in order: below=1 yields the vanishing minors,
     below=q the ones in the base field F_q (codes 0..q-1), and
     below=m.field.order every minor.
 
     Each minor is the Laplace expansion along its last selected row,
     sum over t of (-1)^((s-1)+t) m[r, c_t] times a memoized minor of size
-    s-1, so every entry's sub-minors must come earlier in `entries` (the
+    s-1, so every record's sub-minors must come earlier in `entries` (the
     listers above guarantee it).  The memo is one flat list of
-    entries.slots slots, addressed as _entries lays it out; an entry's rows
+    entries.slots slots, addressed as _entries lays it out; a record's rows
     and columns are recovered from its slot only when it is yielded.  Over
     a field of characteristic 2 the signs vanish, addition is XOR,
     and the sweep keeps the discrete logs of the entries and memoizes the
     minors' logs, zero included (Field.zero_log_tables), so a term is one
-    antilog lookup; otherwise products go through the field.
+    antilog lookup; each run of equal-size records up to size 6 has its own
+    straight-line loop.  Otherwise products go through the field.
 
     run = (groups, edits) sweeps a run of matrices that differ from m in
     the cells of the groups, tuples of flat indices: each edit (g, values)
     writes m's entry plus values[i], any element of m's field, into the
     i-th cell of groups[g], and updates the kept logs of just those cells.
-    The run's first matrix sweeps all of entries; a later one only
-    entries.held(bits), bits the written group's mask, the entries whose
-    selection holds a cell of that group, while the others, and the
-    sub-minors they expand into, keep their values.  Without a run the
-    sweep is a run of one matrix, m.  position counts the minors
-    evaluated in the run before this one (for one matrix, the entry's
-    position).  tally, a list [0, 0] when given, counts [matrices begun,
-    minors evaluated in the matrices done].
+    run = (cells, moves, digits) is a walk over base-field values of
+    single cells, digits all 0 at first: each byte j << 1 | (d < 0) of
+    moves (block_codes.gray_moves) moves digits[j] by d = +-1 and writes m's
+    entry plus digits[j] into cell cells[j]; the sweep keeps digits
+    current, so at a yield they are the swept matrix's.
+    The run's first matrix sweeps all of entries (an edits run writes its
+    first edit before it); a later one only entries.held(bits), bits the
+    written group's mask, the records whose selection holds a cell of that
+    group, while the others, and the sub-minors they expand into, keep
+    their values.  Without a run the sweep is a run of one matrix, m.
+    position counts the minors evaluated in the run before this one (for
+    one matrix, the record's position).  tally, a list [0, 0] when given,
+    counts [matrices begun, minors evaluated in the matrices done].
     """
     f = m.field
     base = m.data
     selection = entries.selection
-    groups, edits = run or (((),), ((0, ()),))
-    subs = [None] * len(groups)  # entries.held of each group, on first use
+    cells = digits = None
+    if run is None:
+        groups, steps = (), iter(())
+    elif len(run) == 3:
+        cells, moves, digits = run
+        groups, steps = [(i,) for i in cells], iter(moves)
+    else:
+        groups, steps = run
+        steps = iter(steps)
+    subs = [None] * len(groups)  # (entries.held, its runs) of each group, on first use
     char2 = f.q == 2
+    add = f.add
     if char2:
         log, ext = f.zero_log_tables
         data = [log[a] for a in base]
         memo = [log[0]] * entries.slots
         memo[0] = 0
     else:
-        add, neg, mul = f.add, f.neg, f.mul
+        log, neg, mul = None, f.neg, f.mul
         data = list(base)
         memo = [0] * entries.slots
         memo[0] = 1
     tally = [0, 0] if tally is None else tally
-    for step, (g, values) in enumerate(edits):
-        swept = subs[g] if step else entries
-        if swept is None:
-            swept = subs[g] = entries.held(_bits(groups[g]))
-        tally[0] = step + 1
+    if cells is None and run is not None:
+        # an edits run writes its first edit before its first matrix
+        g, values = next(steps, (None, None))
+        if g is None:
+            return
+        _write(data, base, groups[g], values, log, add)
+    swept = entries
+    runs = [(s, _fields(flat, s), flat, start) for s, flat, start in entries.runs]
+    done = 0
+    tally[0] = matrices = 1
+    while True:
         if char2:
-            for i, v in zip(groups[g], values):
-                data[i] = log[base[i] ^ v]
-            for pos, (terms, sub, slot) in enumerate(swept, tally[1]):
-                acc = 0
-                for i, rank in terms:
-                    acc ^= ext[data[i] + memo[sub + rank]]
-                memo[slot] = log[acc]
-                if acc < below:
-                    yield (pos, *selection(slot), acc)
+            for s, recs, seq, start in runs:
+                if s == 1:
+                    for slot, i0, m0 in recs:
+                        acc = ext[data[i0] + memo[m0]]
+                        memo[slot] = log[acc]
+                        if acc < below:
+                            yield _found(seq, s, done + start, slot, acc, selection)
+                elif s == 2:
+                    for slot, i0, i1, m0, m1 in recs:
+                        acc = ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
+                        memo[slot] = log[acc]
+                        if acc < below:
+                            yield _found(seq, s, done + start, slot, acc, selection)
+                elif s == 3:
+                    for slot, i0, i1, i2, m0, m1, m2 in recs:
+                        acc = (ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
+                               ^ ext[data[i2] + memo[m2]])
+                        memo[slot] = log[acc]
+                        if acc < below:
+                            yield _found(seq, s, done + start, slot, acc, selection)
+                elif s == 4:
+                    for slot, i0, i1, i2, i3, m0, m1, m2, m3 in recs:
+                        acc = (ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
+                               ^ ext[data[i2] + memo[m2]] ^ ext[data[i3] + memo[m3]])
+                        memo[slot] = log[acc]
+                        if acc < below:
+                            yield _found(seq, s, done + start, slot, acc, selection)
+                elif s == 5:
+                    for slot, i0, i1, i2, i3, i4, m0, m1, m2, m3, m4 in recs:
+                        acc = (ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
+                               ^ ext[data[i2] + memo[m2]] ^ ext[data[i3] + memo[m3]]
+                               ^ ext[data[i4] + memo[m4]])
+                        memo[slot] = log[acc]
+                        if acc < below:
+                            yield _found(seq, s, done + start, slot, acc, selection)
+                elif s == 6:
+                    for slot, i0, i1, i2, i3, i4, i5, m0, m1, m2, m3, m4, m5 in recs:
+                        acc = (ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
+                               ^ ext[data[i2] + memo[m2]] ^ ext[data[i3] + memo[m3]]
+                               ^ ext[data[i4] + memo[m4]] ^ ext[data[i5] + memo[m5]])
+                        memo[slot] = log[acc]
+                        if acc < below:
+                            yield _found(seq, s, done + start, slot, acc, selection)
+                else:
+                    for rec in recs:
+                        acc = 0
+                        for t in range(1, s + 1):
+                            acc ^= ext[data[rec[t]] + memo[rec[s + t]]]
+                        slot = rec[0]
+                        memo[slot] = log[acc]
+                        if acc < below:
+                            yield _found(seq, s, done + start, slot, acc, selection)
         else:
-            for i, v in zip(groups[g], values):
-                data[i] = add(base[i], v)
-            for pos, (terms, sub, slot) in enumerate(swept, tally[1]):
-                acc = 0
-                odd = len(terms) - 1
-                for t, (i, rank) in enumerate(terms):
-                    a = data[i]
-                    if a:
-                        b = memo[sub + rank]
-                        if b:
-                            p = mul(a, b)
-                            acc = add(acc, neg(p) if (odd + t) & 1 else p)
-                memo[slot] = acc
-                if acc < below:
-                    yield (pos, *selection(slot), acc)
-        tally[1] += len(swept)
+            for s, recs, seq, start in runs:
+                for rec in recs:
+                    acc = 0
+                    for t in range(1, s + 1):
+                        a = data[rec[t]]
+                        if a:
+                            b = memo[rec[s + t]]
+                            if b:
+                                p = mul(a, b)
+                                # the t-th term's sign is (-1)^((s-1)+(t-1))
+                                acc = add(acc, neg(p) if (s + t) & 1 else p)
+                    slot = rec[0]
+                    memo[slot] = acc
+                    if acc < below:
+                        yield _found(seq, s, done + start, slot, acc, selection)
+        done += len(swept)
+        tally[1] = done
+        # the next matrix: write its edit, and sweep the records holding
+        # a written cell
+        if cells is None:
+            g, values = next(steps, (None, None))
+            if g is None:
+                return
+            _write(data, base, groups[g], values, log, add)
+        else:
+            code = next(steps, None)
+            if code is None:
+                return
+            g = code >> 1
+            i = cells[g]
+            if char2:
+                digits[g] ^= 1
+                data[i] = log[base[i] ^ digits[g]]
+            else:
+                digits[g] += -1 if code & 1 else 1
+                data[i] = add(base[i], digits[g])
+        if subs[g] is None:
+            held = entries.held(_bits(groups[g]))
+            subs[g] = held, _split(held)
+        swept, runs = subs[g]
+        matrices += 1
+        tally[0] = matrices
+
+
+def _write(data: list, base: list, cells, values, log, add) -> None:
+    """Write base[i] plus values[t] into data at the t-th of the cells: its
+    discrete log when log is given, else the entry."""
+    for i, v in zip(cells, values):
+        data[i] = log[base[i] ^ v] if log else add(base[i], v)
+
+
+def _split(records: list) -> list:
+    """minor_sweep's runs of a list of records, size ascending: (s, the
+    size-s records, the same list, the records before them) per size."""
+    out, lo = [], 0
+    while lo < len(records):
+        n = len(records[lo])
+        hi = bisect_right(records, n, lo, key=len)
+        part = records[lo:hi]
+        out.append((n // 2, part, part, lo))
+        lo = hi
+    return out
+
+
+def _found(run: list, s: int, before: int, slot: int, acc: int, selection) -> tuple:
+    """minor_sweep's yield for the record at `slot` in the run of size-s
+    records `run` (record tuples, or a whole list's flat fields), whose
+    slots increase along it, with `before` minors evaluated before it."""
+    if type(run[0]) is tuple:
+        at = bisect_left(run, slot, key=_slot)
+    else:
+        w = 2 * s + 1
+        at = bisect_left(range(len(run) // w), slot, key=lambda r: run[r * w])
+    return (before + at, *selection(slot), acc)
+
+
+_slot = itemgetter(0)
 
 
 # -- predicates ---------------------------------------------------------------
@@ -420,7 +615,7 @@ def _check_minors(
     tally = [0, 0]
     for pos, ri, ci, _ in minor_sweep(m, entries, 1, run, tally):
         # every trivial minor vanishes, so the skip only looks at zeros
-        if skip_trivial and not nontrivial[entries[pos][2]]:
+        if skip_trivial and not nontrivial[entries[pos][0]]:
             skipped += 1
             continue
         return VerificationReport(
@@ -485,9 +680,12 @@ def nontrivial_slots(pattern: ZeroPattern, entries: _Selections) -> bytearray:
     support = [v for row in pattern.support for v in row]
     nontrivial = bytearray(entries.slots)
     nontrivial[0] = 1  # the empty selection
-    for terms, sub, slot in entries:
-        if any(support[i] and nontrivial[sub + rank] for i, rank in terms):
-            nontrivial[slot] = 1
+    for rec in entries:
+        s = len(rec) // 2
+        for t in range(1, s + 1):
+            if support[rec[t]] and nontrivial[rec[s + t]]:
+                nontrivial[rec[0]] = 1
+                break
     return nontrivial
 
 
@@ -508,5 +706,5 @@ def count_nontrivial_minors(
         raise ValueError(f"selection count {total} exceeds budget {budget}")
     entries = square_selections(pattern.rows, pattern.cols, grid)
     nontrivial = nontrivial_slots(pattern, entries)
-    return sum(1 for terms, _, slot in entries
-               if nontrivial[slot] and len(terms) >= min_size)
+    return sum(1 for rec in entries
+               if nontrivial[rec[0]] and len(rec) // 2 >= min_size)

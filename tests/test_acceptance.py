@@ -229,7 +229,7 @@ def test_criterion_9_trivial_minor_sweep(capsys):
         nontrivial = nontrivial_slots(p, entries)
         return all(
             (not nontrivial[slot]) == brute(p, *entries.selection(slot))
-            for _, _, slot in entries)
+            for slot, *_ in entries)
 
     ok = True
     entries = square_selections(3, 3)

@@ -142,6 +142,11 @@ def test_column_sum_rank_distance_refuses_a_negative_level():
         column_sum_rank_distance(construct_frobenius(2, 1, 1, F4), -1)
 
 
+def test_min_sum_rank_distance_refuses_a_generator_without_rows():
+    with pytest.raises(ValueError):
+        min_sum_rank_distance(Matrix(0, 3, F8), LengthPartition((3,)))
+
+
 def test_min_sum_rank_distance_budget():
     gen = construct_gabidulin(3, 2, F8)
     with pytest.raises(BudgetExceeded):

@@ -223,3 +223,10 @@ def test_column_distance_kernels_refuse_a_negative_level(request, name):
     coeffs = _random_encoder(random.Random(46), f, 3, 1, 1, systematic=True)
     with pytest.raises(ValueError):
         kernel.conv_column_distance(coeffs, 1, 3, -1, *_args(f), 10**7, True)
+
+
+@pytest.mark.parametrize("name", ["python", "c"])
+def test_block_kernels_refuse_a_generator_without_rows(request, name):
+    kernel = _core_py if name == "python" else request.getfixturevalue("core_c")
+    with pytest.raises(ValueError):
+        kernel.block_min_sum_rank([], [3], *_args(field(2, 3)), 10**6)

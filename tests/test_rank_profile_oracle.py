@@ -16,15 +16,19 @@ from math import prod
 
 import pytest
 
+from itertools import combinations
+
+from sumrank import _core_py, conv_codes
 from sumrank.conv_codes import (
     PolyEncoder,
+    _plucker,
     check_mMSR_oracle,
     construct_frobenius,
     iter_rank_profiles,
     recheck_oracle_witness,
     sliding_generator,
 )
-from sumrank.field import field
+from sumrank.field import base_field, field
 from sumrank.matrix import (
     Matrix,
     block_diag,
@@ -140,3 +144,25 @@ def test_the_table_pins_read_true_after_every_a_star():
         assert time.process_time() - t0 < 2.0
         assert (rep.verdict, rep.checked_count) == (True, count)
         assert rep.detail["a_star_count"] == count
+
+
+@pytest.mark.parametrize("kernel", ["python", "c"])
+@pytest.mark.parametrize("q, n", [(2, 6), (3, 4)])
+def test_plucker_coordinates_equal_det(request, monkeypatch, kernel, q, n):
+    """Over F_2 the coordinates come from packed XOR elimination on either
+    kernel's expand_rank, over odd q from det: both must list
+    det(block[J, :]) for every row set J with a nonzero one, on every
+    representative and on random blocks, singular ones included."""
+    mod = _core_py if kernel == "python" else request.getfixturevalue("core_c")
+    monkeypatch.setattr(conv_codes, "expand_rank", mod.expand_rank)
+    rng = random.Random(q * 100 + n)
+    f = base_field(q)
+    for rho in range(n + 1):
+        row_sets = list(combinations(range(n), rho))
+        blocks = list(enum_full_rank_column_spaces(n, rho, q))
+        blocks += [Matrix(n, rho, f, [rng.randrange(q) for _ in range(n * rho)])
+                   for _ in range(20)]
+        for b in blocks:
+            want = [(t, d) for t, d in ((t, det(b.submatrix(rs, range(rho))))
+                                        for t, rs in enumerate(row_sets)) if d]
+            assert _plucker(b, row_sets) == want

@@ -23,8 +23,10 @@ from test_transform_family import _TABLE_NEGATIVE, gray_order
 from sumrank.block_codes import (
     SystematicBlockCode,
     check_msrd_systematic,
+    check_transform_family,
     construct_gabidulin,
     family_counts,
+    gray_moves,
     gray_steps,
     systematic_form,
 )
@@ -99,6 +101,19 @@ def test_gray_steps_visit_every_tuple_once_one_cell_at_a_time(q, c):
     assert seen == gray_order(q, c)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("c", range(7))
+def test_gray_moves_replay_gray_steps(q, c):
+    moves = gray_moves(q, c)
+    assert type(moves) is bytes and len(moves) == q ** c - 1
+    assert [(b >> 1, -1 if b & 1 else 1) for b in moves] == list(gray_steps(q, c))
+
+
+def test_gray_moves_of_18_cells_fit_in_a_megabyte():
+    # [6,3,1]'s C run: one byte per step
+    assert len(gray_moves(2, 18)) == 2 ** 18 - 1 < 1 << 20
+
+
 # -- runs against matrix.det ----------------------------------------------------
 
 
@@ -156,12 +171,60 @@ def test_every_minor_of_a_run_equals_det(f, ks, nks, grid):
         seen[step].append((ri, ci))
     # the first matrix evaluates every entry, each later one exactly those
     # whose rows and columns hold a cell of the group its edit wrote
-    listed = [entries.selection(slot) for _, _, slot in entries]
+    listed = [entries.selection(slot) for slot, *_ in entries]
     assert seen == [listed] + [
         [(ri, ci) for ri, ci in listed
          if any(r * cols + c in groups[e] for r in ri for c in ci)]
         for e, _ in edits[1:]]
     assert tally == [len(edits), sum(map(len, seen))]
+
+
+def _sweep_against_det(base, entries, run, state):
+    """Every minor the run yields, against det of the run's current matrix
+    (state() gives the values added at its cells); returns the sizes seen
+    and the tally."""
+    f = base.field
+    tally, sizes, positions = [0, 0], set(), []
+    for pos, ri, ci, v in minor_sweep(base, entries, f.order, run, tally):
+        t = base.copy()
+        for i, c in state():
+            t.data[i] = f.add(base.data[i], c)
+        assert v == det(t.submatrix(ri, ci)), (tally[0], ri, ci)
+        sizes.add(len(ri))
+        positions.append(pos)
+    # below = order yields every minor evaluated, in order
+    assert positions == list(range(tally[1]))
+    return sizes, tally
+
+
+@pytest.mark.parametrize("f", [field(2, 8), field(3, 3)], ids=["F256", "F27"])
+@pytest.mark.parametrize("grid", [None, BlockGrid([4, 3], [3, 4])], ids=["plain", "grid"])
+@pytest.mark.parametrize("walk", ["gray", "draws"])
+def test_every_size_branch_equals_det_over_a_run(f, grid, walk):
+    """A 7 x 7 list reaches every unrolled size, 1 to 6, and the generic
+    loop, size 7; a Gray run moves one of three cells per matrix and
+    sweeps the records holding it, a run of draws rewrites all three."""
+    rng = random.Random(f"{f.descriptor()}/{grid is None}/{walk}")
+    entries = square_selections(7, 7, grid)
+    base = Matrix(7, 7, f, [rng.randrange(f.order) for _ in range(49)])
+    cells = [6, 24, 45]  # (0, 6), (3, 3), (6, 3)
+    digits = [0] * len(cells)
+    if walk == "gray":
+        run = (cells, gray_moves(f.q, len(cells)), digits)
+        matrices = f.q ** len(cells)
+    else:
+        def draws():
+            for _ in range(4):
+                digits[:] = [rng.randrange(f.q) for _ in cells]
+                yield 0, digits
+        run = ((tuple(cells),), draws())
+        matrices = 4
+    sizes, tally = _sweep_against_det(base, entries, run, lambda: zip(cells, digits))
+    assert sizes == set(range(1, 8))
+    assert tally[0] == matrices
+    # a Gray run ends on the last tuple of the order
+    if walk == "gray":
+        assert tuple(digits) == gray_order(f.q, len(cells))[-1]
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
@@ -187,8 +250,8 @@ def test_holding_builds_a_sub_list_on_first_use_and_frees_with_its_list():
         sub = entries.held(col4)
         assert type(sub) is list and entries._held == {col4: sub}
         assert entries.held(col4) is sub
-        assert [entries.selection(slot)[1] for _, _, slot in sub] == [
-            entries.selection(slot)[1] for _, _, slot in entries
+        assert [entries.selection(slot)[1] for slot, *_ in sub] == [
+            entries.selection(slot)[1] for slot, *_ in entries
             if 4 in entries.selection(slot)[1]]
         assert len(entries.held(col2)) == len(sub) and entries._held.keys() == {col2, col4}
         # a list built per call is freed by reference counting alone when
@@ -239,3 +302,23 @@ def test_grid_check_calls_the_predicate_once_per_pair_swept(mode):
         assert 1 <= calls <= level["b_count"] * level["a_count"]
     b_count, a_count, _ = family_counts([2] * 3, [2] * 3, 2)
     assert (level["b_count"], level["a_count"]) == (b_count, a_count)
+
+
+def test_a_false_witness_c_is_the_gray_digits_at_its_t():
+    """The sweep keeps the Gray digits; a False witness's C is read from
+    them, so it is the gray_order tuple at the witnessed T of its pair."""
+    rep = check_mMSR(_TABLE_NEGATIVE, mode="exact", budget=10**9)
+    [level] = rep.detail["levels"]
+    # the witness's pair sweeps its C in gray_order up to T number t + 1
+    t = (rep.checked_count - 1) % level["c_count"]
+    c = [v for block in rep.witness["transform"]["C"] for row in block for v in row]
+    assert (rep.verdict, t) == (False, 1027) and any(c)
+    assert tuple(c) == gray_order(2, len(c))[t]
+    # over F_27, whose digits move by -1 as well as +1
+    f = field(3, 3)
+    p = Matrix.from_rows([[8, 12, 13], [5, 7, 23]], f)
+    rep = check_transform_family(p, (2,), (3,), False, "exact", 10**8)
+    t = (rep.checked_count - 1) % rep.detail["c_count"]
+    [c] = rep.witness["transform"]["C"]
+    assert (rep.verdict, t) == (False, 34)
+    assert tuple(v for row in c for v in row) == gray_order(3, 6)[t]
