@@ -215,7 +215,12 @@ static PyObject *py_expand_rank(PyObject *self, PyObject *args)
     PyObject *codes;
     int q, M;
     i64 order, *buf;
-    if (!PyArg_ParseTuple(args, "Oii", &codes, &q, &M) || field_order(q, M, &order) < 0)
+    if (!PyArg_ParseTuple(args, "Oii", &codes, &q, &M))
+        return NULL;
+    /* M = 0 spans the zero space: its one code is 0, and every rank is 0 */
+    if (M == 0 && q >= 2)
+        order = 1;
+    else if (field_order(q, M, &order) < 0)
         return NULL;
     Py_ssize_t cnt = PyObject_Length(codes);
     if (cnt < 0 || (buf = codes_of(codes, cnt, order)) == NULL)

@@ -10,12 +10,14 @@ predicates only ask which minors vanish, and diagonal scaling over F_q^*
 changes none (matrix.enum_block_diag states the argument).  Every minor
 is evaluated through superregular.minor_sweep, one memoized Laplace
 sweep over a matrix or over a run of matrices that differ in a few
-cells.  Each run steps in reflected q-ary Gray order (gray_steps; a C
-run walks it inside the sweep, from gray_moves' table), so a later
-matrix moves one free cell and re-evaluates only the minors that hold
-it.  The transform side, check_msrd_transforms, is one run over
-every A: an A rewrites the one column of G A that holds the cell it
-moves, and no G A is multiplied out.  The systematic side runs one
+cells: a matrix and a stream of additive steps.  An exhaustive run steps
+in reflected q-ary Gray order (gray_steps), its steps looked up in a
+table by gray_moves' bytes, so a later matrix moves one free cell and
+re-evaluates only the minors that hold it, and a witness's tuple is
+gray_digits at its step count.  The transform side,
+check_msrd_transforms, is one run over every A: an A adds +-1 times one
+column of G to the column of G A that holds the cell it moves, and no
+G A is multiplied out.  The systematic side runs one
 engine, check_transform_family: it enumerates (B, A~) pairs and tests a
 superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i), one
 predicate call per pair, its C values one run on B P A~.  For block
@@ -188,9 +190,10 @@ def check_msrd_transforms(
     unit ones, which stand for all, are one run of superregular.minor_sweep
     over G's full_size_selections, in reflected q-ary Gray order
     (gray_steps): each A after the first moves one free cell (r', c) by
-    +-1, which rewrites column c of G A as itself +- G's column r', so an
-    edit names the k cells of one column (_column_edits) and re-evaluates
-    the selections that hold it.  The verdict, checked_count (the A swept)
+    +-1, which adds +- G's column r' to column c of G A, so its step,
+    from a table of two per free cell, adds those k deltas to column c's
+    cells and re-evaluates the selections that hold it.  The witness A is
+    gray_digits at the A swept.  The verdict, checked_count (the A swept)
     and witness are a full sweep's per A, in that order.  detail gives the
     minors evaluated and the charge, those the run can evaluate
     (_run_charge), equal on a True; the charge is counted before any list
@@ -217,18 +220,29 @@ def check_msrd_transforms(
             elapsed=time.perf_counter() - start,
         )
     selections = full_size_selections(k, n)
-    groups = [tuple(range(c, k * n, n)) for c in cols]
-    digits, tally = [0] * len(a_cells), [0, 0]
-    run = (groups, _column_edits(g, a_cells, cols, digits)) if cols else None
-    for pos, _, ci, _ in minor_sweep(g, selections, 1, run, tally):
-        if len(ci) == k:
-            a = unit_block_diag(parts, q, digits)
+    run = None
+    if cols:
+        # free cell j = (r', c) moving by d = +-1 adds d times G's column r'
+        # to column c, whose cells are group cols.index(c): step j << 1 | (d < 0)
+        moves = []
+        for i in a_cells:
+            up = tuple((r * n + i % n, g[r, i // n]) for r in range(k))
+            group = cols.index(i % n)
+            moves += [(group, up), (group, tuple((x, g.field.neg(y)) for x, y in up))]
+        run = ([tuple(range(c, k * n, n)) for c in cols],
+               map(moves.__getitem__, gray_moves(q, len(a_cells))))
+    # every slot from the first size-k record's on is a full-size minor's
+    top = next((flat[0] for s, flat, _ in selections.runs if s == k), selections.slots)
+    tally = [0, 0]
+    for pos, slot, _ in minor_sweep(g, selections, 1, run, tally):
+        if slot >= top:
+            a = unit_block_diag(parts, q, gray_digits(q, len(a_cells), tally[0] - 1))
             return VerificationReport(
                 False,
                 witness={
                     "transform": {"A": diagonal_blocks(a, parts, parts)},
                     "rows": list(range(k)),
-                    "cols": list(ci),
+                    "cols": list(selections.selection(slot)[1]),
                 },
                 checked_count=tally[0],
                 elapsed=time.perf_counter() - start,
@@ -240,26 +254,6 @@ def check_msrd_transforms(
         elapsed=time.perf_counter() - start,
         detail=counts | {"minors": tally[1], "charge": charge},
     )
-
-
-def _column_edits(g: Matrix, a_cells, cols, digits):
-    """check_msrd_transforms' edits, one per A in gray_steps order over the
-    free cells a_cells, whose values digits keeps current: free cell j =
-    (r', c) moving by d = +-1 adds d times G's column r' to column c, and
-    the edit names its group, position t of c in cols, with the values
-    sum of a_r'c G[r, r'] over the free cells (r', c), r = 0..k-1."""
-    f, k, n = g.field, g.rows, g.cols
-    moves = []
-    for i in a_cells:
-        src = g.col(i // n)
-        moves.append((cols.index(i % n), src, [f.neg(y) for y in src]))
-    offsets = [[0] * k for _ in cols]
-    yield 0, offsets[0]
-    for j, d in gray_steps(f.q, len(a_cells)):
-        digits[j] += d
-        t, up, down = moves[j]
-        offsets[t] = [f.add(x, y) for x, y in zip(offsets[t], up if d > 0 else down)]
-        yield t, offsets[t]
 
 
 # -- the (B, A~, C) transform family --------------------------------------------
@@ -301,13 +295,14 @@ def check_transform_family(
     exhaustive only when sampled_pairs is 0.  A False witness holds the
     diagonal blocks of B, A~ and C and the vanishing minor, as JSON.
 
-    Each pair makes one predicate call, on B P A~ with the run of its C
-    values (superregular.minor_sweep), over one selection list built for
-    the call: every C in reflected q-ary Gray order, each after the first
-    moving one C cell, which the sweep walks from gray_moves' table and
-    whose values it keeps (the witness C is read from them), or every C
-    cell for a sampled draw (_c_draws), so the first vanishing minor, hence
-    every report, is a full sweep's per T in that order.  checked_count
+    Each pair makes one predicate call, with the run of its C values
+    (superregular.minor_sweep), over one selection list built for the
+    call: B P A~ and every C in reflected q-ary Gray order, each step
+    moving one C cell by +-1 (the witness C is gray_digits at its T), or
+    B P A~ plus the first drawn C and one step per later draw, adding its
+    differences at every C cell (_c_draws; the witness C is the draw
+    kept), so the first vanishing minor, hence every report, is a full
+    sweep's per T in that order.  checked_count
     adds up the T swept, detail's minors the minors evaluated and its
     charge the minors the runs can evaluate, counted
     (superregular.count_block_selections) before the list is built, so a
@@ -341,7 +336,12 @@ def check_transform_family(
             elapsed=time.perf_counter() - start,
         )
     selections = square_selections(p.rows, p.cols, grid)
+    f = p.field
     cells = block_diag_cells(ks, nks, False)
+    # the Gray walk's steps, entry j << 1 | (d < 0) moving C cell j by d
+    walk = gray_moves(q, len(cells))
+    c_moves = [(j, ((i, d),)) for j, i in enumerate(cells) for d in (1, f.neg(1))]
+    c_groups = [(i,) for i in cells]
     rng = random.Random(0)
     checked = 0
     filtered = 0
@@ -356,17 +356,24 @@ def check_transform_family(
                 filtered += 1
                 sample = c_count > FILTER_RESAMPLE_COUNT
                 sampled += sample
-            digits = [0] * len(cells)
-            # every C in Gray order, the sweep moving one cell per step, or
-            # the drawn C, each rewriting every cell
-            run = (((tuple(cells),), _c_draws(q, digits, rng)) if sample
-                   else (cells, gray_moves(q, len(cells)), digits))
-            rep = (is_full_superregular(bpa, entries=selections, run=run) if grid is None
-                   else is_superregular_constrained(bpa, grid, entries=selections, run=run))
+            if sample:
+                # the first drawn C written in, each later one a step
+                drawn = [[rng.randrange(q) for _ in cells]]
+                first = bpa.copy()
+                for i, v in zip(cells, drawn[0]):
+                    first.data[i] = f.add(first.data[i], v)
+                run = ((tuple(cells),), _c_draws(q, cells, rng, drawn))
+            else:
+                # every C in Gray order, one cell moving per step
+                first, run = bpa, (c_groups, map(c_moves.__getitem__, walk))
+            rep = (is_full_superregular(first, entries=selections, run=run) if grid is None
+                   else is_superregular_constrained(first, grid, entries=selections, run=run))
             checked += rep.detail["matrices"]
             minors += rep.checked_count
             if rep.verdict is False:
-                c = iter(digits)  # C's cells, block by block, row-major
+                s = rep.detail["matrices"] - 1
+                # C's cells, block by block, row-major
+                c = iter(drawn[s] if sample else gray_digits(q, len(cells), s))
                 return VerificationReport(
                     False,
                     witness={
@@ -407,10 +414,22 @@ def gray_steps(q: int, c: int):
         yield c - 1 - j, 1 - 2 * (t // q & 1)
 
 
+def gray_digits(q: int, c: int, s: int) -> list[int]:
+    """The c digits, the slowest cell first, after the first s steps of
+    gray_steps(q, c): digit i of s in base q, counted from the fastest,
+    reflected to q - 1 - it when s // q^(i+1) is odd."""
+    out = []
+    for _ in range(c):
+        s, b = divmod(s, q)
+        out.append(q - 1 - b if s & 1 else b)
+    return out[::-1]
+
+
 @lru_cache(maxsize=16)
 def gray_moves(q: int, c: int) -> bytes:
-    """gray_steps(q, c) as a table for superregular.minor_sweep, one byte
-    per step: j << 1 | (d < 0) for cell j moving by d (c < 128)."""
+    """gray_steps(q, c) as a table, one byte per step: j << 1 | (d < 0)
+    for cell j moving by d (c < 128), the index into a table of the
+    walk's superregular.minor_sweep steps."""
     return bytes(j << 1 | (d < 0) for j, d in gray_steps(q, c))
 
 
@@ -421,14 +440,19 @@ def _run_charge(first: int, held, q: int) -> int:
     return first + sum((q - 1) * q**i * h for i, h in enumerate(held))
 
 
-def _c_draws(q: int, digits: list, rng):
-    """check_transform_family's edits for a pair whose C are drawn:
-    FILTER_RESAMPLE_COUNT draws from rng, each rewriting every C cell (the
-    run's one group), cell by cell in the order C is listed, with digits
-    kept current."""
-    for _ in range(FILTER_RESAMPLE_COUNT):
-        digits[:] = [rng.randrange(q) for _ in digits]
-        yield 0, digits
+def _c_draws(q: int, cells, rng, drawn: list):
+    """check_transform_family's steps for a pair whose C are drawn: after
+    drawn[0], which the run's first matrix holds, FILTER_RESAMPLE_COUNT - 1
+    more draws from rng, each appended to drawn and each one step on the
+    run's one group, every C cell, that adds the draw's difference from
+    the draw before (F_q's codes are 0..q-1, added mod q) at the cells
+    where they differ."""
+    last = drawn[0]
+    for _ in range(FILTER_RESAMPLE_COUNT - 1):
+        draw = [rng.randrange(q) for _ in cells]
+        drawn.append(draw)
+        yield 0, [(i, (v - u) % q) for i, u, v in zip(cells, last, draw) if u != v]
+        last = draw
 
 
 def _minors_outside_base(m: Matrix, entries) -> bool:

@@ -361,9 +361,8 @@ def _plucker(block: Matrix, row_sets) -> list[tuple[int, int]]:
     odd q takes matrix.det."""
     if block.field.q == 2:
         packed = [sum(v << c for c, v in enumerate(block.row(r))) for r in range(block.rows)]
-        # the empty minor is 1, and the compiled kernel takes no M = 0
         return [(t, 1) for t, rs in enumerate(row_sets)
-                if not rs or expand_rank([packed[r] for r in rs], 2, len(rs)) == len(rs)]
+                if expand_rank([packed[r] for r in rs], 2, len(rs)) == len(rs)]
     cols = range(block.cols)
     minors = ((t, det(block.submatrix(rs, cols))) for t, rs in enumerate(row_sets))
     return [(t, d) for t, d in minors if d]

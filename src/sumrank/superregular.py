@@ -34,14 +34,14 @@ one is built per call; whoever builds a list charges its budget from
 that count first, so a refused check builds none, and a checker builds
 its list once and passes it, already charged, to every call (entries).
 One sweep serves a run of matrices that differ in a few cells, the C
-values of one (B, A~) pair or the transform side's A (run=): a Gray walk
-over the C cells moves one cell per matrix from a table of moves, and
-keeps the cells' values itself; otherwise each edit names one group of
-cells (every C cell for a random draw, or a column of G A).  The sweep
-rewrites the cells, updates their logs, and re-evaluates only the
-records whose selection holds one of them (_Selections.held keeps one
-plain list of record tuples per group's bit mask, each built on first
-use and kept with the list itself).
+values of one (B, A~) pair or the transform side's A (run=).  Every run
+has one form: a matrix, then a stream of additive steps, each adding
+deltas to the cells of one group (a C cell for a Gray step, every C cell
+for a random draw, or a column of G A).  The sweep keeps the current
+entries and their logs, and re-evaluates only the records whose
+selection holds a cell of the step's group (_Selections.held keeps the
+runs of record tuples of each group's bit mask, split by size, each
+built on first use and kept with the list itself).
 The predicates take the run too and return one report for it.  One Boolean
 sweep, the same recursion over the same lists (nontrivial_slots),
 decides triviality for count_nontrivial_minors and is_superregular.
@@ -182,23 +182,15 @@ class _Selections:
     """The sweep records of a selection list and the memo layout they
     address.  runs holds (s, flat, start) per run of size-s records: flat
     their fields, one record after another (2s + 1 each, as _entries lays
-    them out), and start the records before the run.  Iterating yields
-    each record as a tuple, and len counts them.  slots is the memo's
-    length, and selection(slot) names a slot's minor."""
+    them out), and start the records before the run.  len counts the
+    records, slots is the memo's length, and selection(slot) names a
+    slot's minor."""
 
     __slots__ = ("runs", "slots", "_len", "_bases", "_rows", "_cols", "_ncols",
                  "_masks", "_held")
 
     def __len__(self) -> int:
         return self._len
-
-    def __iter__(self):
-        return chain.from_iterable(_fields(flat, s) for s, flat, _ in self.runs)
-
-    def __getitem__(self, pos: int) -> tuple:
-        s, flat, start = self.runs[bisect_right(self.runs, pos, key=_start) - 1]
-        w = 2 * s + 1
-        return tuple(flat[(pos - start) * w:(pos - start + 1) * w])
 
     def selection(self, slot: int) -> tuple[tuple, tuple]:
         """(rows, cols) of the minor memoized at `slot`."""
@@ -208,18 +200,26 @@ class _Selections:
 
     def held(self, bits: int) -> list:
         """The records whose selection holds a cell of the group with bit
-        mask `bits` (bit row * cols + col), in sweep order: a plain list of
-        record tuples, built on first use and kept as long as this list
-        is."""
-        sub = self._held.get(bits)
-        if sub is None:
+        mask `bits` (bit row * cols + col), in sweep order, as minor_sweep's
+        runs: (s, the size-s records as tuples, the same list, the records
+        before them) per size, ascending.  Built on first use and kept as
+        long as this list is."""
+        runs = self._held.get(bits)
+        if runs is None:
             if self._masks is None:
                 # per record, the bit mask of the cells its selection holds
                 w = self._ncols
                 self._masks = [sum(_bits(ci) << r * w for r in ri)
-                               for ri, ci in (self.selection(rec[0]) for rec in self)]
-            sub = self._held[bits] = [rec for rec, m in zip(self, self._masks) if m & bits]
-        return sub
+                               for ri, ci in map(self.selection, _slots(self.runs))]
+            runs, start, masks = [], 0, iter(self._masks)
+            for s, flat, _ in self.runs:
+                # zip stops at the run's end before taking the next mask
+                recs = [rec for rec, m in zip(_fields(flat, s), masks) if m & bits]
+                if recs:
+                    runs.append((s, recs, recs, start))
+                    start += len(recs)
+            self._held[bits] = runs
+        return runs
 
 
 def _fields(flat: list, s: int):
@@ -228,7 +228,9 @@ def _fields(flat: list, s: int):
     return zip(*[it] * (2 * s + 1))
 
 
-_start = itemgetter(2)
+def _slots(runs, min_size: int = 1):
+    """The slots of the records of size min_size and up, in sweep order."""
+    return chain.from_iterable(flat[::2 * s + 1] for s, flat, _ in runs if s >= min_size)
 
 
 def _bits(indices) -> int:
@@ -374,75 +376,55 @@ def _build_full_size_selections(rows: int, cols: int) -> _Selections:
 
 def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None = None,
                 tally: list | None = None):
-    """Yield (position, rows, cols, minor) for each sweep record whose minor
-    has a code below `below`, in order: below=1 yields the vanishing minors,
+    """Yield (position, slot, minor) for each sweep record whose minor has
+    a code below `below`, in order: below=1 yields the vanishing minors,
     below=q the ones in the base field F_q (codes 0..q-1), and
-    below=m.field.order every minor.
+    below=m.field.order every minor.  entries.selection(slot) names the
+    minor's rows and columns.
 
     Each minor is the Laplace expansion along its last selected row,
     sum over t of (-1)^((s-1)+t) m[r, c_t] times a memoized minor of size
     s-1, so every record's sub-minors must come earlier in `entries` (the
     listers above guarantee it).  The memo is one flat list of
-    entries.slots slots, addressed as _entries lays it out; a record's rows
-    and columns are recovered from its slot only when it is yielded.  Over
-    a field of characteristic 2 the signs vanish, addition is XOR,
-    and the sweep keeps the discrete logs of the entries and memoizes the
-    minors' logs, zero included (Field.zero_log_tables), so a term is one
-    antilog lookup; each run of equal-size records up to size 6 has its own
+    entries.slots slots, addressed as _entries lays it out.  Over a field
+    of characteristic 2 the signs vanish, addition is XOR, and the sweep
+    keeps the discrete logs of the entries and memoizes the minors' logs,
+    zero included (Field.zero_log_tables), so a term is one antilog
+    lookup; each run of equal-size records up to size 6 has its own
     straight-line loop.  Otherwise products go through the field.
 
-    run = (groups, edits) sweeps a run of matrices that differ from m in
-    the cells of the groups, tuples of flat indices: each edit (g, values)
-    writes m's entry plus values[i], any element of m's field, into the
-    i-th cell of groups[g], and updates the kept logs of just those cells.
-    run = (cells, moves, digits) is a walk over base-field values of
-    single cells, digits all 0 at first: each byte j << 1 | (d < 0) of
-    moves (block_codes.gray_moves) moves digits[j] by d = +-1 and writes m's
-    entry plus digits[j] into cell cells[j]; the sweep keeps digits
-    current, so at a yield they are the swept matrix's.
-    The run's first matrix sweeps all of entries (an edits run writes its
-    first edit before it); a later one only entries.held(bits), bits the
-    written group's mask, the records whose selection holds a cell of that
-    group, while the others, and the sub-minors they expand into, keep
-    their values.  Without a run the sweep is a run of one matrix, m.
-    position counts the minors evaluated in the run before this one (for
-    one matrix, the record's position).  tally, a list [0, 0] when given,
-    counts [matrices begun, minors evaluated in the matrices done].
+    run = (groups, steps) sweeps a run of matrices: m, then one matrix per
+    step.  groups are tuples of flat indices, and a step (g, ((cell,
+    delta), ...)) adds each delta, an element of m's field, to the current
+    entry of its cell, a cell of groups[g]; the sweep keeps the current
+    entries itself.  The first matrix sweeps all of entries, a later one
+    only entries.held(bits), bits the mask of its step's group: the
+    records whose selection holds a cell of that group, while the others,
+    and the sub-minors they expand into, keep their values.  Without a
+    run the sweep is a run of one matrix, m.  position counts the minors
+    evaluated in the run before this one (for one matrix, the record's
+    position).  tally, a list [0, 0] when given, counts [matrices begun,
+    minors evaluated in the matrices done].
     """
     f = m.field
-    base = m.data
-    selection = entries.selection
-    cells = digits = None
-    if run is None:
-        groups, steps = (), iter(())
-    elif len(run) == 3:
-        cells, moves, digits = run
-        groups, steps = [(i,) for i in cells], iter(moves)
-    else:
-        groups, steps = run
-        steps = iter(steps)
-    subs = [None] * len(groups)  # (entries.held, its runs) of each group, on first use
+    groups, steps = ((), ()) if run is None else run
+    steps = iter(steps)
+    held = [None] * len(groups)  # (entries.held, its length) of each group, on first use
     char2 = f.q == 2
-    add = f.add
+    codes = list(m.data)
     if char2:
         log, ext = f.zero_log_tables
-        data = [log[a] for a in base]
+        data = [log[a] for a in codes]
         memo = [log[0]] * entries.slots
         memo[0] = 0
     else:
-        log, neg, mul = None, f.neg, f.mul
-        data = list(base)
+        add, neg, mul = f.add, f.neg, f.mul
+        data = codes
         memo = [0] * entries.slots
         memo[0] = 1
     tally = [0, 0] if tally is None else tally
-    if cells is None and run is not None:
-        # an edits run writes its first edit before its first matrix
-        g, values = next(steps, (None, None))
-        if g is None:
-            return
-        _write(data, base, groups[g], values, log, add)
-    swept = entries
     runs = [(s, _fields(flat, s), flat, start) for s, flat, start in entries.runs]
+    count = len(entries)
     done = 0
     tally[0] = matrices = 1
     while True:
@@ -453,27 +435,27 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
                         acc = ext[data[i0] + memo[m0]]
                         memo[slot] = log[acc]
                         if acc < below:
-                            yield _found(seq, s, done + start, slot, acc, selection)
+                            yield done + start + _index(seq, s, slot), slot, acc
                 elif s == 2:
                     for slot, i0, i1, m0, m1 in recs:
                         acc = ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
                         memo[slot] = log[acc]
                         if acc < below:
-                            yield _found(seq, s, done + start, slot, acc, selection)
+                            yield done + start + _index(seq, s, slot), slot, acc
                 elif s == 3:
                     for slot, i0, i1, i2, m0, m1, m2 in recs:
                         acc = (ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
                                ^ ext[data[i2] + memo[m2]])
                         memo[slot] = log[acc]
                         if acc < below:
-                            yield _found(seq, s, done + start, slot, acc, selection)
+                            yield done + start + _index(seq, s, slot), slot, acc
                 elif s == 4:
                     for slot, i0, i1, i2, i3, m0, m1, m2, m3 in recs:
                         acc = (ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
                                ^ ext[data[i2] + memo[m2]] ^ ext[data[i3] + memo[m3]])
                         memo[slot] = log[acc]
                         if acc < below:
-                            yield _found(seq, s, done + start, slot, acc, selection)
+                            yield done + start + _index(seq, s, slot), slot, acc
                 elif s == 5:
                     for slot, i0, i1, i2, i3, i4, m0, m1, m2, m3, m4 in recs:
                         acc = (ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
@@ -481,7 +463,7 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
                                ^ ext[data[i4] + memo[m4]])
                         memo[slot] = log[acc]
                         if acc < below:
-                            yield _found(seq, s, done + start, slot, acc, selection)
+                            yield done + start + _index(seq, s, slot), slot, acc
                 elif s == 6:
                     for slot, i0, i1, i2, i3, i4, i5, m0, m1, m2, m3, m4, m5 in recs:
                         acc = (ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
@@ -489,7 +471,7 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
                                ^ ext[data[i4] + memo[m4]] ^ ext[data[i5] + memo[m5]])
                         memo[slot] = log[acc]
                         if acc < below:
-                            yield _found(seq, s, done + start, slot, acc, selection)
+                            yield done + start + _index(seq, s, slot), slot, acc
                 else:
                     for rec in recs:
                         acc = 0
@@ -498,7 +480,7 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
                         slot = rec[0]
                         memo[slot] = log[acc]
                         if acc < below:
-                            yield _found(seq, s, done + start, slot, acc, selection)
+                            yield done + start + _index(seq, s, slot), slot, acc
         else:
             for s, recs, seq, start in runs:
                 for rec in recs:
@@ -514,66 +496,37 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
                     slot = rec[0]
                     memo[slot] = acc
                     if acc < below:
-                        yield _found(seq, s, done + start, slot, acc, selection)
-        done += len(swept)
+                        yield done + start + _index(seq, s, slot), slot, acc
+        done += count
         tally[1] = done
-        # the next matrix: write its edit, and sweep the records holding
-        # a written cell
-        if cells is None:
-            g, values = next(steps, (None, None))
-            if g is None:
-                return
-            _write(data, base, groups[g], values, log, add)
+        # the next matrix: add its step's deltas, and sweep the records
+        # holding a cell of its group
+        g, moves = next(steps, (None, None))
+        if g is None:
+            return
+        if char2:
+            for i, d in moves:
+                codes[i] ^= d
+                data[i] = log[codes[i]]
         else:
-            code = next(steps, None)
-            if code is None:
-                return
-            g = code >> 1
-            i = cells[g]
-            if char2:
-                digits[g] ^= 1
-                data[i] = log[base[i] ^ digits[g]]
-            else:
-                digits[g] += -1 if code & 1 else 1
-                data[i] = add(base[i], digits[g])
-        if subs[g] is None:
-            held = entries.held(_bits(groups[g]))
-            subs[g] = held, _split(held)
-        swept, runs = subs[g]
+            for i, d in moves:
+                data[i] = add(data[i], d)
+        if held[g] is None:
+            sub = entries.held(_bits(groups[g]))
+            held[g] = sub, sum(len(recs) for _, recs, _, _ in sub)
+        runs, count = held[g]
         matrices += 1
         tally[0] = matrices
 
 
-def _write(data: list, base: list, cells, values, log, add) -> None:
-    """Write base[i] plus values[t] into data at the t-th of the cells: its
-    discrete log when log is given, else the entry."""
-    for i, v in zip(cells, values):
-        data[i] = log[base[i] ^ v] if log else add(base[i], v)
-
-
-def _split(records: list) -> list:
-    """minor_sweep's runs of a list of records, size ascending: (s, the
-    size-s records, the same list, the records before them) per size."""
-    out, lo = [], 0
-    while lo < len(records):
-        n = len(records[lo])
-        hi = bisect_right(records, n, lo, key=len)
-        part = records[lo:hi]
-        out.append((n // 2, part, part, lo))
-        lo = hi
-    return out
-
-
-def _found(run: list, s: int, before: int, slot: int, acc: int, selection) -> tuple:
-    """minor_sweep's yield for the record at `slot` in the run of size-s
-    records `run` (record tuples, or a whole list's flat fields), whose
-    slots increase along it, with `before` minors evaluated before it."""
+def _index(run: list, s: int, slot: int) -> int:
+    """Index of the record at `slot` in the run of size-s records `run`
+    (record tuples, or a whole list's flat fields), whose slots increase
+    along it."""
     if type(run[0]) is tuple:
-        at = bisect_left(run, slot, key=_slot)
-    else:
-        w = 2 * s + 1
-        at = bisect_left(range(len(run) // w), slot, key=lambda r: run[r * w])
-    return (before + at, *selection(slot), acc)
+        return bisect_left(run, slot, key=_slot)
+    w = 2 * s + 1
+    return bisect_left(range(len(run) // w), slot, key=lambda r: run[r * w])
 
 
 _slot = itemgetter(0)
@@ -613,11 +566,12 @@ def _check_minors(
     nontrivial = nontrivial_slots(ZeroPattern.of(m), entries) if skip_trivial else None
     skipped = 0
     tally = [0, 0]
-    for pos, ri, ci, _ in minor_sweep(m, entries, 1, run, tally):
+    for pos, slot, _ in minor_sweep(m, entries, 1, run, tally):
         # every trivial minor vanishes, so the skip only looks at zeros
-        if skip_trivial and not nontrivial[entries[pos][0]]:
+        if skip_trivial and not nontrivial[slot]:
             skipped += 1
             continue
+        ri, ci = entries.selection(slot)
         return VerificationReport(
             False,
             witness={"rows": list(ri), "cols": list(ci)},
@@ -680,12 +634,12 @@ def nontrivial_slots(pattern: ZeroPattern, entries: _Selections) -> bytearray:
     support = [v for row in pattern.support for v in row]
     nontrivial = bytearray(entries.slots)
     nontrivial[0] = 1  # the empty selection
-    for rec in entries:
-        s = len(rec) // 2
-        for t in range(1, s + 1):
-            if support[rec[t]] and nontrivial[rec[s + t]]:
-                nontrivial[rec[0]] = 1
-                break
+    for s, flat, _ in entries.runs:
+        for rec in _fields(flat, s):
+            for t in range(1, s + 1):
+                if support[rec[t]] and nontrivial[rec[s + t]]:
+                    nontrivial[rec[0]] = 1
+                    break
     return nontrivial
 
 
@@ -706,5 +660,4 @@ def count_nontrivial_minors(
         raise ValueError(f"selection count {total} exceeds budget {budget}")
     entries = square_selections(pattern.rows, pattern.cols, grid)
     nontrivial = nontrivial_slots(pattern, entries)
-    return sum(1 for rec in entries
-               if nontrivial[rec[0]] and len(rec) // 2 >= min_size)
+    return sum(nontrivial[slot] for slot in _slots(entries.runs, min_size))

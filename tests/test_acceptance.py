@@ -227,9 +227,12 @@ def test_criterion_9_trivial_minor_sweep(capsys):
         # the triviality decision is_superregular and count_nontrivial_minors
         # read: one Boolean sweep flag per selection's memo slot
         nontrivial = nontrivial_slots(p, entries)
-        return all(
+        # each record's slot, its first field, in sweep order
+        slots = [flat[i] for s, flat, _ in entries.runs
+                 for i in range(0, len(flat), 2 * s + 1)]
+        return len(slots) == len(entries) and all(
             (not nontrivial[slot]) == brute(p, *entries.selection(slot))
-            for slot, *_ in entries)
+            for slot in slots)
 
     ok = True
     entries = square_selections(3, 3)

@@ -75,3 +75,23 @@ def test_oracle_row_tries_every_a_star():
         # a True oracle reads every A* once, with no matrix product
         assert (row["result"], row["layers"]["conv_codes.a_star"],
                 row["layers"]["matrix.Matrix.matmul.calls"]) == (True, 28861, 0)
+
+
+def test_plan_reports_scrub_one_workload():
+    """benchmarks/plan_reports.py on table1 at seed 1: every JSON file of
+    the pass, its negative row's recheck included, with no elapsed field
+    and no trace of the work directory, and no call missing its plan."""
+    code = ("import json, sys; sys.path.insert(0, 'benchmarks'); import plan_reports; "
+            "files, errors = plan_reports.collect('src', ['table1'], [1]); "
+            "print(json.dumps([files, errors]))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    files, errors = json.loads(proc.stdout.splitlines()[-1])
+    assert errors == []
+    assert "table1/1/plan.json" in files and "table1/1/table1_4_2_2.json" in files
+    assert any("recheck" in name for name in files)
+    assert files["table1/1/table1_4_2_2.json"]["rows"][0]["verdict"] is False
+    text = json.dumps(files)
+    assert '"elapsed"' not in text and "/tmp" not in text
+    assert "<work>/table1_4_2_2.json" in text

@@ -147,6 +147,7 @@ def test_compiled_kernels_reject_malformed_input(core_c):
     bad = [
         lambda: core_c.expand_rank([1, 8], q, M),  # code past the field
         lambda: core_c.expand_rank([1], 2, 64),  # order past 2^63
+        lambda: core_c.expand_rank([1], 2, 0),  # a nonzero code where M = 0
         lambda: core_c.block_min_sum_rank([[1, 2, 3], [4]], [3], q, M, order, exp, log, 99),
         lambda: core_c.block_min_sum_rank(gen, [2, 2], q, M, order, exp, log, 99),
         lambda: core_c.block_min_sum_rank(gen, [3], q, M, 9, exp, log, 99),

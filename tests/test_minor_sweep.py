@@ -58,8 +58,19 @@ def _random_matrix(rng, rows, cols, f, zero_share):
     ])
 
 
-def _every_minor(m, entries):
-    return [(pos, ri, ci, v) for pos, ri, ci, v in minor_sweep(m, entries, m.field.order)]
+def _every_minor(m, entries, below=None):
+    """(position, rows, cols, minor) of each minor the sweep yields, every
+    minor by default."""
+    below = m.field.order if below is None else below
+    return [(pos, *entries.selection(slot), v)
+            for pos, slot, v in minor_sweep(m, entries, below)]
+
+
+def _records(entries):
+    """Every sweep record of entries as (its run's size, the record), in
+    sweep order."""
+    return [(s, rec) for s, flat, _ in entries.runs
+            for rec in zip(*[iter(flat)] * (2 * s + 1))]
 
 
 # -- the sweep against matrix.det ---------------------------------------------
@@ -110,8 +121,12 @@ def test_sweep_yields_only_codes_below_the_bound():
     entries = square_selections(4, 4)
     every = _every_minor(m, entries)
     for below in (1, F9.q):
-        got = list(minor_sweep(m, entries, below))
+        got = _every_minor(m, entries, below)
         assert got == [t for t in every if t[3] < below]
+        # the slot yielded is the record's own
+        slots = [rec[0] for _, rec in _records(entries)]
+        assert [slot for _, slot, _ in minor_sweep(m, entries, below)] == [
+            slots[pos] for pos, *_ in got]
 
 
 # -- the memo layout -------------------------------------------------------------
@@ -139,8 +154,11 @@ def test_sweep_reads_only_slots_it_wrote():
     rng = random.Random(11)
     for entries, rows, cols, listed in _layout_cases():
         written = {0}
-        for rec in entries:
-            slot, s = rec[0], len(rec) // 2
+        records = _records(entries)
+        assert len(records) == len(entries)
+        for s, rec in records:
+            slot = rec[0]
+            assert len(rec) == 2 * s + 1
             assert all(sub in written for sub in rec[s + 1:])
             assert slot not in written and slot < entries.slots
             written.add(slot)

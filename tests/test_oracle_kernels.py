@@ -230,3 +230,13 @@ def test_block_kernels_refuse_a_generator_without_rows(request, name):
     kernel = _core_py if name == "python" else request.getfixturevalue("core_c")
     with pytest.raises(ValueError):
         kernel.block_min_sum_rank([], [3], *_args(field(2, 3)), 10**6)
+
+
+@pytest.mark.parametrize("name", ["python", "c"])
+def test_expand_rank_of_the_zero_space_is_0(request, name):
+    # M = 0 expands every code to an empty column: the one code is 0, and
+    # the rank of any number of them is 0, the empty minor's Plucker case
+    kernel = _core_py if name == "python" else request.getfixturevalue("core_c")
+    for q in (2, 3):
+        assert kernel.expand_rank([], q, 0) == 0
+        assert kernel.expand_rank([0, 0], q, 0) == 0

@@ -1,15 +1,16 @@
 """The minor sweep over a run of matrices, and its zero-absorbing log
 tables.
 
-A run is one (B, A~) pair's C values: minor_sweep keeps the discrete logs
-of the matrix entries across the run and rewrites only the group of C
-cells an edit names, one cell per Gray step or every C cell for a random
-draw.  Every minor a run evaluates must equal the determinant of the
-run's current matrix, whichever group the edits wrote, and a later
-matrix evaluates exactly the selections that hold a cell of its group;
-a run of one matrix is a plain sweep; a run's sub-lists are built only
-when swept; and the engine makes one predicate call per (B, A~) pair,
-with the traced minors unchanged."""
+A run is a matrix and a stream of additive steps: minor_sweep keeps the
+current entries and their discrete logs across the run, and a step adds
+its deltas to the cells of one group, one C cell per Gray step, every C
+cell for a random draw, or a column of G A on the transform side.  Every
+minor a run evaluates must equal the determinant of the run's current
+matrix, whichever group the steps wrote, and a later matrix evaluates
+exactly the selections that hold a cell of its group; a run of one matrix
+is a plain sweep; a run's sub-lists are built only when swept; the
+engine makes one predicate call per (B, A~) pair, with the traced minors
+unchanged; and a False witness is rebuilt from its step count."""
 
 import gc
 import random
@@ -23,16 +24,26 @@ from test_transform_family import _TABLE_NEGATIVE, gray_order
 from sumrank.block_codes import (
     SystematicBlockCode,
     check_msrd_systematic,
+    check_msrd_transforms,
     check_transform_family,
     construct_gabidulin,
     family_counts,
+    gray_digits,
     gray_moves,
     gray_steps,
+    recheck_transform_witness,
     systematic_form,
 )
-from sumrank.conv_codes import check_mMSR
+from sumrank.conv_codes import check_mMSR, recheck_mMSR_witness
 from sumrank.field import Field, base_field, field
-from sumrank.matrix import Matrix, block_diag_cells, det
+from sumrank.matrix import (
+    Matrix,
+    block_diag_cells,
+    det,
+    diagonal_blocks,
+    minor,
+    unit_block_diag,
+)
 from sumrank.metrics import LengthPartition
 from sumrank.superregular import (
     BlockGrid,
@@ -109,6 +120,16 @@ def test_gray_moves_replay_gray_steps(q, c):
     assert [(b >> 1, -1 if b & 1 else 1) for b in moves] == list(gray_steps(q, c))
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("c", range(6))
+def test_gray_digits_are_the_digits_after_every_step(q, c):
+    values = [0] * c
+    assert gray_digits(q, c, 0) == values
+    for s, (i, d) in enumerate(gray_steps(q, c), 1):
+        values[i] += d
+        assert gray_digits(q, c, s) == values, s
+
+
 def test_gray_moves_of_18_cells_fit_in_a_megabyte():
     # [6,3,1]'s C run: one byte per step
     assert len(gray_moves(2, 18)) == 2 ** 18 - 1 < 1 << 20
@@ -121,27 +142,36 @@ FIELDS = [field(2, 2), field(2, 11), field(3, 2)]
 FIELD_IDS = ["F4", "F2048", "F9"]
 
 
-def _edit_stream(rng, cells, q, count):
-    """Edits (g, values) over the groups (cells[0],), ..., (cells[-1],) and
-    cells itself, with the values of every cell after each edit: the first
-    sets every cell to 0, then gray_order moves one cell per edit, and
-    every so often a C drawn at random rewrites every cell."""
+def _step_stream(rng, f, cells, count):
+    """Steps (g, ((cell, delta), ...)) over the groups (cells[0],), ...,
+    (cells[-1],) and cells itself, with the values added at every cell
+    in each matrix of the run: the first matrix adds none, then
+    gray_order moves one cell per step, and every so often a value drawn
+    at random from f rewrites every cell, a step of differences."""
     every = len(cells)
     values = [0] * every
-    edits, states = [(every, tuple(values))], [tuple(values)]
-    order = gray_order(q, every)
+    steps, states = [], [tuple(values)]
+    order = gray_order(f.q, every)
     for before, after in zip(order, order[1:]):
-        if len(edits) == count:
+        if len(states) == count:
             break
         if rng.random() < 0.25:
-            values = [rng.randrange(q) for _ in cells]
-            edits.append((every, tuple(values)))
+            drawn = [rng.randrange(f.order) for _ in cells]
+            steps.append((every, tuple(zip(cells, map(f.sub, drawn, values)))))
+            values = drawn
         else:
             [i] = [i for i in range(every) if before[i] != after[i]]
-            values[i] = after[i]
-            edits.append((i, (after[i],)))
+            delta = f.sub(after[i], before[i])  # +-1 in the base field
+            steps.append((i, ((cells[i], delta),)))
+            values[i] = f.add(values[i], delta)
         states.append(tuple(values))
-    return edits, states
+    return steps, states
+
+
+def _selections_in_order(entries):
+    """(rows, cols) of every record of entries, in sweep order."""
+    return [entries.selection(flat[i]) for s, flat, _ in entries.runs
+            for i in range(0, len(flat), 2 * s + 1)]
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
@@ -158,38 +188,36 @@ def test_every_minor_of_a_run_equals_det(f, ks, nks, grid):
     for r, c in product(range(rows), range(cols)):
         if rng.random() < 0.2:
             base[r, c] = 0
-    edits, states = _edit_stream(rng, cells, f.q, 40)
+    steps, states = _step_stream(rng, f, cells, 40)
     tally = [0, 0]
-    seen = [[] for _ in edits]
-    run = minor_sweep(base, entries, f.order, (groups, iter(edits)), tally)
-    for pos, ri, ci, v in run:
+    seen = [[] for _ in states]
+    run = minor_sweep(base, entries, f.order, (groups, iter(steps)), tally)
+    for pos, slot, v in run:
         step = tally[0] - 1
         t = base.copy()
         for i, c in zip(cells, states[step]):
             t.data[i] = f.add(base.data[i], c)
+        ri, ci = entries.selection(slot)
         assert v == det(t.submatrix(ri, ci)), (step, ri, ci)
         seen[step].append((ri, ci))
     # the first matrix evaluates every entry, each later one exactly those
-    # whose rows and columns hold a cell of the group its edit wrote
-    listed = [entries.selection(slot) for slot, *_ in entries]
+    # whose rows and columns hold a cell of the group its step wrote
+    listed = _selections_in_order(entries)
     assert seen == [listed] + [
         [(ri, ci) for ri, ci in listed
          if any(r * cols + c in groups[e] for r in ri for c in ci)]
-        for e, _ in edits[1:]]
-    assert tally == [len(edits), sum(map(len, seen))]
+        for e, _ in steps]
+    assert tally == [len(states), sum(map(len, seen))]
 
 
-def _sweep_against_det(base, entries, run, state):
-    """Every minor the run yields, against det of the run's current matrix
-    (state() gives the values added at its cells); returns the sizes seen
-    and the tally."""
-    f = base.field
+def _sweep_against_det(first, entries, run, matrix):
+    """Every minor the run from `first` yields, against det of the run's
+    current matrix, matrix(s) for the s-th after the first; returns the
+    sizes seen and the tally."""
     tally, sizes, positions = [0, 0], set(), []
-    for pos, ri, ci, v in minor_sweep(base, entries, f.order, run, tally):
-        t = base.copy()
-        for i, c in state():
-            t.data[i] = f.add(base.data[i], c)
-        assert v == det(t.submatrix(ri, ci)), (tally[0], ri, ci)
+    for pos, slot, v in minor_sweep(first, entries, first.field.order, run, tally):
+        ri, ci = entries.selection(slot)
+        assert v == det(matrix(tally[0] - 1).submatrix(ri, ci)), (tally[0], ri, ci)
         sizes.add(len(ri))
         positions.append(pos)
     # below = order yields every minor evaluated, in order
@@ -197,34 +225,65 @@ def _sweep_against_det(base, entries, run, state):
     return sizes, tally
 
 
+def _with_values(m, cells, values):
+    """m with values added at the cells."""
+    t = m.copy()
+    for i, v in zip(cells, values):
+        t.data[i] = m.field.add(m.data[i], v)
+    return t
+
+
 @pytest.mark.parametrize("f", [field(2, 8), field(3, 3)], ids=["F256", "F27"])
 @pytest.mark.parametrize("grid", [None, BlockGrid([4, 3], [3, 4])], ids=["plain", "grid"])
-@pytest.mark.parametrize("walk", ["gray", "draws"])
+@pytest.mark.parametrize("walk", ["gray", "draws", "columns"])
 def test_every_size_branch_equals_det_over_a_run(f, grid, walk):
     """A 7 x 7 list reaches every unrolled size, 1 to 6, and the generic
-    loop, size 7; a Gray run moves one of three cells per matrix and
-    sweeps the records holding it, a run of draws rewrites all three."""
+    loop, size 7.  A Gray run moves one of three cells per matrix and
+    sweeps the records holding it, a run of draws rewrites all three, and
+    a column run adds +-1 times one column of the first matrix to another,
+    the transform side's G A."""
     rng = random.Random(f"{f.descriptor()}/{grid is None}/{walk}")
     entries = square_selections(7, 7, grid)
     base = Matrix(7, 7, f, [rng.randrange(f.order) for _ in range(49)])
     cells = [6, 24, 45]  # (0, 6), (3, 3), (6, 3)
-    digits = [0] * len(cells)
+    gray = gray_moves(f.q, len(cells))
     if walk == "gray":
-        run = (cells, gray_moves(f.q, len(cells)), digits)
+        moves = [(j, ((i, d),)) for j, i in enumerate(cells) for d in (1, f.neg(1))]
+        run = ([(i,) for i in cells], map(moves.__getitem__, gray))
+        first = base
+
+        def matrix(s):
+            return _with_values(base, cells, gray_digits(f.q, len(cells), s))
         matrices = f.q ** len(cells)
-    else:
-        def draws():
-            for _ in range(4):
-                digits[:] = [rng.randrange(f.q) for _ in cells]
-                yield 0, digits
-        run = ((tuple(cells),), draws())
+    elif walk == "draws":
+        drawn = [[rng.randrange(f.order) for _ in cells] for _ in range(4)]
+        run = ((tuple(cells),), [(0, tuple(zip(cells, map(f.sub, now, last))))
+                                 for last, now in zip(drawn, drawn[1:])])
+        first = _with_values(base, cells, drawn[0])
+
+        def matrix(s):
+            return _with_values(base, cells, drawn[s])
         matrices = 4
-    sizes, tally = _sweep_against_det(base, entries, run, lambda: zip(cells, digits))
+    else:
+        # free cells (r', c) of a unit upper-triangular A: (2, 6), (0, 3), (1, 3)
+        a_cells, cols = [2 * 7 + 6, 0 * 7 + 3, 1 * 7 + 3], [6, 3]
+        moves = []
+        for i in a_cells:
+            up = tuple((r * 7 + i % 7, base[r, i // 7]) for r in range(7))
+            g = cols.index(i % 7)
+            moves += [(g, up), (g, tuple((x, f.neg(y)) for x, y in up))]
+        run = ([tuple(range(c, 49, 7)) for c in cols], map(moves.__getitem__, gray))
+        first = base
+
+        def matrix(s):
+            a = Matrix.identity(7, f)
+            for i, v in zip(a_cells, gray_digits(f.q, len(a_cells), s)):
+                a.data[i] = v
+            return base @ a
+        matrices = f.q ** len(a_cells)
+    sizes, tally = _sweep_against_det(first, entries, run, matrix)
     assert sizes == set(range(1, 8))
     assert tally[0] == matrices
-    # a Gray run ends on the last tuple of the order
-    if walk == "gray":
-        assert tuple(digits) == gray_order(f.q, len(cells))[-1]
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
@@ -234,9 +293,10 @@ def test_a_run_of_one_matrix_is_a_plain_sweep(f):
     m = Matrix(3, 4, f, [rng.randrange(f.order) for _ in range(12)])
     for below in (1, f.q, f.order):
         plain = list(minor_sweep(m, entries, below))
-        tally = [0, 0]
-        assert list(minor_sweep(m, entries, below, (((),), [(0, ())]), tally)) == plain
-        assert tally == [1, len(entries)]
+        for run in (((), ()), (((0, 5),), iter(()))):
+            tally = [0, 0]
+            assert list(minor_sweep(m, entries, below, run, tally)) == plain
+            assert tally == [1, len(entries)]
 
 
 def test_holding_builds_a_sub_list_on_first_use_and_frees_with_its_list():
@@ -250,10 +310,18 @@ def test_holding_builds_a_sub_list_on_first_use_and_frees_with_its_list():
         sub = entries.held(col4)
         assert type(sub) is list and entries._held == {col4: sub}
         assert entries.held(col4) is sub
-        assert [entries.selection(slot)[1] for slot, *_ in sub] == [
-            entries.selection(slot)[1] for slot, *_ in entries
-            if 4 in entries.selection(slot)[1]]
-        assert len(entries.held(col2)) == len(sub) and entries._held.keys() == {col2, col4}
+        # minor_sweep's runs: size ascending, each a list of record tuples
+        # of its size, twice, and the records before it
+        before = 0
+        assert [s for s, *_ in sub] == [1, 2, 3]
+        for s, recs, seq, start in sub:
+            assert type(recs) is list and seq is recs and start == before
+            assert all(type(rec) is tuple and len(rec) == 2 * s + 1 for rec in recs)
+            before += len(recs)
+        assert [entries.selection(rec[0]) for _, recs, _, _ in sub for rec in recs] == [
+            sel for sel in _selections_in_order(entries) if 4 in sel[1]]
+        assert sum(len(recs) for _, recs, _, _ in entries.held(col2)) == before
+        assert entries._held.keys() == {col2, col4}
         # a list built per call is freed by reference counting alone when
         # dropped, its sub-lists with it: no cycle is left to collect
         del entries, sub
@@ -305,8 +373,8 @@ def test_grid_check_calls_the_predicate_once_per_pair_swept(mode):
 
 
 def test_a_false_witness_c_is_the_gray_digits_at_its_t():
-    """The sweep keeps the Gray digits; a False witness's C is read from
-    them, so it is the gray_order tuple at the witnessed T of its pair."""
+    """A False witness's C is rebuilt from the T its pair swept, so it is
+    the gray_order tuple at the witnessed T of its pair."""
     rep = check_mMSR(_TABLE_NEGATIVE, mode="exact", budget=10**9)
     [level] = rep.detail["levels"]
     # the witness's pair sweeps its C in gray_order up to T number t + 1
@@ -322,3 +390,28 @@ def test_a_false_witness_c_is_the_gray_digits_at_its_t():
     [c] = rep.witness["transform"]["C"]
     assert (rep.verdict, t) == (False, 34)
     assert tuple(v for row in c for v in row) == gray_order(3, 6)[t]
+
+
+def test_a_false_witness_is_rebuilt_from_its_step_count():
+    """A transform-side False carries the A its Gray walk reached, replayed
+    from the A swept, and a sampled pair's False the C it drew, the
+    latest draw of the family's seed-0 stream; both recheck."""
+    for f, parts, data, swept in [(field(2, 4), (4,), [11, 10, 10, 3, 9, 7, 15, 4], 19),
+                                  (field(3, 2), (3, 1), [2, 1, 7, 2, 3, 2, 1, 6], 9)]:
+        g, partition = Matrix(2, 4, f, data), LengthPartition(parts)
+        rep = check_msrd_transforms(g, partition)
+        assert (rep.verdict, rep.checked_count) == (False, swept)
+        a_cells = block_diag_cells(parts, parts, True)
+        a = unit_block_diag(parts, f.q, gray_order(f.q, len(a_cells))[swept - 1])
+        assert rep.witness["transform"]["A"] == diagonal_blocks(a, parts, parts)
+        assert minor(g @ a, rep.witness["rows"], rep.witness["cols"]) == 0
+        assert recheck_transform_witness(g, partition, rep.witness)
+    # [4,2,2]'s level 2 samples its first pair, 12 C cells over F_2, and
+    # the 16th draw makes a 4 x 4 minor vanish
+    rep = check_mMSR(_TABLE_NEGATIVE, mode="filter", budget=10**9)
+    assert (rep.verdict, rep.checked_count) == (False, 16)
+    rng = random.Random(0)
+    draws = [[rng.randrange(2) for _ in range(12)] for _ in range(rep.checked_count)]
+    c = [v for block in rep.witness["transform"]["C"] for row in block for v in row]
+    assert c == draws[-1]
+    assert recheck_mMSR_witness(_TABLE_NEGATIVE, rep.witness)
