@@ -70,19 +70,24 @@ def children_per_node(k: int, order: int, budget: int) -> int:
 
 def expand_rank(codes, q: int, M: int) -> int:
     """Rank over F_q of the M x len matrix whose columns are the base-q
-    digit expansions of the given element codes."""
+    digit expansions of the given element codes, each in [0, q^M)
+    (ValueError otherwise)."""
     if q == 2:
         basis = [0] * M
         r = 0
-        for c in codes:
-            while c:
-                top = c.bit_length() - 1
-                if basis[top]:
-                    c ^= basis[top]
-                else:
-                    basis[top] = c
-                    r += 1
-                    break
+        try:
+            for c in codes:
+                while c:
+                    top = c.bit_length() - 1
+                    if basis[top]:
+                        c ^= basis[top]
+                    else:
+                        basis[top] = c
+                        r += 1
+                        break
+        except IndexError:
+            # a code's top bit lies past M
+            raise ValueError(f"expected codes in [0, {1 << M})") from None
         return r
     # eliminate on the transpose: each expansion is one row of length M
     rows = []
@@ -91,6 +96,8 @@ def expand_rank(codes, q: int, M: int) -> int:
         for _ in range(M):
             c, d = divmod(c, q)
             digs.append(d)
+        if c:
+            raise ValueError(f"expected codes in [0, {q ** M})")
         rows.append(digs)
     rank = 0
     pivots = []

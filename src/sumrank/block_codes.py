@@ -231,8 +231,8 @@ def check_msrd_transforms(
             moves += [(group, up), (group, tuple((x, g.field.neg(y)) for x, y in up))]
         run = ([tuple(range(c, k * n, n)) for c in cols],
                map(moves.__getitem__, gray_moves(q, len(a_cells))))
-    # every slot from the first size-k record's on is a full-size minor's
-    top = next((flat[0] for s, flat, _ in selections.runs if s == k), selections.slots)
+    # the full-size minors' slots follow the smaller minors' records
+    top = count_full_size_selections(k - 1, n) + 1
     tally = [0, 0]
     for pos, slot, _ in minor_sweep(g, selections, 1, run, tally):
         if slot >= top:

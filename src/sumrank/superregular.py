@@ -10,14 +10,13 @@ of every size is nonzero.
 Every predicate here, and the base-field filter and transform run in
 block_codes, evaluates minors through one sweep: minor_sweep expands
 each selected minor along its last row, reusing the minors of one size
-less that it memoized.  The memo is one flat list per sweep: each
-selected row tuple owns a block of slots, one per column selection of its
-size in lexicographic rank, so a minor's slot is its row block's base
-plus its columns' rank.  A selection's sweep record is 2s + 1 fields:
-its slot, then for each Laplace term the matrix data index and the
-absolute memo slot of the sub-minor it multiplies, so a term is read
-with no address arithmetic; the records of a list fall in runs of equal
-size, one flat list of fields per run.  Over a field of characteristic
+less that it memoized.  The memo is one flat list per sweep, numbered
+by the list: the record at position p memoizes its minor at slot p + 1,
+and slot 0 holds the empty minor.  A selection's sweep record is 2s + 1
+fields: its slot, then for each Laplace term the matrix data index and
+the memo slot of the sub-minor it multiplies, so a term is read with no
+address arithmetic; the records of a list fall in runs of equal size,
+one flat list of fields per run.  Over a field of characteristic
 2 the sweep works in the log domain on zero-absorbing tables
 (Field.zero_log_tables): it keeps the discrete log of every entry and
 memoizes the logs of the minors, so each Leibniz term is one antilog
@@ -52,9 +51,9 @@ witness is confirmed by a method independent of the sweep.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from operator import itemgetter
 
@@ -63,9 +62,9 @@ from .report import INFEASIBLE, VerificationReport
 
 DEFAULT_SELECTION_BUDGET = 10**8
 # Longest selection list kept for the process (a record takes about 127
-# bytes with its slot's int object on the 10 x 10 list, measured by
-# tracemalloc, and up to about 220 with the layout's column tables on a
-# gridded 6 x 12 one); the engine's shapes list at most a few thousand.
+# bytes with its slot's int object on the 10 x 10 list and about 134 on
+# the gridded 6 x 12 one, measured by tracemalloc); the engine's shapes
+# list at most a few thousand.
 SELECTION_CACHE_LIMIT = 1 << 14
 
 
@@ -179,44 +178,60 @@ def iter_square_selections(rows: int, cols: int):
 
 
 class _Selections:
-    """The sweep records of a selection list and the memo layout they
-    address.  runs holds (s, flat, start) per run of size-s records: flat
-    their fields, one record after another (2s + 1 each, as _entries lays
-    them out), and start the records before the run.  len counts the
-    records, slots is the memo's length, and selection(slot) names a
-    slot's minor."""
+    """The sweep records of a selection list.  runs holds (s, flat, start)
+    per run of size-s records: flat their fields, one record after
+    another (2s + 1 each, as _entries lays them out), and start the
+    records before the run.  The record at position p memoizes its minor
+    at slot p + 1, so the memo is len + 1 slots, slot 0 the empty minor,
+    and selection(slot) names a slot's minor."""
 
-    __slots__ = ("runs", "slots", "_len", "_bases", "_rows", "_cols", "_ncols",
-                 "_masks", "_held")
+    __slots__ = ("runs", "_len", "_ncols", "_masks", "_held")
 
     def __len__(self) -> int:
         return self._len
 
     def selection(self, slot: int) -> tuple[tuple, tuple]:
-        """(rows, cols) of the minor memoized at `slot`."""
-        j = bisect_right(self._bases, slot) - 1
-        ri = self._rows[j]
-        return ri, self._cols[len(ri)][slot - self._bases[j]]
+        """(rows, cols) of the minor memoized at `slot`: its record's data
+        indices give its last row and its columns, and its first
+        sub-minor's slot, followed down to slot 0, the earlier rows."""
+        w = self._ncols
+        rows, cols = [], ()
+        for s, flat, start in reversed(self.runs):
+            if slot > start:
+                at = (slot - 1 - start) * (2 * s + 1)
+                idx = flat[at + 1:at + s + 1]
+                rows.append(idx[0] // w)
+                cols = cols or tuple(i % w for i in idx)
+                slot = flat[at + s + 1]
+        return tuple(reversed(rows)), cols
 
     def held(self, bits: int) -> list:
         """The records whose selection holds a cell of the group with bit
         mask `bits` (bit row * cols + col), in sweep order, as minor_sweep's
-        runs: (s, the size-s records as tuples, the same list, the records
-        before them) per size, ascending.  Built on first use and kept as
-        long as this list is."""
+        runs: (s, the size-s records as tuples, the records before them)
+        per size, ascending.  Built on first use and kept as long as this
+        list is."""
         runs = self._held.get(bits)
         if runs is None:
             if self._masks is None:
-                # per record, the bit mask of the cells its selection holds
+                # per slot, the bits 1 << r * w of its rows and 1 << c of
+                # its columns: its first sub-minor's, and the row and
+                # column of its record's first data index; a record's
+                # cells are their product
                 w = self._ncols
-                self._masks = [sum(_bits(ci) << r * w for r in ri)
-                               for ri, ci in map(self.selection, _slots(self.runs))]
+                rows, cols = [0], [0]
+                for s, flat, _ in self.runs:
+                    for rec in _fields(flat, s):
+                        i, sub = rec[1], rec[s + 1]
+                        rows.append(rows[sub] | 1 << (i - i % w))
+                        cols.append(cols[sub] | 1 << (i % w))
+                self._masks = [r * c for r, c in zip(rows[1:], cols[1:])]
             runs, start, masks = [], 0, iter(self._masks)
             for s, flat, _ in self.runs:
                 # zip stops at the run's end before taking the next mask
                 recs = [rec for rec, m in zip(_fields(flat, s), masks) if m & bits]
                 if recs:
-                    runs.append((s, recs, recs, start))
+                    runs.append((s, recs, start))
                     start += len(recs)
             self._held[bits] = runs
         return runs
@@ -228,44 +243,32 @@ def _fields(flat: list, s: int):
     return zip(*[it] * (2 * s + 1))
 
 
-def _slots(runs, min_size: int = 1):
-    """The slots of the records of size min_size and up, in sweep order."""
-    return chain.from_iterable(flat[::2 * s + 1] for s, flat, _ in runs if s >= min_size)
-
-
 def _bits(indices) -> int:
     return sum(1 << i for i in indices)
 
 
 def _entries(pairs, ncols: int) -> _Selections:
-    """Sweep records for square selections, and the flat memo layout they
-    address.
+    """Sweep records for square selections, numbered by the list.
 
-    Each selected row tuple owns a block of memo slots, one per column
-    selection of its size in lexicographic rank, allocated on first use;
-    slot 0 is the block of the empty row tuple and holds the empty minor,
-    1.  A selection's slot is its row block's base plus its columns'
-    rank.  Its record is the 2s + 1 fields (slot, i_1..i_s, m_1..m_s) for
-    columns c_1 < .. < c_s: i_t indexes the matrix data at the last
-    selected row and column c_t, and m_t is the absolute slot of the
+    The record at position p is the 2s + 1 fields (slot, i_1..i_s,
+    m_1..m_s) for columns c_1 < .. < c_s: slot is p + 1, its minor's memo
+    slot (slot 0 holds the empty minor, 1), i_t indexes the matrix data
+    at the last selected row and column c_t, and m_t is the slot of the
     minor left by deleting that row and column.  The pairs come size
     ascending, each row tuple's selections together, so the records fall
-    in runs of equal size, kept as one flat list of fields per run, and
-    their slots increase along the list.  Every slot and data index the
-    records hold is one int object per value, so a slot read by many
-    records is stored once.
+    in runs of equal size, kept as one flat list of fields per run.  Each
+    slot is one int object, shared by every record that reads it, and so
+    is each tuple of data indices.
     """
-    cols = [[()]]
-    # per size, columns -> (their rank, a getter taking the slots of the
-    # row block below to those of their Laplace sub-minors)
+    # per size, columns -> (their lexicographic rank, a getter taking the
+    # slots of a row tuple below, by rank, to those of their Laplace
+    # sub-minors)
     levels = [{(): (0, None)}]
-    blocks = {(): 0}  # row tuple -> its base
-    bases, rows = [0], [()]
-    ints = [0]  # the one int object of each slot and data index
+    blocks = {(): [0]}  # row tuple -> its selections' slots by column rank
     by_last = {}  # (last row, size) -> data index tuples by column rank
     runs = []
     row = None
-    slots = 1
+    slot = 0
     for ri, ci in pairs:
         if ri != row:
             # a new row tuple, maybe of a new size: refresh what its
@@ -274,40 +277,28 @@ def _entries(pairs, ncols: int) -> _Selections:
             while len(levels) <= s:
                 t = len(levels)
                 below = levels[t - 1]
-                cols.append(list(combinations(range(ncols), t)))
                 levels.append({c: (rank, _getter([below[c[:u] + c[u + 1:]][0]
                                                   for u in range(t)]))
-                               for rank, c in enumerate(cols[t])})
+                               for rank, c in enumerate(combinations(range(ncols), t))})
             level = levels[s]
-            base = blocks.get(ri)
-            if base is None:
-                base = blocks[ri] = slots
-                bases.append(slots)
-                rows.append(ri)
-                slots += len(cols[s])
+            block = blocks[ri] = [None] * len(level)
+            sub = blocks[ri[:-1]]
             off = ri[-1] * ncols
-            if len(ints) < max(slots, off + ncols):
-                ints.extend(range(len(ints), max(slots, off + ncols)))
-            up = blocks[ri[:-1]]
-            sub = ints[up:up + len(cols[s - 1])]
-            idxs = by_last.setdefault((ri[-1], s), [None] * len(cols[s]))
+            idxs = by_last.setdefault((ri[-1], s), [None] * len(level))
             if not runs or runs[-1][0] != s:
-                runs.append((s, []))
+                runs.append((s, [], slot))
             flat = runs[-1][1]
         rank, get = level[ci]
         idx = idxs[rank]
         if idx is None:
-            idx = idxs[rank] = tuple(ints[off + c] for c in ci)
-        flat.append(ints[base + rank])
+            idx = idxs[rank] = tuple(off + c for c in ci)
+        slot += 1
+        block[rank] = slot
+        flat.append(slot)
         flat += idx
         flat += get(sub)
     out = _Selections()
-    out.runs, start = [], 0
-    for s, flat in runs:
-        out.runs.append((s, flat, start))
-        start += len(flat) // (2 * s + 1)
-    out._len, out.slots, out._bases, out._rows, out._cols = start, slots, bases, rows, cols
-    out._ncols, out._masks, out._held = ncols, None, {}
+    out.runs, out._len, out._ncols, out._masks, out._held = runs, slot, ncols, None, {}
     return out
 
 
@@ -386,7 +377,8 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
     sum over t of (-1)^((s-1)+t) m[r, c_t] times a memoized minor of size
     s-1, so every record's sub-minors must come earlier in `entries` (the
     listers above guarantee it).  The memo is one flat list of
-    entries.slots slots, addressed as _entries lays it out.  Over a field
+    len(entries) + 1 slots, the record at position p writing slot p + 1
+    and slot 0 holding the empty minor.  Over a field
     of characteristic 2 the signs vanish, addition is XOR, and the sweep
     keeps the discrete logs of the entries and memoizes the minors' logs,
     zero included (Field.zero_log_tables), so a term is one antilog
@@ -415,47 +407,48 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
     if char2:
         log, ext = f.zero_log_tables
         data = [log[a] for a in codes]
-        memo = [log[0]] * entries.slots
+        memo = [log[0]] * (len(entries) + 1)
         memo[0] = 0
     else:
         add, neg, mul = f.add, f.neg, f.mul
         data = codes
-        memo = [0] * entries.slots
+        memo = [0] * (len(entries) + 1)
         memo[0] = 1
     tally = [0, 0] if tally is None else tally
-    runs = [(s, _fields(flat, s), flat, start) for s, flat, start in entries.runs]
+    # the whole list's runs, whose positions need no start: slot - 1
+    runs = [(s, _fields(flat, s), None) for s, flat, _ in entries.runs]
     count = len(entries)
     done = 0
     tally[0] = matrices = 1
     while True:
         if char2:
-            for s, recs, seq, start in runs:
+            for s, recs, start in runs:
                 if s == 1:
                     for slot, i0, m0 in recs:
                         acc = ext[data[i0] + memo[m0]]
                         memo[slot] = log[acc]
                         if acc < below:
-                            yield done + start + _index(seq, s, slot), slot, acc
+                            yield done + _index(recs, start, slot), slot, acc
                 elif s == 2:
                     for slot, i0, i1, m0, m1 in recs:
                         acc = ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
                         memo[slot] = log[acc]
                         if acc < below:
-                            yield done + start + _index(seq, s, slot), slot, acc
+                            yield done + _index(recs, start, slot), slot, acc
                 elif s == 3:
                     for slot, i0, i1, i2, m0, m1, m2 in recs:
                         acc = (ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
                                ^ ext[data[i2] + memo[m2]])
                         memo[slot] = log[acc]
                         if acc < below:
-                            yield done + start + _index(seq, s, slot), slot, acc
+                            yield done + _index(recs, start, slot), slot, acc
                 elif s == 4:
                     for slot, i0, i1, i2, i3, m0, m1, m2, m3 in recs:
                         acc = (ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
                                ^ ext[data[i2] + memo[m2]] ^ ext[data[i3] + memo[m3]])
                         memo[slot] = log[acc]
                         if acc < below:
-                            yield done + start + _index(seq, s, slot), slot, acc
+                            yield done + _index(recs, start, slot), slot, acc
                 elif s == 5:
                     for slot, i0, i1, i2, i3, i4, m0, m1, m2, m3, m4 in recs:
                         acc = (ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
@@ -463,7 +456,7 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
                                ^ ext[data[i4] + memo[m4]])
                         memo[slot] = log[acc]
                         if acc < below:
-                            yield done + start + _index(seq, s, slot), slot, acc
+                            yield done + _index(recs, start, slot), slot, acc
                 elif s == 6:
                     for slot, i0, i1, i2, i3, i4, i5, m0, m1, m2, m3, m4, m5 in recs:
                         acc = (ext[data[i0] + memo[m0]] ^ ext[data[i1] + memo[m1]]
@@ -471,7 +464,7 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
                                ^ ext[data[i4] + memo[m4]] ^ ext[data[i5] + memo[m5]])
                         memo[slot] = log[acc]
                         if acc < below:
-                            yield done + start + _index(seq, s, slot), slot, acc
+                            yield done + _index(recs, start, slot), slot, acc
                 else:
                     for rec in recs:
                         acc = 0
@@ -480,9 +473,9 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
                         slot = rec[0]
                         memo[slot] = log[acc]
                         if acc < below:
-                            yield done + start + _index(seq, s, slot), slot, acc
+                            yield done + _index(recs, start, slot), slot, acc
         else:
-            for s, recs, seq, start in runs:
+            for s, recs, start in runs:
                 for rec in recs:
                     acc = 0
                     for t in range(1, s + 1):
@@ -496,7 +489,7 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
                     slot = rec[0]
                     memo[slot] = acc
                     if acc < below:
-                        yield done + start + _index(seq, s, slot), slot, acc
+                        yield done + _index(recs, start, slot), slot, acc
         done += count
         tally[1] = done
         # the next matrix: add its step's deltas, and sweep the records
@@ -513,23 +506,19 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
                 data[i] = add(data[i], d)
         if held[g] is None:
             sub = entries.held(_bits(groups[g]))
-            held[g] = sub, sum(len(recs) for _, recs, _, _ in sub)
+            held[g] = sub, sum(len(recs) for _, recs, _ in sub)
         runs, count = held[g]
         matrices += 1
         tally[0] = matrices
 
 
-def _index(run: list, s: int, slot: int) -> int:
-    """Index of the record at `slot` in the run of size-s records `run`
-    (record tuples, or a whole list's flat fields), whose slots increase
-    along it."""
-    if type(run[0]) is tuple:
-        return bisect_left(run, slot, key=_slot)
-    w = 2 * s + 1
-    return bisect_left(range(len(run) // w), slot, key=lambda r: run[r * w])
-
-
-_slot = itemgetter(0)
+def _index(recs, start: int | None, slot: int) -> int:
+    """Position of the record at `slot` among a sweep's runs: slot - 1 in
+    a whole list (start None), else start plus its index among a held
+    run's record tuples `recs`, whose slots increase along it."""
+    if start is None:
+        return slot - 1
+    return start + bisect_left(recs, slot, key=itemgetter(0))
 
 
 # -- predicates ---------------------------------------------------------------
@@ -626,13 +615,14 @@ def is_superregular_constrained(
 
 def nontrivial_slots(pattern: ZeroPattern, entries: _Selections) -> bytearray:
     """Per memo slot of entries (a full square_selections list), 1 iff
-    the slot's minor is non-trivial under pattern, else 0.
+    the slot's minor is non-trivial under pattern, else 0: len(entries)
+    + 1 flags, the record at position p's at p + 1.
 
     One Boolean Laplace sweep: a selection admits a perfect matching of
     supported entries iff some supported entry of its last row leaves a
     sub-selection that admits one."""
     support = [v for row in pattern.support for v in row]
-    nontrivial = bytearray(entries.slots)
+    nontrivial = bytearray(len(entries) + 1)
     nontrivial[0] = 1  # the empty selection
     for s, flat, _ in entries.runs:
         for rec in _fields(flat, s):
@@ -659,5 +649,6 @@ def count_nontrivial_minors(
     if total > budget:
         raise ValueError(f"selection count {total} exceeds budget {budget}")
     entries = square_selections(pattern.rows, pattern.cols, grid)
-    nontrivial = nontrivial_slots(pattern, entries)
-    return sum(nontrivial[slot] for slot in _slots(entries.runs, min_size))
+    # the records of size min_size and up come after the smaller ones
+    smaller = next((start for s, _, start in entries.runs if s >= min_size), len(entries))
+    return sum(nontrivial_slots(pattern, entries)[1 + smaller:])

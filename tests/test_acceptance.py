@@ -227,10 +227,10 @@ def test_criterion_9_trivial_minor_sweep(capsys):
         # the triviality decision is_superregular and count_nontrivial_minors
         # read: one Boolean sweep flag per selection's memo slot
         nontrivial = nontrivial_slots(p, entries)
-        # each record's slot, its first field, in sweep order
-        slots = [flat[i] for s, flat, _ in entries.runs
-                 for i in range(0, len(flat), 2 * s + 1)]
-        return len(slots) == len(entries) and all(
+        # one flag per record, the record at position p's at slot p + 1,
+        # after the empty selection's at slot 0
+        slots = range(1, len(entries) + 1)
+        return len(nontrivial) == len(entries) + 1 and nontrivial[0] and all(
             (not nontrivial[slot]) == brute(p, *entries.selection(slot))
             for slot in slots)
 

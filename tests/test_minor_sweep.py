@@ -149,23 +149,41 @@ def _layout_cases():
 
 def test_sweep_reads_only_slots_it_wrote():
     """Every memo slot an entry reads was written by an earlier entry or is
-    slot 0, the empty minor; no two entries write one slot; and each slot
-    names the selection listed at its entry's position."""
+    slot 0, the empty minor; the entry at position p writes slot p + 1, so
+    the memo is len(entries) + 1 slots; and each slot names the selection
+    listed at its entry's position."""
     rng = random.Random(11)
     for entries, rows, cols, listed in _layout_cases():
         written = {0}
         records = _records(entries)
         assert len(records) == len(entries)
-        for s, rec in records:
+        for pos, (s, rec) in enumerate(records):
             slot = rec[0]
             assert len(rec) == 2 * s + 1
             assert all(sub in written for sub in rec[s + 1:])
-            assert slot not in written and slot < entries.slots
+            assert slot == pos + 1
             written.add(slot)
+        assert [entries.selection(slot) for slot in range(1, len(entries) + 1)] == listed
         m = _random_matrix(rng, rows, cols, F4, 0.2)
+        # the memo, read from the sweep's frame once it has begun
+        sweep = minor_sweep(m, entries, F4.order)
+        next(sweep)
+        assert len(sweep.gi_frame.f_locals["memo"]) == len(entries) + 1
         got = _every_minor(m, entries)
         assert [(pos, ri, ci) for pos, ri, ci, _ in got] == [
             (pos, *p) for pos, p in enumerate(listed)]
+
+
+@pytest.mark.parametrize("grid, records", [
+    # table1's [4,2,2] at level 2, and [3,1,5] at level 5
+    (BlockGrid.uniform(2, 2, 3), 553),
+    (BlockGrid.uniform(1, 2, 6), 7751),
+])
+def test_a_gridded_memo_has_one_slot_per_record(grid, records):
+    entries = square_selections(grid.rows, grid.cols, grid)
+    pattern = ZeroPattern([[True] * grid.cols for _ in range(grid.rows)])
+    assert len(entries) == records
+    assert len(superregular.nontrivial_slots(pattern, entries)) == records + 1
 
 
 # -- the predicates against the per-selection det loop ------------------------

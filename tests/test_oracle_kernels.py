@@ -240,3 +240,12 @@ def test_expand_rank_of_the_zero_space_is_0(request, name):
     for q in (2, 3):
         assert kernel.expand_rank([], q, 0) == 0
         assert kernel.expand_rank([0, 0], q, 0) == 0
+
+
+@pytest.mark.parametrize("name", ["python", "c"])
+@pytest.mark.parametrize("codes, q, M", [([8], 2, 3), ([1], 2, 0), ([9], 3, 2)])
+def test_expand_rank_refuses_a_code_outside_the_field(request, name, codes, q, M):
+    # each code is one past the last of F_q^M: both kernels refuse it
+    kernel = _core_py if name == "python" else request.getfixturevalue("core_c")
+    with pytest.raises(ValueError):
+        kernel.expand_rank(codes, q, M)

@@ -169,9 +169,9 @@ def _step_stream(rng, f, cells, count):
 
 
 def _selections_in_order(entries):
-    """(rows, cols) of every record of entries, in sweep order."""
-    return [entries.selection(flat[i]) for s, flat, _ in entries.runs
-            for i in range(0, len(flat), 2 * s + 1)]
+    """(rows, cols) of every record of entries, in sweep order: the
+    record at position p memoizes slot p + 1."""
+    return [entries.selection(slot) for slot in range(1, len(entries) + 1)]
 
 
 @pytest.mark.parametrize("f", FIELDS, ids=FIELD_IDS)
@@ -311,16 +311,16 @@ def test_holding_builds_a_sub_list_on_first_use_and_frees_with_its_list():
         assert type(sub) is list and entries._held == {col4: sub}
         assert entries.held(col4) is sub
         # minor_sweep's runs: size ascending, each a list of record tuples
-        # of its size, twice, and the records before it
+        # of its size and the records before it
         before = 0
         assert [s for s, *_ in sub] == [1, 2, 3]
-        for s, recs, seq, start in sub:
-            assert type(recs) is list and seq is recs and start == before
+        for s, recs, start in sub:
+            assert type(recs) is list and start == before
             assert all(type(rec) is tuple and len(rec) == 2 * s + 1 for rec in recs)
             before += len(recs)
-        assert [entries.selection(rec[0]) for _, recs, _, _ in sub for rec in recs] == [
+        assert [entries.selection(rec[0]) for _, recs, _ in sub for rec in recs] == [
             sel for sel in _selections_in_order(entries) if 4 in sel[1]]
-        assert sum(len(recs) for _, recs, _, _ in entries.held(col2)) == before
+        assert sum(len(recs) for _, recs, _ in entries.held(col2)) == before
         assert entries._held.keys() == {col2, col4}
         # a list built per call is freed by reference counting alone when
         # dropped, its sub-lists with it: no cycle is left to collect

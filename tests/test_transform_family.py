@@ -456,7 +456,7 @@ def _listed_counts(ks, nks, grid):
     per C cell, then the one for every C cell at once."""
     entries = square_selections(sum(ks), sum(nks), BlockGrid(ks, nks) if grid else None)
     cells = block_diag_cells(ks, nks, False)
-    lengths = [sum(len(recs) for _, recs, _, _ in entries.held(sum(1 << i for i in group)))
+    lengths = [sum(len(recs) for _, recs, _ in entries.held(sum(1 << i for i in group)))
                for group in [(i,) for i in cells] + [cells]]
     return len(entries), lengths[:-1], lengths[-1]
 
