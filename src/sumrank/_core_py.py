@@ -77,7 +77,7 @@ def expand_rank(codes, q: int, M: int) -> int:
         r = 0
         try:
             for c in codes:
-                while c:
+                while c > 0:
                     top = c.bit_length() - 1
                     if basis[top]:
                         c ^= basis[top]
@@ -85,8 +85,13 @@ def expand_rank(codes, q: int, M: int) -> int:
                         basis[top] = c
                         r += 1
                         break
+                else:
+                    # XOR keeps a code non-negative: only a negative one
+                    # leaves the loop nonzero
+                    if c:
+                        raise IndexError
         except IndexError:
-            # a code's top bit lies past M
+            # a code is negative, or its top bit lies past M
             raise ValueError(f"expected codes in [0, {1 << M})") from None
         return r
     # eliminate on the transpose: each expansion is one row of length M

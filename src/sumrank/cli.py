@@ -2,6 +2,13 @@
 reproduce the published search table, re-check witnesses, and compute
 distances.  Every run emits a machine-readable JSON report.
 
+The commands decide nothing themselves: the verify commands copy their
+checker's VerificationReport fields into the report, the MRD checks and
+their rechecks read the whole length as one block (_decided_code), and
+the column distances and their bounds come from metrics.column_distances.
+--budget defaults to DEFAULT_SELECTION_BUDGET selections, or to
+DEFAULT_MESSAGE_BUDGET messages for distance.
+
 Exit codes: 0 verdict true and oracles agree; 1 verdict false; 2 parse
 failure; 3 budget infeasible; 4 checker/oracle disagreement (a bug signal).
 """
@@ -19,8 +26,6 @@ from .block_codes import (
     SystematicBlockCode,
     assemble_generator,
     check_mds,
-    check_mrd_systematic,
-    check_mrd_transforms,
     check_msrd_systematic,
     check_msrd_transforms,
     construct_gabidulin,
@@ -47,8 +52,7 @@ from .metrics import (
     DEFAULT_MESSAGE_BUDGET,
     BudgetExceeded,
     LengthPartition,
-    column_distance_bound,
-    column_sum_rank_distance,
+    column_distances,
     free_distance_bound,
     min_sum_rank_distance,
     singleton_bounds,
@@ -118,10 +122,6 @@ def _report_base(command: str, args) -> dict:
     }
 
 
-def _verdict_str(v):
-    return v if isinstance(v, str) else bool(v)
-
-
 def _exit_code(verdict, agreement) -> int:
     if verdict == INFEASIBLE:
         return EXIT_INFEASIBLE
@@ -141,47 +141,40 @@ BLOCK_CHECKS = (
 )
 
 
+def _decided_code(code: SystematicBlockCode, check: str) -> SystematicBlockCode:
+    """The code a block check decides: the MRD checks read the whole
+    length as one block, the others the code as given."""
+    if check.startswith("mrd-"):
+        return SystematicBlockCode(LengthPartition([code.n]), (code.k,), code.parity)
+    return code
+
+
 def cmd_verify_block(args) -> int:
     code = load_code(args.code)
-    f = code.field
     report = _report_base("verify-block", args)
     report["check"] = args.check
-    report["field"] = f.descriptor()
+    report["field"] = code.field.descriptor()
     report["code"] = code.to_json()
 
+    # G keeps the input code's column order on both sides of the one-block rule
+    g = assemble_generator(code)
+    decided = _decided_code(code, args.check)
     if args.check == "mds":
         rep = check_mds(code.parity, budget=args.budget)
-        oracle_partition = LengthPartition([1] * code.n)
-    elif args.check == "mrd-systematic":
-        rep = check_mrd_systematic(
-            code.parity, mode=args.mode, budget=args.budget
-        )
-        oracle_partition = LengthPartition([code.n])
-    elif args.check == "mrd-transforms":
-        rep = check_mrd_transforms(assemble_generator(code), budget=args.budget)
-        oracle_partition = LengthPartition([code.n])
-    elif args.check == "msrd-systematic":
-        rep = check_msrd_systematic(code, mode=args.mode, budget=args.budget)
-        oracle_partition = code.length_partition
-    else:  # msrd-transforms
-        rep = check_msrd_transforms(
-            assemble_generator(code), code.length_partition, budget=args.budget
-        )
-        oracle_partition = code.length_partition
-
-    report["verdict"] = _verdict_str(rep.verdict)
-    report["witness"] = rep.witness
-    report["checked_count"] = rep.checked_count
-    report["elapsed"] = rep.elapsed
-    report["detail"] = rep.detail
+    elif args.check.endswith("-systematic"):
+        rep = check_msrd_systematic(decided, mode=args.mode, budget=args.budget)
+    else:
+        rep = check_msrd_transforms(g, decided.length_partition, budget=args.budget)
+    report |= rep.to_json()
+    # the Hamming metric is the sum-rank metric on blocks of length 1
+    oracle_partition = (LengthPartition([1] * code.n) if args.check == "mds"
+                        else decided.length_partition)
 
     agreement = None
     if rep.verdict != INFEASIBLE and not args.no_oracle:
         target = code.n - code.k + 1
         try:
-            d = min_sum_rank_distance(
-                assemble_generator(code), oracle_partition, budget=args.budget
-            )
+            d = min_sum_rank_distance(g, oracle_partition, budget=args.budget)
             agreement = (rep.verdict is True) == (d == target)
             report["oracle"] = {
                 "kind": "brute-force-min-distance",
@@ -218,11 +211,7 @@ def cmd_verify_conv(args) -> int:
     report["mode"] = args.mode
 
     rep = check_mMSR(enc, j, mode=args.mode, budget=args.budget)
-    report["verdict"] = _verdict_str(rep.verdict)
-    report["witness"] = rep.witness
-    report["checked_count"] = rep.checked_count
-    report["elapsed"] = rep.elapsed
-    report["detail"] = rep.detail
+    report |= rep.to_json()
 
     agreement = None
     if rep.verdict != INFEASIBLE and not args.no_oracle:
@@ -231,7 +220,7 @@ def cmd_verify_conv(args) -> int:
         if orc.verdict != INFEASIBLE:
             report["oracle"] = {
                 "kind": "rank-profile",
-                "verdict": _verdict_str(orc.verdict),
+                "verdict": orc.verdict,
                 "witness": orc.witness,
                 "checked_count": orc.checked_count,
             }
@@ -239,11 +228,7 @@ def cmd_verify_conv(args) -> int:
         else:
             report["oracle"] = {"kind": "rank-profile", "skipped": "over budget"}
         try:
-            dists = [
-                column_sum_rank_distance(enc, i, budget=args.budget)
-                for i in range(j + 1)
-            ]
-            bounds = [column_distance_bound(i, enc.n, enc.k) for i in range(j + 1)]
+            dists, bounds = column_distances(enc, j, budget=args.budget)
             report["column_distances"] = dists
             report["column_distance_bounds"] = bounds
             agree_parts.append((rep.verdict is True) == (dists == bounds))
@@ -310,7 +295,7 @@ def cmd_table1(args) -> int:
             "m": m,
             "field": f.descriptor(),
             "alpha_exponent": e,
-            "verdict": _verdict_str(rep.verdict),
+            "verdict": rep.verdict,
             "transform_counts": f"{a_total}x{b_total}",
             # the construction's zero pattern and the engine's grid, whose
             # list is built; every selection outside it is trivial here
@@ -365,19 +350,16 @@ def cmd_recheck(args) -> int:
     elif args.code:
         code = load_code(args.code)
         check = str(prior.get("check", ""))
-        # the MRD checks treat the whole length as one block
-        mrd = check.startswith("mrd-")
+        decided = _decided_code(code, check)
         if check == "mds":
             # a vanishing minor of P itself, no transform
             ok = witness_minor_vanishes(code.parity, witness)
         elif isinstance(witness.get("transform"), dict) and "B" not in witness["transform"]:
             # the transform side names A alone, the systematic side B, A~, C
-            partition = LengthPartition([code.n]) if mrd else code.length_partition
-            ok = recheck_transform_witness(assemble_generator(code), partition, witness)
+            ok = recheck_transform_witness(
+                assemble_generator(code), decided.length_partition, witness)
         else:
-            if mrd:
-                code = SystematicBlockCode(LengthPartition([code.n]), (code.k,), code.parity)
-            ok = recheck_witness(code, witness)
+            ok = recheck_witness(decided, witness)
     else:
         raise CliError("recheck needs --code or --encoder", EXIT_PARSE)
     report = _report_base("recheck", args)
@@ -419,16 +401,11 @@ def cmd_distance(args) -> int:
             j = args.j if args.j is not None else enc.m
             if j < 0:
                 raise CliError(f"level j={j} is negative", EXIT_PARSE)
-            dists = [
-                column_sum_rank_distance(enc, i, budget=args.budget)
-                for i in range(j + 1)
-            ]
+            dists, bounds = column_distances(enc, j, budget=args.budget)
             report["field"] = enc.field.descriptor()
             report["j"] = j
             report["column_distances"] = dists
-            report["column_distance_bounds"] = [
-                column_distance_bound(i, enc.n, enc.k) for i in range(j + 1)
-            ]
+            report["column_distance_bounds"] = bounds
             report["free_distance_bound"] = free_distance_bound(
                 enc.m, enc.n, enc.k
             )
@@ -446,9 +423,9 @@ def cmd_distance(args) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--budget", type=int, default=None,
-                   help="enumeration budget (work units)")
+def _add_common(p, budget=DEFAULT_SELECTION_BUDGET):
+    p.add_argument("--budget", type=int, default=budget,
+                   help=f"enumeration budget (work units; default {budget})")
     # every search runs in this process; the option stays for callers
     # that pass --workers 1
     p.add_argument("--workers", type=int, choices=(1,), default=1)
@@ -469,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "filter"), default="filter")
     p.add_argument("--no-oracle", action="store_true")
     _add_common(p)
-    p.set_defaults(func=cmd_verify_block, default_budget=DEFAULT_SELECTION_BUDGET)
+    p.set_defaults(func=cmd_verify_block)
 
     p = sub.add_parser("verify-conv", help="run the m-MSR checker + oracles")
     p.add_argument("--encoder", required=True, help="encoder JSON file")
@@ -479,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "filter"), default="filter")
     p.add_argument("--no-oracle", action="store_true")
     _add_common(p)
-    p.set_defaults(func=cmd_verify_conv, default_budget=DEFAULT_SELECTION_BUDGET)
+    p.set_defaults(func=cmd_verify_conv)
 
     p = sub.add_parser("construct", help="build a code or encoder")
     p.add_argument("--kind", choices=("gabidulin", "frobenius"), required=True)
@@ -491,29 +468,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-exp", type=int, default=1,
                    help="seed the construction with alpha^e (frobenius only)")
     _add_common(p)
-    p.set_defaults(func=cmd_construct, default_budget=DEFAULT_SELECTION_BUDGET)
+    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("table1", help="reproduce the published search table")
     p.add_argument("--rows", help='selection like "2,1,1;3,2,1" (default: all)')
     p.add_argument("--mode", choices=("exact", "filter"), default="filter")
     p.add_argument("--csv", action="store_true", help="also print a CSV table")
     _add_common(p)
-    p.set_defaults(func=cmd_table1, default_budget=DEFAULT_SELECTION_BUDGET)
+    p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("recheck", help="re-verify a witness from a report")
     p.add_argument("--report", required=True, help="JSON report with a witness")
     p.add_argument("--code")
     p.add_argument("--encoder")
     _add_common(p)
-    p.set_defaults(func=cmd_recheck, default_budget=DEFAULT_SELECTION_BUDGET)
+    p.set_defaults(func=cmd_recheck)
 
     p = sub.add_parser("distance", help="brute-force distances and bounds")
     p.add_argument("--code")
     p.add_argument("--encoder")
     p.add_argument("--partition", help='override, e.g. "2,2"')
     p.add_argument("--j", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_distance, default_budget=DEFAULT_MESSAGE_BUDGET)
+    _add_common(p, DEFAULT_MESSAGE_BUDGET)
+    p.set_defaults(func=cmd_distance)
 
     return ap
 
@@ -528,8 +505,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.budget is None:
-        args.budget = args.default_budget
     if args.budget <= 0:
         print("error: budget must be positive", file=sys.stderr)
         return EXIT_PARSE

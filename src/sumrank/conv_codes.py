@@ -35,7 +35,7 @@ from .matrix import (
     inverse,
     rank,
 )
-from .metrics import BudgetExceeded, column_distance_bound, column_sum_rank_distance
+from .metrics import BudgetExceeded, column_distances
 from .report import INFEASIBLE, VerificationReport
 from .superregular import DEFAULT_SELECTION_BUDGET, BlockGrid
 
@@ -105,16 +105,8 @@ class PolyEncoder:
         k = p0.rows
         n = k + p0.cols
         f = p0.field
-        coeffs = []
-        for i, p in enumerate(parity_coeffs):
-            g = Matrix(k, n, f)
-            if i == 0:
-                for t in range(k):
-                    g[t, t] = 1
-            for r in range(k):
-                for c in range(p.cols):
-                    g[r, k + c] = p[r, c]
-            coeffs.append(g)
+        coeffs = [Matrix.identity(k, f).hstack(p0)]
+        coeffs += [Matrix(k, k, f).hstack(p) for p in parity_coeffs[1:]]
         return cls(n, k, coeffs)
 
     def to_json(self) -> dict:
@@ -286,6 +278,20 @@ def iter_rank_profiles(n: int, k: int, j: int):
     yield from rec([], 0)
 
 
+def is_rank_profile(profile, n: int, k: int) -> bool:
+    """Whether profile is one iter_rank_profiles(n, k, len(profile) - 1)
+    yields, tested on the definition: each rho_i an int in [0, n], each
+    partial sum at most k(i+1), the total k(j+1)."""
+    total = 0
+    for i, rho in enumerate(profile):
+        if type(rho) is not int or not 0 <= rho <= n:
+            return False
+        total += rho
+        if total > k * (i + 1):
+            return False
+    return total == k * len(profile)
+
+
 def check_mMSR_oracle(
     enc: PolyEncoder, j: int, budget: int = DEFAULT_SELECTION_BUDGET
 ) -> VerificationReport:
@@ -435,18 +441,18 @@ def _first_singular(minors, levels, sizes, f: Field):
 
 
 def recheck_oracle_witness(enc: PolyEncoder, witness: dict) -> bool:
-    """Re-evaluate a rank-profile witness: the profile must be one
-    iter_rank_profiles(n, k, j) yields, each block an n x rho_i matrix over
-    F_q of rank rho_i, and det(G_j^c A*) must vanish.  Without the first two
-    checks a zero column or a rank-deficient block would make any
-    encoder's determinant vanish.  A profile or blocks that are not lists
-    raise ValueError."""
+    """Re-evaluate a rank-profile witness: the profile must be admissible
+    (is_rank_profile, which enumerates nothing), each block an n x rho_i
+    matrix over F_q of rank rho_i, and det(G_j^c A*) must vanish.  Without
+    the first two checks a zero column or a rank-deficient block would
+    make any encoder's determinant vanish.  A profile or blocks that are
+    not lists raise ValueError."""
     n, f = enc.n, base_field(enc.field.q)
     profile, rows = witness.get("profile"), witness.get("blocks")
     if not isinstance(profile, list) or not isinstance(rows, list):
         raise ValueError("an oracle witness needs a profile and a list of blocks")
     j = len(rows) - 1
-    if j < 0 or tuple(profile) not in iter_rank_profiles(n, enc.k, j):
+    if j < 0 or len(profile) != j + 1 or not is_rank_profile(profile, n, enc.k):
         return False
     blocks = [witness_block(b, n, rho, f) for rho, b in zip(profile, rows)]
     if any(b is None or rank(b) != rho for b, rho in zip(blocks, profile)):
@@ -562,15 +568,14 @@ def find_frobenius_alpha(
     check_mMSR.  A hit is confirmed by the brute-force column distances
     when they fit the budget (a disagreement raises RuntimeError); when the
     check is over budget they decide alone."""
-    bounds = [column_distance_bound(j, n, k) for j in range(m + 1)]
     for e in frobenius_class_exponents(field):
         enc = construct_frobenius(n, k, m, field, field.alpha_pow(e))
         verdict = check_mMSR(enc, budget=budget).verdict
         if verdict is False:
             continue
         try:
-            maximal = [column_sum_rank_distance(enc, j, budget=budget)
-                       for j in range(m + 1)] == bounds
+            dists, bounds = column_distances(enc, m, budget=budget)
+            maximal = dists == bounds
         except BudgetExceeded:
             if verdict is True:
                 return e

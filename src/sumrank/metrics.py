@@ -158,6 +158,17 @@ def column_distance_bound(j: int, n: int, k: int) -> int:
     return (j + 1) * (n - k) + 1
 
 
+def column_distances(
+    encoder, j: int, budget: int = DEFAULT_MESSAGE_BUDGET
+) -> tuple[list[int], list[int]]:
+    """(column distances, their bounds) at levels 0..j; each distance's
+    search gets the whole budget.  d^i meets its bound at every i <= j
+    iff the two lists are equal."""
+    levels = range(j + 1)
+    return ([column_sum_rank_distance(encoder, i, budget=budget) for i in levels],
+            [column_distance_bound(i, encoder.n, encoder.k) for i in levels])
+
+
 def free_distance_bound(m: int, n: int, k: int) -> int:
     """Maximum possible free sum-rank distance of a memory-m systematic code;
     reported as a bound only."""

@@ -26,8 +26,9 @@ from sumrank.block_codes import (
 from sumrank.conv_codes import PolyEncoder, construct_frobenius
 from sumrank.field import base_field, field
 from sumrank.matrix import Matrix, minor
-from sumrank.metrics import LengthPartition
+from sumrank.metrics import DEFAULT_MESSAGE_BUDGET, LengthPartition
 from sumrank.report import VerificationReport
+from sumrank.superregular import DEFAULT_SELECTION_BUDGET
 
 F4 = field(2, 2)
 F8 = field(2, 3)
@@ -449,6 +450,57 @@ def test_workers_accepts_only_1(argv, capsys):
         main(argv + ["--workers", "2"])
     assert exc.value.code == EXIT_PARSE
     assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check, partition", [
+    ("mds", [1] * 6), ("mrd-systematic", [6]), ("mrd-transforms", [6]),
+    ("msrd-systematic", [4, 2]), ("msrd-transforms", [4, 2]),
+])
+def test_verify_block_oracle_reads_the_partition_its_check_decides(
+        tmp_path, capsys, check, partition):
+    # the Hamming metric is blocks of length 1, the MRD checks read the
+    # whole length as one block, the MSRD checks the code's own partition;
+    # the report's code is the code as given
+    code_path = _write(tmp_path, "two.json", _TWO_BLOCKS.to_json())
+    _, report = _run(capsys, ["verify-block", "--code", code_path, "--check", check])
+    assert report["code"] == _TWO_BLOCKS.to_json()
+    assert report["oracle"]["partition"] == partition
+    assert report["oracle"]["target"] == _TWO_BLOCKS.n - _TWO_BLOCKS.k + 1
+
+
+def _budget_argvs(tmp_path):
+    """One cheap run of every subcommand, without --budget."""
+    code = _write(tmp_path, "c.json", _gabidulin_code_json(3, 2, F8))
+    enc = _write(tmp_path, "e.json", construct_frobenius(2, 1, 1, F4).to_json())
+    # det [[1, 1], [1, 1]] vanishes in characteristic 2
+    square = SystematicBlockCode(LengthPartition([4]), (2,),
+                                 Matrix.from_rows([[1, 1], [1, 1]], F4))
+    report = _write(tmp_path, "r.json",
+                    {"check": "mds", "witness": {"rows": [0, 1], "cols": [0, 1]}})
+    return {
+        "verify-block": ["verify-block", "--code", code, "--check", "mds"],
+        "verify-conv": ["verify-conv", "--encoder", enc],
+        "construct": ["construct", "--kind", "gabidulin", "--field", "2^3",
+                      "--n", "3", "--k", "2"],
+        "table1": ["table1", "--rows", "2,1,1"],
+        "recheck": ["recheck", "--report", report,
+                    "--code", _write(tmp_path, "sq.json", square.to_json())],
+        "distance": ["distance", "--encoder", enc],
+    }
+
+
+@pytest.mark.parametrize("command", ["verify-block", "verify-conv", "construct",
+                                     "table1", "recheck", "distance"])
+def test_every_subcommand_reports_its_default_budget(tmp_path, capsys, command):
+    argv = _budget_argvs(tmp_path)[command]
+    rc, report = _run(capsys, argv)
+    assert rc == EXIT_TRUE
+    assert report["budget"] == (DEFAULT_MESSAGE_BUDGET if command == "distance"
+                                else DEFAULT_SELECTION_BUDGET)
+    assert main(argv + ["--budget", "0"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_table1_subset(capsys):

@@ -21,6 +21,7 @@ from sumrank.conv_codes import (
     construct_frobenius,
     find_frobenius_alpha,
     frobenius_class_exponents,
+    is_rank_profile,
     iter_rank_profiles,
     laurent_systematize,
     load_encoder,
@@ -236,6 +237,37 @@ def test_recheck_oracle_witness_rejects_forged_profiles():
     rep = check_mMSR_oracle(bad, 2)
     assert rep.verdict is False
     assert recheck_oracle_witness(bad, rep.witness) is True
+
+
+def test_is_rank_profile_matches_the_enumeration():
+    for n in range(2, 5):
+        for k in range(1, n):
+            for j in range(4):
+                admissible = set(iter_rank_profiles(n, k, j))
+                for prof in product(range(n + 2), repeat=j + 1):
+                    assert is_rank_profile(prof, n, k) == (prof in admissible), prof
+                # membership reads 1.0 and True as 1; the definition wants ints
+                for first, *rest in admissible:
+                    bads = [float(first), str(first), None] + [bool(first)] * (first < 2)
+                    for bad in bads:
+                        assert not is_rank_profile([bad, *rest], n, k), (bad, rest)
+
+
+def test_recheck_oracle_witness_enumerates_no_profiles():
+    good = construct_frobenius(2, 1, 1, F4)
+    f128 = field(2, 7)
+    bad = construct_frobenius(3, 1, 2, f128, f128.alpha_pow(11))
+    witness = check_mMSR_oracle(bad, 2).witness
+    forged = {"profile": [1, 1], "blocks": [[[0], [0]], [[1], [0]]]}
+    with mock.patch("sumrank.conv_codes.iter_rank_profiles",
+                    side_effect=AssertionError("enumerated the profiles")):
+        assert recheck_oracle_witness(bad, witness) is True
+        assert recheck_oracle_witness(good, forged) is False
+        # the enumeration grows about 8x per two blocks: 41 would never end
+        enc = construct_frobenius(3, 1, 2, F8)
+        eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        wide = {"profile": [3] + [0] * 40, "blocks": [eye] + [[[], [], []]] * 40}
+        assert recheck_oracle_witness(enc, wide) is False
 
 
 def test_check_mMSR_filter_agrees_with_exact():

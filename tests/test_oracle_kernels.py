@@ -243,9 +243,11 @@ def test_expand_rank_of_the_zero_space_is_0(request, name):
 
 
 @pytest.mark.parametrize("name", ["python", "c"])
-@pytest.mark.parametrize("codes, q, M", [([8], 2, 3), ([1], 2, 0), ([9], 3, 2)])
+@pytest.mark.parametrize("codes, q, M", [([8], 2, 3), ([1], 2, 0), ([9], 3, 2),
+                                         ([-1], 2, 3), ([-3, 5], 2, 3), ([3, -3], 2, 3)])
 def test_expand_rank_refuses_a_code_outside_the_field(request, name, codes, q, M):
-    # each code is one past the last of F_q^M: both kernels refuse it
+    # a code one past the last of F_q^M, or a negative one: both kernels
+    # refuse it (-3 ^ 3 = -2 and -2 ^ 3 = -3, so [3, -3] must not loop)
     kernel = _core_py if name == "python" else request.getfixturevalue("core_c")
     with pytest.raises(ValueError):
         kernel.expand_rank(codes, q, M)
