@@ -40,10 +40,9 @@ MRD instances for the oracles.
 from __future__ import annotations
 
 import random
-import time
 from functools import lru_cache
 
-from .field import Field
+from .field import Field, check_field_key
 from .matrix import (
     Matrix,
     block_diag,
@@ -137,6 +136,7 @@ class SystematicBlockCode:
         if not isinstance(obj, dict) or not is_code_rows([obj["partition"], obj["dims"]]):
             raise ValueError("a code's partition and dims must be lists of integers")
         parity = Matrix.from_json(obj["parity"])
+        check_field_key(obj, parity.field)
         return cls(LengthPartition(obj["partition"]), tuple(obj["dims"]), parity)
 
 
@@ -198,7 +198,6 @@ def check_msrd_transforms(
     minors evaluated and the charge, those the run can evaluate
     (_run_charge), equal on a True; the charge is counted before any list
     is built."""
-    start = time.perf_counter()
     q = g.field.q
     k, n = g.rows, g.cols
     if partition.n != n:
@@ -217,7 +216,6 @@ def check_msrd_transforms(
         return VerificationReport(
             INFEASIBLE,
             detail=counts | {"charge": charge, "budget": budget},
-            elapsed=time.perf_counter() - start,
         )
     selections = full_size_selections(k, n)
     run = None
@@ -245,13 +243,11 @@ def check_msrd_transforms(
                     "cols": list(selections.selection(slot)[1]),
                 },
                 checked_count=tally[0],
-                elapsed=time.perf_counter() - start,
                 detail=counts | {"minors": pos + 1, "charge": charge},
             )
     return VerificationReport(
         True,
         checked_count=counts["transform_count"],
-        elapsed=time.perf_counter() - start,
         detail=counts | {"minors": tally[1], "charge": charge},
     )
 
@@ -311,7 +307,6 @@ def check_transform_family(
     """
     if mode not in ("exact", "filter"):
         raise ValueError(f"unknown mode {mode!r}")
-    start = time.perf_counter()
     q = p.field.q
     grid = BlockGrid(ks, nks) if constrained else None
     b_count, a_count, c_count = family_counts(ks, nks, q)
@@ -333,7 +328,6 @@ def check_transform_family(
         return VerificationReport(
             INFEASIBLE,
             detail=counts | {"charge": charge, "budget": budget},
-            elapsed=time.perf_counter() - start,
         )
     selections = square_selections(p.rows, p.cols, grid)
     f = p.field
@@ -386,13 +380,11 @@ def check_transform_family(
                         "cols": rep.witness["cols"],
                     },
                     checked_count=checked,
-                    elapsed=time.perf_counter() - start,
                     detail=counts | {"minors": minors, "charge": charge},
                 )
     return VerificationReport(
         True,
         checked_count=checked,
-        elapsed=time.perf_counter() - start,
         detail=counts | {"mode": mode, "filtered_pairs": filtered,
                          "sampled_pairs": sampled, "minors": minors,
                          "charge": charge},

@@ -3,9 +3,12 @@ reproduce the published search table, re-check witnesses, and compute
 distances.  Every run emits a machine-readable JSON report.
 
 The commands decide nothing themselves: the verify commands copy their
-checker's VerificationReport fields into the report, the MRD checks and
-their rechecks read the whole length as one block (_decided_code), and
-the column distances and their bounds come from metrics.column_distances.
+checker's VerificationReport fields into the report, with the wall time
+of the checker call as elapsed (this module alone reads the clock),
+verify-conv and recheck --encoder decide the systematic form of the
+encoder (_decided_encoder), the MRD checks and their rechecks read the
+whole length as one block (_decided_code), and the column distances
+and their bounds come from metrics.column_distances.
 --budget defaults to DEFAULT_SELECTION_BUDGET selections, or to
 DEFAULT_MESSAGE_BUDGET messages for distance.
 
@@ -45,6 +48,7 @@ from .conv_codes import (
     recheck_mMSR_witness,
     recheck_oracle_witness,
     sliding_parity,
+    systematize,
     transform_counts,
 )
 from .field import FieldError, field, parse_descriptor
@@ -159,13 +163,14 @@ def cmd_verify_block(args) -> int:
     # G keeps the input code's column order on both sides of the one-block rule
     g = assemble_generator(code)
     decided = _decided_code(code, args.check)
+    t0 = time.perf_counter()
     if args.check == "mds":
         rep = check_mds(code.parity, budget=args.budget)
     elif args.check.endswith("-systematic"):
         rep = check_msrd_systematic(decided, mode=args.mode, budget=args.budget)
     else:
         rep = check_msrd_transforms(g, decided.length_partition, budget=args.budget)
-    report |= rep.to_json()
+    report |= rep.to_json() | {"elapsed": time.perf_counter() - t0}
     # the Hamming metric is the sum-rank metric on blocks of length 1
     oracle_partition = (LengthPartition([1] * code.n) if args.check == "mds"
                         else decided.length_partition)
@@ -195,23 +200,26 @@ def cmd_verify_block(args) -> int:
 # -- verify-conv --------------------------------------------------------------
 
 
-def cmd_verify_conv(args) -> int:
-    from .conv_codes import systematize
+def _decided_encoder(enc: PolyEncoder) -> PolyEncoder:
+    """The encoder verify-conv decides and recheck rechecks on: enc in
+    systematic form (systematize is deterministic)."""
+    return enc if enc.systematic else systematize(enc)
 
+
+def cmd_verify_conv(args) -> int:
     enc = load_encoder(args.encoder)
     report = _report_base("verify-conv", args)
     report["field"] = enc.field.descriptor()
-    report["systematized"] = False
-    if not enc.systematic:
-        enc = systematize(enc)
-        report["systematized"] = True
+    report["systematized"] = not enc.systematic
+    enc = _decided_encoder(enc)
     j = args.j if args.j is not None else enc.m
     report["encoder"] = enc.to_json()
     report["j"] = j
     report["mode"] = args.mode
 
+    t0 = time.perf_counter()
     rep = check_mMSR(enc, j, mode=args.mode, budget=args.budget)
-    report |= rep.to_json()
+    report |= rep.to_json() | {"elapsed": time.perf_counter() - t0}
 
     agreement = None
     if rep.verdict != INFEASIBLE and not args.no_oracle:
@@ -342,7 +350,7 @@ def cmd_recheck(args) -> int:
     if not witness or not isinstance(witness, dict):
         raise CliError("report carries no witness to re-check", EXIT_PARSE)
     if args.encoder:
-        enc = load_encoder(args.encoder)
+        enc = _decided_encoder(load_encoder(args.encoder))
         if "profile" in witness:
             ok = recheck_oracle_witness(enc, witness)
         else:

@@ -353,3 +353,10 @@ def parse_descriptor(desc: str) -> Field:
             f"descriptor {desc!r}: polynomial has {len(poly) - 1} != {M} degree"
         )
     return field(q, M, poly)
+
+
+def check_field_key(obj: dict, f: Field) -> None:
+    """Raise FieldError unless obj's "field" key, when it has one, names f,
+    the field of the matrices obj holds."""
+    if "field" in obj and parse_descriptor(obj["field"]) != f:
+        raise FieldError(f"field {obj['field']!r} is not the matrices' field {f.descriptor()}")

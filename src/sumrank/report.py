@@ -1,4 +1,8 @@
-"""Verdict/witness container shared by every checker."""
+"""Verdict/witness container shared by every checker.
+
+A report is the check's decision and nothing else: no clock, so equal
+inputs give equal reports.  The CLI times the checker call it reports.
+"""
 
 from __future__ import annotations
 
@@ -20,13 +24,11 @@ class VerificationReport:
         verdict: Any,
         witness: Optional[dict] = None,
         checked_count: int = 0,
-        elapsed: float = 0.0,
         detail: Optional[dict] = None,
     ):
         self.verdict = verdict
         self.witness = witness
         self.checked_count = checked_count
-        self.elapsed = elapsed
         self.detail = {} if detail is None else detail
 
     def __eq__(self, other):
@@ -46,6 +48,5 @@ class VerificationReport:
             "verdict": self.verdict,
             "witness": self.witness,
             "checked_count": self.checked_count,
-            "elapsed": self.elapsed,
             "detail": self.detail,
         }

@@ -50,7 +50,6 @@ witness is confirmed by a method independent of the sweep.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
@@ -542,14 +541,12 @@ def _check_minors(
     the list this call builds, its count (_square_count) before it is
     built; entries passed in were charged by their caller, so they are
     not charged again."""
-    start = time.perf_counter()
     if entries is None:
         total = _square_count(m.rows, m.cols, grid)
         if total > budget:
             return VerificationReport(
                 INFEASIBLE,
                 detail={"selection_count": total, "budget": budget},
-                elapsed=time.perf_counter() - start,
             )
         entries = square_selections(m.rows, m.cols, grid)
     nontrivial = nontrivial_slots(ZeroPattern.of(m), entries) if skip_trivial else None
@@ -565,12 +562,10 @@ def _check_minors(
             False,
             witness={"rows": list(ri), "cols": list(ci)},
             checked_count=pos + 1 - skipped,
-            elapsed=time.perf_counter() - start,
             detail={"matrices": tally[0]} if run else None,
         )
     return VerificationReport(
         True, checked_count=tally[1] - skipped,
-        elapsed=time.perf_counter() - start,
         detail={"matrices": tally[0]} if run else None,
     )
 

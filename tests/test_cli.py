@@ -23,8 +23,8 @@ from sumrank.block_codes import (
     systematic_form,
     transformed_parity,
 )
-from sumrank.conv_codes import PolyEncoder, construct_frobenius
-from sumrank.field import base_field, field
+from sumrank.conv_codes import EncoderError, PolyEncoder, construct_frobenius
+from sumrank.field import FieldError, base_field, field
 from sumrank.matrix import Matrix, minor
 from sumrank.metrics import DEFAULT_MESSAGE_BUDGET, LengthPartition
 from sumrank.report import VerificationReport
@@ -573,8 +573,95 @@ def test_plain_value_classes_compare_by_fields():
     assert enc == PolyEncoder(enc.n, enc.k, list(enc.coeffs))
     assert enc != PolyEncoder(enc.n, enc.k, enc.coeffs[:1])
     rep = VerificationReport(True, checked_count=3)
-    assert rep == VerificationReport(True, None, 3, 0.0, {})
+    assert rep == VerificationReport(True, None, 3, {})
     assert rep != VerificationReport(True, checked_count=4)
     assert VerificationReport(False).detail is not VerificationReport(False).detail
     with pytest.raises(TypeError):
         hash(rep)
+
+
+# -- reports, encoders and fields read from outside ----------------------------
+
+
+def test_cli_reports_carry_the_checker_calls_wall_time(tmp_path, capsys):
+    code_path = _write(tmp_path, "c.json", _gabidulin_code_json(3, 2, F8))
+    enc_path = _write(tmp_path, "e.json", construct_frobenius(2, 1, 1, F4).to_json())
+    reports = [_run(capsys, ["verify-block", "--code", code_path])[1],
+               _run(capsys, ["verify-conv", "--encoder", enc_path])[1]]
+    reports += _run(capsys, ["table1", "--rows", "2,1,1;2,1,2;4,2,2"])[1]["rows"]
+    for report in reports:
+        assert type(report["elapsed"]) is float and report["elapsed"] >= 0
+
+
+def _scaled_f64_encoder():
+    # the [3,1,2]/F_64 construction at alpha, every coefficient scaled by
+    # alpha^5: G_0 is not [I_1 | P_0], so verify-conv systematizes it
+    f = field(2, 6)
+    enc = construct_frobenius(3, 1, 2, f, f.alpha_pow(1))
+    return PolyEncoder(3, 1, [g.scale(f.alpha_pow(5)) for g in enc.coeffs])
+
+
+def test_recheck_systematizes_the_encoder_verify_conv_decided(tmp_path, capsys):
+    enc_path = _write(tmp_path, "scaled.json", _scaled_f64_encoder().to_json())
+    report = _false_report(tmp_path, capsys, ["verify-conv", "--encoder", enc_path])
+    assert report["systematized"] is True
+    assert "profile" in report["oracle"]["witness"]
+    # the engine's witness, then the oracle's alone
+    oracle_only = _write(tmp_path, "oracle.json", {"oracle": report["oracle"]})
+    for path in (str(tmp_path / "report.json"), oracle_only):
+        rc, rep = _run(capsys, ["recheck", "--report", path, "--encoder", enc_path])
+        assert (rc, rep["reverifies"]) == (EXIT_TRUE, True)
+
+
+def _exits_2_with_one_error_line(argv, capsys):
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    return captured.err
+
+
+def test_an_encoder_needs_0_lt_k_le_n(tmp_path, capsys):
+    rows = Matrix.from_rows([[1, 0], [0, 1], [1, 1]], F4)
+    for k, g in ((3, rows), (0, Matrix(0, 2, F4))):
+        with pytest.raises(EncoderError):
+            PolyEncoder(2, k, [g])
+    # k = n: the parity is empty and every level is maximal
+    square = _write(tmp_path, "k2n2.json", PolyEncoder(2, 2, [Matrix.identity(2, F4)]).to_json())
+    rc, report = _run(capsys, ["verify-conv", "--encoder", square])
+    assert (rc, report["verdict"], report["agreement"]) == (EXIT_TRUE, True, True)
+    wide = _write(tmp_path, "k3n2.json", {"field": F4.descriptor(), "n": 2, "k": 3,
+                                          "coeffs": [rows.to_json()]})
+    enc_path = _write(tmp_path, "e.json", _NOT_MSR.to_json())
+    _false_report(tmp_path, capsys, ["verify-conv", "--encoder", enc_path])
+    for argv in (["verify-conv"], ["distance"],
+                 ["recheck", "--report", str(tmp_path / "report.json")]):
+        err = _exits_2_with_one_error_line(argv + ["--encoder", wide], capsys)
+        assert "k=3, n=2" in err
+
+
+def test_from_json_refuses_a_field_other_than_the_matrices(tmp_path):
+    for obj, cls in ((_TWO_BLOCKS.to_json(), SystematicBlockCode),
+                     (_NOT_MSR.to_json(), PolyEncoder)):
+        assert cls.from_json(obj).to_json() == obj
+        assert cls.from_json({k: v for k, v in obj.items() if k != "field"}) == \
+            cls.from_json(obj)
+        with pytest.raises(FieldError):
+            cls.from_json(dict(obj, field=F8.descriptor()))
+
+
+@pytest.mark.parametrize("command", ["verify-block", "verify-conv", "distance",
+                                     "recheck-code", "recheck-encoder"])
+def test_a_field_key_other_than_the_matrices_exits_2(tmp_path, capsys, command):
+    # named F_8, but the matrices are over F_4 (code) and F_2 (encoder)
+    code = _write(tmp_path, "code.json", dict(_TWO_BLOCKS.to_json(), field=F8.descriptor()))
+    enc = _write(tmp_path, "enc.json", dict(_NOT_MSR.to_json(), field=F8.descriptor()))
+    report = _write(tmp_path, "report.json", {"witness": {"rows": [0], "cols": [0]}})
+    argv = {
+        "verify-block": ["verify-block", "--code", code],
+        "verify-conv": ["verify-conv", "--encoder", enc],
+        "distance": ["distance", "--encoder", enc],
+        "recheck-code": ["recheck", "--report", report, "--code", code],
+        "recheck-encoder": ["recheck", "--report", report, "--encoder", enc],
+    }[command]
+    assert F8.descriptor() in _exits_2_with_one_error_line(argv, capsys)
