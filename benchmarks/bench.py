@@ -5,7 +5,10 @@ layer by layer, for one or more source trees and both kernels.
         --rows "4,2,1;4,2,2;4,2,2-exact;5,3,1;cauchy10;gab4x2-f81;gab6x3-f64-transforms" \\
         --out BENCH_transform_family.json
     python3 benchmarks/bench.py --side this=src \\
-        --rows "expand-rank-f8;block-min-f16;conv-dist-f128" --out BENCH_kernels.json
+        --rows "expand-rank-f8;block-min-f16" --out BENCH_kernels.json
+    python3 benchmarks/bench.py --side parent=PARENT/src --side change=src \\
+        --rows "conv-dist-f128;conv-dists-verify-conv" --rounds 5 \\
+        --out BENCH_kernels.json
     python3 benchmarks/bench.py --side parent=PARENT/src --side change=src \\
         --rows descent424-f2048 --rounds 5 --out BENCH_refused_descent.json
     python3 benchmarks/bench.py --side parent=PARENT/src --side change=src \\
@@ -67,8 +70,13 @@ first, then the generator):
 - ``block-min-f16``: ``metrics.min_sum_rank_distance`` on a [6,3]
   generator over F_16 with blocks (3,3).
 - ``conv-dist-f128``: ``metrics.column_sum_rank_distance`` on the
-  Frobenius [3,2,2] encoder over F_128 at alpha^3, j = 2.
-- The last two give the distance as the result, and as layers the
+  Frobenius [3,2,2] encoder over F_128 at alpha^3, j = 2: one deep
+  search, whose result is the distance list d^0..d^2.
+- ``conv-dists-verify-conv``: ``metrics.column_distances`` on the eight
+  encoders of perfbench's verify-conv workload (``inputs.CONV_ENCODERS``,
+  at their listed exponents), each at its level j; the result is the
+  eight distance lists.
+- The last three give the distances as the result, and as layers the
   ``metrics`` and ``core`` times, the kernel's messages or nodes and
   those per second.  They call the kernel through ``metrics``, the path
   the CLI's oracles take: ``perfbench/tracer.py`` wraps
@@ -353,6 +361,10 @@ def time_block_min(row: str, calls: int, timed):
             value, walls, layers)
 
 
+CONV_LAYERS = ("metrics.column_sum_rank_distance.s", "core.conv_column_distance.s",
+               "core.conv_column_distance.nodes", "core.conv_column_distance.nodes_per_s")
+
+
 def time_conv_dist(row: str, calls: int, timed):
     from sumrank import metrics
     from sumrank.conv_codes import construct_frobenius
@@ -361,12 +373,27 @@ def time_conv_dist(row: str, calls: int, timed):
     f = field(2, 7)
     enc = construct_frobenius(3, 2, 2, f, f.alpha_pow(3))
     walls, value, layers = measure(
-        lambda: metrics.column_sum_rank_distance(enc, 2), calls, timed,
-        ("metrics.column_sum_rank_distance.s", "core.conv_column_distance.s",
-         "core.conv_column_distance.nodes", "core.conv_column_distance.nodes_per_s"),
+        lambda: metrics.column_sum_rank_distance(enc, 2), calls, timed, CONV_LAYERS,
         warm=False)
     return (f"column_sum_rank_distance, Frobenius [3,2,2] over F_{f.descriptor()} "
             "at alpha^3, j=2", value, walls, layers)
+
+
+def time_conv_dists(row: str, calls: int, timed):
+    import inputs
+    from sumrank import metrics
+    from sumrank.conv_codes import construct_frobenius
+    from sumrank.field import field
+
+    runs = []
+    for n, k, m, deg, e, j, *_ in inputs.CONV_ENCODERS:
+        f = field(2, deg)
+        runs.append((construct_frobenius(n, k, m, f, f.alpha_pow(e)), j))
+    walls, value, layers = measure(
+        lambda: [metrics.column_distances(enc, j)[0] for enc, j in runs], calls, timed,
+        CONV_LAYERS, warm=False)
+    return ("column_distances on the eight verify-conv encoders at their j",
+            value, walls, layers)
 
 
 NAMED = {
@@ -380,6 +407,7 @@ NAMED = {
     "expand-rank-f8": time_expand_rank,
     "block-min-f16": time_block_min,
     "conv-dist-f128": time_conv_dist,
+    "conv-dists-verify-conv": time_conv_dists,
 }
 
 

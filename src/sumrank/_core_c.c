@@ -308,6 +308,7 @@ typedef struct {
     int j, m, systematic;
     i64 qmk, budget, enumerated, best;
     i64 *hist;    /* (j+1) * k message digits */
+    i64 *seen;    /* j+1: the least weight of blocks 0..t met under best */
     i64 *scratch; /* (j+3) * n: a carry per depth, one term, one private acc */
 } Conv;
 
@@ -331,8 +332,9 @@ static void carry_for(Conv *cx, int t, i64 *acc)
     }
 }
 
-/* True iff u_t..u_j = 0 makes every remaining block vanish. */
-static int zero_extension_weightless(Conv *cx, int t)
+/* True iff u_t..u_j = 0 makes every remaining block vanish; each depth
+ * whose blocks from t on vanish so far records s. */
+static int zero_extension_weightless(Conv *cx, int t, i64 s)
 {
     const Field *f = &cx->f;
     /* private region past the per-depth slots, so callers' carries survive */
@@ -344,6 +346,8 @@ static int zero_extension_weightless(Conv *cx, int t)
         for (int c = 0; c < f->n; c++)
             if (acc[c])
                 return 0;
+        if (s < cx->seen[i])
+            cx->seen[i] = s;
     }
     return 1;
 }
@@ -361,7 +365,7 @@ static int rec(Conv *cx, int t, i64 s)
         return 0;
     }
     if (cx->systematic && t > 0 && s == cx->best - 1) {
-        if (zero_extension_weightless(cx, t))
+        if (zero_extension_weightless(cx, t, s))
             cx->best = s;
         return 0;
     }
@@ -383,8 +387,12 @@ static int rec(Conv *cx, int t, i64 s)
             for (int c = 0; c < f->n; c++)
                 v[c] = add_code(v[c], carry[c], f->q, f->M);
         }
-        i64 r = expand_rank_c(v, f->n, f->q, f->M);
-        if (s + r < cx->best && rec(cx, t + 1, s + r) < 0)
+        i64 w = s + expand_rank_c(v, f->n, f->q, f->M);
+        if (w >= cx->best)
+            continue;
+        if (w < cx->seen[t])
+            cx->seen[t] = w;
+        if (rec(cx, t + 1, w) < 0)
             return -1;
     }
     return 0;
@@ -423,6 +431,7 @@ static PyObject *py_conv_column_distance(PyObject *self, PyObject *args)
              (fast = PySequence_Fast(coeff_rows, "expected a list of matrices")) != NULL &&
              (cx.coeffs = malloc((size_t)levels * k * n * sizeof(i64))) != NULL &&
              (cx.hist = malloc((size_t)(j + 1) * k * sizeof(i64))) != NULL &&
+             (cx.seen = malloc((size_t)(j + 1) * sizeof(i64))) != NULL &&
              (cx.scratch = malloc((size_t)(j + 3) * n * sizeof(i64))) != NULL;
     if (!ok && !PyErr_Occurred() && levels < 1)
         PyErr_SetString(PyExc_ValueError, "need at least one coefficient matrix");
@@ -434,11 +443,24 @@ static PyObject *py_conv_column_distance(PyObject *self, PyObject *args)
     if (ok) {
         cx.m = (int)(levels - 1);
         cx.best = (i64)n * (j + 1) + 1; /* strictly above any achievable weight */
+        for (int t = 0; t <= j; t++)
+            cx.seen[t] = cx.best;
         Py_BEGIN_ALLOW_THREADS
         ok = rec(&cx, 0, 0) == 0;
         Py_END_ALLOW_THREADS
         if (ok) {
-            result = Py_BuildValue("(LL)", cx.best, cx.enumerated);
+            PyObject *dists = PyList_New(j + 1);
+            for (int t = 0; dists != NULL && t <= j; t++) {
+                /* every prefix lighter than d^j is met: d^t = min(seen_t, d^j) */
+                PyObject *d = PyLong_FromLongLong(cx.seen[t] < cx.best ? cx.seen[t]
+                                                                       : cx.best);
+                if (d == NULL)
+                    Py_CLEAR(dists);
+                else
+                    PyList_SET_ITEM(dists, t, d);
+            }
+            if (dists != NULL)
+                result = Py_BuildValue("(NL)", dists, cx.enumerated);
         } else {
             /* the children that crossed the budget are named as budget + 1,
              * as counting them one by one would */
@@ -452,6 +474,7 @@ static PyObject *py_conv_column_distance(PyObject *self, PyObject *args)
     Py_XDECREF(fast);
     free(cx.coeffs);
     free(cx.hist);
+    free(cx.seen);
     free(cx.scratch);
     free_field(&cx.f);
     return result;
@@ -467,7 +490,7 @@ static PyMethodDef methods[] = {
      "-> (minimum sum-rank weight, enumerated)"},
     {"conv_column_distance", py_conv_column_distance, METH_VARARGS,
      "conv_column_distance(coeff_rows, k, n, j, q, M, order, exp, log, budget,\n"
-     "systematic) -> (j-th column sum-rank distance, enumerated nodes)"},
+     "systematic) -> ([d^0, ..., d^j] column sum-rank distances, enumerated nodes)"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -7,8 +7,16 @@ The budget rules that refuse a search before it starts, ``message_stop``
 and ``children_per_node``, live here and serve both kernels, so a
 message space past 2^63 is refused with the same arguments by either.
 
-The column-distance search runs on packed vectors:
+The column-distance search finds d^0 .. d^j in one pruned search to
+depth j, on packed vectors:
 
+- **Every level at once.**  Each depth records the least weight of the
+  blocks so far that it meets under the running best, so d^t is that
+  record or d^j, whichever is less; a systematic shortcut at depth t
+  records its weight at every depth its zero extension leaves weightless.
+- **Pending carries.**  A recursed child is handed the blocks its fixed
+  messages add at the next min(j, m) depths, computed once per child, so
+  the carry into a depth and the zero-extension test only read them.
 - **Packed vectors.**  A vector of n element codes is one int whose
   base-``order`` digit c is code c, so over q = 2 code c sits at bits
   c*M and a vector add is a single XOR.  Odd q adds digitwise (``_add``).
@@ -248,15 +256,6 @@ def _row_tables(rows, order: int, exp, log):
     return tables
 
 
-def _image(tables, u, add) -> int:
-    """Packed image of the message with digits u under the row tables."""
-    acc = 0
-    for table, d in zip(tables, u):
-        if d:
-            acc = add(acc, table[d])
-    return acc
-
-
 def _high_images(tables, add, base: int, order: int):
     """Yield (h, digits, base + image of digits) for every high index h,
     in order, where message digit r >= 1 is digit r - 1 of h."""
@@ -286,7 +285,7 @@ def conv_column_distance(
     budget: int,
     systematic: bool,
 ):
-    """j-th column sum-rank distance by pruned depth-first search.
+    """Column sum-rank distances d^0 .. d^j by one pruned depth-first search.
 
     coeff_rows: list of m+1 coefficient matrices, each as k rows of n
     codes.  Enumerates u_0 != 0 and u_1..u_j over F_{q^M}^k, accumulating
@@ -295,10 +294,12 @@ def conv_column_distance(
     a branch one unit under the best is settled by checking the unique
     all-zero-rank extension instead of enumerating it.
 
-    Every child of a visited node counts as one enumerated node, so a
-    node at depth t adds q^(Mk) - [t == 0] at once.
+    Every prefix lighter than d^j is visited, so d^t is the least weight
+    of blocks 0..t the search meets, or d^j if none is lighter.  Every
+    child of a visited node counts as one enumerated node, so a node at
+    depth t adds q^(Mk) - [t == 0] at once.
 
-    Returns (distance, enumerated_nodes).
+    Returns ([d^0, ..., d^j], enumerated_nodes).
     """
     if j < 0:
         raise ValueError("j must be non-negative")
@@ -311,45 +312,33 @@ def conv_column_distance(
         pivot, ones, mask = _pivots(M, n)
     else:
         add, rank_below = _packed_ops(q, M, order, n)
-    # depth t reads G_0 .. G_min(t, m), and t never passes j
-    tables = [_row_tables(rows, order, exp, log) for rows in coeff_rows[:min(j, m) + 1]]
+    # a message block reaches min(j, m) depths past its own, and depth t
+    # reads G_0 .. G_min(t, m)
+    span = min(j, m)
+    tables = [_row_tables(rows, order, exp, log) for rows in coeff_rows[:span + 1]]
     low = tables[0][0]
-    zero = [0] * k
     best = n * (j + 1) + 1  # strictly above any achievable weight
+    # seen[t]: the least weight of blocks 0..t met under the running best
+    seen = [best] * (j + 1)
     enumerated = 0
 
-    def carry_for(history, t):
-        """sum over i >= 1 of u_{t-i} G_i, from fixed history blocks."""
-        acc = 0
-        for i in range(1, min(t, m) + 1):
-            acc = add(acc, _image(tables[i], history[t - i], add))
-        return acc
-
-    def zero_extension_weightless(history, t):
-        """True iff u_t..u_j = 0 makes every remaining block vanish."""
-        hist = list(history)
-        for i in range(t, j + 1):
-            hist.append(zero)
-            if carry_for(hist, i):
-                return False
-        return True
-
-    def rec(t, s, history):
+    def rec(t, s, pending):
+        """Search below a node at depth t of weight s, whose fixed blocks
+        add pending[i] at depth t + i, for the depths up to j they reach."""
         nonlocal best, enumerated
-        if s >= best:
-            return
-        if t > j:
+        if systematic and t and s == best - 1:
+            # only u_t = .. = u_j = 0 adds no weight: its blocks are pending
+            for i, carry in enumerate(pending, t):
+                if carry:
+                    return
+                seen[i] = min(seen[i], s)
             best = s
-            return
-        if systematic and t > 0 and s == best - 1:
-            if zero_extension_weightless(history, t):
-                best = s
             return
         # the loop below visits every child; pruning only skips recursion
         enumerated += qmk - (t == 0)
         if enumerated > budget:
             raise BudgetExceeded(budget + 1, budget)
-        images = _high_images(tables[0], add, carry_for(history, t), order)
+        images = _high_images(tables[0], add, pending[0] if pending else 0, order)
         if t == j:  # every child is a leaf: only the least rank matters
             cap = best - s
             for h, _, head in images:
@@ -371,6 +360,9 @@ def conv_column_distance(
                     break
             best = s + cap
             return
+        # the child at depth t + 1 reaches depths up to min(t + span, j)
+        reach = range(1, min(span, j - t) + 1)
+        shifted = [pending[i] if i < len(pending) else 0 for i in reach]
         for h, digits, head in images:
             for d in range(1 if t == 0 and h == 0 else 0, order):
                 cap = best - s
@@ -384,7 +376,16 @@ def conv_column_distance(
                 else:
                     r = rank_below(add(head, low[d]), cap)
                 if r < cap:
-                    rec(t + 1, s + r, history + [[d] + digits])
+                    w = s + r
+                    seen[t] = min(seen[t], w)
+                    u = (d, *digits)
+                    below = []
+                    for i, acc in zip(reach, shifted):
+                        for table, x in zip(tables[i], u):
+                            if x:
+                                acc = add(acc, table[x])
+                        below.append(acc)
+                    rec(t + 1, w, below)
 
     try:
         rec(0, 0, [])
@@ -392,4 +393,4 @@ def conv_column_distance(
         # rec refers to itself: unbind it so the tables go now, not at the
         # next cyclic garbage collection
         rec = None
-    return best, enumerated
+    return [min(d, best) for d in seen], enumerated

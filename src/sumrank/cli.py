@@ -5,10 +5,10 @@ distances.  Every run emits a machine-readable JSON report.
 The commands decide nothing themselves: the verify commands copy their
 checker's VerificationReport fields into the report, with the wall time
 of the checker call as elapsed (this module alone reads the clock),
-verify-conv and recheck --encoder decide the systematic form of the
-encoder (_decided_encoder), the MRD checks and their rechecks read the
-whole length as one block (_decided_code), and the column distances
-and their bounds come from metrics.column_distances.
+verify-conv, recheck --encoder and distance --encoder decide the
+systematic form of the encoder (_decided_encoder), the MRD checks and
+their rechecks read the whole length as one block (_decided_code), and
+the column distances and bounds come from metrics.column_distances.
 --budget defaults to DEFAULT_SELECTION_BUDGET selections, or to
 DEFAULT_MESSAGE_BUDGET messages for distance.
 
@@ -201,8 +201,8 @@ def cmd_verify_block(args) -> int:
 
 
 def _decided_encoder(enc: PolyEncoder) -> PolyEncoder:
-    """The encoder verify-conv decides and recheck rechecks on: enc in
-    systematic form (systematize is deterministic)."""
+    """The encoder verify-conv decides, recheck rechecks on and distance
+    measures: enc in systematic form (systematize is deterministic)."""
     return enc if enc.systematic else systematize(enc)
 
 
@@ -381,6 +381,11 @@ def cmd_recheck(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    # an option that does not apply to the input is refused, not ignored
+    if args.code and (args.encoder or args.j is not None):
+        raise CliError("distance --code takes no --encoder or --j", EXIT_PARSE)
+    if args.encoder and args.partition is not None:
+        raise CliError("distance --encoder takes no --partition", EXIT_PARSE)
     report = _report_base("distance", args)
     try:
         if args.code:
@@ -406,6 +411,8 @@ def cmd_distance(args) -> int:
             }
         elif args.encoder:
             enc = load_encoder(args.encoder)
+            report["systematized"] = not enc.systematic
+            enc = _decided_encoder(enc)
             j = args.j if args.j is not None else enc.m
             if j < 0:
                 raise CliError(f"level j={j} is negative", EXIT_PARSE)

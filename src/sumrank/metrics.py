@@ -132,26 +132,18 @@ def min_sum_rank_distance(
 
 def column_sum_rank_distance(
     encoder, j: int, budget: int = DEFAULT_MESSAGE_BUDGET
-) -> int:
-    """j-th column sum-rank distance of a convolutional encoder, brute force
-    with block-by-block pruning.  Raises BudgetExceeded when the pruned
-    search still visits more nodes than the budget allows."""
+) -> list[int]:
+    """Column sum-rank distances d^0 .. d^j of a convolutional encoder,
+    from one brute-force search to depth j with block-by-block pruning;
+    that search gets the whole budget.  Raises BudgetExceeded when it
+    still visits more nodes than the budget allows."""
     field = encoder.field
     coeff_rows = [g.to_rows() for g in encoder.coeffs]
-    dist, _ = core.conv_column_distance(
-        coeff_rows,
-        encoder.k,
-        encoder.n,
-        j,
-        field.q,
-        field.M,
-        field.order,
-        field.exp,
-        field.log,
-        budget,
-        encoder.systematic,
+    dists, _ = core.conv_column_distance(
+        coeff_rows, encoder.k, encoder.n, j, field.q, field.M, field.order,
+        field.exp, field.log, budget, encoder.systematic,
     )
-    return dist
+    return dists
 
 
 def column_distance_bound(j: int, n: int, k: int) -> int:
@@ -161,12 +153,11 @@ def column_distance_bound(j: int, n: int, k: int) -> int:
 def column_distances(
     encoder, j: int, budget: int = DEFAULT_MESSAGE_BUDGET
 ) -> tuple[list[int], list[int]]:
-    """(column distances, their bounds) at levels 0..j; each distance's
-    search gets the whole budget.  d^i meets its bound at every i <= j
-    iff the two lists are equal."""
-    levels = range(j + 1)
-    return ([column_sum_rank_distance(encoder, i, budget=budget) for i in levels],
-            [column_distance_bound(i, encoder.n, encoder.k) for i in levels])
+    """(column distances, their bounds) at levels 0..j, the distances from
+    one search to depth j that gets the whole budget.  d^i meets its bound
+    at every i <= j iff the two lists are equal."""
+    return (column_sum_rank_distance(encoder, j, budget=budget),
+            [column_distance_bound(i, encoder.n, encoder.k) for i in range(j + 1)])
 
 
 def free_distance_bound(m: int, n: int, k: int) -> int:

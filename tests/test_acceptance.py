@@ -25,7 +25,7 @@ from sumrank.field import base_field, field
 from sumrank.matrix import Matrix, bruhat_decompose, det, is_permutation, is_upper_triangular
 from sumrank.metrics import (
     LengthPartition,
-    column_distance_bound,
+    column_distances,
     column_sum_rank_distance,
     min_sum_rank_distance,
     singleton_bounds,
@@ -59,13 +59,9 @@ def _finish(capsys, criterion, desc, ok, start, limit):
 
 def _conv_distances_maximal(enc):
     """Brute-force column distances vs their bounds; feeds the ledger."""
-    ok = True
-    for j in range(enc.m + 1):
-        d = column_sum_rank_distance(enc, j)
-        bound = column_distance_bound(j, enc.n, enc.k)
-        _BOUND_LEDGER.append((d, bound))
-        ok = ok and d == bound
-    return ok
+    dists, bounds = column_distances(enc, enc.m)
+    _BOUND_LEDGER.extend(zip(dists, bounds))
+    return dists == bounds
 
 
 def test_criterion_1_desk_instance(capsys):
@@ -74,8 +70,7 @@ def test_criterion_1_desk_instance(capsys):
     ok = check_mMSR(enc).verdict is True
     ok = ok and check_mMSR_oracle(enc, 0).verdict is True
     ok = ok and check_mMSR_oracle(enc, 1).verdict is True
-    ok = ok and column_sum_rank_distance(enc, 0) == 2
-    ok = ok and column_sum_rank_distance(enc, 1) == 3
+    ok = ok and column_sum_rank_distance(enc, 1) == [2, 3]
     ok = ok and _conv_distances_maximal(enc)
     _finish(capsys, 1, "[2,1,1] over F_4: checker, oracle, distances agree",
             ok, start, 1.0)
@@ -87,7 +82,7 @@ def test_criterion_2_memory_two(capsys):
     ok = check_mMSR(enc, mode="exact").verdict is True
     for j in range(3):
         ok = ok and check_mMSR_oracle(enc, j).verdict is True
-        ok = ok and column_sum_rank_distance(enc, j) == j + 2
+    ok = ok and column_sum_rank_distance(enc, 2) == [2, 3, 4]
     ok = ok and _conv_distances_maximal(enc)
     _finish(capsys, 2, "[2,1,2] over F_8: d^j = j+2 by all three methods",
             ok, start, 10.0)
@@ -114,10 +109,9 @@ def test_criterion_4_flagship_instance(capsys):
     f = field(2, 7)
     enc = construct_frobenius(3, 2, 2, f, f.alpha_pow(3))
     ok = check_mMSR(enc, mode="filter").verdict is True
-    for j, expect in enumerate((2, 3, 4)):
-        d = column_sum_rank_distance(enc, j)
-        _BOUND_LEDGER.append((d, column_distance_bound(j, 3, 2)))
-        ok = ok and d == expect
+    dists, bounds = column_distances(enc, 2)
+    _BOUND_LEDGER.extend(zip(dists, bounds))
+    ok = ok and dists == [2, 3, 4]
     _finish(capsys, 4,
             "[3,2,2] over F_128: filtered checker true, d = 2, 3, 4 by brute "
             "force", ok, start, 900.0)

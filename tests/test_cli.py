@@ -424,6 +424,52 @@ def test_distance_command(tmp_path, capsys):
     assert report["column_distance_bounds"] == [2, 3]
 
 
+def _one_plus_d_encoder(tmp_path):
+    # G(D) = (1 + D)[1, alpha] over F_8: memory 1 as given, memory 0 once
+    # systematized, as the factor 1 + D cancels
+    g = Matrix.from_rows([[1, F8.alpha_pow(1)]], F8)
+    return _write(tmp_path, "one_plus_d.json", PolyEncoder(2, 1, [g, g]).to_json())
+
+
+def test_distance_decides_the_encoder_verify_conv_decides(tmp_path, capsys):
+    enc_path = _one_plus_d_encoder(tmp_path)
+    rc, report = _run(capsys, ["verify-conv", "--encoder", enc_path])
+    assert (rc, report["systematized"], report["j"]) == (EXIT_TRUE, True, 0)
+    # verify-conv refuses a level past the systematized memory
+    assert main(["verify-conv", "--encoder", enc_path, "--j", "1"]) == EXIT_PARSE
+    capsys.readouterr()
+    rc, report = _run(capsys, ["distance", "--encoder", enc_path])
+    assert rc == EXIT_TRUE
+    assert report["systematized"] is True
+    assert report["j"] == 0
+    assert report["column_distances"] == report["column_distance_bounds"] == [2]
+    assert report["free_distance_bound"] == 2
+    # column distances exist at any level: past m = 0 no block adds weight
+    rc, report = _run(capsys, ["distance", "--encoder", enc_path, "--j", "1"])
+    assert rc == EXIT_TRUE
+    assert report["column_distances"] == [2, 2]
+    assert report["column_distance_bounds"] == [2, 3]
+    enc_path = _write(tmp_path, "sys.json", construct_frobenius(2, 1, 1, F4).to_json())
+    rc, report = _run(capsys, ["distance", "--encoder", enc_path])
+    assert report["systematized"] is False
+
+
+@pytest.mark.parametrize("extra", [
+    ["--encoder", "e.json", "--partition", "1,1"],
+    ["--code", "c.json", "--j", "3"],
+    ["--code", "c.json", "--encoder", "e.json"],
+], ids=["partition-with-encoder", "j-with-code", "code-and-encoder"])
+def test_distance_refuses_options_that_do_not_apply(tmp_path, capsys, monkeypatch,
+                                                    extra):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "c.json", _gabidulin_code_json(3, 2, F8))
+    _write(tmp_path, "e.json", construct_frobenius(2, 1, 1, F4).to_json())
+    assert main(["distance", *extra]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_negative_level_or_memory_exits_2_with_one_error_line(tmp_path, capsys):
     enc_path = _write(tmp_path, "e.json", construct_frobenius(2, 1, 1, F4).to_json())
     for argv in (["distance", "--encoder", enc_path, "--j", "-1"],

@@ -34,7 +34,11 @@ from sumrank.conv_codes import (
 )
 from sumrank.field import base_field, field
 from sumrank.matrix import Matrix, block_diag
-from sumrank.metrics import column_distance_bound, column_sum_rank_distance
+from sumrank.metrics import (
+    column_distance_bound,
+    column_distances,
+    column_sum_rank_distance,
+)
 from sumrank.report import INFEASIBLE
 
 F2 = base_field(2)
@@ -173,10 +177,8 @@ def test_check_mMSR_positive_example():
     # level 1 alone certifies levels 0 and 1
     assert [lv["level"] for lv in rep.detail["levels"]] == [1]
     # certified distances match the brute force
-    for j in range(2):
-        assert column_sum_rank_distance(enc, j) == column_distance_bound(
-            j, 2, 1
-        )
+    dists, bounds = column_distances(enc, 1)
+    assert dists == bounds
 
 
 def test_check_mMSR_negative_with_witness():
@@ -184,7 +186,7 @@ def test_check_mMSR_negative_with_witness():
     rep = check_mMSR(enc)
     assert rep.verdict is False
     assert recheck_mMSR_witness(enc, rep.witness)
-    assert column_sum_rank_distance(enc, rep.witness["level"]) < (
+    assert column_sum_rank_distance(enc, rep.witness["level"])[-1] < (
         column_distance_bound(rep.witness["level"], 2, 1)
     )
 
@@ -334,11 +336,10 @@ def test_oracle_agrees_with_checker_and_distance():
     for p0, p1 in product(range(4), range(1, 4)):
         enc = _parity_encoder([p0, p1], F4)
         level_ok = []
+        dists, bounds = column_distances(enc, 1)
         for j in range(2):
             orep = check_mMSR_oracle(enc, j)
-            maximal = column_sum_rank_distance(enc, j) == column_distance_bound(
-                j, 2, 1
-            )
+            maximal = dists[j] == bounds[j]
             assert orep.verdict == maximal, (p0, p1, j)
             if orep.verdict is False:
                 assert recheck_oracle_witness(enc, orep.witness)
@@ -424,8 +425,8 @@ def test_find_frobenius_alpha():
     f16 = field(2, 4)
     assert find_frobenius_alpha(3, 2, 1, f16) == 7
     enc = construct_frobenius(3, 2, 1, f16, f16.alpha_pow(7))
-    for j in range(2):
-        assert column_sum_rank_distance(enc, j) == column_distance_bound(j, 3, 2)
+    dists, bounds = column_distances(enc, 1)
+    assert dists == bounds
     assert find_frobenius_alpha(2, 1, 1, F4) == 1
 
 

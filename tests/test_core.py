@@ -98,14 +98,21 @@ def test_conv_column_distance_agreement(core_c):
         enc = construct_frobenius(n, k, m, f)
         coeff_rows = [g.to_rows() for g in enc.coeffs]
         q, M, order, exp, log = _field_args(f)
-        for j in range(m + 1):
-            a = core_c.conv_column_distance(
-                coeff_rows, k, n, j, q, M, order, exp, log, 10**7, True
-            )
-            b = _core_py.conv_column_distance(
-                coeff_rows, k, n, j, q, M, order, exp, log, 10**7, True
-            )
-            assert a == b
+        shallower = []
+        for j in range(m + 2):
+            for systematic in (True, False):
+                a = core_c.conv_column_distance(
+                    coeff_rows, k, n, j, q, M, order, exp, log, 10**7, systematic
+                )
+                b = _core_py.conv_column_distance(
+                    coeff_rows, k, n, j, q, M, order, exp, log, 10**7, systematic
+                )
+                assert a == b
+                # one search to depth j gives every level up to j: its list
+                # extends the shallower search's, and the systematic
+                # shortcut changes only the node count
+                assert len(a[0]) == j + 1 and a[0][:j] == shallower
+            shallower = a[0]
 
 
 def _budget_raises(mod):
@@ -118,6 +125,12 @@ def _budget_raises(mod):
         mod.conv_column_distance(
             [gen, gen], 2, 3, 1, q, M, order, exp, log, 2, False
         )
+    # the root's 63 children fit; the first node below them passes 80
+    with pytest.raises(BudgetExceeded) as exc:
+        mod.conv_column_distance(
+            [gen, gen], 2, 3, 1, q, M, order, exp, log, 80, False
+        )
+    assert exc.value.args == BudgetExceeded(81, 80).args
 
 
 def test_budget_exceeded_pure():

@@ -4,9 +4,11 @@ Singleton-type bounds."""
 
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 
+from sumrank import core
 from sumrank.field import base_field, field
 from sumrank.matrix import Matrix
 from sumrank.metrics import (
@@ -15,6 +17,7 @@ from sumrank.metrics import (
     PartitionError,
     SumRankProfile,
     column_distance_bound,
+    column_distances,
     column_sum_rank_distance,
     expand,
     free_distance_bound,
@@ -163,24 +166,32 @@ def test_hamming_equals_all_ones_partition():
 
 def test_column_distance_known_encoder():
     enc = construct_frobenius(2, 1, 1, F4)
-    assert column_sum_rank_distance(enc, 0) == 2
-    assert column_sum_rank_distance(enc, 1) == 3
+    assert column_sum_rank_distance(enc, 0) == [2]
+    assert column_sum_rank_distance(enc, 1) == [2, 3]
 
 
 def test_column_distance_monotone_and_bounded():
     enc = construct_frobenius(2, 1, 2, F8)
-    prev = 0
-    for j in range(3):
-        d = column_sum_rank_distance(enc, j)
-        assert d >= prev
+    dists = column_sum_rank_distance(enc, 2)
+    assert dists == sorted(dists)
+    for j, d in enumerate(dists):
         assert d <= column_distance_bound(j, enc.n, enc.k)
-        prev = d
 
 
 def test_column_distance_budget():
     enc = construct_frobenius(2, 1, 2, F8)
     with pytest.raises(BudgetExceeded):
         column_sum_rank_distance(enc, 2, budget=5)
+
+
+def test_column_distances_make_one_search_with_the_whole_budget():
+    enc = construct_frobenius(2, 1, 2, F8)
+    with mock.patch.object(core, "conv_column_distance",
+                           wraps=core.conv_column_distance) as kernel:
+        assert column_distances(enc, 2, budget=10**6) == ([2, 3, 4], [2, 3, 4])
+    assert kernel.call_count == 1
+    args = kernel.call_args.args
+    assert (args[3], args[9]) == (2, 10**6)  # the level j and the budget
 
 
 def test_bound_values():

@@ -3,13 +3,15 @@ one in ``_core_py`` and the compiled one (the ``core_c`` fixture of
 tests/conftest.py).
 
 The reference kernel below is the column-distance search as it was
-before the pure kernel moved to packed vectors: it decodes every child
-message and multiplies it out code by code with ``_vec_matmul``, as the
-compiled kernel does.  Both kernels must return the same (distance,
-enumerated) pair on systematic and general encoders over fields of both
-characteristics, and refuse a budget below the count with the same
-exception arguments; both search kernels refuse a message space past
-2^63 as the pure ones always have, with the exact count.
+before the pure kernel moved to packed vectors: one search per level,
+which decodes every child message and multiplies it out code by code
+with ``_vec_matmul``, as the compiled kernel does.  Both kernels search
+once to depth j, and must return the reference's distances at levels
+0..j and its level-j node count, on systematic and general encoders
+over fields of both characteristics and at levels past the memory, and
+refuse a budget below the count with the same exception arguments; both
+search kernels refuse a message space past 2^63 as the pure ones always
+have, with the exact count.
 """
 
 import random
@@ -27,7 +29,8 @@ from sumrank._core_py import (
 )
 from sumrank.field import field
 
-FIELDS = [field(2, 2), field(2, 3), field(2, 4), field(3, 2), field(3, 3)]
+FIELDS = [field(2, 2), field(2, 3), field(2, 4), field(3, 2), field(3, 3),
+          field(3, 1), field(5, 1)]
 
 
 def ref_conv_column_distance(coeff_rows, k, n, j, q, M, order, exp, log, budget,
@@ -85,6 +88,14 @@ def ref_conv_column_distance(coeff_rows, k, n, j, q, M, order, exp, log, budget,
     return best[0], enumerated[0]
 
 
+def ref_column_distances(coeff_rows, k, n, j, f, budget, systematic):
+    """([d^0, ..., d^j], the level-j search's node count), one reference
+    search per level."""
+    runs = [ref_conv_column_distance(coeff_rows, k, n, i, *_args(f), budget, systematic)
+            for i in range(j + 1)]
+    return [dist for dist, _ in runs], runs[-1][1]
+
+
 def _args(f):
     return f.q, f.M, f.order, f.exp, f.log
 
@@ -118,13 +129,14 @@ def _conv_cases():
                 m = rng.randrange(1, 3)
                 coeffs = _random_encoder(rng, f, n, k, m, systematic)
                 kind = "sys" if systematic else "gen"
-                for j in range(3):
+                # j = 3 runs past every memory m, where no coefficient is new
+                for j in range(4):
                     yield pytest.param(f, coeffs, k, n, j, systematic,
                                        id=f"F{f.order}-{kind}{draw}-j{j}")
 
 
 def _matches_reference(kernel, f, coeffs, k, n, j, systematic):
-    want = ref_conv_column_distance(coeffs, k, n, j, *_args(f), 10**7, systematic)
+    want = ref_column_distances(coeffs, k, n, j, f, 10**7, systematic)
     got = kernel.conv_column_distance(coeffs, k, n, j, *_args(f), 10**7, systematic)
     assert got == want
 
@@ -168,19 +180,18 @@ def test_a_search_tables_only_the_coefficients_it_reads():
         with mock.patch.object(_core_py, "_row_tables", wraps=_core_py._row_tables) as rt:
             got = _core_py.conv_column_distance(coeffs, 1, 3, j, *_args(f), 10**7, True)
         assert [c.args[0] for c in rt.call_args_list] == coeffs[:tabled]
-        assert got == ref_conv_column_distance(coeffs, 1, 3, j, *_args(f), 10**7, True)
+        assert got == ref_column_distances(coeffs, 1, 3, j, f, 10**7, True)
 
 
 def _refusal_at_the_count(kernel):
     rng = random.Random(44)
     for f in (field(2, 3), field(3, 2)):
         coeffs = _random_encoder(rng, f, 3, 1, 2, systematic=False)
-        dist, count = kernel.conv_column_distance(coeffs, 1, 3, 2, *_args(f),
-                                                  10**7, False)
-        assert (dist, count) == ref_conv_column_distance(coeffs, 1, 3, 2, *_args(f),
-                                                         10**7, False)
+        dists, count = kernel.conv_column_distance(coeffs, 1, 3, 2, *_args(f),
+                                                   10**7, False)
+        assert (dists, count) == ref_column_distances(coeffs, 1, 3, 2, f, 10**7, False)
         assert kernel.conv_column_distance(coeffs, 1, 3, 2, *_args(f), count,
-                                           False) == (dist, count)
+                                           False) == (dists, count)
         # a batch of children may pass the budget by more than one node;
         # the refusal still names budget + 1, as one-by-one counting did
         for budget in (count - 1, count // 2, 1):

@@ -68,6 +68,7 @@ from sumrank.metrics import (
     BudgetExceeded,
     LengthPartition,
     column_distance_bound,
+    column_distances,
     column_sum_rank_distance,
     min_sum_rank_distance,
 )
@@ -507,7 +508,7 @@ def _witness_is_genuine(enc, rep):
     level = rep.witness["level"]
     assert recheck_mMSR_witness(enc, rep.witness)
     try:
-        d = column_sum_rank_distance(enc, level, budget=10**6)
+        d = column_sum_rank_distance(enc, level, budget=10**6)[-1]
     except BudgetExceeded:
         return
     assert d < column_distance_bound(level, enc.n, enc.k)
@@ -647,10 +648,8 @@ def test_pinned_examples_are_positives():
 def test_conv_checkers_agree_in_odd_characteristic(enc):
     exact = check_mMSR(enc, mode="exact").verdict
     assert check_mMSR(enc, mode="filter").verdict == exact
-    maximal = [
-        column_sum_rank_distance(enc, j) == column_distance_bound(j, enc.n, enc.k)
-        for j in range(2)
-    ]
+    dists, bounds = column_distances(enc, 1)
+    maximal = [d == b for d, b in zip(dists, bounds)]
     assert exact == all(maximal)
     for j in range(2):
         assert check_mMSR_oracle(enc, j).verdict == maximal[j]
