@@ -4,11 +4,9 @@ layer by layer, for one or more source trees and both kernels.
     python3 benchmarks/bench.py --side this=src \\
         --rows "4,2,1;4,2,2;4,2,2-exact;5,3,1;cauchy10;gab4x2-f81;gab6x3-f64-transforms" \\
         --out BENCH_transform_family.json
-    python3 benchmarks/bench.py --side this=src \\
-        --rows "expand-rank-f8;block-min-f16" --out BENCH_kernels.json
     python3 benchmarks/bench.py --side parent=PARENT/src --side change=src \\
-        --rows "conv-dist-f128;conv-dists-verify-conv" --rounds 5 \\
-        --out BENCH_kernels.json
+        --rows "expand-rank-f8;block-min-f16;conv-dist-f128;conv-dists-verify-conv" \\
+        --rounds 5 --out BENCH_kernels.json
     python3 benchmarks/bench.py --side parent=PARENT/src --side change=src \\
         --rows descent424-f2048 --rounds 5 --out BENCH_refused_descent.json
     python3 benchmarks/bench.py --side parent=PARENT/src --side change=src \\

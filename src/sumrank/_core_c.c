@@ -332,9 +332,9 @@ static void carry_for(Conv *cx, int t, i64 *acc)
     }
 }
 
-/* True iff u_t..u_j = 0 makes every remaining block vanish; each depth
- * whose blocks from t on vanish so far records s. */
-static int zero_extension_weightless(Conv *cx, int t, i64 s)
+/* Sets u_t..u_j = 0 and records s in seen[i] at each depth i >= t whose
+ * blocks t..i all vanish; true iff every remaining block vanishes. */
+static int record_zero_extension(Conv *cx, int t, i64 s)
 {
     const Field *f = &cx->f;
     /* private region past the per-depth slots, so callers' carries survive */
@@ -365,7 +365,7 @@ static int rec(Conv *cx, int t, i64 s)
         return 0;
     }
     if (cx->systematic && t > 0 && s == cx->best - 1) {
-        if (zero_extension_weightless(cx, t, s))
+        if (record_zero_extension(cx, t, s))
             cx->best = s;
         return 0;
     }

@@ -6,9 +6,10 @@ The commands decide nothing themselves: the verify commands copy their
 checker's VerificationReport fields into the report, with the wall time
 of the checker call as elapsed (this module alone reads the clock),
 verify-conv, recheck --encoder and distance --encoder decide the
-systematic form of the encoder (_decided_encoder), the MRD checks and
-their rechecks read the whole length as one block (_decided_code), and
-the column distances and bounds come from metrics.column_distances.
+systematic form of the encoder (_decided_encoder, which distance
+expands past the file's memory to its level), the MRD checks and their
+rechecks read the whole length as one block (_decided_code), and the
+column distances and bounds come from metrics.column_distances.
 --budget defaults to DEFAULT_SELECTION_BUDGET selections, or to
 DEFAULT_MESSAGE_BUDGET messages for distance.
 
@@ -39,6 +40,7 @@ from .block_codes import (
     witness_minor_vanishes,
 )
 from .conv_codes import (
+    EncoderError,
     PolyEncoder,
     check_mMSR,
     check_mMSR_oracle,
@@ -395,35 +397,31 @@ def cmd_distance(args) -> int:
                 if args.partition
                 else code.length_partition
             )
-            d = min_sum_rank_distance(
-                assemble_generator(code), partition, budget=args.budget
-            )
-            rr, rs, cl = singleton_bounds(
-                code.n, code.k, code.field.M, partition
-            )
+            d = min_sum_rank_distance(assemble_generator(code), partition, budget=args.budget)
+            rr, rs, cl = singleton_bounds(code.n, code.k, code.field.M, partition)
             report["field"] = code.field.descriptor()
             report["partition"] = list(partition.parts)
             report["distance"] = d
-            report["bounds"] = {
-                "refined_rank": rr,
-                "refined_sum_rank": rs,
-                "classical": cl,
-            }
+            report["bounds"] = {"refined_rank": rr, "refined_sum_rank": rs, "classical": cl}
         elif args.encoder:
-            enc = load_encoder(args.encoder)
-            report["systematized"] = not enc.systematic
-            enc = _decided_encoder(enc)
-            j = args.j if args.j is not None else enc.m
+            given = load_encoder(args.encoder)
+            try:
+                enc = _decided_encoder(given)
+            except EncoderError:  # S_0 singular: no systematic form, measure as given
+                enc = given
+            report["systematized"] = enc is not given
+            m = enc.m
+            j = args.j if args.j is not None else m
             if j < 0:
                 raise CliError(f"level j={j} is negative", EXIT_PARSE)
+            if j > given.m and enc is not given:  # d^j reads S^-1 Q to depth j
+                enc = systematize(given, depth=j)
             dists, bounds = column_distances(enc, j, budget=args.budget)
             report["field"] = enc.field.descriptor()
             report["j"] = j
             report["column_distances"] = dists
             report["column_distance_bounds"] = bounds
-            report["free_distance_bound"] = free_distance_bound(
-                enc.m, enc.n, enc.k
-            )
+            report["free_distance_bound"] = free_distance_bound(m, enc.n, enc.k)
         else:
             raise CliError("distance needs --code or --encoder", EXIT_PARSE)
     except BudgetExceeded as e:

@@ -23,10 +23,15 @@ from sumrank.block_codes import (
     systematic_form,
     transformed_parity,
 )
-from sumrank.conv_codes import EncoderError, PolyEncoder, construct_frobenius
+from sumrank.conv_codes import EncoderError, PolyEncoder, construct_frobenius, systematize
 from sumrank.field import FieldError, base_field, field
 from sumrank.matrix import Matrix, minor
-from sumrank.metrics import DEFAULT_MESSAGE_BUDGET, LengthPartition
+from sumrank.metrics import (
+    DEFAULT_MESSAGE_BUDGET,
+    LengthPartition,
+    column_distances,
+    free_distance_bound,
+)
 from sumrank.report import VerificationReport
 from sumrank.superregular import DEFAULT_SELECTION_BUDGET
 
@@ -452,6 +457,38 @@ def test_distance_decides_the_encoder_verify_conv_decides(tmp_path, capsys):
     enc_path = _write(tmp_path, "sys.json", construct_frobenius(2, 1, 1, F4).to_json())
     rc, report = _run(capsys, ["distance", "--encoder", enc_path])
     assert report["systematized"] is False
+
+
+def test_distance_past_the_files_memory_reads_the_code(tmp_path, capsys):
+    # G(D) = [1 + D, alpha, alpha^2] over F_8 (m = 1): S(D)^-1 Q(D) =
+    # (alpha, alpha^2)(1 + D + D^2 + ...) never ends, so the systematic
+    # form cut at m = 1 is another code from level 2 on (its d^2 reads 5)
+    a = F8.alpha_pow(1)
+    given = PolyEncoder(3, 1, [Matrix.from_rows([[1, a, F8.mul(a, a)]], F8),
+                               Matrix.from_rows([[1, 0, 0]], F8)])
+    enc_path = _write(tmp_path, "one_plus_d_3.json", given.to_json())
+    rc, report = _run(capsys, ["distance", "--encoder", enc_path, "--j", "2"])
+    assert (rc, report["systematized"], report["j"]) == (EXIT_TRUE, True, 2)
+    # u = 1 + D: blocks of weight 3, 1 and 0
+    assert report["column_distances"] == [3, 4, 4]
+    # column distances do not depend on the encoder of the code
+    assert report["column_distances"] == column_distances(given, 2)[0]
+    assert column_distances(systematize(given), 2)[0] == [3, 4, 5]
+    assert report["free_distance_bound"] == free_distance_bound(1, 3, 1)
+
+
+def test_distance_measures_an_encoder_with_singular_s0_as_given(tmp_path, capsys):
+    # G(D) = [D, 1] over F_8: G_0 = [0, 1] has full rank, S_0 = 0 does not
+    given = PolyEncoder(2, 1, [Matrix.from_rows([[0, 1]], F8),
+                               Matrix.from_rows([[1, 0]], F8)])
+    enc_path = _write(tmp_path, "d_one.json", given.to_json())
+    # verify-conv decides the systematic form, which this encoder has not
+    assert main(["verify-conv", "--encoder", enc_path]) == EXIT_PARSE
+    capsys.readouterr()
+    rc, report = _run(capsys, ["distance", "--encoder", enc_path, "--j", "2"])
+    assert (rc, report["systematized"], report["j"]) == (EXIT_TRUE, False, 2)
+    assert report["column_distances"] == [1, 2, 2]
+    assert report["column_distance_bounds"] == [2, 3, 4]
 
 
 @pytest.mark.parametrize("extra", [
