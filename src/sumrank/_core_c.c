@@ -3,10 +3,11 @@
  * Same API, values, ``enumerated`` counts and BudgetExceeded arguments as
  * the pure twin in ``_core_py``; ``core`` picks one at import time.
  * Element codes are base-q digit codes below order = q^M < 2^63, so each
- * fits one 64-bit integer.  Message-space sizes (order^k) are compared
- * with the budget as Python integers, so a space past 2^63 is refused as
- * the pure kernel refuses it, never wrapped.  ``setup.py`` builds it; a
- * C compiler is all it needs.
+ * fits one 64-bit integer.  Message-space sizes (order^k) and search
+ * depths go through the pure kernel's own rules, as Python integers, so a
+ * space past 2^63 or a depth past the recursion limit is refused as the
+ * pure kernel refuses it, never wrapped.  ``setup.py`` builds it; a C
+ * compiler is all it needs.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -18,9 +19,9 @@ typedef long long i64;
 
 #define MAX_DIGITS 63
 
-/* From sumrank._core_py: the exception and the two budget rules shared
- * with the pure kernels. */
-static PyObject *BudgetExceeded, *message_stop, *children_per_node;
+/* From sumrank._core_py: the exception, the two budget rules and the depth
+ * rule shared with the pure kernels. */
+static PyObject *BudgetExceeded, *message_stop, *children_per_node, *search_depth;
 
 /* -- field arithmetic on element codes ----------------------------------- */
 
@@ -302,96 +303,84 @@ done:
 
 /* -- conv_column_distance -------------------------------------------------- */
 
+/* One search to depth j, as in the pure kernel: a recursed child is handed
+ * the blocks its fixed messages add at the next span = min(j, m) depths,
+ * computed once per child, so the carry into a depth and the systematic
+ * shortcut's zero-extension test only read them. */
 typedef struct {
     Field f;
-    i64 *coeffs;  /* (m+1) * k * n codes, G_0 first */
-    int j, m, systematic;
+    i64 *coeffs;  /* (span+1) * k * n codes: G_0 .. G_span, the ones depth j reads */
+    int j, span, systematic;
     i64 qmk, budget, enumerated, best;
-    i64 *hist;    /* (j+1) * k message digits */
     i64 *seen;    /* j+1: the least weight of blocks 0..t met under best */
-    i64 *scratch; /* (j+3) * n: a carry per depth, one term, one private acc */
+    i64 *pending; /* j+1 slots of max(span, 1) blocks of n codes (every child reads
+                   * block 0 as its carry, zero when span = 0); slot t holds what
+                   * blocks 0..t-1 add at depths t .. min(t+span-1, j), zeros past */
+    i64 *block;   /* n: a child's block at its own depth */
 } Conv;
 
-/* acc = sum over i >= 1 of u_{t-i} G_i, from fixed history blocks. */
-static void carry_for(Conv *cx, int t, i64 *acc)
+/* Slot t of cx->pending: block i of it is what blocks 0..t-1 add at depth t+i. */
+static i64 *pending_at(const Conv *cx, int t)
+{
+    return cx->pending + (i64)t * (cx->span ? cx->span : 1) * cx->f.n;
+}
+
+/* Fill slot t+1 of pending for the child of a depth-t node with message u:
+ * what blocks 0..t add at depths t+1 .. min(t+span, j). */
+static void hand_down(Conv *cx, int t, const i64 *u)
 {
     const Field *f = &cx->f;
-    i64 *term = cx->scratch + (i64)(cx->j + 1) * f->n;
-    for (int c = 0; c < f->n; c++)
-        acc[c] = 0;
-    for (int i = 1; i <= (t < cx->m ? t : cx->m); i++) {
-        const i64 *u = cx->hist + (i64)(t - i) * f->k;
-        int nz = 0;
-        for (int c = 0; c < f->k && !nz; c++)
-            nz = u[c] != 0;
-        if (!nz)
-            continue;
-        vec_matmul(f, u, cx->coeffs + (i64)i * f->k * f->n, term);
-        for (int c = 0; c < f->n; c++)
-            acc[c] = add_code(acc[c], term[c], f->q, f->M);
+    const i64 *pending = pending_at(cx, t);
+    for (int i = 1; i <= cx->span && t + i <= cx->j; i++) {
+        i64 *acc = pending_at(cx, t + 1) + (i64)(i - 1) * f->n;
+        vec_matmul(f, u, cx->coeffs + (i64)i * f->k * f->n, acc);
+        if (i < cx->span)
+            for (int c = 0; c < f->n; c++)
+                acc[c] = add_code(acc[c], pending[(i64)i * f->n + c], f->q, f->M);
     }
 }
 
-/* Sets u_t..u_j = 0 and records s in seen[i] at each depth i >= t whose
- * blocks t..i all vanish; true iff every remaining block vanishes. */
-static int record_zero_extension(Conv *cx, int t, i64 s)
-{
-    const Field *f = &cx->f;
-    /* private region past the per-depth slots, so callers' carries survive */
-    i64 *acc = cx->scratch + (i64)(cx->j + 2) * f->n;
-    for (i64 i = (i64)t * f->k; i < (i64)(cx->j + 1) * f->k; i++)
-        cx->hist[i] = 0;
-    for (int i = t; i <= cx->j; i++) {
-        carry_for(cx, i, acc);
-        for (int c = 0; c < f->n; c++)
-            if (acc[c])
-                return 0;
-        if (s < cx->seen[i])
-            cx->seen[i] = s;
-    }
-    return 1;
-}
-
-/* Pruned depth-first search from depth t with partial weight s; -1 when
- * the budget is refused.  Every child of a visited node counts as one
- * enumerated node, so the node's children are charged before the loop. */
+/* Pruned depth-first search below a node at depth t of weight s, s < best;
+ * -1 when the budget is refused.  Every child of a visited node counts as
+ * one enumerated node, so the node's children are charged before the loop. */
 static int rec(Conv *cx, int t, i64 s)
 {
     const Field *f = &cx->f;
-    if (s >= cx->best)
-        return 0;
+    const int n = f->n;
     if (t > cx->j) {
         cx->best = s;
         return 0;
     }
+    const i64 *pending = pending_at(cx, t);
     if (cx->systematic && t > 0 && s == cx->best - 1) {
-        if (record_zero_extension(cx, t, s))
-            cx->best = s;
+        /* only u_t = .. = u_j = 0 adds no weight: its blocks are pending */
+        for (int i = 0; i < cx->span && t + i <= cx->j; i++) {
+            for (int c = 0; c < n; c++)
+                if (pending[(i64)i * n + c])
+                    return 0;
+            if (s < cx->seen[t + i])
+                cx->seen[t + i] = s;
+        }
+        cx->best = s;
         return 0;
     }
     i64 children = cx->qmk - (t == 0);
     if (children > cx->budget - cx->enumerated)
         return -1;
     cx->enumerated += children;
-    i64 *carry = cx->scratch + (i64)t * f->n;
-    i64 *v = cx->scratch + (i64)(cx->j + 1) * f->n;
-    i64 *u = cx->hist + (i64)t * f->k;
-    carry_for(cx, t, carry);
+    /* qmk = order^k fits 64 bits, so k < MAX_DIGITS */
+    i64 *block = cx->block, u[MAX_DIGITS];
     for (i64 idx = t == 0; idx < cx->qmk; idx++) {
         decode_message(f, idx, u);
-        if (idx == 0) {
-            for (int c = 0; c < f->n; c++)
-                v[c] = carry[c];
-        } else {
-            vec_matmul(f, u, cx->coeffs, v);
-            for (int c = 0; c < f->n; c++)
-                v[c] = add_code(v[c], carry[c], f->q, f->M);
-        }
-        i64 w = s + expand_rank_c(v, f->n, f->q, f->M);
+        vec_matmul(f, u, cx->coeffs, block);
+        for (int c = 0; c < n; c++)
+            block[c] = add_code(block[c], pending[c], f->q, f->M);
+        i64 w = s + expand_rank_c(block, n, f->q, f->M);
         if (w >= cx->best)
             continue;
         if (w < cx->seen[t])
             cx->seen[t] = w;
+        hand_down(cx, t, u);
         if (rec(cx, t + 1, w) < 0)
             return -1;
     }
@@ -400,20 +389,24 @@ static int rec(Conv *cx, int t, i64 s)
 
 static PyObject *py_conv_column_distance(PyObject *self, PyObject *args)
 {
-    PyObject *coeff_rows, *exp, *log, *budget, *fast = NULL, *result = NULL;
+    PyObject *coeff_rows, *depth, *exp, *log, *budget, *fast = NULL, *result = NULL;
     Conv cx = {{0}};
-    if (!PyArg_ParseTuple(args, "OiiiiiLOOOp", &coeff_rows, &cx.f.k, &cx.f.n, &cx.j,
+    if (!PyArg_ParseTuple(args, "OiiOiiLOOOp", &coeff_rows, &cx.f.k, &cx.f.n, &depth,
                           &cx.f.q, &cx.f.M, &cx.f.order, &exp, &log, &budget,
                           &cx.systematic))
         return NULL;
+    /* refuse the depth, then a root whose children alone pass the budget,
+     * before converting anything; j then fits an int and the count 64 bits */
+    PyObject *j_p = PyObject_CallFunction(search_depth, "O", depth);
+    cx.j = j_p ? (int)PyLong_AsLong(j_p) : -1;
+    Py_XDECREF(j_p);
+    if (PyErr_Occurred())
+        return NULL;
     int k = cx.f.k, n = cx.f.n, j = cx.j;
-    /* the search recurses once per depth, as the pure one does */
-    if (k < 1 || n < 1 || j < 0 || j >= Py_GetRecursionLimit()) {
-        PyErr_SetString(PyExc_ValueError, "need k, n >= 1 and 0 <= j < recursion limit");
+    if (k < 1 || n < 1) {
+        PyErr_SetString(PyExc_ValueError, "need k, n >= 1");
         return NULL;
     }
-    /* refuse a root whose children alone pass the budget before converting
-     * anything; the count then fits 64 bits */
     PyObject *qmk = PyObject_CallFunction(children_per_node, "iLO", k, cx.f.order, budget);
     int overflow = 0; /* a budget past 2^63 - 1 acts as 2^63 - 1: no search gets there */
     if (qmk != NULL) {
@@ -427,21 +420,23 @@ static PyObject *py_conv_column_distance(PyObject *self, PyObject *args)
         cx.budget = LLONG_MAX;
 
     Py_ssize_t levels = PyObject_Length(coeff_rows);
+    /* a message block reaches min(j, m) depths past its own */
+    cx.span = levels - 1 < j ? (int)(levels - 1) : j;
     int ok = levels >= 1 && load_field(&cx.f, exp, log) == 0 &&
              (fast = PySequence_Fast(coeff_rows, "expected a list of matrices")) != NULL &&
-             (cx.coeffs = malloc((size_t)levels * k * n * sizeof(i64))) != NULL &&
-             (cx.hist = malloc((size_t)(j + 1) * k * sizeof(i64))) != NULL &&
+             (cx.coeffs = malloc((size_t)(cx.span + 1) * k * n * sizeof(i64))) != NULL &&
              (cx.seen = malloc((size_t)(j + 1) * sizeof(i64))) != NULL &&
-             (cx.scratch = malloc((size_t)(j + 3) * n * sizeof(i64))) != NULL;
+             (cx.pending = calloc((size_t)(j + 1) * (cx.span ? cx.span : 1) * n,
+                                  sizeof(i64))) != NULL &&
+             (cx.block = malloc((size_t)n * sizeof(i64))) != NULL;
     if (!ok && !PyErr_Occurred() && levels < 1)
         PyErr_SetString(PyExc_ValueError, "need at least one coefficient matrix");
     else if (!ok && !PyErr_Occurred())
         PyErr_NoMemory();
-    for (Py_ssize_t i = 0; ok && i < levels; i++)
+    for (int i = 0; ok && i <= cx.span; i++)
         ok = rows_into(PySequence_Fast_GET_ITEM(fast, i), &cx.f,
                        cx.coeffs + (i64)i * k * n) == 0;
     if (ok) {
-        cx.m = (int)(levels - 1);
         cx.best = (i64)n * (j + 1) + 1; /* strictly above any achievable weight */
         for (int t = 0; t <= j; t++)
             cx.seen[t] = cx.best;
@@ -473,9 +468,9 @@ static PyObject *py_conv_column_distance(PyObject *self, PyObject *args)
     }
     Py_XDECREF(fast);
     free(cx.coeffs);
-    free(cx.hist);
     free(cx.seen);
-    free(cx.scratch);
+    free(cx.pending);
+    free(cx.block);
     free_field(&cx.f);
     return result;
 }
@@ -509,8 +504,9 @@ PyMODINIT_FUNC PyInit__core_c(void)
     Py_XSETREF(BudgetExceeded, PyObject_GetAttrString(pure, "BudgetExceeded"));
     Py_XSETREF(message_stop, PyObject_GetAttrString(pure, "message_stop"));
     Py_XSETREF(children_per_node, PyObject_GetAttrString(pure, "children_per_node"));
+    Py_XSETREF(search_depth, PyObject_GetAttrString(pure, "search_depth"));
     Py_DECREF(pure);
-    if (BudgetExceeded && message_stop && children_per_node)
+    if (BudgetExceeded && message_stop && children_per_node && search_depth)
         mod = PyModule_Create(&module);
     if (mod != NULL && (PyModule_AddObjectRef(mod, "BudgetExceeded", BudgetExceeded) < 0 ||
                         PyModule_AddStringConstant(mod, "IMPLEMENTATION", "c") < 0))

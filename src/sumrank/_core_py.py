@@ -3,9 +3,10 @@
 Same API as the compiled twin in ``_core_c`` (hand-written C,
 ``_core_c.c``); ``core`` picks one at import time.  Everything here works
 for any prime q; the compiled version additionally requires q^M < 2^63.
-The budget rules that refuse a search before it starts, ``message_stop``
-and ``children_per_node``, live here and serve both kernels, so a
-message space past 2^63 is refused with the same arguments by either.
+The rules that refuse a search before it starts, ``message_stop``,
+``children_per_node`` and ``search_depth``, live here and serve both
+kernels, so a message space past 2^63 or a depth past the recursion
+limit is refused with the same arguments by either.
 
 The column-distance search finds d^0 .. d^j in one pruned search to
 depth j, on packed vectors:
@@ -35,14 +36,15 @@ depth j, on packed vectors:
   in the children loops with no call per child; odd q unpacks the codes
   for ``expand_rank``, one ``rank_below`` call per child.
 
-The minimum-distance kernel still decodes and multiplies out each
-message, as the compiled twin does in both of its searches.  Values and
-``enumerated`` counts equal the compiled twin's, and budget refusals
-carry the same exception arguments.
+The compiled twin runs the same search with the same pending carries,
+but decodes and multiplies out each child message; the minimum-distance
+kernel does so here too.  Values and ``enumerated`` counts equal the
+compiled twin's, and refusals carry the same exception arguments.
 """
 
 from __future__ import annotations
 
+import sys
 from operator import xor
 
 
@@ -74,6 +76,20 @@ def children_per_node(k: int, order: int, budget: int) -> int:
     if qmk - 1 > budget:
         raise BudgetExceeded(budget + 1, budget)
     return qmk
+
+
+# frames of the recursion limit a column-distance search leaves its callers
+CALLER_FRAMES = 100
+
+
+def search_depth(j: int) -> int:
+    """j, the depth of a column-distance search, after refusing a negative
+    one or one whose recursion, a frame per depth in the pure kernel, would
+    leave its callers fewer than CALLER_FRAMES frames."""
+    limit = sys.getrecursionlimit() - CALLER_FRAMES
+    if not 0 <= j < limit:
+        raise ValueError(f"need 0 <= j < {limit}: the search recurses once per depth")
+    return j
 
 
 def expand_rank(codes, q: int, M: int) -> int:
@@ -301,8 +317,7 @@ def conv_column_distance(
 
     Returns ([d^0, ..., d^j], enumerated_nodes).
     """
-    if j < 0:
-        raise ValueError("j must be non-negative")
+    search_depth(j)
     m = len(coeff_rows) - 1
     qmk = children_per_node(k, order, budget)
     # over q = 2 the children loops take the rank step inline

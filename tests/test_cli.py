@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from sumrank import block_codes
+from sumrank import _core_py, block_codes, core
 from sumrank.cli import (
     EXIT_FALSE,
     EXIT_INFEASIBLE,
@@ -513,6 +513,25 @@ def test_negative_level_or_memory_exits_2_with_one_error_line(tmp_path, capsys):
                  ["construct", "--kind", "frobenius", "--field", "2^3",
                   "--n", "3", "--k", "1", "--m", "-1"]):
         assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["python", "c"])
+def test_distance_refuses_a_level_past_the_depth_rule(request, tmp_path, capsys,
+                                                       monkeypatch, name):
+    # both kernels search the deepest level the depth rule accepts, with no
+    # RecursionError, and refuse deeper ones with one error line
+    kernel = _core_py if name == "python" else request.getfixturevalue("core_c")
+    monkeypatch.setattr(core, "conv_column_distance", kernel.conv_column_distance)
+    enc_path = _write(tmp_path, "e.json", construct_frobenius(2, 1, 1, F4).to_json())
+    deepest = sys.getrecursionlimit() - _core_py.CALLER_FRAMES - 1
+    rc, report = _run(capsys, ["distance", "--encoder", enc_path, "--j", str(deepest)])
+    assert rc == EXIT_TRUE
+    assert report["column_distances"] == [2] + [3] * deepest
+    for j in (deepest + 1, 1200):
+        assert main(["distance", "--encoder", enc_path, "--j", str(j)]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

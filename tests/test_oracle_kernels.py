@@ -15,6 +15,7 @@ have, with the exact count.
 """
 
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -119,6 +120,13 @@ def _random_encoder(rng, f, n, k, m, systematic):
     return coeffs
 
 
+# systematic [2,1,2] encoders, k = 1 and n = 2, whose d^2 only the
+# systematic shortcut meets: over F_3, d^0..d^3 read [1, 2, 2, 3] in 14
+# nodes, and [1, 2, 3, 3] if the shortcut records no weight in seen
+SHORTCUT_ENCODERS = [(field(3, 1), [[[1, 1]], [[0, 2]], [[0, 1]]]),
+                     (field(5, 1), [[[1, 3]], [[0, 2]], [[0, 3]]])]
+
+
 def _conv_cases():
     rng = random.Random(40)
     for f in FIELDS:
@@ -133,6 +141,9 @@ def _conv_cases():
                 for j in range(4):
                     yield pytest.param(f, coeffs, k, n, j, systematic,
                                        id=f"F{f.order}-{kind}{draw}-j{j}")
+    for f, coeffs in SHORTCUT_ENCODERS:
+        for j in range(4):
+            yield pytest.param(f, coeffs, 1, 2, j, True, id=f"F{f.order}-shortcut-j{j}")
 
 
 def _matches_reference(kernel, f, coeffs, k, n, j, systematic):
@@ -234,6 +245,25 @@ def test_column_distance_kernels_refuse_a_negative_level(request, name):
     coeffs = _random_encoder(random.Random(46), f, 3, 1, 1, systematic=True)
     with pytest.raises(ValueError):
         kernel.conv_column_distance(coeffs, 1, 3, -1, *_args(f), 10**7, True)
+
+
+@pytest.mark.parametrize("name", ["python", "c"])
+def test_column_distance_kernels_share_one_depth_rule(request, name):
+    # the pure search recurses once per depth: both kernels search the
+    # deepest level search_depth accepts, and refuse the next with its error
+    kernel = _core_py if name == "python" else request.getfixturevalue("core_c")
+    f = field(2, 2)
+    coeffs = [[[1, 2]], [[0, 3]]]  # the Frobenius [2,1,1] encoder at alpha
+    limit = sys.getrecursionlimit() - _core_py.CALLER_FRAMES
+    dists, _ = kernel.conv_column_distance(coeffs, 1, 2, limit - 1, *_args(f), 10**7, True)
+    assert dists == [2] + [3] * (limit - 1)
+    # 2^63 fits no C int: the compiled kernel passes j to the rule unconverted
+    for j in (limit, 1200, 2**63):
+        with pytest.raises(ValueError) as exc:
+            kernel.conv_column_distance(coeffs, 1, 2, j, *_args(f), 10**7, True)
+        with pytest.raises(ValueError) as rule:
+            _core_py.search_depth(j)
+        assert exc.value.args == rule.value.args
 
 
 @pytest.mark.parametrize("name", ["python", "c"])
