@@ -2,7 +2,7 @@
 layer by layer, for one or more source trees and both kernels.
 
     python3 benchmarks/bench.py --side this=src \\
-        --rows "4,2,1;4,2,2;4,2,2-exact;5,3,1;cauchy10;gab4x2-f81;gab6x3-f64-transforms" \\
+        --rows "4,2,1;4,2,2;5,3,1;cauchy10;gab4x2-f81;gab6x3-f64-transforms" \\
         --out BENCH_transform_family.json
     python3 benchmarks/bench.py --side parent=PARENT/src --side change=src \\
         --rows "expand-rank-f8;block-min-f16;conv-dist-f128;conv-dists-verify-conv" \\
@@ -17,22 +17,23 @@ layer by layer, for one or more source trees and both kernels.
 
 Checker rows:
 
-- ``N,K,M`` (say ``4,2,2``): one ``sumrank table1 --mode filter --rows
-  N,K,M`` call through ``sumrank.cli.main``.  Layers: ``check_mMSR``
-  time, predicate self time (``superregular.self_s``), T matrices,
-  minors and the two predicates' calls, one per (B, A~) pair swept.
-- ``N,K,M-exact`` (say ``4,2,2-exact``): the same call with ``--mode
-  exact``, which enumerates every C of every pair.  On [4,2,2] it tracks
-  the exact ``False``: the T and the minors its witness costs.
+- ``N,K,M`` (say ``4,2,2``): one ``sumrank table1 --rows N,K,M`` call
+  through ``sumrank.cli.main``, which enumerates every C of every pair
+  it sweeps.  Layers: ``check_mMSR`` time, predicate self time
+  (``superregular.self_s``), T matrices, minors and the two predicates'
+  calls, one per (B, A~) pair swept.  On [4,2,2] it tracks the
+  ``False``: the T and the minors its witness costs.  (Rows named
+  ``N,K,M-exact`` in older BENCH files passed ``--mode exact`` to a
+  program whose default was a sampling filter.)
 - ``descent424-f2048``: ``check_mMSR`` on the Frobenius [4,2,4] encoder
-  over F_2^11 at alpha, exact, j = 4: the default budget refuses levels
+  over F_2^11 at alpha, j = 4: the default budget refuses levels
   4 and 3 from their counted charges, and level 2 reads ``False``.
   Layers as for a table row.
 - ``cauchy10``: ``is_full_superregular`` on the 10 x 10 Cauchy matrix
   1/(a^i + a^(10+j)) over F_2^8, the minor sweep alone on its largest
   common shape (all 184,755 minors).  Layers: the check's time and
   minors, and the tracemalloc peak of one more call, in MiB.
-- ``gab4x2-f81``: exact ``check_msrd_systematic`` on the Gabidulin [4,2]
+- ``gab4x2-f81``: ``check_msrd_systematic`` on the Gabidulin [4,2]
   code over F_3^4 with one block, an odd-characteristic positive whose
   whole (B, A~, C) family is enumerated.  Layers: the check's time,
   predicate self time, T matrices, minors and the predicates' calls.
@@ -93,7 +94,14 @@ Like perfbench/run.py, the child times perfbench/reference.py, a fixed
 pure-Python kernel, before every call, and scales its seconds by
 ``REF_S`` over the mean reference sample: a shared host's speed drifts
 by 1.5x from minute to minute, and the scaled time follows the program,
-not the neighbours.  Rounds alternate which side runs first.
+not the neighbours.  Each child also records the median CPU time
+(``time.process_time()``, unscaled) of its timed calls.  Rounds
+alternate which side runs first.  With two sides, each round's two runs
+are one pair, taken back to back, and the output gives per (row,
+kernel) the ratio of the second side to the first, round by round, with
+its median and quartiles, for ``wall_s`` and ``cpu_s``: a claim is that
+interval, which host drift between rounds moves far less than either
+side's own spread.
 
 The kernel is the pure one under ``SUMRANK_PURE_PYTHON=1`` and otherwise
 the compiled one, when the side's tree has a built ``_core_c``
@@ -105,9 +113,13 @@ The output is one JSON document: ``benchmark``, ``settings``,
 ``machine`` and ``rows``.  A row gives ``row`` (its name above),
 ``instance``, ``side``, ``kernel``, ``loaded``, ``result`` (the verdict,
 or the kernel's value), ``wall_s`` (the median over rounds),
-``wall_s_quartiles``, ``wall_s_rounds``, ``host_speed_rounds`` and
-``layers`` (the median over rounds; seconds scaled like ``wall_s``,
-rates ending ``_per_s`` inversely).
+``wall_s_quartiles``, ``wall_s_rounds``, ``cpu_s`` (the median over
+rounds), ``cpu_s_rounds``, ``host_speed_rounds`` and ``layers`` (the
+median over rounds; seconds scaled like ``wall_s``, rates ending
+``_per_s`` inversely).  With two sides the document adds ``ratios``,
+one per (row, kernel): ``row``, ``kernel``, ``of`` (say
+``change/parent``), and ``wall_s``, ``wall_s_quartiles`` and
+``wall_s_rounds`` of the per-round ratio, and the same for ``cpu_s``.
 """
 
 from __future__ import annotations
@@ -127,7 +139,7 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TABLE_ROWS = ("4,2,1", "4,2,2", "4,2,2-exact", "5,3,1")
+TABLE_ROWS = ("4,2,1", "4,2,2", "5,3,1")
 KERNELS = ("python", "c")
 REF_SAMPLES = 3  # reference samples before each call
 PREDICATE_CALLS = ("superregular.is_superregular_constrained.calls",
@@ -143,14 +155,16 @@ def child(row: str, calls: int) -> dict:
 
     from sumrank import core
 
-    refs = []
+    refs, cpus = [], []
 
     def timed(call):
         """(seconds, result) of one call, after the reference samples."""
         refs.extend(reference.sample() for _ in range(REF_SAMPLES))
-        t0 = time.perf_counter()
+        c0, t0 = time.process_time(), time.perf_counter()
         out = call()
-        return time.perf_counter() - t0, out
+        t1 = time.perf_counter()
+        cpus.append(time.process_time() - c0)
+        return t1 - t0, out
 
     instance, result, walls, layers = NAMED.get(row, time_table_row)(row, calls, timed)
     speed = reference.REF_S / statistics.mean(refs)
@@ -158,6 +172,8 @@ def child(row: str, calls: int) -> dict:
         "instance": instance,
         "implementation": core.IMPLEMENTATION,
         "wall_s": statistics.median(walls) * speed,
+        # the timed calls come first, any traced call after them
+        "cpu_s": statistics.median(cpus[:calls]),
         "host_speed": speed,
         "result": result,
         "layers": {name: _scaled(name, v, speed) for name, v in layers.items()},
@@ -194,14 +210,12 @@ def measure(call, calls: int, timed, layers, warm: bool = True):
 def time_table_row(row: str, calls: int, timed):
     from sumrank import cli
 
-    shape, _, mode = row.partition("-")
-    mode = mode or "filter"
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["table1", "--mode", mode, "--rows", shape, "--out", f"{tmp}/r.json"]
+        argv = ["table1", "--rows", row, "--out", f"{tmp}/r.json"]
         walls, _, layers = measure(lambda: cli.main(argv), calls, timed, TABLE_LAYERS)
         out = json.loads(Path(f"{tmp}/r.json").read_text())["rows"][0]
-    return (f"[{shape}] over F_{out['field']} at alpha^{out['alpha_exponent']}, "
-            f"table1 row, {mode} mode", out["verdict"], walls, layers)
+    return (f"[{row}] over F_{out['field']} at alpha^{out['alpha_exponent']}, "
+            "table1 row", out["verdict"], walls, layers)
 
 
 def time_descent(row: str, calls: int, timed):
@@ -212,8 +226,8 @@ def time_descent(row: str, calls: int, timed):
     enc = conv_codes.construct_frobenius(4, 2, 4, f, f.alpha_pow(1))
     walls, report, layers = measure(lambda: conv_codes.check_mMSR(enc, 4), calls, timed,
                                     TABLE_LAYERS)
-    return (f"Frobenius [4,2,4] over F_{f.descriptor()} at alpha, check_mMSR j=4, "
-            "exact mode", report.verdict, walls, layers)
+    return (f"Frobenius [4,2,4] over F_{f.descriptor()} at alpha, check_mMSR j=4",
+            report.verdict, walls, layers)
 
 
 def time_cauchy(row: str, calls: int, timed):
@@ -255,7 +269,7 @@ def time_gab4x2(row: str, calls: int, timed):
         ("block_codes.check_msrd_systematic.s", "superregular.self_s",
          "block_codes.t_matrices", "superregular.minors") + PREDICATE_CALLS)
     return (f"Gabidulin [4,2] over F_{f.descriptor()}, one block, "
-            "check_msrd_systematic, exact mode", report.verdict, walls, layers)
+            "check_msrd_systematic", report.verdict, walls, layers)
 
 
 def time_gab6x3_transforms(row: str, calls: int, timed):
@@ -440,6 +454,15 @@ def _quartiles(values: list) -> list:
     return [q1, statistics.median(values), q3]
 
 
+def _paired(before: list, after: list, key: str) -> dict:
+    """The per-round ratios after/before of key over two sides' child
+    results, each round's pair run back to back, with their median and
+    quartiles."""
+    rounds = [b[key] / a[key] for a, b in zip(before, after)]
+    return {key: statistics.median(rounds), f"{key}_quartiles": _quartiles(rounds),
+            f"{key}_rounds": rounds}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--side", action="append", default=[], metavar="LABEL=SRC",
@@ -484,6 +507,8 @@ def main() -> int:
             "wall_s": statistics.median(walls),
             "wall_s_quartiles": _quartiles(walls),
             "wall_s_rounds": walls,
+            "cpu_s": statistics.median(res["cpu_s"] for res in results),
+            "cpu_s_rounds": [res["cpu_s"] for res in results],
             "host_speed_rounds": [res["host_speed"] for res in results],
             "layers": {name: statistics.median(res["layers"][name] for res in results)
                        for name in results[0]["layers"]},
@@ -503,6 +528,13 @@ def main() -> int:
         },
         "rows": out_rows,
     }
+    if len(sides) == 2:
+        first, second = sides
+        doc["ratios"] = [
+            {"row": row, "kernel": kernel, "of": f"{second}/{first}"}
+            | _paired(runs[(row, kernel, first)], runs[(row, kernel, second)], "wall_s")
+            | _paired(runs[(row, kernel, first)], runs[(row, kernel, second)], "cpu_s")
+            for row in args.rows.split(";") for kernel in KERNELS]
     text = json.dumps(doc, indent=1)
     print(text)
     if args.out:

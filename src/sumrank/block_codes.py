@@ -7,29 +7,28 @@ upper-triangular blocks (B, A~ and the transform-side A) or with
 arbitrary blocks (C), so a family with c free cells has q^c members.
 The unit blocks stand for every nonsingular upper-triangular one: the
 predicates only ask which minors vanish, and diagonal scaling over F_q^*
-changes none (matrix.enum_block_diag states the argument).  Every minor
-is evaluated through superregular.minor_sweep, one memoized Laplace
-sweep over a matrix or over a run of matrices that differ in a few
-cells: a matrix and a stream of additive steps.  An exhaustive run steps
-in reflected q-ary Gray order (gray_steps), its steps looked up in a
-table by gray_moves' bytes, so a later matrix moves one free cell and
-re-evaluates only the minors that hold it, and a witness's tuple is
-gray_digits at its step count.  The transform side,
-check_msrd_transforms, is one run over every A: an A adds +-1 times one
-column of G to the column of G A that holds the cell it moves, and no
-G A is multiplied out.  The systematic side runs one
-engine, check_transform_family: it enumerates (B, A~) pairs and tests a
-superregularity predicate on diag(B_i) P diag(A~_i) + diag(C_i), one
-predicate call per pair, its C values one run on B P A~.  For block
-codes the predicate is full superregularity; the convolutional m-MSR
-check (conv_codes) runs the same engine once, on the sliding parity
-P_j^c of its top level j, with row blocks (k)^(j+1), column blocks
-(n-k)^(j+1) and the block-grid predicate.  Its base-field filter tests
-exactly the minors the predicate checks; a True detail says how many
-pairs rest on random C samples (sampled_pairs).  Both sides charge their
-budget in the minors their runs can evaluate (_run_charge).  Every
-witness has one layout: {"transform": {name: diagonal blocks}, "rows",
-"cols"}, naming B, A~ and C on the systematic side and A on the
+changes none (matrix.enum_block_diag states the argument).  Every member
+of every family is checked, so each True is exhaustive.  Every minor is
+evaluated through superregular.minor_sweep, one memoized Laplace sweep
+over a matrix or over a run of matrices that differ in a few cells: a
+matrix and a stream of additive steps.  A run steps in reflected q-ary
+Gray order (gray_steps), its steps looked up in a table by gray_moves'
+bytes, so a later matrix moves one free cell and re-evaluates only the
+minors that hold it, and a witness's tuple is gray_digits at its step
+count.  The transform side, check_msrd_transforms, is one run over
+every A: an A adds +-1 times one column of G to the column of G A that
+holds the cell it moves, and no G A is multiplied out.  The systematic
+side runs one engine, check_transform_family: it enumerates (B, A~)
+pairs and tests a superregularity predicate on diag(B_i) P diag(A~_i) +
+diag(C_i), one predicate call per pair, its C values one run on B P A~,
+the cells of the most-held diagonal blocks moving slowest (_c_cells).
+For block codes the predicate is full superregularity; the
+convolutional m-MSR check (conv_codes) runs the same engine once, on the
+sliding parity P_j^c of its top level j, with row blocks (k)^(j+1),
+column blocks (n-k)^(j+1) and the block-grid predicate.  Both sides
+charge their budget in the minors their runs can evaluate (_run_charge).
+Every witness has one layout: {"transform": {name: diagonal blocks},
+"rows", "cols"}, naming B, A~ and C on the systematic side and A on the
 transform side, and one parser (_parse_transform) reads it back into the
 family's block-diagonal matrices, or rejects it.  Each recheck is that
 parse and the witnessed minor by Gaussian elimination (matrix.minor),
@@ -39,7 +38,6 @@ MRD instances for the oracles.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 
 from .field import Field, check_field_key
@@ -68,8 +66,6 @@ from .superregular import (
     square_selections,
 )
 
-FILTER_RESAMPLE_COUNT = 1000
-
 
 class SystematicBlockCode:
     """Partitions (n_i), (k_i) and parity part P = [P_1 ... P_l]."""
@@ -84,6 +80,8 @@ class SystematicBlockCode:
             raise ValueError("length and dimension partitions differ in block count")
         if any(not 0 <= k <= n for k, n in zip(self.dim_partition, lp)):
             raise ValueError("dimension partition outside [0, n_i]")
+        if not self.k:
+            raise ValueError("a code needs dimension k > 0")
         if self.parity.rows != self.k or self.parity.cols != self.n - self.k:
             raise ValueError(
                 f"parity must be {self.k}x{self.n - self.k}, "
@@ -268,7 +266,6 @@ def check_transform_family(
     ks,
     nks,
     constrained: bool,
-    mode: str,
     budget: int,
 ) -> VerificationReport:
     """True iff diag(B_i) P diag(A~_i) + diag(C_i) satisfies the predicate
@@ -276,54 +273,33 @@ def check_transform_family(
     upper triangular of size ks[i] (nks[i]), C_i any ks[i] x nks[i] matrix.
     The predicate is full superregularity, or when constrained
     superregularity on the grid BlockGrid(ks, nks) (diagonals in blocks
-    (s, t) with s <= t).  Every family is enumerated lazily: B slowest,
-    then A~, both unit upper triangular, standing for all
-    (matrix.enum_block_diag), both in product order, then C (every value
-    tuple of the cells matrix.block_diag_cells(ks, nks, False) lists, in
-    gray_steps order over that list).
-
-    mode "exact" enumerates every C.  mode "filter" first tests that every
-    minor the predicate checks of B P A~ lies outside F_q; pairs that pass
-    draw FILTER_RESAMPLE_COUNT random C from the call's own stream, seeded
-    0 (every C, when there are no more), pairs that fail enumerate every C.
-    A True detail counts the pairs that passed the filter (filtered_pairs)
-    and those whose C were drawn at random (sampled_pairs); the verdict is
-    exhaustive only when sampled_pairs is 0.  A False witness holds the
-    diagonal blocks of B, A~ and C and the vanishing minor, as JSON.
+    (s, t) with s <= t).  Every family is enumerated lazily and in full:
+    B slowest, then A~, both unit upper triangular, standing for all
+    (matrix.enum_block_diag), both in product order, then every C, in
+    gray_steps order over _c_cells' list, so a True is exhaustive.  A
+    False witness holds the diagonal blocks of B, A~ and C and the
+    vanishing minor, as JSON.
 
     Each pair makes one predicate call, with the run of its C values
     (superregular.minor_sweep), over one selection list built for the
     call: B P A~ and every C in reflected q-ary Gray order, each step
-    moving one C cell by +-1 (the witness C is gray_digits at its T), or
-    B P A~ plus the first drawn C and one step per later draw, adding its
-    differences at every C cell (_c_draws; the witness C is the draw
-    kept), so the first vanishing minor, hence every report, is a full
-    sweep's per T in that order.  checked_count
-    adds up the T swept, detail's minors the minors evaluated and its
-    charge the minors the runs can evaluate, counted
-    (superregular.count_block_selections) before the list is built, so a
-    family over budget builds none.  A C matrix is
-    built only for a witness.
+    moving one C cell by +-1 (the witness C is gray_digits at its T), so
+    the first vanishing minor, hence every report, is a full sweep's per
+    T in that order.  checked_count adds up the T swept, detail's minors
+    the minors evaluated and its charge the minors the runs can evaluate,
+    counted (superregular.count_block_selections) before the list is
+    built, so a family over budget builds none.  A C matrix is built only
+    for a witness.
     """
-    if mode not in ("exact", "filter"):
-        raise ValueError(f"unknown mode {mode!r}")
     q = p.field.q
     grid = BlockGrid(ks, nks) if constrained else None
     b_count, a_count, c_count = family_counts(ks, nks, q)
     counts = {"b_count": b_count, "a_count": a_count, "c_count": c_count}
     # counted, so a refused family builds no list
-    total, held, meeting = count_block_selections(tuple(ks), tuple(nks), constrained)
-    # budget unit: one minor evaluation (_run_charge).  A filter pair adds
-    # its filter sweep; one that samples may instead sweep once and
-    # re-evaluate the selections holding any C cell for every other drawn
-    # C, and is charged the larger of the two.
-    per_pair = _run_charge(total, [h for h, k, w in zip(held, ks, nks)
-                                   for _ in range(k * w)], q)
-    if mode == "filter":
-        sampling = (total + (FILTER_RESAMPLE_COUNT - 1) * meeting
-                    if c_count > FILTER_RESAMPLE_COUNT else 0)
-        per_pair = total + max(per_pair, sampling)
-    charge = b_count * a_count * per_pair
+    total, held = count_block_selections(tuple(ks), tuple(nks), constrained)
+    cells, cell_held = _c_cells(ks, nks, held)
+    # budget unit: one minor evaluation (_run_charge)
+    charge = b_count * a_count * _run_charge(total, cell_held, q)
     if charge > budget:
         return VerificationReport(
             INFEASIBLE,
@@ -331,51 +307,30 @@ def check_transform_family(
         )
     selections = square_selections(p.rows, p.cols, grid)
     f = p.field
-    cells = block_diag_cells(ks, nks, False)
     # the Gray walk's steps, entry j << 1 | (d < 0) moving C cell j by d
     walk = gray_moves(q, len(cells))
     c_moves = [(j, ((i, d),)) for j, i in enumerate(cells) for d in (1, f.neg(1))]
     c_groups = [(i,) for i in cells]
-    rng = random.Random(0)
     checked = 0
-    filtered = 0
-    sampled = 0
     minors = 0
     for b in enum_block_diag(ks, q):
         bp = b @ p
         for a in enum_block_diag(nks, q):
-            bpa = bp @ a
-            sample = False
-            if mode == "filter" and _minors_outside_base(bpa, selections):
-                filtered += 1
-                sample = c_count > FILTER_RESAMPLE_COUNT
-                sampled += sample
-            if sample:
-                # the first drawn C written in, each later one a step
-                drawn = [[rng.randrange(q) for _ in cells]]
-                first = bpa.copy()
-                for i, v in zip(cells, drawn[0]):
-                    first.data[i] = f.add(first.data[i], v)
-                run = ((tuple(cells),), _c_draws(q, cells, rng, drawn))
-            else:
-                # every C in Gray order, one cell moving per step
-                first, run = bpa, (c_groups, map(c_moves.__getitem__, walk))
-            rep = (is_full_superregular(first, entries=selections, run=run) if grid is None
-                   else is_superregular_constrained(first, grid, entries=selections, run=run))
+            bpa, run = bp @ a, (c_groups, map(c_moves.__getitem__, walk))
+            rep = (is_full_superregular(bpa, entries=selections, run=run) if grid is None
+                   else is_superregular_constrained(bpa, grid, entries=selections, run=run))
             checked += rep.detail["matrices"]
             minors += rep.checked_count
             if rep.verdict is False:
-                s = rep.detail["matrices"] - 1
-                # C's cells, block by block, row-major
-                c = iter(drawn[s] if sample else gray_digits(q, len(cells), s))
+                c = Matrix(p.rows, p.cols, f.base())
+                for i, v in zip(cells, gray_digits(q, len(cells), rep.detail["matrices"] - 1)):
+                    c.data[i] = v
                 return VerificationReport(
                     False,
                     witness={
-                        "transform": {
-                            "B": diagonal_blocks(b, ks, ks),
-                            "A": diagonal_blocks(a, nks, nks),
-                            "C": [[[next(c) for _ in range(w)] for _ in range(k)]
-                                  for k, w in zip(ks, nks)]},
+                        "transform": {"B": diagonal_blocks(b, ks, ks),
+                                      "A": diagonal_blocks(a, nks, nks),
+                                      "C": diagonal_blocks(c, ks, nks)},
                         "rows": rep.witness["rows"],
                         "cols": rep.witness["cols"],
                     },
@@ -385,10 +340,20 @@ def check_transform_family(
     return VerificationReport(
         True,
         checked_count=checked,
-        detail=counts | {"mode": mode, "filtered_pairs": filtered,
-                         "sampled_pairs": sampled, "minors": minors,
-                         "charge": charge},
+        detail=counts | {"minors": minors, "charge": charge},
     )
+
+
+def _c_cells(ks, nks, held) -> tuple[list, list]:
+    """(cells, held per cell): the C cells of block_diag_cells(ks, nks,
+    False), block by block, each block row-major, the blocks in a stable
+    sort of held (the selections holding a cell of each) descending, so
+    the most-held blocks move slowest.  Cell i moves (q-1) q^i times in
+    gray_steps order, so by the rearrangement inequality this order gives
+    the least _run_charge of any block order."""
+    per_cell = [h for h, k, w in zip(held, ks, nks) for _ in range(k * w)]
+    order = sorted(zip(block_diag_cells(ks, nks, False), per_cell), key=lambda t: -t[1])
+    return [i for i, _ in order], [h for _, h in order]
 
 
 def gray_steps(q: int, c: int):
@@ -432,28 +397,6 @@ def _run_charge(first: int, held, q: int) -> int:
     return first + sum((q - 1) * q**i * h for i, h in enumerate(held))
 
 
-def _c_draws(q: int, cells, rng, drawn: list):
-    """check_transform_family's steps for a pair whose C are drawn: after
-    drawn[0], which the run's first matrix holds, FILTER_RESAMPLE_COUNT - 1
-    more draws from rng, each appended to drawn and each one step on the
-    run's one group, every C cell, that adds the draw's difference from
-    the draw before (F_q's codes are 0..q-1, added mod q) at the cells
-    where they differ."""
-    last = drawn[0]
-    for _ in range(FILTER_RESAMPLE_COUNT - 1):
-        draw = [rng.randrange(q) for _ in cells]
-        drawn.append(draw)
-        yield 0, [(i, (v - u) % q) for i, u, v in zip(cells, last, draw) if u != v]
-        last = draw
-
-
-def _minors_outside_base(m: Matrix, entries) -> bool:
-    """Base-field filter: every minor the predicate checks (the entries,
-    m's grid-filtered square_selections) lies outside F_q, so is nonzero."""
-    sweep = minor_sweep(m, entries, m.field.q)
-    return next(sweep, None) is None
-
-
 def witness_minor_vanishes(t: Matrix, witness: dict, grid: BlockGrid | None = None) -> bool:
     """The witnessed minor of t is zero and is one the predicate checks:
     rows and cols strictly increasing and, with a grid, grid-qualifying.
@@ -472,29 +415,23 @@ def witness_minor_vanishes(t: Matrix, witness: dict, grid: BlockGrid | None = No
 
 
 def check_mrd_systematic(
-    p: Matrix,
-    mode: str = "exact",
-    budget: int = DEFAULT_SELECTION_BUDGET,
+    p: Matrix, budget: int = DEFAULT_SELECTION_BUDGET
 ) -> VerificationReport:
     """MRD iff B P A~ + C is full superregular for every nonsingular
     upper-triangular B (k x k), A~ ((n-k) x (n-k)) and every C over F_q."""
     code = SystematicBlockCode(LengthPartition([p.rows + p.cols]), (p.rows,), p)
-    return check_msrd_systematic(code, mode=mode, budget=budget)
+    return check_msrd_systematic(code, budget=budget)
 
 
 def check_msrd_systematic(
-    code: SystematicBlockCode,
-    mode: str = "exact",
-    budget: int = DEFAULT_SELECTION_BUDGET,
+    code: SystematicBlockCode, budget: int = DEFAULT_SELECTION_BUDGET
 ) -> VerificationReport:
     """MSRD iff diag(B_i) P diag(A~_i) + diag(C_i) is full superregular for
     every block tuple over F_q: check_transform_family with row blocks
     (k_i), column blocks (n_i - k_i) and no grid.  The witness C is the
     whole k x (n-k) matrix."""
     return check_transform_family(
-        code.parity, code.dim_partition, code.parity_widths,
-        False, mode, budget,
-    )
+        code.parity, code.dim_partition, code.parity_widths, False, budget)
 
 
 # -- constructors -----------------------------------------------------------

@@ -124,7 +124,8 @@ def _report_base(command: str, args) -> dict:
         "budget": args.budget,
         "enumeration_order": "size-ascending then lexicographic; "
         "messages by ascending mixed-radix index; "
-        "B, A~ in product order, C and A in reflected Gray order",
+        "B, A~ in product order, A and C in reflected Gray order; "
+        "C's cells block by block, row-major, the most-held blocks slowest",
     }
 
 
@@ -169,7 +170,7 @@ def cmd_verify_block(args) -> int:
     if args.check == "mds":
         rep = check_mds(code.parity, budget=args.budget)
     elif args.check.endswith("-systematic"):
-        rep = check_msrd_systematic(decided, mode=args.mode, budget=args.budget)
+        rep = check_msrd_systematic(decided, budget=args.budget)
     else:
         rep = check_msrd_transforms(g, decided.length_partition, budget=args.budget)
     report |= rep.to_json() | {"elapsed": time.perf_counter() - t0}
@@ -217,10 +218,9 @@ def cmd_verify_conv(args) -> int:
     j = args.j if args.j is not None else enc.m
     report["encoder"] = enc.to_json()
     report["j"] = j
-    report["mode"] = args.mode
 
     t0 = time.perf_counter()
-    rep = check_mMSR(enc, j, mode=args.mode, budget=args.budget)
+    rep = check_mMSR(enc, j, budget=args.budget)
     report |= rep.to_json() | {"elapsed": time.perf_counter() - t0}
 
     agreement = None
@@ -290,13 +290,12 @@ def cmd_table1(args) -> int:
     else:
         rows = TABLE1_ROWS
     report = _report_base("table1", args)
-    report["mode"] = args.mode
     out_rows = []
     for n, k, m, deg, e in rows:
         f = field(2, deg)
         enc = construct_frobenius(n, k, m, f, f.alpha_pow(e))
         t0 = time.perf_counter()
-        rep = check_mMSR(enc, m, mode=args.mode, budget=args.budget)
+        rep = check_mMSR(enc, m, budget=args.budget)
         b_total, a_total, _ = transform_counts(enc, m)
         decided = rep.detail["levels"][0]
         row = {
@@ -312,8 +311,6 @@ def cmd_table1(args) -> int:
             "nontrivial_minors": count_nontrivial_minors(
                 ZeroPattern.of(sliding_parity(enc, m)), parity_grid(enc, m), min_size=2
             ),
-            # pairs whose C were drawn at random: a True with any is sampled
-            "sampled_pairs": decided.get("sampled_pairs", 0),
             # the decided level's cost: T swept, minors evaluated, charge
             "checked_count": rep.checked_count,
             "minors": decided.get("minors"),
@@ -445,6 +442,13 @@ def _add_common(p, budget=DEFAULT_SELECTION_BUDGET):
     p.add_argument("--out", help="write the JSON report to this path (default: stdout)")
 
 
+def _add_mode(p):
+    # every check enumerates its whole family; the option stays for
+    # callers that pass --mode exact or --mode filter
+    p.add_argument("--mode", choices=("exact", "filter"),
+                   help="ignored: every check is exhaustive")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sumrank",
@@ -456,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-block", help="run a block-code checker + oracle")
     p.add_argument("--code", required=True, help="code JSON file")
     p.add_argument("--check", choices=BLOCK_CHECKS, default="msrd-systematic")
-    p.add_argument("--mode", choices=("exact", "filter"), default="filter")
+    _add_mode(p)
     p.add_argument("--no-oracle", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_verify_block)
@@ -466,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, default=None,
                    help="certifies levels 0..j by deciding level j "
                    "(default: encoder memory m)")
-    p.add_argument("--mode", choices=("exact", "filter"), default="filter")
+    _add_mode(p)
     p.add_argument("--no-oracle", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_verify_conv)
@@ -485,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="reproduce the published search table")
     p.add_argument("--rows", help='selection like "2,1,1;3,2,1" (default: all)')
-    p.add_argument("--mode", choices=("exact", "filter"), default="filter")
+    _add_mode(p)
     p.add_argument("--csv", action="store_true", help="also print a CSV table")
     _add_common(p)
     p.set_defaults(func=cmd_table1)

@@ -174,12 +174,12 @@ def parity_grid(enc: PolyEncoder, j: int) -> BlockGrid:
 def check_mMSR(
     enc: PolyEncoder,
     j: int | None = None,
-    mode: str = "exact",
     budget: int = DEFAULT_SELECTION_BUDGET,
 ) -> VerificationReport:
     """True iff the transformed sliding parity stays superregular (in the
     diagonal-constrained sense) for every transform tuple, at every level
-    i <= j.  A true verdict certifies d^i = (i+1)(n-k)+1 for all i <= j.
+    i <= j.  A true verdict certifies d^i = (i+1)(n-k)+1 for all i <= j:
+    the engine enumerates every B, A~ and C of the decided level.
 
     Level i is block_codes.check_transform_family on P_i^c with row blocks
     (k)^(i+1), column blocks (n-k)^(i+1) and the block grid.  The levels
@@ -193,12 +193,6 @@ def check_mMSR(
     reads INFEASIBLE.  A witness belongs to the level of its last selected
     column's block, the last block its rows or columns touch; its B, A~
     and C blocks are cut to that level.
-
-    mode "filter" skips C enumeration for pairs whose grid-qualifying
-    minors all avoid the base field, sampling random C tuples (the
-    engine's stream, seeded 0 per call) instead; pairs failing the filter
-    fall back to exact C enumeration.  A filter-mode True is exhaustive
-    only when its level's sampled_pairs is 0.
     """
     if not enc.systematic:
         raise EncoderError("m-MSR check needs a systematic encoder")
@@ -210,7 +204,7 @@ def check_mMSR(
     refused = None
     for i in range(j, -1, -1):
         rep = check_transform_family(sliding_parity(enc, i), [k] * (i + 1),
-                                     [nk] * (i + 1), True, mode, budget)
+                                     [nk] * (i + 1), True, budget)
         rep.detail = {"level": i} | rep.detail
         if rep.verdict != INFEASIBLE:
             break
@@ -227,7 +221,7 @@ def check_mMSR(
     elif refused is not None:
         rep = refused
     elif rep.verdict is True:
-        rep.detail = {"mode": mode}
+        rep.detail = {}
     rep.detail["levels"] = levels
     rep.checked_count = checked
     return rep

@@ -191,10 +191,13 @@ class Matrix:
         if not isinstance(obj, dict):
             raise MatrixError("a matrix must be a JSON object")
         f = parse_descriptor(obj["field"])
-        m = cls.from_rows(obj["data"], f)
-        if (m.rows, m.cols) != (obj["rows"], obj["cols"]):
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+        if not all(type(v) is int and v >= 0 for v in (rows, cols)) or not is_code_rows(data):
+            raise MatrixError("a matrix needs rows and cols >= 0 and rows of integer codes")
+        # the shape is read from rows and cols: a matrix without rows keeps its cols
+        if len(data) != rows or any(len(r) != cols for r in data):
             raise MatrixError("matrix JSON dimensions disagree with data")
-        return m
+        return cls(rows, cols, f, [v for r in data for v in r])
 
 
 def is_code_rows(value) -> bool:

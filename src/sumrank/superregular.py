@@ -7,10 +7,9 @@ perfect matching between rows and columns.  A matrix is superregular if
 all non-trivial minors are nonzero, and full superregular if every minor
 of every size is nonzero.
 
-Every predicate here, and the base-field filter and transform run in
-block_codes, evaluates minors through one sweep: minor_sweep expands
-each selected minor along its last row, reusing the minors of one size
-less that it memoized.  The memo is one flat list per sweep, numbered
+Every predicate here, and the transform run in block_codes, evaluates
+minors through one sweep: minor_sweep expands each selected minor along
+its last row, reusing the minors of one size less that it memoized.  The memo is one flat list per sweep, numbered
 by the list: the record at position p memoizes its minor at slot p + 1,
 and slot 0 holds the empty minor.  A selection's sweep record is 2s + 1
 fields: its slot, then for each Laplace term the matrix data index and
@@ -35,12 +34,12 @@ its list once and passes it, already charged, to every call (entries).
 One sweep serves a run of matrices that differ in a few cells, the C
 values of one (B, A~) pair or the transform side's A (run=).  Every run
 has one form: a matrix, then a stream of additive steps, each adding
-deltas to the cells of one group (a C cell for a Gray step, every C cell
-for a random draw, or a column of G A).  The sweep keeps the current
-entries and their logs, and re-evaluates only the records whose
-selection holds a cell of the step's group (_Selections.held keeps the
-runs of record tuples of each group's bit mask, split by size, each
-built on first use and kept with the list itself).
+deltas to the cells of one group (a C cell, or a column of G A).  The
+sweep keeps the current entries and their logs, and re-evaluates only
+the records whose selection holds a cell of the step's group
+(_Selections.held keeps the runs of record tuples of each group's bit
+mask, split by size, each built on first use and kept with the list
+itself).
 The predicates take the run too and return one report for it.  One Boolean
 sweep, the same recursion over the same lists (nontrivial_slots),
 decides triviality for count_nontrivial_minors and is_superregular.
@@ -128,11 +127,10 @@ def _index_to_block(sizes) -> list[int]:
 
 @lru_cache(maxsize=256)
 def count_block_selections(ks: tuple, nks: tuple, grid: bool) -> tuple:
-    """(total, held, meeting): the square selections of a sum(ks) x
-    sum(nks) matrix (with grid, the BlockGrid(ks, nks)-qualifying ones),
-    those holding any one cell of diagonal block ks[i] x nks[i] (held[i])
-    and those holding a cell of some diagonal block, counted without
-    listing them.  One pass over the blocks tracks the rows taken less
+    """(total, held): the square selections of a sum(ks) x sum(nks)
+    matrix (with grid, the BlockGrid(ks, nks)-qualifying ones) and those
+    holding any one cell of diagonal block ks[i] x nks[i] (held[i]),
+    counted without listing them.  One pass over the blocks tracks the rows taken less
     the columns taken; under the grid a selection qualifies iff no prefix
     of blocks takes more columns than rows, the sorted pairing of
     BlockGrid.diagonal_allowed written as a count."""
@@ -154,10 +152,8 @@ def count_block_selections(ks: tuple, nks: tuple, grid: bool) -> tuple:
     holding = [[(a, b, comb(k - 1, a - 1) * comb(w - 1, b - 1))
                 for a in range(1, k + 1) for b in range(1, w + 1)] for k, w in zip(ks, nks)]
     held = tuple(count(every[:i] + [h] + every[i + 1:]) for i, h in enumerate(holding))
-    # both count the empty selection, which total leaves out
-    taken = count(every)
-    avoiding = count([[t for t in block if not t[0] * t[1]] for block in every])
-    return taken - 1, held, taken - avoiding
+    # the count takes the empty selection too, which total leaves out
+    return count(every) - 1, held
 
 
 def count_full_size_selections(rows: int, cols: int) -> int:
@@ -368,8 +364,7 @@ def minor_sweep(m: Matrix, entries: _Selections, below: int, run: tuple | None =
                 tally: list | None = None):
     """Yield (position, slot, minor) for each sweep record whose minor has
     a code below `below`, in order: below=1 yields the vanishing minors,
-    below=q the ones in the base field F_q (codes 0..q-1), and
-    below=m.field.order every minor.  entries.selection(slot) names the
+    and below=m.field.order every minor.  entries.selection(slot) names the
     minor's rows and columns.
 
     Each minor is the Laplace expansion along its last selected row,

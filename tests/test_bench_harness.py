@@ -1,16 +1,20 @@
 """The dev benchmark harness (benchmarks/bench.py) runs end to end: a
 kernel row and a checker row, one round of one timed call each, give one
 row per (row, kernel) in the BENCH schema with the pinned results and
-counts."""
+counts, and two sides give per-round paired ratios."""
 
 import json
 import subprocess
 import sys
+from unittest import mock
 
 from conftest import ROOT
 
 ROW_KEYS = {"row", "instance", "side", "kernel", "loaded", "result", "wall_s",
-            "wall_s_quartiles", "wall_s_rounds", "host_speed_rounds", "layers"}
+            "wall_s_quartiles", "wall_s_rounds", "cpu_s", "cpu_s_rounds",
+            "host_speed_rounds", "layers"}
+RATIO_KEYS = {"row", "kernel", "of"} | {f"{key}{suffix}" for key in ("wall_s", "cpu_s")
+                                        for suffix in ("", "_quartiles", "_rounds")}
 
 
 def test_harness_runs_a_kernel_row_and_a_checker_row():
@@ -95,3 +99,58 @@ def test_plan_reports_scrub_one_workload():
     text = json.dumps(files)
     assert '"elapsed"' not in text and "/tmp" not in text
     assert "<work>/table1_4_2_2.json" in text
+
+
+def _bench():
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    try:
+        import bench
+    finally:
+        sys.path.remove(str(ROOT / "benchmarks"))
+    return bench
+
+
+def test_two_identical_sides_read_a_ratio_interval_that_holds_one(capsys):
+    # every child of two identical trees reads the same program on a host
+    # that slows down with each run; the rounds alternate which side runs
+    # first, so the per-round ratios fall on both sides of 1, while each
+    # side's own times spread with the drift
+    bench = _bench()
+    clock = iter(range(1000))
+
+    def child(src, kernel, row, calls):
+        t = 1.0 + 0.05 * next(clock)
+        return {"instance": row, "implementation": "python", "wall_s": t, "cpu_s": t / 2,
+                "host_speed": 1.0, "result": 7, "layers": {}}
+
+    argv = ["bench.py", "--side", "parent=src", "--side", "change=src",
+            "--rows", "expand-rank-f8", "--rounds", "4"]
+    with mock.patch.object(bench, "run_child", child), mock.patch.object(sys, "argv", argv):
+        assert bench.main() == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(r["row"], r["kernel"]) for r in doc["ratios"]] == [
+        ("expand-rank-f8", "python"), ("expand-rank-f8", "c")]
+    for ratio in doc["ratios"]:
+        assert set(ratio) == RATIO_KEYS and ratio["of"] == "change/parent"
+        for key in ("wall_s", "cpu_s"):
+            low, median, high = ratio[f"{key}_quartiles"]
+            assert low < 1.0 < high and len(ratio[f"{key}_rounds"]) == 4
+    # the drift spreads each side's own times more than the paired ratios
+    for row, ratio in zip(doc["rows"][::2], doc["ratios"]):
+        spread = max(row["wall_s_rounds"]) / min(row["wall_s_rounds"])
+        assert spread > max(ratio["wall_s_rounds"]) / min(ratio["wall_s_rounds"])
+
+
+def test_two_sides_of_one_tree_give_paired_ratios():
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/bench.py", "--side", "a=src", "--side", "b=src",
+         "--rows", "expand-rank-f8", "--rounds", "1", "--calls", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert [(r["row"], r["kernel"], r["side"]) for r in doc["rows"]] == [
+        ("expand-rank-f8", kernel, side) for kernel in ("python", "c") for side in "ab"]
+    for ratio in doc["ratios"]:
+        assert set(ratio) == RATIO_KEYS and ratio["of"] == "b/a"
+        assert ratio["wall_s"] > 0 and ratio["cpu_s"] > 0

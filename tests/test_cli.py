@@ -4,11 +4,10 @@ exit codes, and the search-table reproduction."""
 import json
 import subprocess
 import sys
-from unittest import mock
 
 import pytest
 
-from sumrank import _core_py, block_codes, core
+from sumrank import _core_py, core
 from sumrank.cli import (
     EXIT_FALSE,
     EXIT_INFEASIBLE,
@@ -110,7 +109,8 @@ def test_verify_block_false_and_recheck(tmp_path, capsys):
     # a False report's checked_count and witness follow the transform order
     assert json.loads(open(report_path).read())["enumeration_order"] == (
         "size-ascending then lexicographic; messages by ascending mixed-radix "
-        "index; B, A~ in product order, C and A in reflected Gray order")
+        "index; B, A~ in product order, A and C in reflected Gray order; "
+        "C's cells block by block, row-major, the most-held blocks slowest")
     rc, rep = _run(capsys, ["recheck", "--report", report_path, "--code", code_path])
     assert rc == EXIT_TRUE
     assert rep["reverifies"] is True
@@ -136,7 +136,8 @@ def test_recheck_two_block_code_witnesses(tmp_path, capsys, check):
     # a False report's checked_count and witness follow the transform order
     assert json.loads(open(report_path).read())["enumeration_order"] == (
         "size-ascending then lexicographic; messages by ascending mixed-radix "
-        "index; B, A~ in product order, C and A in reflected Gray order")
+        "index; B, A~ in product order, A and C in reflected Gray order; "
+        "C's cells block by block, row-major, the most-held blocks slowest")
     rc, rep = _run(capsys, ["recheck", "--report", report_path, "--code", code_path])
     assert rc == EXIT_TRUE
     assert rep["reverifies"] is True
@@ -321,6 +322,18 @@ def test_a_field_above_the_table_limit_exits_2_with_one_error_line(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "TABLE_LIMIT" in err
+
+
+def test_a_code_of_dimension_zero_exits_2_with_one_error_line(tmp_path, capsys):
+    # k = 0 is refused as PolyEncoder refuses it: every checker would read
+    # True on the empty code while its distance oracle has no rows to try
+    code = {"field": F8.descriptor(), "partition": [3], "dims": [0],
+            "parity": Matrix(0, 3, F8).to_json()}
+    path = _write(tmp_path, "k0.json", code)
+    for argv in (["verify-block", "--code", path], ["distance", "--code", path]):
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == "error: a code needs dimension k > 0\n", err
 
 
 def test_verify_block_msrd_all_unit_blocks_matches_mds(tmp_path, capsys):
@@ -627,21 +640,31 @@ def test_table1_exit_code_reads_every_row(capsys):
     assert rc == EXIT_FALSE
 
 
-def test_table1_rows_count_sampled_pairs(capsys):
-    # [4,2,1]/F_64 has at most 2^8 C per pair, so by default every C is
-    # enumerated; with two random C per pair, pairs that pass the filter
-    # sample
-    rc, report = _run(capsys, ["table1", "--rows", "4,2,1"])
-    assert rc == EXIT_TRUE and report["rows"][0]["sampled_pairs"] == 0
-    with mock.patch.object(block_codes, "FILTER_RESAMPLE_COUNT", 2):
-        rc, report = _run(capsys, ["table1", "--rows", "4,2,1"])
-    assert rc == EXIT_TRUE and report["rows"][0]["sampled_pairs"] > 0
+def test_mode_is_accepted_and_changes_no_report(tmp_path, capsys):
+    # every check is exhaustive: --mode exact and --mode filter still parse
+    # on the three commands that took them, and every report, elapsed
+    # aside, is the one given without the option
+    f = field(2, 4)
+    code_path = _write(tmp_path, "c.json", _gabidulin_code_json(3, 2, field(2, 3)))
+    enc_path = _write(tmp_path, "e.json",
+                      construct_frobenius(2, 1, 1, f, f.alpha_pow(1)).to_json())
+    for argv in (["verify-block", "--code", code_path], ["verify-conv", "--encoder", enc_path],
+                 ["table1", "--rows", "2,1,1;4,2,2"]):
+        reports = []
+        for mode in ([], ["--mode", "exact"], ["--mode", "filter"]):
+            rc, report = _run(capsys, argv + mode)
+            report.pop("elapsed", None)
+            for row in report.get("rows", []):
+                row.pop("elapsed")
+            reports.append((rc, report))
+        assert reports[0] == reports[1] == reports[2], argv
+        assert "mode" not in reports[0][1]
 
 
 def test_table1_rows_report_their_cost(capsys):
     # the decided level's T swept, minors evaluated and charge, equal on an
     # exact True
-    rc, report = _run(capsys, ["table1", "--rows", "4,2,1", "--mode", "exact"])
+    rc, report = _run(capsys, ["table1", "--rows", "4,2,1"])
     row = report["rows"][0]
     assert rc == EXIT_TRUE and row["verdict"] is True
     assert (row["checked_count"], row["minors"], row["charge"]) == (4096, 66112, 66112)

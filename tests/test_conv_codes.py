@@ -272,13 +272,6 @@ def test_recheck_oracle_witness_enumerates_no_profiles():
         assert recheck_oracle_witness(enc, wide) is False
 
 
-def test_check_mMSR_filter_agrees_with_exact():
-    good = construct_frobenius(2, 1, 1, F4)
-    assert check_mMSR(good, mode="filter").verdict is True
-    bad = _parity_encoder([1, 1], F2)
-    assert check_mMSR(bad, mode="filter").verdict is False
-
-
 def test_check_mMSR_rejects_nonsystematic_and_bad_level():
     g0 = Matrix.from_rows([[2, 1]], F4)
     g1 = Matrix.from_rows([[1, 1]], F4)

@@ -1,20 +1,17 @@
 """The transform-family engine's incremental sweep against a full sweep of
 every T.  check_transform_family keeps one sweep memo across its C values,
 which step in reflected q-ary Gray order, and re-evaluates only the
-selections that hold the C cell a step moves (every C cell, for a sampled
-draw); reference_family (test_transform_family) sweeps each T's whole
-selection list, in the same order.  Both must give the
-same verdict, checked_count, witness and filtered/sampled pair counts,
+selections that hold the C cell a step moves; reference_family
+(test_transform_family) sweeps each T's whole selection list, in the
+same order.  Both must give the same verdict, checked_count and witness,
 for the full predicate (block codes, no grid) and the grid one (m-MSR
-level 1), over F_2^M and over F_9, F_25 and F_27, in exact mode, in
-filter mode and in filter mode with a sampled pair; every witness
-rechecks; an exact True evaluates the minors its charge counts.  The
-engine's detail counts the minors it evaluated, which is what a traced
-call counts as superregular.minors."""
+level 1), over F_2^M and over F_9, F_25 and F_27; every witness
+rechecks; a True evaluates the minors its charge counts.  The engine's
+detail counts the minors it evaluated, which is what a traced call
+counts as superregular.minors."""
 
 import random
 import sys
-from unittest import mock
 
 import pytest
 from conftest import ROOT
@@ -28,7 +25,6 @@ from test_transform_family import (
     reference_family,
 )
 
-from sumrank import block_codes
 from sumrank.block_codes import (
     SystematicBlockCode,
     check_msrd_systematic,
@@ -45,9 +41,6 @@ from sumrank.superregular import DEFAULT_SELECTION_BUDGET, BlockGrid, square_sel
 
 Q2_FIELDS = (field(2, 2), field(2, 3), field(2, 4))
 ODD_FIELDS = (field(3, 2), field(5, 2), field(3, 3))
-# (resamples, mode): exact, filter, and filter drawing 3 C for a pair that
-# passes, so that pairs with more C sample them
-RUNS = [(1000, "exact"), (1000, "filter"), (3, "filter")]
 
 derandomized = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -67,20 +60,13 @@ def block_codes_with_c_cells(draw):
                                Matrix(sum(ks), sum(nks), f, data))
 
 
-def _same_as_full_sweep(p, ks, nks, constrained, mode, resamples,
-                        budget=DEFAULT_SELECTION_BUDGET):
-    with mock.patch.object(block_codes, "FILTER_RESAMPLE_COUNT", resamples):
-        rep = check_transform_family(p, ks, nks, constrained, mode, budget)
+def _same_as_full_sweep(p, ks, nks, constrained):
+    rep = check_transform_family(p, ks, nks, constrained, DEFAULT_SELECTION_BUDGET)
     grid = BlockGrid(ks, nks) if constrained else None
-    verdict, checked, witness, filtered, sampled = reference_family(
-        p, ks, nks, grid, mode, resamples, random.Random(0))
-    assert (rep.verdict, rep.checked_count, rep.witness) == (verdict, checked, witness)
-    if verdict is True:
-        assert (rep.detail["filtered_pairs"], rep.detail["sampled_pairs"]) == (
-            filtered, sampled)
-        if mode == "exact":
-            assert rep.detail["minors"] == rep.detail["charge"] == gray_run_minors(
-                ks, nks, grid, p.field.q)
+    assert (rep.verdict, rep.checked_count, rep.witness) == reference_family(p, ks, nks, grid)
+    if rep.verdict is True:
+        assert rep.detail["minors"] == rep.detail["charge"] == gray_run_minors(
+            ks, nks, grid, p.field.q)
     else:
         assert recheck_family_witness(p, ks, nks, constrained, rep.witness)
     return rep
@@ -90,17 +76,14 @@ def _same_as_full_sweep(p, ks, nks, constrained, mode, resamples,
 @given(block_codes_with_c_cells())
 def test_block_engine_matches_the_full_sweep(code):
     p, ks, nks = code.parity, code.dim_partition, code.parity_widths
-    for resamples, mode in RUNS:
-        _same_as_full_sweep(p, ks, nks, False, mode, resamples)
+    _same_as_full_sweep(p, ks, nks, False)
 
 
 @derandomized
 @given(st.one_of(memory_one_encoders(), odd_encoders(fields=ODD_FIELDS)))
 def test_grid_engine_matches_the_full_sweep(enc):
     k, nk = enc.k, enc.n - enc.k
-    for resamples, mode in RUNS:
-        _same_as_full_sweep(sliding_parity(enc, 1), [k] * 2, [nk] * 2, True, mode,
-                            resamples)
+    _same_as_full_sweep(sliding_parity(enc, 1), [k] * 2, [nk] * 2, True)
 
 
 @pytest.mark.parametrize("f", [field(2, 2), field(2, 8), field(2, 11), field(3, 2),
@@ -108,8 +91,7 @@ def test_grid_engine_matches_the_full_sweep(enc):
 @pytest.mark.parametrize("constrained", [False, True], ids=["full", "grid"])
 def test_gray_runs_match_the_full_sweep_over_each_field(f, constrained):
     # three random parities per field: a one-block 2 x 2 code, or the level-1
-    # sliding parity of a [3,1,1] encoder (blocks (1,1) x (2,2)), each in
-    # exact mode, filter mode and filter mode sampling 3 C per passing pair
+    # sliding parity of a [3,1,1] encoder (blocks (1,1) x (2,2))
     rng = random.Random(f"{f.descriptor()}/{constrained}")
     outcomes = set()
     for _ in range(3):
@@ -121,9 +103,7 @@ def test_gray_runs_match_the_full_sweep_over_each_field(f, constrained):
         else:
             p = Matrix(2, 2, f, [rng.randrange(f.order) for _ in range(4)])
             ks, nks = (2,), (2,)
-        for resamples, mode in RUNS:
-            rep = _same_as_full_sweep(p, ks, nks, constrained, mode, resamples)
-            outcomes.add(rep.verdict)
+        outcomes.add(_same_as_full_sweep(p, ks, nks, constrained).verdict)
     # the large fields give True verdicts, hence whole runs
     if f.order >= 256:
         assert True in outcomes
@@ -135,7 +115,7 @@ def test_late_block_witnesses_match_the_full_sweep(case):
     f, data = {"gf16": (field(2, 4), [9, 11, 8, 5]),
                "gf27": (field(3, 3), [3, 26, 7, 21])}[case]
     p = Matrix(2, 2, f, data)
-    rep = _same_as_full_sweep(p, (2,), (2,), False, "exact", 1000)
+    rep = _same_as_full_sweep(p, (2,), (2,), False)
     # the witness C is past its pair's first q, so a Gray step has moved
     # a C cell other than the last before it
     assert rep.verdict is False
@@ -143,15 +123,12 @@ def test_late_block_witnesses_match_the_full_sweep(case):
 
 
 def test_table_negative_matches_the_full_sweep():
-    # [4,2,2] over F_2^11 at e = 1: in exact order the witness is T 1,028,
-    # the first pair's 1,028th C of 4,096 (T 1,027 in product order)
+    # [4,2,2] over F_2^11 at e = 1: the witness is T 68, the first pair's
+    # 68th C of 4,096
     p = sliding_parity(_TABLE_NEGATIVE, 2)
-    rep = _same_as_full_sweep(p, [2] * 3, [2] * 3, True, "exact", 1000, budget=10**9)
-    assert (rep.verdict, rep.checked_count) == (False, 1028)
-    assert rep.detail["minors"] == 162_999
-    # filter mode samples the first pair's C
-    rep = _same_as_full_sweep(p, [2] * 3, [2] * 3, True, "filter", 3, budget=10**9)
-    assert rep.verdict is False
+    rep = _same_as_full_sweep(p, [2] * 3, [2] * 3, True)
+    assert (rep.verdict, rep.checked_count) == (False, 68)
+    assert rep.detail["minors"] == 11_079
 
 
 # -- the minors the engine evaluates ---------------------------------------------
@@ -181,7 +158,6 @@ def test_minors_detail_is_the_traced_count():
     assert (rep.verdict, rep.checked_count) == (True, 729)
     assert len(square_selections(2, 2)) == 5
     assert rep.detail["minors"] == rep.detail["charge"] == traced == 9 * (5 + 80 * 2)
-    for mode in ("exact", "filter"):
-        rep, traced = _traced(lambda: check_mMSR(_TABLE_NEGATIVE, mode=mode, budget=10**9))
-        [level] = rep.detail["levels"]
-        assert level["minors"] == traced > 0
+    rep, traced = _traced(lambda: check_mMSR(_TABLE_NEGATIVE))
+    [level] = rep.detail["levels"]
+    assert level["minors"] == traced > 0

@@ -392,6 +392,20 @@ def test_json_round_trip():
     assert Matrix.from_json(m.to_json()) == m
 
 
+def test_json_round_trip_keeps_the_shape_of_an_empty_matrix():
+    # the shape comes from rows and cols, so a matrix without rows keeps
+    # its columns; data that disagrees with them is refused
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        m = Matrix(rows, cols, F8)
+        again = Matrix.from_json(m.to_json())
+        assert (again.rows, again.cols, again) == (rows, cols, m)
+    obj = Matrix(2, 3, F8).to_json()
+    for bad in (dict(obj, rows=3), dict(obj, cols=2), dict(obj, rows=-2),
+                dict(obj, cols="3"), dict(obj, data=[[0, 0, 0], [0, 0]])):
+        with pytest.raises(ValueError):
+            Matrix.from_json(bad)
+
+
 def test_mixed_field_product_lifts_base_entries():
     p = Matrix.from_rows([[2, 3], [1, 2]], F4)
     b = Matrix.from_rows([[1, 1], [0, 1]], F2)

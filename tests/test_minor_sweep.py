@@ -16,7 +16,6 @@ from test_superregular import is_trivial_minor
 from sumrank import superregular
 from sumrank.block_codes import (
     SystematicBlockCode,
-    _minors_outside_base,
     check_msrd_systematic,
     check_msrd_transforms,
     construct_gabidulin,
@@ -204,15 +203,6 @@ def _reference_check(m, *, skip_trivial, grid=None):
     return True, None, checked
 
 
-def _reference_outside_base(m, grid):
-    for ri, ci in iter_square_selections(m.rows, m.cols):
-        if grid is not None and not grid.diagonal_allowed(ri, ci):
-            continue
-        if m.field.is_in_base_field(det(m.submatrix(ri, ci))):
-            return False
-    return True
-
-
 def _same(rep, ref):
     assert (rep.verdict, rep.witness, rep.checked_count) == ref
 
@@ -247,15 +237,12 @@ def test_predicates_match_the_reference_loop(f):
                 _same(is_full_superregular(m, entries=entries),
                       _reference_check(m, skip_trivial=False))
                 _same(is_superregular(m), _reference_check(m, skip_trivial=True))
-                outside = _minors_outside_base(m, entries)
-                assert outside == _reference_outside_base(m, None)
                 # an all-ones partition enumerates A = I alone
                 first = reference_full_minors(m)
                 rep = check_msrd_transforms(m, LengthPartition([1] * m.cols))
                 assert (rep.verdict, rep.witness and rep.witness["cols"]) == (
                     (True, None) if first is None else (False, list(first)))
-                seen |= {("full", full.verdict), ("filter", outside),
-                         ("full-size", first is None)}
+                seen |= {("full", full.verdict), ("full-size", first is None)}
     for grid in GRIDS:
         for zero_share in (0.0, 0.2, 0.5):
             for _ in range(3):
@@ -265,11 +252,9 @@ def test_predicates_match_the_reference_loop(f):
                 entries = square_selections(grid.rows, grid.cols, grid)
                 _same(is_superregular_constrained(m, grid, entries=entries),
                       _reference_check(m, skip_trivial=False, grid=grid))
-                outside = _minors_outside_base(m, entries)
-                assert outside == _reference_outside_base(m, grid)
-                seen |= {("grid", rep.verdict), ("grid filter", outside)}
+                seen.add(("grid", rep.verdict))
     # both outcomes of every check occur
-    assert len(seen) == 10, sorted(seen)
+    assert len(seen) == 6, sorted(seen)
 
 
 # -- selection-list lifetime ---------------------------------------------------
@@ -336,15 +321,14 @@ def test_checkers_build_one_list_per_shape():
     with mock.patch.multiple(superregular, SELECTION_CACHE_LIMIT=0,
                              _build_square_selections=square,
                              _build_full_size_selections=full):
-        for mode in ("exact", "filter"):
-            systematic = check_msrd_systematic(code, mode=mode)
-            mmsr = check_mMSR(enc, mode=mode)
+        systematic = check_msrd_systematic(code)
+        mmsr = check_mMSR(enc)
         transforms = check_msrd_transforms(construct_gabidulin(5, 2, F32),
                                            LengthPartition([3, 2]))
     # every check swept many matrices
     assert min(systematic.checked_count, mmsr.checked_count,
                transforms.checked_count) > 1
-    # one square list per check: systematic and m-MSR level 1, in each
-    # mode; one full-size list for the transform side
-    assert square.call_count == 2 * 2
+    # one square list per check: systematic and m-MSR level 1; one
+    # full-size list for the transform side
+    assert square.call_count == 2
     assert full.call_count == 1

@@ -54,18 +54,16 @@ def _f128_negative():
 CALLS = [
     ("mds-true", lambda: check_mds(Matrix.from_rows([[1, 1], [1, 2]], F4)), True),
     ("mds-false", lambda: check_mds(Matrix.from_rows([[1, 1], [1, 1]], F4)), False),
-    ("msrd-exact-false", lambda: check_msrd_systematic(_small_code(), mode="exact"), False),
-    ("msrd-exact-true", lambda: check_msrd_systematic(_gabidulin_code(), mode="exact"), True),
-    ("msrd-filter-false", lambda: check_msrd_systematic(_small_code(), mode="filter"), False),
-    ("msrd-filter-true", lambda: check_msrd_systematic(_gabidulin_code(), mode="filter"), True),
+    ("msrd-exact-false", lambda: check_msrd_systematic(_small_code()), False),
+    ("msrd-exact-true", lambda: check_msrd_systematic(_gabidulin_code()), True),
     ("transforms-false", lambda: check_msrd_transforms(
         assemble_generator(_small_code()), LengthPartition((2, 2))), False),
     ("transforms-true", lambda: check_msrd_transforms(
         assemble_generator(_gabidulin_code()), LengthPartition((5,))), True),
-    ("mMSR-filter-false", lambda: check_mMSR(_table1_encoder(4, 2, 2), mode="filter"), False),
-    ("mMSR-exact-infeasible", lambda: check_mMSR(
-        _table1_encoder(4, 2, 2), mode="exact", budget=10), INFEASIBLE),
-    ("mMSR-exact-true", lambda: check_mMSR(_table1_encoder(3, 2, 1), mode="exact"), True),
+    ("mMSR-exact-false", lambda: check_mMSR(_table1_encoder(4, 2, 2)), False),
+    ("mMSR-exact-infeasible", lambda: check_mMSR(_table1_encoder(4, 2, 2), budget=10),
+     INFEASIBLE),
+    ("mMSR-exact-true", lambda: check_mMSR(_table1_encoder(3, 2, 1)), True),
     ("oracle-true", lambda: check_mMSR_oracle(_table1_encoder(3, 2, 1), 1), True),
     ("oracle-false", lambda: check_mMSR_oracle(_f128_negative(), 2), False),
     ("superregular-true", lambda: is_superregular(_gabidulin_code().parity), True),

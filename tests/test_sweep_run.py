@@ -3,8 +3,9 @@ tables.
 
 A run is a matrix and a stream of additive steps: minor_sweep keeps the
 current entries and their discrete logs across the run, and a step adds
-its deltas to the cells of one group, one C cell per Gray step, every C
-cell for a random draw, or a column of G A on the transform side.  Every
+its deltas to the cells of one group: one C cell per Gray step, or a
+column of G A on the transform side; the streams here also rewrite
+every C cell at once, a group of several cells.  Every
 minor a run evaluates must equal the determinant of the run's current
 matrix, whichever group the steps wrote, and a later matrix evaluates
 exactly the selections that hold a cell of its group; a run of one matrix
@@ -19,7 +20,7 @@ from itertools import product
 
 import pytest
 from conftest import ROOT
-from test_transform_family import _TABLE_NEGATIVE, gray_order
+from test_transform_family import _TABLE_NEGATIVE, block_order, gray_order
 
 from sumrank.block_codes import (
     SystematicBlockCode,
@@ -34,7 +35,7 @@ from sumrank.block_codes import (
     recheck_transform_witness,
     systematic_form,
 )
-from sumrank.conv_codes import check_mMSR, recheck_mMSR_witness
+from sumrank.conv_codes import check_mMSR
 from sumrank.field import Field, base_field, field
 from sumrank.matrix import (
     Matrix,
@@ -356,36 +357,35 @@ def test_block_check_calls_the_predicate_once_per_pair():
     assert metrics["superregular.minors"] == rep.detail["minors"] == 1485
 
 
-@pytest.mark.parametrize("mode", ["exact", "filter"])
-def test_grid_check_calls_the_predicate_once_per_pair_swept(mode):
-    rep, metrics = _traced(lambda: check_mMSR(_TABLE_NEGATIVE, mode=mode, budget=10**9))
+def test_grid_check_calls_the_predicate_once_per_pair_swept():
+    rep, metrics = _traced(lambda: check_mMSR(_TABLE_NEGATIVE))
     [level] = rep.detail["levels"]
     calls = metrics["superregular.is_superregular_constrained.calls"]
     assert rep.verdict is False
     assert metrics["superregular.minors"] == level["minors"]
-    if mode == "exact":
-        # every pair before the witness's sweeps all its C
-        assert calls == (rep.checked_count - 1) // level["c_count"] + 1
-    else:
-        assert 1 <= calls <= level["b_count"] * level["a_count"]
+    # every pair before the witness's sweeps all its C
+    assert calls == (rep.checked_count - 1) // level["c_count"] + 1
     b_count, a_count, _ = family_counts([2] * 3, [2] * 3, 2)
     assert (level["b_count"], level["a_count"]) == (b_count, a_count)
 
 
 def test_a_false_witness_c_is_the_gray_digits_at_its_t():
     """A False witness's C is rebuilt from the T its pair swept, so it is
-    the gray_order tuple at the witnessed T of its pair."""
-    rep = check_mMSR(_TABLE_NEGATIVE, mode="exact", budget=10**9)
+    the gray_order tuple at the witnessed T of its pair, its cells read
+    block by block in block_order, each block row-major."""
+    rep = check_mMSR(_TABLE_NEGATIVE)
     [level] = rep.detail["levels"]
     # the witness's pair sweeps its C in gray_order up to T number t + 1
     t = (rep.checked_count - 1) % level["c_count"]
-    c = [v for block in rep.witness["transform"]["C"] for row in block for v in row]
-    assert (rep.verdict, t) == (False, 1027) and any(c)
+    blocks = rep.witness["transform"]["C"]
+    c = [v for i in block_order([2] * 3, [2] * 3, BlockGrid([2] * 3, [2] * 3))
+         for row in blocks[i] for v in row]
+    assert (rep.verdict, t) == (False, 67) and any(c)
     assert tuple(c) == gray_order(2, len(c))[t]
     # over F_27, whose digits move by -1 as well as +1
     f = field(3, 3)
     p = Matrix.from_rows([[8, 12, 13], [5, 7, 23]], f)
-    rep = check_transform_family(p, (2,), (3,), False, "exact", 10**8)
+    rep = check_transform_family(p, (2,), (3,), False, 10**8)
     t = (rep.checked_count - 1) % rep.detail["c_count"]
     [c] = rep.witness["transform"]["C"]
     assert (rep.verdict, t) == (False, 34)
@@ -394,8 +394,7 @@ def test_a_false_witness_c_is_the_gray_digits_at_its_t():
 
 def test_a_false_witness_is_rebuilt_from_its_step_count():
     """A transform-side False carries the A its Gray walk reached, replayed
-    from the A swept, and a sampled pair's False the C it drew, the
-    latest draw of the family's seed-0 stream; both recheck."""
+    from the A swept, and rechecks."""
     for f, parts, data, swept in [(field(2, 4), (4,), [11, 10, 10, 3, 9, 7, 15, 4], 19),
                                   (field(3, 2), (3, 1), [2, 1, 7, 2, 3, 2, 1, 6], 9)]:
         g, partition = Matrix(2, 4, f, data), LengthPartition(parts)
@@ -406,12 +405,3 @@ def test_a_false_witness_is_rebuilt_from_its_step_count():
         assert rep.witness["transform"]["A"] == diagonal_blocks(a, parts, parts)
         assert minor(g @ a, rep.witness["rows"], rep.witness["cols"]) == 0
         assert recheck_transform_witness(g, partition, rep.witness)
-    # [4,2,2]'s level 2 samples its first pair, 12 C cells over F_2, and
-    # the 16th draw makes a 4 x 4 minor vanish
-    rep = check_mMSR(_TABLE_NEGATIVE, mode="filter", budget=10**9)
-    assert (rep.verdict, rep.checked_count) == (False, 16)
-    rng = random.Random(0)
-    draws = [[rng.randrange(2) for _ in range(12)] for _ in range(rep.checked_count)]
-    c = [v for block in rep.witness["transform"]["C"] for row in block for v in row]
-    assert c == draws[-1]
-    assert recheck_mMSR_witness(_TABLE_NEGATIVE, rep.witness)

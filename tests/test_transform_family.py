@@ -4,8 +4,8 @@ the distance oracle, [2,1,1] encoders against the rank-profile oracle and
 the column distances, level 0 of the m-MSR check against the block
 check it reduces to, and all three lazily enumerated checkers against the
 per-block-list loops they replaced (kept here as the reference, over the
-same unit upper-triangular B, A~ and A), filter sampling and the search
-table's [4,2,2] negative included.  The m-MSR check decides its top level
+same unit upper-triangular B, A~ and A), the search table's [4,2,2]
+negative included.  The m-MSR check decides its top level
 alone; its verdicts match the per-level loop it replaced (reference_mMSR)
 over F_2^M Frobenius encoders and odd-q ones, and every witness rechecks.
 Over F_9, F_25 and F_27 the exact verdicts also match the reference run
@@ -14,7 +14,9 @@ criterion quantifies over.  The transform side's one sweep run matches
 its per-A reference over F_8, F_16 and F_32 too.  The references walk
 each run, the C values of a pair and the transform side's A, in the
 reflected q-ary Gray order of gray_order, built here from its recursive
-definition.  Draws are derandomized, so every run sees the same codes."""
+definition, the C cells block by block with the blocks that more
+selections hold moving slower (block_order, counted here by listing).
+Draws are derandomized, so every run sees the same codes."""
 
 import random
 from itertools import product
@@ -33,7 +35,6 @@ from test_matrix import (
 from sumrank import block_codes
 from sumrank.block_codes import (
     SystematicBlockCode,
-    _minors_outside_base,
     assemble_generator,
     check_msrd_systematic,
     check_msrd_transforms,
@@ -153,50 +154,61 @@ def gray_order(q, c):
     return [(d,) + t for d in range(q) for t in (rest if d % 2 == 0 else rest[::-1])]
 
 
-def filled_blocks(rows, cols, values, f, upper):
-    """Blocks rows[i] x cols[i] over f whose free cells, block by block and
-    row-major, hold values: with upper, unit upper-triangular blocks and
-    the cells above the diagonal; otherwise every cell of zero blocks."""
+def unit_blocks(sizes, values, f):
+    """Unit upper-triangular blocks of the given sizes over f whose cells
+    above the diagonal, block by block and row-major, hold values."""
     it = iter(values)
     out = []
-    for br, bc in zip(rows, cols):
-        b = Matrix.identity(br, f) if upper else Matrix(br, bc, f)
-        for r in range(br):
-            for c in range(r + 1 if upper else 0, bc):
+    for n in sizes:
+        b = Matrix.identity(n, f)
+        for r in range(n):
+            for c in range(r + 1, n):
                 b[r, c] = next(it)
         out.append(b)
     return out
 
 
-def reference_family(p, ks, nks, grid, mode, resamples, rng, upper=enum_ut_unit):
-    """(verdict, checked, witness, filtered, sampled) of the (B, A~, C)
-    loop over products of per-block lists, each tuple assembled by
-    block_diag; B and A~ blocks come from upper(size, q), and each pair's
-    C blocks take every value tuple of their cells in gray_order; filter
-    passes draw `resamples` C block by block, row by row (every C when
-    there are no more)."""
+def block_order(ks, nks, grid):
+    """The diagonal blocks ks[i] x nks[i], those whose cells more of the
+    checked selections hold first, ties in block order: the order in which
+    the C walk moves them, slowest first, from held counts taken here by
+    listing every selection."""
+    width = sum(nks)
+    selections = [(ri, ci) for ri, ci in iter_square_selections(sum(ks), width)
+                  if grid is None or grid.diagonal_allowed(ri, ci)]
+    held = []
+    for i, (k, w) in enumerate(zip(ks, nks)):
+        r, c = sum(ks[:i]), sum(nks[:i])  # the block's first cell, if it has one
+        held.append(sum(r in ri and c in ci for ri, ci in selections) if k * w else 0)
+    return sorted(range(len(ks)), key=lambda i: -held[i])
+
+
+def c_tuples(ks, nks, grid, f):
+    """Every block-diagonal C over f, in the reference walk's order: the
+    cells of the blocks in block_order, each block row-major, take every
+    value tuple in gray_order."""
+    order = block_order(ks, nks, grid)
+    for values in gray_order(f.q, sum(k * w for k, w in zip(ks, nks))):
+        it = iter(values)
+        blocks = [None] * len(ks)
+        for i in order:
+            blocks[i] = Matrix(ks[i], nks[i], f, [next(it) for _ in range(ks[i] * nks[i])])
+        yield block_diag(blocks)
+
+
+def reference_family(p, ks, nks, grid, upper=enum_ut_unit):
+    """(verdict, checked, witness) of the (B, A~, C) loop over products of
+    per-block lists, each tuple assembled by block_diag; B and A~ blocks
+    come from upper(size, q), and each pair's C are c_tuples."""
     q = p.field.q
-    base = base_field(q)
     b_sets = [list(upper(k, q)) for k in ks]
     a_sets = [list(upper(w, q)) for w in nks]
-    c_cells = sum(k * w for k, w in zip(ks, nks))
-    c_total = q ** c_cells
-    checked = filtered = sampled = 0
+    checked = 0
     for b_blocks in product(*b_sets):
         bp = block_diag(b_blocks) @ p
         for a_blocks in product(*a_sets):
             bpa = bp @ block_diag(a_blocks)
-            c_iter = (block_diag(filled_blocks(ks, nks, values, base, False))
-                      for values in gray_order(q, c_cells))
-            if mode == "filter" and _minors_outside_base(
-                    bpa, square_selections(p.rows, p.cols, grid)):
-                filtered += 1
-                if c_total > resamples:
-                    sampled += 1
-                    c_iter = (block_diag([
-                        Matrix(k, w, base, [rng.randrange(q) for _ in range(k * w)])
-                        for k, w in zip(ks, nks)]) for _ in range(resamples))
-            for c in c_iter:
+            for c in c_tuples(ks, nks, grid, base_field(q)):
                 checked += 1
                 t = bpa.add(c)
                 rep = (block_codes.is_full_superregular(t) if grid is None
@@ -206,8 +218,8 @@ def reference_family(p, ks, nks, grid, mode, resamples, rng, upper=enum_ut_unit)
                                              "A": [m.to_rows() for m in a_blocks],
                                              "C": diagonal_blocks(c, ks, nks)},
                                "rows": rep.witness["rows"], "cols": rep.witness["cols"]}
-                    return False, checked, witness, None, None
-    return True, checked, None, filtered, sampled
+                    return False, checked, witness
+    return True, checked, None
 
 
 def _level_witness(w, level):
@@ -218,33 +230,30 @@ def _level_witness(w, level):
     return w
 
 
-def reference_mMSR(enc, mode, resamples, upper=enum_ut_unit):
+def reference_mMSR(enc, upper=enum_ut_unit):
     """The per-level loop the top-level check replaced: every level 0..m
-    in turn on one random stream, stopping at the first that fails."""
-    rng = random.Random(0)
+    in turn, stopping at the first that fails."""
     k, nk = enc.k, enc.n - enc.k
     checked = 0
     for i in range(enc.m + 1):
-        verdict, count, w, _, _ = reference_family(
+        verdict, count, w = reference_family(
             sliding_parity(enc, i), [k] * (i + 1), [nk] * (i + 1), parity_grid(enc, i),
-            mode, resamples, rng, upper)
+            upper)
         checked += count
         if verdict is False:
             return False, checked, _level_witness(w, i)
     return True, checked, None
 
 
-def reference_top_level(enc, mode, resamples):
-    """(verdict, checked, witness, filtered, sampled) of the reference loop
-    at level m alone, on a fresh random stream; the witness belongs to its
-    last column's block."""
+def reference_top_level(enc):
+    """(verdict, checked, witness) of the reference loop at level m alone;
+    the witness belongs to its last column's block."""
     k, nk, m = enc.k, enc.n - enc.k, enc.m
-    verdict, checked, w, filtered, sampled = reference_family(
-        sliding_parity(enc, m), [k] * (m + 1), [nk] * (m + 1), parity_grid(enc, m),
-        mode, resamples, random.Random(0))
+    verdict, checked, w = reference_family(
+        sliding_parity(enc, m), [k] * (m + 1), [nk] * (m + 1), parity_grid(enc, m))
     if w is not None:
         w = _level_witness(w, w["cols"][-1] // nk)
-    return verdict, checked, w, filtered, sampled
+    return verdict, checked, w
 
 
 def reference_transforms(g, parts, upper=None):
@@ -256,7 +265,7 @@ def reference_transforms(g, parts, upper=None):
     q = g.field.q
     if upper is None:
         free = sum(n * (n - 1) // 2 for n in parts)
-        a_iter = (filled_blocks(parts, parts, values, base_field(q), True)
+        a_iter = (unit_blocks(parts, values, base_field(q))
                   for values in gray_order(q, free))
     else:
         a_iter = product(*[list(upper(n, q)) for n in parts])
@@ -270,26 +279,13 @@ def reference_transforms(g, parts, upper=None):
     return True, checked, None
 
 
-def _same_block_report(rep, ref):
-    verdict, checked, witness, filtered, sampled = ref
-    assert (rep.verdict, rep.checked_count, rep.witness) == (verdict, checked, witness)
-    if verdict is True:
-        assert (rep.detail["filtered_pairs"], rep.detail["sampled_pairs"]) == (
-            filtered, sampled)
-
-
 @derandomized
 @given(odd_block_codes())
 @example(_POSITIVE_F27)
 def test_block_checkers_match_the_per_block_reference(code):
     p, ks, nks = code.parity, code.dim_partition, code.parity_widths
-    for mode in ("exact", "filter"):
-        _same_block_report(check_msrd_systematic(code, mode=mode),
-                           reference_family(p, ks, nks, None, mode, 1000, random.Random(0)))
-    # a filter that samples from 5 C draws the reference's random stream
-    with mock.patch.object(block_codes, "FILTER_RESAMPLE_COUNT", 5):
-        _same_block_report(check_msrd_systematic(code, mode="filter"),
-                           reference_family(p, ks, nks, None, "filter", 5, random.Random(0)))
+    rep = check_msrd_systematic(code)
+    assert (rep.verdict, rep.checked_count, rep.witness) == reference_family(p, ks, nks, None)
     g = assemble_generator(code)
     rep = check_msrd_transforms(g, code.length_partition)
     assert (rep.verdict, rep.checked_count, rep.witness) == reference_transforms(
@@ -335,15 +331,12 @@ def test_transform_run_matches_the_per_transform_reference_in_characteristic_2()
             reference_transforms(g, parts)
 
 
-def _same_mMSR_report(enc, mode, resamples, budget=DEFAULT_SELECTION_BUDGET):
-    with mock.patch.object(block_codes, "FILTER_RESAMPLE_COUNT", resamples):
-        rep = check_mMSR(enc, mode=mode, budget=budget)
-    verdict, checked, witness, filtered, sampled = reference_top_level(enc, mode, resamples)
+def _same_mMSR_report(enc, budget=DEFAULT_SELECTION_BUDGET):
+    rep = check_mMSR(enc, budget=budget)
+    verdict, checked, witness = reference_top_level(enc)
     assert (rep.verdict, rep.checked_count, rep.witness) == (verdict, checked, witness)
     [level] = rep.detail["levels"]
     assert (level["level"], level["verdict"]) == (enc.m, verdict)
-    if verdict is True:
-        assert (level["filtered_pairs"], level["sampled_pairs"]) == (filtered, sampled)
     return rep
 
 
@@ -351,24 +344,18 @@ def _same_mMSR_report(enc, mode, resamples, budget=DEFAULT_SELECTION_BUDGET):
 @given(st.one_of(odd_encoders(), memory_one_encoders()))
 @example(_MRD_LEVEL_ZERO)
 def test_mMSR_matches_the_per_block_reference(enc):
-    runs = [(mode, 1000) for mode in ("exact", "filter")] + [("filter", 3)]
-    for mode, resamples in runs:
-        _same_mMSR_report(enc, mode, resamples)
+    _same_mMSR_report(enc)
 
 
 # the search table's [4,2,2] row at e = 1: not m-MSR, with a vanishing 4x4
-# minor at level 2, whose exact family needs a budget above the default
+# minor at level 2
 _TABLE_NEGATIVE = construct_frobenius(4, 2, 2, F2048, F2048.alpha_pow(1))
 
 
-@pytest.mark.parametrize("mode, resamples, checked", [
-    ("exact", 1000, 1028),
-    ("filter", 1000, 16),
-    ("filter", 3, 74),
-])
-def test_table_negative_matches_the_per_block_reference(mode, resamples, checked):
-    rep = _same_mMSR_report(_TABLE_NEGATIVE, mode, resamples, budget=10**9)
-    assert (rep.verdict, rep.checked_count) == (False, checked)
+def test_table_negative_matches_the_per_block_reference():
+    rep = _same_mMSR_report(_TABLE_NEGATIVE)
+    assert (rep.verdict, rep.checked_count) == (False, 68)
+    assert rep.detail["levels"][0]["minors"] == 11_079
     w = rep.witness
     assert (w["level"], w["rows"], w["cols"]) == (2, [0, 1, 3, 5], [1, 3, 4, 5])
 
@@ -376,32 +363,26 @@ def test_table_negative_matches_the_per_block_reference(mode, resamples, checked
 def test_engine_budget_charges_the_minors_the_grid_checks():
     # the level-2 6 x 6 grid checks 553 of the 923 square minors, and each
     # of the 64 pairs evaluates each of them once, then again at every Gray
-    # step that moves a C cell it holds: 41.5e6 minors, so the exact family
-    # fits the default budget and reads False at T 1,028
+    # step that moves a C cell it holds: 41.4e6 minors, so the family fits
+    # the default budget and reads False at T 68
     assert len(square_selections(6, 6, parity_grid(_TABLE_NEGATIVE, 2))) == 553
     assert count_block_selections((6,), (6,), False)[0] == 923
     charge = _level_cost(_TABLE_NEGATIVE, 2)
-    assert charge == 41_505_472
-    rep = check_mMSR(_TABLE_NEGATIVE, mode="exact")
+    assert charge == 41_447_872
+    rep = check_mMSR(_TABLE_NEGATIVE)
     [level] = rep.detail["levels"]
-    assert (rep.verdict, rep.checked_count, level["charge"]) == (False, 1028, charge)
-    # filter mode adds each pair's filter sweep; sampling 1,000 C would
-    # evaluate fewer than a pair's 4,096 C in Gray order
-    rep = check_mMSR(_TABLE_NEGATIVE, mode="filter")
-    [level] = rep.detail["levels"]
-    assert (rep.verdict, level["charge"]) == (False, charge + 64 * 553)
+    assert (rep.verdict, rep.checked_count, level["charge"]) == (False, 68, charge)
     # the charge is counted, so every budget below it refuses the family
     # with no list built, and the charge itself builds the grid's list once
     p2 = sliding_parity(_TABLE_NEGATIVE, 2)
     for budget in (922, 923, charge - 1, charge):
         with mock.patch.object(block_codes, "square_selections",
                                wraps=block_codes.square_selections) as build:
-            rep = block_codes.check_transform_family(
-                p2, [2] * 3, [2] * 3, True, "exact", budget)
+            rep = block_codes.check_transform_family(p2, [2] * 3, [2] * 3, True, budget)
         assert rep.detail["charge"] == charge
         if budget < charge:
             assert (rep.verdict, rep.checked_count, build.call_count) == (INFEASIBLE, 0, 0)
-    assert (rep.verdict, rep.checked_count, build.call_count) == (False, 1028, 1)
+    assert (rep.verdict, rep.checked_count, build.call_count) == (False, 68, 1)
 
 
 def test_grid_predicates_charge_the_minors_the_grid_checks():
@@ -418,29 +399,15 @@ def test_grid_predicates_charge_the_minors_the_grid_checks():
         count_nontrivial_minors(pattern, grid, budget=552)
 
 
-def test_filter_charge_is_the_larger_of_gray_order_and_sampling():
-    # one 1 x 7 block over F_9: each 1 x 1 selection holds one C cell, so a
-    # pair in Gray order evaluates its 7 once and then one minor per later
-    # C, 7 + 3^7 - 1, while one that samples sweeps its 7 once and
-    # re-evaluates them for 999 more C
-    p = Matrix(1, 7, F9, [1] * 7)
-    pairs = 3 ** 21  # A~ is a unit upper-triangular 7 x 7 block
-    exact = block_codes.check_transform_family(p, [1], [7], False, "exact", 7)
-    filt = block_codes.check_transform_family(p, [1], [7], False, "filter", 7)
-    assert exact.verdict == filt.verdict == INFEASIBLE
-    assert exact.detail["charge"] == pairs * (7 + 3 ** 7 - 1)
-    assert filt.detail["charge"] == pairs * (7 + 7 + 999 * 7)
-
-
 @pytest.mark.parametrize("ks, nks", [((2,), (2,)), ((1, 1), (1, 1)), ((2, 1), (1, 2)),
                                      ((3, 1), (2, 2)), ((2, 2, 2), (2, 2, 2)),
                                      ((0, 2), (1, 1))])
 def test_ungridded_charge_counts_its_held_cells_without_a_list(ks, nks):
     # without a grid the engine charges from counts: the square selections
-    # that hold each C cell, and those that hold any, which sampling uses
+    # that hold each C cell
     rows, cols = sum(ks), sum(nks)
     p = Matrix(rows, cols, F8, [1] * (rows * cols))
-    rep = block_codes.check_transform_family(p, ks, nks, False, "exact",
+    rep = block_codes.check_transform_family(p, ks, nks, False,
                                              count_block_selections((rows,), (cols,), False)[0])
     assert rep.detail["charge"] == gray_run_minors(ks, nks, None, 2)
     assert _listed_counts(ks, nks, False) == _counted(ks, nks, False)
@@ -448,18 +415,16 @@ def test_ungridded_charge_counts_its_held_cells_without_a_list(ks, nks):
 
 def _counted(ks, nks, grid):
     """count_block_selections, with held given per C cell."""
-    total, held, meeting = count_block_selections(ks, nks, grid)
-    return total, [h for h, k, w in zip(held, ks, nks) for _ in range(k * w)], meeting
+    total, held = count_block_selections(ks, nks, grid)
+    return total, [h for h, k, w in zip(held, ks, nks) for _ in range(k * w)]
 
 
 def _listed_counts(ks, nks, grid):
-    """The lengths of square_selections and of its held sub-lists: one
-    per C cell, then the one for every C cell at once."""
+    """The lengths of square_selections and of its held sub-list for each
+    C cell."""
     entries = square_selections(sum(ks), sum(nks), BlockGrid(ks, nks) if grid else None)
-    cells = block_diag_cells(ks, nks, False)
-    lengths = [sum(len(recs) for _, recs, _ in entries.held(sum(1 << i for i in group)))
-               for group in [(i,) for i in cells] + [cells]]
-    return len(entries), lengths[:-1], lengths[-1]
+    return len(entries), [sum(len(recs) for _, recs, _ in entries.held(1 << i))
+                          for i in block_diag_cells(ks, nks, False)]
 
 
 def test_block_selection_counts_equal_the_listed_lengths():
@@ -482,7 +447,7 @@ def test_an_exhaustive_true_evaluates_its_charge():
     for n, k, m, deg, e in TABLE1_ROWS[:7]:
         f = field(2, deg)
         enc = construct_frobenius(n, k, m, f, f.alpha_pow(e))
-        rep = check_mMSR(enc, mode="exact")
+        rep = check_mMSR(enc)
         [level] = rep.detail["levels"]
         assert rep.verdict is True
         assert level["minors"] == level["charge"] == _level_cost(enc, m)
@@ -519,28 +484,22 @@ def _witness_is_genuine(enc, rep):
 @example(construct_frobenius(4, 2, 1, field(2, 4), field(2, 4).alpha_pow(7)))
 @example(_memory_one_encoder(F25))
 def test_top_level_decides_like_the_per_level_loop(enc):
-    truth = reference_mMSR(enc, "exact", 0)[0]
-    exact = check_mMSR(enc, mode="exact")
-    assert exact.verdict == truth
-    filt = check_mMSR(enc, mode="filter")
-    # a filter False rests on a vanishing minor; a True is exhaustive when
-    # no pair sampled its C
-    if filt.verdict is False:
-        assert truth is False
-    elif filt.detail["levels"][0]["sampled_pairs"] == 0:
-        assert truth is True
-    for rep in (exact, filt):
-        if rep.verdict is False:
-            _witness_is_genuine(enc, rep)
+    rep = check_mMSR(enc)
+    assert rep.verdict == reference_mMSR(enc)[0]
+    if rep.verdict is False:
+        _witness_is_genuine(enc, rep)
 
 
 def gray_run_minors(ks, nks, grid, q):
     """Minors an exhaustive (B, A~, C) family evaluates: per pair, each
     selection the predicate checks once, then again at every step of the
-    Gray order that moves a C cell it holds, (q-1) q^t times for the t-th."""
+    Gray order that moves a C cell it holds, (q-1) q^t times for the t-th
+    cell of the walk (block_order's blocks, each row-major)."""
     b, a, _ = family_counts(ks, nks, q)
-    position = {cell: t for t, cell in enumerate(block_diag_cells(ks, nks, False))}
     width = sum(nks)
+    walk = [(sum(ks[:i]) + r) * width + sum(nks[:i]) + c
+            for i in block_order(ks, nks, grid) for r in range(ks[i]) for c in range(nks[i])]
+    position = {cell: t for t, cell in enumerate(walk)}
     per_pair = sum(
         1 + sum((q - 1) * q ** position[r * width + c]
                 for r in ri for c in ci if r * width + c in position)
@@ -560,7 +519,7 @@ def test_a_refused_top_level_falls_back_to_the_largest_level_that_fits():
     # charge refuses level 1, and level 0 still reads False
     f16 = field(2, 4)
     bad = construct_frobenius(4, 2, 1, f16, f16.alpha_pow(7))
-    assert reference_mMSR(bad, "exact", 0)[0] is False
+    assert reference_mMSR(bad)[0] is False
     rep = check_mMSR(bad, budget=_level_cost(bad, 0))
     assert (rep.verdict, rep.witness["level"]) == (False, 0)
     assert [(lv["level"], lv["verdict"]) for lv in rep.detail["levels"]] == [(0, False)]
@@ -598,7 +557,6 @@ def test_a_refused_descent_builds_only_the_decided_levels_list():
 def test_block_checkers_agree_in_odd_characteristic(code):
     g = assemble_generator(code)
     exact = check_msrd_systematic(code)
-    assert check_msrd_systematic(code, mode="filter").verdict == exact.verdict
     assert check_msrd_transforms(g, code.length_partition).verdict == exact.verdict
     d = min_sum_rank_distance(g, code.length_partition)
     assert exact.verdict == (d == code.n - code.k + 1)
@@ -613,12 +571,12 @@ def test_exact_verdicts_match_the_full_nonsingular_family(code, enc):
     # the unit upper-triangular B, A~ and A the checkers enumerate decide
     # the same as every nonsingular upper-triangular one
     p, ks, nks = code.parity, code.dim_partition, code.parity_widths
-    full = reference_family(p, ks, nks, None, "exact", 0, None, enum_ut_nonsingular)
+    full = reference_family(p, ks, nks, None, enum_ut_nonsingular)
     assert check_msrd_systematic(code).verdict == full[0]
     g = assemble_generator(code)
     assert check_msrd_transforms(g, code.length_partition).verdict == reference_transforms(
         g, code.length_partition.parts, enum_ut_nonsingular)[0]
-    assert check_mMSR(enc).verdict == reference_mMSR(enc, "exact", 0, enum_ut_nonsingular)[0]
+    assert check_mMSR(enc).verdict == reference_mMSR(enc, enum_ut_nonsingular)[0]
 
 
 def test_unit_families_count_q_to_their_free_cells():
@@ -646,8 +604,7 @@ def test_pinned_examples_are_positives():
 @derandomized
 @given(odd_encoders())
 def test_conv_checkers_agree_in_odd_characteristic(enc):
-    exact = check_mMSR(enc, mode="exact").verdict
-    assert check_mMSR(enc, mode="filter").verdict == exact
+    exact = check_mMSR(enc).verdict
     dists, bounds = column_distances(enc, 1)
     maximal = [d == b for d, b in zip(dists, bounds)]
     assert exact == all(maximal)
@@ -656,14 +613,13 @@ def test_conv_checkers_agree_in_odd_characteristic(enc):
 
 
 @derandomized
-@given(memory_one_encoders(), st.sampled_from(["exact", "filter"]))
-@example(_MRD_LEVEL_ZERO, "exact")
-@example(_MRD_LEVEL_ZERO, "filter")
-def test_level_zero_is_the_block_systematic_check(enc, mode):
+@given(memory_one_encoders())
+@example(_MRD_LEVEL_ZERO)
+def test_level_zero_is_the_block_systematic_check(enc):
     p0 = enc.parity_coeffs()[0]
     code = SystematicBlockCode(LengthPartition([enc.n]), (enc.k,), p0)
-    conv = check_mMSR(enc, 0, mode=mode)
-    block = check_msrd_systematic(code, mode=mode)
+    conv = check_mMSR(enc, 0)
+    block = check_msrd_systematic(code)
     assert conv.verdict == block.verdict
     assert conv.checked_count == block.checked_count
     if block.verdict is False:
@@ -697,12 +653,31 @@ def test_the_reversal_transpose_reads_the_same_verdict():
                 for _ in range(3):
                     p = Matrix(sum(ks), sum(nks), f, [rng.randrange(1, f.order)
                                                       for _ in range(sum(ks) * sum(nks))])
-                    rep = block_codes.check_transform_family(
-                        p, ks, nks, constrained, "exact", 10**6)
+                    rep = block_codes.check_transform_family(p, ks, nks, constrained, 10**6)
                     dual = block_codes.check_transform_family(
-                        _reversal_transpose(p), nks[::-1], ks[::-1], constrained, "exact",
-                        10**6)
+                        _reversal_transpose(p), nks[::-1], ks[::-1], constrained, 10**6)
                     assert rep.verdict == dual.verdict, (f, ks, nks, constrained, p)
                     verdicts[f.q].add(rep.verdict)
     # True and False instances over q = 2 and over odd q
     assert verdicts == {2: {True, False}, 3: {True, False}, 5: {True, False}}
+
+
+@pytest.mark.parametrize("row, dual, charge", [
+    ((3, 2, 1), (3, 1, 1), 236),
+    ((3, 2, 2), (3, 1, 2), 6_912),
+    ((5, 3, 1), (5, 2, 1), 42_068_992),
+    ((6, 4, 1), (6, 2, 1), 85_987_475_456),
+])
+def test_dual_table_rows_are_charged_alike(row, dual, charge):
+    # the reversal-transpose maps the level-m family of [n,k,m] onto that
+    # of [n,n-k,m] and reverses its blocks' held counts; moving the
+    # most-held blocks slowest makes the two walks' charges equal, and a
+    # budget of 1 refuses both before any work
+    charges = []
+    for n, k, m in (row, dual):
+        [(deg, e)] = [(deg, e) for *shape, deg, e in TABLE1_ROWS if tuple(shape) == (n, k, m)]
+        f = field(2, deg)
+        rep = check_mMSR(construct_frobenius(n, k, m, f, f.alpha_pow(e)), m, budget=1)
+        assert (rep.verdict, rep.detail["level"]) == (INFEASIBLE, m)
+        charges.append(rep.detail["charge"])
+    assert charges == [charge, charge]
